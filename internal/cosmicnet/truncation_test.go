@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // fullFeatureFrame builds a frame exercising every wire extension at once:
@@ -24,39 +25,60 @@ func fullFeatureFrame() *Frame {
 	}
 }
 
-// TestTruncationAtEveryOffset cuts a chunked+traced frame's encoding at
-// every byte boundary and asserts the reader fails each cut with a clean
-// stream error — never a panic, a hang, or a bogus decode. The full
-// encoding still decodes afterwards, proving the sweep covered a valid
-// frame.
+// TestTruncationAtEveryOffset cuts frame encodings at every byte boundary and
+// asserts the reader fails each cut with a clean stream error — never a
+// panic, a hang, or a bogus decode. The decode is two reads for a small
+// frame (prefix and header, then the rest staged) and three for a large one
+// (extensions and text, then the payload in place); the frames are chosen so
+// that each read is cut short, is empty, or is the last one, and each cut
+// goes through a reader that returns all it has, a reader that returns one
+// byte at a time, and a Conn.
 func TestTruncationAtEveryOffset(t *testing.T) {
-	var enc bytes.Buffer
-	if err := WriteFrame(&enc, fullFeatureFrame()); err != nil {
-		t.Fatal(err)
+	frames := map[string]*Frame{
+		"every extension, text, payload": fullFeatureFrame(),
+		"bare header":                    {Type: MsgDone},
+		"text only":                      {Type: MsgHello, From: 3, Text: "127.0.0.1:9999"},
+		"payload only":                   {Type: MsgModel, Seq: 1, Payload: []float64{1, 2, 3}},
+		"chunk extension, no payload":    {Type: MsgPartial, ChunkCount: 1},
+		"text and payload, staged":       {Type: MsgModel, Text: "x", TraceID: 1, Payload: make([]float64, 300)},
 	}
-	raw := enc.Bytes()
-	for cut := 0; cut < len(raw); cut++ {
-		_, err := ReadFrame(bytes.NewReader(raw[:cut]))
-		if err == nil {
-			t.Fatalf("cut at byte %d/%d decoded successfully", cut, len(raw))
+	readers := map[string]func([]byte) (*Frame, error){
+		"exact":    func(b []byte) (*Frame, error) { return ReadFrame(bytes.NewReader(b)) },
+		"one-byte": func(b []byte) (*Frame, error) { return ReadFrame(iotest.OneByteReader(bytes.NewReader(b))) },
+		"conn":     func(b []byte) (*Frame, error) { return (&Conn{Conn: readOnlyConn{r: bytes.NewReader(b)}}).Recv() },
+	}
+	for name, f := range frames {
+		var enc bytes.Buffer
+		if err := WriteFrame(&enc, f); err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at byte %d/%d: %v, want a stream error", cut, len(raw), err)
+		raw := enc.Bytes()
+		for via, read := range readers {
+			for cut := 0; cut < len(raw); cut++ {
+				_, err := read(raw[:cut])
+				if err == nil {
+					t.Fatalf("%s via %s: cut at byte %d/%d decoded successfully", name, via, cut, len(raw))
+				}
+				if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%s via %s: cut at byte %d/%d: %v, want a stream error", name, via, cut, len(raw), err)
+				}
+			}
+			got, err := read(raw)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", name, via, err)
+			}
+			if !sameFrame(got, f) {
+				t.Fatalf("%s via %s: full decode corrupted: %+v", name, via, got)
+			}
 		}
-	}
-	got, err := ReadFrame(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != 3 || got.ChunkCount != 8 || got.Text != "meta" || len(got.Payload) != 1024 {
-		t.Fatalf("full decode corrupted: %+v", got)
 	}
 }
 
-// TestTruncatedReadReturnsPoolBuffer: the error path of a truncated body
-// read must still return its staging buffer to the pool. A leak would force
-// a fresh multi-KB allocation on every failed read (≥2 allocs per attempt);
-// with the pool intact only the fixed length-prefix scratch allocates (1).
+// TestTruncatedReadReturnsPoolBuffer: the error path of a truncated payload
+// read must still return its scratch to the pool and keep the frame's
+// payload for reuse. A leak would cost a fresh scratch and buffer on every
+// failed read (>= 2 allocs per attempt); intact, only the frame's text
+// allocates (1).
 func TestTruncatedReadReturnsPoolBuffer(t *testing.T) {
 	var enc bytes.Buffer
 	if err := WriteFrame(&enc, fullFeatureFrame()); err != nil {
@@ -77,7 +99,7 @@ func TestTruncatedReadReturnsPoolBuffer(t *testing.T) {
 		}
 	})
 	if allocs > 1.5 {
-		t.Errorf("truncated read allocates %.1f per attempt; the staging buffer is leaking from the pool", allocs)
+		t.Errorf("truncated read allocates %.1f per attempt; the scratch is leaking from the pool", allocs)
 	}
 }
 

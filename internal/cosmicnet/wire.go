@@ -14,6 +14,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // MsgType discriminates frames on the wire.
@@ -87,7 +88,10 @@ type Frame struct {
 	// (number of node partials behind the payload).
 	Weight float64
 	// Payload is the vector body for data frames or an encoded control
-	// blob for control frames.
+	// blob for control frames. Sending reads it where it lies (the caller
+	// must not write it until Send returns); decoding fills it in place
+	// when its capacity suffices and otherwise replaces it with a
+	// GetPayload buffer, which the frame's consumer may PutPayload.
 	Payload []float64
 	// Text carries small string payloads (e.g. the Hello listen address).
 	Text string
@@ -138,51 +142,69 @@ func FrameCap() int { return int(frameCap.Load()) }
 // header: type(1) seq(4) from(4) weight(8) textLen(4) payloadLen(4)
 const headerBytes = 25
 
-// bufPool recycles encode/decode scratch buffers so steady-state frame I/O
-// is allocation-free.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// scratch is the reusable state of one frame encode or decode. buf takes the
+// length prefix, header, extensions and text — and the payload bytes too when
+// the frame is small enough to stage whole (see stageMax); vec backs the
+// net.Buffers of a vectored write, so it allocates nothing. A Conn owns one
+// per direction; the package-level functions draw theirs from scratchPool.
+type scratch struct {
+	buf  []byte
+	vec  [2][]byte
+	bufs net.Buffers
 }
 
-// getBuf returns a pooled byte slice of length n. The caller owns the
-// buffer and must return it with putBuf.
+// room returns buf cut to n bytes, growing it first when it is short (to at
+// least 4 KB, so data frames never regrow it).
+func (s *scratch) room(n int) []byte {
+	if cap(s.buf) < n {
+		s.buf = make([]byte, max(n, 4096))
+	}
+	return s.buf[:n]
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a pooled scratch. The caller owns it and must return it
+// with putScratch.
 //
 //cosmic:owns
-func getBuf(n int) *[]byte {
-	bp := bufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(s *scratch) { scratchPool.Put(s) }
+
+// payloadFree recycles payload vectors: the runtime returns a received
+// chunk's payload here once it is folded, and the decoder draws its next one
+// from here, so a streaming round cycles a handful of buffers. It is a plain
+// bounded free list, not a sync.Pool: a pool sheds its contents at every GC
+// (and at random under the race detector), which would put model-sized
+// allocations back on the steady-state data path.
+var payloadFree struct {
+	sync.Mutex
+	bufs [][]float64
 }
 
-func putBuf(bp *[]byte) { bufPool.Put(bp) }
+// payloadFreeMax bounds the free list (a Put beyond it is dropped): the
+// buffers a Sigma has in flight at once — ring capacity plus parked chunks.
+const payloadFreeMax = 256
 
-// payloadPool recycles decoded payload vectors. The runtime returns a
-// received chunk's payload here once it has been folded into the
-// aggregation buffer, closing the loop so a streaming round recycles a
-// handful of buffers instead of allocating one per frame.
-var payloadPool = sync.Pool{
-	New: func() any {
-		p := make([]float64, 0)
-		return &p
-	},
-}
-
-// GetPayload returns a pooled []float64 of length n (contents undefined).
-// The caller owns the buffer and must hand it back with PutPayload once it
-// is folded or forwarded.
+// GetPayload returns a []float64 of length n (contents undefined), recycled
+// when the most recently returned buffer is large enough. The caller owns the
+// buffer and must hand it back with PutPayload once it is folded or
+// forwarded.
 //
 //cosmic:owns
 func GetPayload(n int) []float64 {
-	pp := payloadPool.Get().(*[]float64)
-	p := *pp
-	if cap(p) < n {
-		p = make([]float64, n)
+	var p []float64
+	payloadFree.Lock()
+	if last := len(payloadFree.bufs) - 1; last >= 0 {
+		p, payloadFree.bufs[last] = payloadFree.bufs[last], nil
+		payloadFree.bufs = payloadFree.bufs[:last]
+	}
+	payloadFree.Unlock()
+	if p == nil || cap(p) < n {
+		// None, or too small: that one is dropped, so the list converges on
+		// the largest size in circulation — in a steady round, the chunk.
+		return make([]float64, n)
 	}
 	return p[:n]
 }
@@ -193,18 +215,41 @@ func PutPayload(p []float64) {
 	if cap(p) == 0 {
 		return
 	}
-	p = p[:0]
-	payloadPool.Put(&p)
+	payloadFree.Lock()
+	if len(payloadFree.bufs) < payloadFreeMax {
+		payloadFree.bufs = append(payloadFree.bufs, p[:0])
+	}
+	payloadFree.Unlock()
+}
+
+// floatBytes views p's memory as bytes, without copying.
+func floatBytes(p []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p))), len(p)*8)
+}
+
+// wireSize is the frame's encoded length, length prefix included.
+func (f *Frame) wireSize() int {
+	n := 4 + headerBytes + len(f.Text) + len(f.Payload)*8
+	if f.TraceID != 0 || f.SpanID != 0 {
+		n += traceExtBytes
+	}
+	if f.ChunkCount > 0 {
+		n += chunkExtBytes
+	}
+	return n
 }
 
 // WriteFrame encodes and writes one frame.
 func WriteFrame(w io.Writer, f *Frame) error {
-	_, err := writeFrame(w, f)
+	s := getScratch()
+	defer putScratch(s)
+	_, err := writeFrame(w, f, s)
 	return err
 }
 
-// writeFrame reports the bytes written.
-func writeFrame(w io.Writer, f *Frame) (int, error) {
+// writeFrame reports the bytes written. Only the head is encoded; a payload
+// too large to stage goes out as its own bytes, in the same vectored write.
+func writeFrame(w io.Writer, f *Frame, s *scratch) (int, error) {
 	traced := f.TraceID != 0 || f.SpanID != 0
 	chunked := f.ChunkCount > 0
 	if !chunked && (f.ChunkIndex != 0 || f.ChunkOffset != 0) {
@@ -213,22 +258,17 @@ func writeFrame(w io.Writer, f *Frame) (int, error) {
 	if chunked && f.ChunkIndex >= f.ChunkCount {
 		return 0, fmt.Errorf("cosmicnet: chunk index %d out of range for count %d", f.ChunkIndex, f.ChunkCount)
 	}
-	ext := 0
-	if traced {
-		ext += traceExtBytes
-	}
-	if chunked {
-		ext += chunkExtBytes
-	}
-	textLen := len(f.Text)
-	payloadLen := len(f.Payload) * 8
-	total := headerBytes + ext + textLen + payloadLen
+	size := f.wireSize()
+	total := size - 4
 	if int64(total) > frameCap.Load() {
 		return 0, fmt.Errorf("cosmicnet: frame of %d bytes exceeds limit %d", total, FrameCap())
 	}
-	bp := getBuf(4 + total)
-	defer putBuf(bp)
-	buf := *bp
+	staged := size <= stageMax
+	head := size
+	if !staged {
+		head -= len(f.Payload) * 8
+	}
+	buf := s.room(head)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(total))
 	typeByte := byte(f.Type)
 	if traced {
@@ -241,9 +281,9 @@ func writeFrame(w io.Writer, f *Frame) (int, error) {
 	binary.LittleEndian.PutUint32(buf[5:], f.Seq)
 	binary.LittleEndian.PutUint32(buf[9:], f.From)
 	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(f.Weight))
-	binary.LittleEndian.PutUint32(buf[21:], uint32(textLen))
+	binary.LittleEndian.PutUint32(buf[21:], uint32(len(f.Text)))
 	binary.LittleEndian.PutUint32(buf[25:], uint32(len(f.Payload)))
-	off := 29
+	off := 4 + headerBytes
 	if traced {
 		binary.LittleEndian.PutUint64(buf[off:], f.TraceID)
 		binary.LittleEndian.PutUint64(buf[off+8:], f.SpanID)
@@ -255,53 +295,56 @@ func writeFrame(w io.Writer, f *Frame) (int, error) {
 		binary.LittleEndian.PutUint32(buf[off+8:], f.ChunkOffset)
 		off += chunkExtBytes
 	}
-	copy(buf[off:], f.Text)
-	off += textLen
-	for _, v := range f.Payload {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
+	off += copy(buf[off:], f.Text)
+	if staged {
+		stagePayload(buf[off:], f.Payload)
+		return w.Write(buf)
 	}
-	n, err := w.Write(buf)
-	return n, err
+	s.vec = [2][]byte{buf, floatBytes(f.Payload)}
+	s.bufs = s.vec[:]
+	n, err := s.bufs.WriteTo(w)
+	s.vec[1] = nil // the scratch outlives the call; the caller's payload must not
+	return int(n), err
 }
 
 // ReadFrame reads and decodes one frame.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	f := new(Frame)
-	_, err := readFrameInto(r, f)
-	if err != nil {
+	if err := ReadFrameInto(r, f); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
 // ReadFrameInto reads and decodes one frame into f, reusing f.Payload's
-// capacity when it suffices. Every field of f is overwritten.
+// capacity when it suffices. Every field of f is overwritten. It consumes
+// exactly one frame from r.
 func ReadFrameInto(r io.Reader, f *Frame) error {
-	_, err := readFrameInto(r, f)
+	s := getScratch()
+	defer putScratch(s)
+	_, err := readFrameInto(r, f, s)
 	return err
 }
 
-// readFrameInto reports the bytes consumed.
-func readFrameInto(r io.Reader, f *Frame) (int, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, err
+// readFrameInto reports the bytes consumed. It reads the prefix and fixed
+// header, then the rest: in one read when the frame is small enough to stage
+// (the payload is then copied out of the scratch), otherwise extensions and
+// text first and the payload straight into f.Payload's memory. Every length
+// is checked against the cap and the others before anything is sized by it.
+func readFrameInto(r io.Reader, f *Frame, s *scratch) (int, error) {
+	buf := s.room(4 + headerBytes)
+	n, err := io.ReadFull(r, buf)
+	if err != nil {
+		return n, err
 	}
-	total := binary.LittleEndian.Uint32(lenBuf[:])
+	total := binary.LittleEndian.Uint32(buf)
 	// Bound the length prefix before allocating anything: a corrupt peer
 	// must not be able to induce an arbitrarily large allocation.
 	if total < headerBytes || int64(total) > frameCap.Load() {
-		return 4, fmt.Errorf("cosmicnet: bad frame length %d (cap %d)", total, FrameCap())
+		return n, fmt.Errorf("cosmicnet: bad frame length %d (cap %d)", total, FrameCap())
 	}
-	bp := getBuf(int(total))
-	defer putBuf(bp)
-	buf := *bp
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 4, err
-	}
-	traced := buf[0]&flagTrace != 0
-	chunked := buf[0]&flagChunk != 0
+	traced := buf[4]&flagTrace != 0
+	chunked := buf[4]&flagChunk != 0
 	ext := 0
 	if traced {
 		ext += traceExtBytes
@@ -309,20 +352,32 @@ func readFrameInto(r io.Reader, f *Frame) (int, error) {
 	if chunked {
 		ext += chunkExtBytes
 	}
-	f.Type = MsgType(buf[0] &^ flagMask)
-	f.Seq = binary.LittleEndian.Uint32(buf[1:])
-	f.From = binary.LittleEndian.Uint32(buf[5:])
-	f.Weight = math.Float64frombits(binary.LittleEndian.Uint64(buf[9:]))
-	textLen := binary.LittleEndian.Uint32(buf[17:])
-	payloadLen := binary.LittleEndian.Uint32(buf[21:])
+	f.Type = MsgType(buf[4] &^ flagMask)
+	f.Seq = binary.LittleEndian.Uint32(buf[5:])
+	f.From = binary.LittleEndian.Uint32(buf[9:])
+	f.Weight = math.Float64frombits(binary.LittleEndian.Uint64(buf[13:]))
+	textLen := binary.LittleEndian.Uint32(buf[21:])
+	payloadLen := binary.LittleEndian.Uint32(buf[25:])
 	// The consistency check is done in 64-bit arithmetic: payloadLen*8 in
 	// uint32 can wrap (e.g. payloadLen = 2^29) and match total, which would
-	// send the decode loop out of bounds.
-	if int64(len(buf)) != int64(headerBytes)+int64(ext)+int64(textLen)+int64(payloadLen)*8 {
-		return 4 + int(total), fmt.Errorf("cosmicnet: inconsistent frame: total %d, ext %d, text %d, payload %d",
+	// size the payload far beyond the frame. Passing it bounds textLen and
+	// payloadLen*8 by total, hence by the frame cap.
+	if int64(total) != int64(headerBytes)+int64(ext)+int64(textLen)+int64(payloadLen)*8 {
+		return n, fmt.Errorf("cosmicnet: inconsistent frame: total %d, ext %d, text %d, payload %d",
 			total, ext, textLen, payloadLen)
 	}
-	off := headerBytes
+	staged := int(total) <= stageMax-4
+	rest := ext + int(textLen)
+	if staged {
+		rest = int(total) - headerBytes
+	}
+	buf = s.room(rest)
+	m, err := io.ReadFull(r, buf)
+	n += m
+	if err != nil {
+		return n, err
+	}
+	off := 0
 	f.TraceID, f.SpanID = 0, 0
 	if traced {
 		f.TraceID = binary.LittleEndian.Uint64(buf[off:])
@@ -336,31 +391,38 @@ func readFrameInto(r io.Reader, f *Frame) (int, error) {
 		f.ChunkOffset = binary.LittleEndian.Uint32(buf[off+8:])
 		off += chunkExtBytes
 		if f.ChunkCount == 0 || f.ChunkIndex >= f.ChunkCount {
-			return 4 + int(total), fmt.Errorf("cosmicnet: bad chunk extension: index %d, count %d", f.ChunkIndex, f.ChunkCount)
+			return n, fmt.Errorf("cosmicnet: bad chunk extension: index %d, count %d", f.ChunkIndex, f.ChunkCount)
 		}
 	}
 	f.Text = string(buf[off : off+int(textLen)])
 	off += int(textLen)
-	n := int(payloadLen)
-	if f.Payload == nil || cap(f.Payload) < n {
-		// make([]float64, 0) is allocation-free and non-nil, keeping decoded
-		// frames uniform (a decoded payload is never nil, as before).
-		f.Payload = make([]float64, n)
+	words := int(payloadLen)
+	if f.Payload == nil || cap(f.Payload) < words {
+		// A recycled buffer when one fits; never nil, so decoded frames stay
+		// uniform (GetPayload(0) is allocation-free and non-nil).
+		//cosmic:transfers the decoded frame owns its payload; its consumer may PutPayload it
+		f.Payload = GetPayload(words)
 	} else {
-		f.Payload = f.Payload[:n]
+		f.Payload = f.Payload[:words]
 	}
-	for i := range f.Payload {
-		f.Payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
+	if staged {
+		unstagePayload(f.Payload, buf[off:])
+		return n, nil
 	}
-	return 4 + int(total), nil
+	m, err = io.ReadFull(r, floatBytes(f.Payload))
+	return n + m, err
 }
 
 // Conn wraps a net.Conn with frame I/O and byte accounting (the
-// communication-volume numbers Figures 13/14 reason about).
+// communication-volume numbers Figures 13/14 reason about). &Conn{Conn: c}
+// is ready to use; Send is safe from several goroutines, receiving is not.
 type Conn struct {
 	net.Conn
 	sent, received atomic.Int64
+	// sendMu keeps a frame contiguous on the wire when its head and payload
+	// leave in separate writes, and guards tx. rx is the receiver's.
+	sendMu sync.Mutex
+	tx, rx scratch
 }
 
 // Dial connects to a peer node.
@@ -372,19 +434,25 @@ func Dial(addr string) (*Conn, error) {
 	return &Conn{Conn: c}, nil
 }
 
-// Send writes one frame.
+// Send writes one frame. The frame is counted before it can reach the peer,
+// so a frame some receiver has counted is one its sender has counted (sent
+// never trails received); a failed or short write gives back what stayed.
 func (c *Conn) Send(f *Frame) error {
-	n, err := writeFrame(c.Conn, f)
-	c.sent.Add(int64(n))
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	size := f.wireSize()
+	c.sent.Add(int64(size))
+	n, err := writeFrame(c.Conn, f, &c.tx)
+	if n != size {
+		c.sent.Add(int64(n - size))
+	}
 	return err
 }
 
 // Recv reads one frame.
 func (c *Conn) Recv() (*Frame, error) {
 	f := new(Frame)
-	n, err := readFrameInto(c.Conn, f)
-	c.received.Add(int64(n))
-	if err != nil {
+	if err := c.RecvInto(f); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -393,7 +461,7 @@ func (c *Conn) Recv() (*Frame, error) {
 // RecvInto reads one frame into f, reusing f.Payload's capacity. Every
 // field of f is overwritten.
 func (c *Conn) RecvInto(f *Frame) error {
-	n, err := readFrameInto(c.Conn, f)
+	n, err := readFrameInto(c.Conn, f, &c.rx)
 	c.received.Add(int64(n))
 	return err
 }

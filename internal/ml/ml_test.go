@@ -323,3 +323,41 @@ func TestMeanLossEmpty(t *testing.T) {
 		t.Errorf("MeanLoss(empty) = %g", l)
 	}
 }
+
+// TestWorkspaceKernelsMatchOracleBitwise: the *Into kernels run the oracle's
+// passes in the oracle's order through reused memory, so for every family,
+// aggregator and worker count the result must equal ParallelSGDBatch /
+// AccumulateGradients bit for bit — on a fresh workspace and on one that
+// still holds another batch's vectors.
+func TestWorkspaceKernelsMatchOracleBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, a := range testAlgorithms() {
+		var ws Workspace
+		for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
+			for workers := 1; workers <= 4; workers++ {
+				cfg := SGDConfig{LearningRate: 0.03, MiniBatch: 2 * workers, Aggregator: agg}
+				model := a.InitModel(rng)
+				batch := make([]Sample, 9)
+				for i := range batch {
+					batch[i] = randomSample(a, rng)
+				}
+				want := ParallelSGDBatch(a, cfg, model, batch, workers)
+				if got := ParallelSGDBatchInto(&ws, a, cfg, model, batch, workers); !same(got, want) {
+					t.Errorf("%s, %v, %d workers: ParallelSGDBatchInto differs from ParallelSGDBatch", a.Name(), agg, workers)
+				}
+				want = AccumulateGradients(a, model, batch)
+				if got := AccumulateGradientsInto(&ws, a, model, batch); !same(got, want) {
+					t.Errorf("%s: AccumulateGradientsInto differs from AccumulateGradients", a.Name())
+				}
+			}
+		}
+	}
+}

@@ -29,24 +29,31 @@ func SGDStep(a Algorithm, model []float64, s Sample, lr float64, scratch []float
 // Equation 3a.
 func LocalSGD(a Algorithm, model []float64, samples []Sample, lr float64) []float64 {
 	local := make([]float64, len(model))
+	localSGDInto(local, make([]float64, len(model)), a, model, samples, lr)
+	return local
+}
+
+func localSGDInto(local, scratch []float64, a Algorithm, model []float64, samples []Sample, lr float64) {
 	copy(local, model)
-	scratch := make([]float64, len(model))
 	for _, s := range samples {
 		SGDStep(a, local, s, lr, scratch)
 	}
-	return local
 }
 
 // AccumulateGradients sums per-sample gradients at a fixed model over
 // samples, the per-worker computation of batched gradient descent.
 func AccumulateGradients(a Algorithm, model []float64, samples []Sample) []float64 {
 	acc := make([]float64, len(model))
-	scratch := make([]float64, len(model))
+	accumulateInto(acc, make([]float64, len(model)), a, model, samples)
+	return acc
+}
+
+func accumulateInto(acc, scratch []float64, a Algorithm, model []float64, samples []Sample) {
+	clear(acc)
 	for _, s := range samples {
 		a.Gradient(model, s, scratch)
 		AXPY(1, scratch, acc)
 	}
-	return acc
 }
 
 // Partition splits samples into n contiguous, nearly equal parts, matching
@@ -106,6 +113,64 @@ func ParallelSGDBatch(a Algorithm, cfg SGDConfig, model []float64, batch []Sampl
 		}
 	}
 	return AggregateModels(cfg, model, partials)
+}
+
+// Workspace is the memory the *Into kernels compute through: three
+// model-sized vectors, sized on first use and reused after, so a caller that
+// runs one batch per round allocates nothing in steady state. A kernel's
+// result aliases the workspace and is valid until the next call with it.
+type Workspace struct {
+	out, part, scratch []float64
+}
+
+func (ws *Workspace) size(n int) {
+	if cap(ws.out) < n {
+		ws.out, ws.part, ws.scratch = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	ws.out, ws.part, ws.scratch = ws.out[:n], ws.part[:n], ws.scratch[:n]
+}
+
+// ParallelSGDBatchInto is ParallelSGDBatch computed through ws: the same
+// passes in the same order — each worker partition's result is folded into
+// the aggregate as soon as it is computed, which is the order
+// AggregateModels adds them in — so the result is bitwise equal. model must
+// not be a previous result of the same workspace.
+func ParallelSGDBatchInto(ws *Workspace, a Algorithm, cfg SGDConfig, model []float64, batch []Sample, workers int) []float64 {
+	if workers <= 0 {
+		panic(fmt.Sprintf("ml: partition into %d parts", workers))
+	}
+	ws.size(len(model))
+	scale := -cfg.LearningRate
+	if cfg.MiniBatch > 0 {
+		scale /= float64(cfg.MiniBatch)
+	}
+	if cfg.Aggregator == dsl.AggSum {
+		copy(ws.out, model)
+	} else {
+		clear(ws.out)
+	}
+	for i := 0; i < workers; i++ {
+		part := batch[i*len(batch)/workers : (i+1)*len(batch)/workers]
+		switch cfg.Aggregator {
+		case dsl.AggAverage:
+			localSGDInto(ws.part, ws.scratch, a, model, part, cfg.LearningRate)
+			AXPY(1, ws.part, ws.out)
+		case dsl.AggSum:
+			accumulateInto(ws.part, ws.scratch, a, model, part)
+			AXPY(scale, ws.part, ws.out)
+		}
+	}
+	if cfg.Aggregator == dsl.AggAverage {
+		Scale(1/float64(workers), ws.out)
+	}
+	return ws.out
+}
+
+// AccumulateGradientsInto is AccumulateGradients computed through ws.
+func AccumulateGradientsInto(ws *Workspace, a Algorithm, model []float64, samples []Sample) []float64 {
+	ws.size(len(model))
+	accumulateInto(ws.out, ws.scratch, a, model, samples)
+	return ws.out
 }
 
 // TrainResult reports a training run's loss trajectory.

@@ -22,7 +22,10 @@ type Engine interface {
 	Name() string
 	// PartialUpdate computes the node's partial for the shard at the given
 	// model: an updated local model under the averaging aggregator
-	// (Equation 3a), or a gradient sum under the summing aggregator.
+	// (Equation 3a), or a gradient sum under the summing aggregator. The
+	// returned slice belongs to the engine and is valid until that engine's
+	// next PartialUpdate call; neither model nor shard is retained. One
+	// engine serves one node: calls do not overlap.
 	PartialUpdate(model []float64, shard []ml.Sample) ([]float64, error)
 }
 
@@ -44,12 +47,16 @@ type RefEngine struct {
 	tapeOnce sync.Once
 	tape     *ml.TapeEvaluator
 	tapeErr  error
+
+	// ws is the memory every partial is computed in and returned from.
+	ws ml.Workspace
 }
 
 // Name returns "reference".
 func (e *RefEngine) Name() string { return "reference" }
 
-// PartialUpdate runs Threads-way parallel SGD over the shard.
+// PartialUpdate runs Threads-way parallel SGD over the shard, through the
+// engine's workspace.
 func (e *RefEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float64, error) {
 	threads := e.Threads
 	if threads <= 0 {
@@ -61,9 +68,9 @@ func (e *RefEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float64
 	switch e.Agg {
 	case dsl.AggAverage:
 		cfg := ml.SGDConfig{LearningRate: e.LR, Aggregator: dsl.AggAverage}
-		return ml.ParallelSGDBatch(e.Alg, cfg, model, shard, threads), nil
+		return ml.ParallelSGDBatchInto(&e.ws, e.Alg, cfg, model, shard, threads), nil
 	case dsl.AggSum:
-		return ml.AccumulateGradients(e.Alg, model, shard), nil
+		return ml.AccumulateGradientsInto(&e.ws, e.Alg, model, shard), nil
 	}
 	return nil, fmt.Errorf("runtime: unknown aggregator %v", e.Agg)
 }

@@ -130,8 +130,12 @@ type Node struct {
 	lastSeq        atomic.Uint32
 	lastRoundNanos atomic.Int64
 	data           []ml.Sample
-	// cursor is the node's position in its data shard.
+	// cursor is the node's position in its data shard; batch is the reused
+	// slice the round's samples are gathered into.
 	cursor int
+	batch  []ml.Sample
+	// zero is the partial of a node with no data, made once.
+	zero []float64
 
 	ln   *cosmicnet.Listener
 	upMu sync.Mutex
@@ -394,6 +398,9 @@ func (n *Node) aggWorker() {
 		if !ok {
 			return
 		}
+		// Counted before the fold: the fold can complete the round, and
+		// whoever sees the round complete must find the counters moved.
+		n.obs.chunkFolded(c.Last)
 		err := n.agg.Add(c)
 		if c.Recycle {
 			cosmicnet.PutPayload(c.Data)
@@ -402,7 +409,6 @@ func (n *Node) aggWorker() {
 			n.fail(err)
 			return
 		}
-		n.obs.chunkFolded(c.Last)
 	}
 }
 
@@ -470,15 +476,14 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 				// goes straight to the Aggregation Pool — no staging of the
 				// full vector, no re-chunking. The payload's ownership moves
 				// to the chunk (Recycle: true makes aggWorker Put it after
-				// folding); the read frame draws a recycled one.
+				// folding).
 				//cosmic:transfers f.Payload moves into the ring chunk
 				c := Chunk{
 					Seq: f.Seq, From: f.From, Offset: int(f.ChunkOffset),
 					Data: f.Payload, Weight: f.Weight,
 					Last: f.ChunkIndex == f.ChunkCount-1, Recycle: true,
 				}
-				//cosmic:transfers replacement buffer owned by the frame reader
-				f.Payload = cosmicnet.GetPayload(0)
+				f.Payload = nil // the next decode draws a recycled buffer of its size
 				if !n.ring.Push(c) {
 					return
 				}
@@ -504,24 +509,28 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 }
 
 // nextShardBatch returns the node's next ShardBatch samples, cycling
-// through its shard.
+// through its shard. The slice is reused by the next call.
 func (n *Node) nextShardBatch() []ml.Sample {
 	if len(n.data) == 0 {
 		return nil
 	}
-	batch := make([]ml.Sample, 0, n.cfg.ShardBatch)
-	for len(batch) < n.cfg.ShardBatch {
-		batch = append(batch, n.data[n.cursor])
+	n.batch = n.batch[:0]
+	for len(n.batch) < n.cfg.ShardBatch {
+		n.batch = append(n.batch, n.data[n.cursor])
 		n.cursor = (n.cursor + 1) % len(n.data)
 	}
-	return batch
+	return n.batch
 }
 
-// computePartial runs the engine over the next shard batch.
+// computePartial runs the engine over the next shard batch. The result is
+// valid until the next call (the Engine contract).
 func (n *Node) computePartial(model []float64) ([]float64, error) {
 	batch := n.nextShardBatch()
 	if batch == nil {
-		return make([]float64, n.cfg.ModelSize), nil
+		if n.zero == nil {
+			n.zero = make([]float64, n.cfg.ModelSize)
+		}
+		return n.zero, nil
 	}
 	return n.cfg.Engine.PartialUpdate(model, batch)
 }
@@ -688,6 +697,12 @@ func (n *Node) connectUpstream() (*cosmicnet.Conn, error) {
 		return nil, err
 	}
 	n.upMu.Lock()
+	if n.closing.Load() {
+		// Close ran before there was a connection for it to sever.
+		n.upMu.Unlock()
+		up.Close()
+		return nil, fmt.Errorf("node %d: closed", n.cfg.ID)
+	}
 	if n.upstream != nil {
 		n.sentBase += n.upstream.BytesSent()
 		n.recvBase += n.upstream.BytesReceived()
@@ -762,8 +777,11 @@ func (n *Node) Run() error {
 		n.WaitMembers(n.cfg.Members - 1)
 	}
 
+	// One frame serves every round: a model is decoded into the payload the
+	// previous one left; handleModel is done with it before the next receive.
+	f := new(cosmicnet.Frame)
 	for {
-		f, err := up.Recv()
+		err := up.RecvInto(f)
 		if err != nil {
 			if n.closing.Load() || !n.cfg.Reconnect {
 				n.fail(fmt.Errorf("node %d: upstream: %w", n.cfg.ID, err))
@@ -867,9 +885,16 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 			return err
 		}
 		if !ok {
-			if n.quorumFold(seq, n.cfg.MinQuorum, n.cfg.RoundTimeout) {
+			switch {
+			case n.quorumFold(seq, n.cfg.MinQuorum, n.cfg.RoundTimeout):
 				excludedRound = true
-			} else {
+			case n.cfg.MinQuorum > 0:
+				// Below quorum the group sits the round out: the master folds
+				// without this Sigma, which lives to serve the next round.
+				// Dying here would strand the group's Deltas for good.
+				n.logger.Warn("round below quorum; group sits it out", "round", seq)
+				return nil
+			default:
 				lastSeen := n.lastSeenSummary()
 				dump := n.dumpDiagnostics("round-timeout")
 				n.logger.Error("round timed out waiting for group members",
