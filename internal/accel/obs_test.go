@@ -159,8 +159,8 @@ func TestRunBatchDetachedIsIdentical(t *testing.T) {
 }
 
 // BenchmarkRunBatchObserved guards the no-op cost of instrumentation: the
-// "detached" case must match the pre-telemetry RunBatch (zero allocations
-// in steady state), and "attached" shows the enabled price.
+// "detached" case must match the pre-telemetry RunBatch (it allocates only
+// its result), and "attached" shows the enabled price.
 func BenchmarkRunBatchObserved(b *testing.B) {
 	for _, attached := range []bool{false, true} {
 		b.Run(fmt.Sprintf("attached=%v", attached), func(b *testing.B) {

@@ -77,16 +77,30 @@ type Sim struct {
 	threads int
 
 	// tape is the gradient DFG compiled to a flat evaluation tape — the
-	// functional engine every simulated MIMD thread executes. arenas holds
-	// one reusable scratch arena per simulated thread so the steady state
-	// of RunBatch is allocation-free; they are lazily created and retained
-	// across batches.
-	tape    *dfg.Tape
-	tapeErr error
-	arenas  []*dfg.Arena
+	// functional engine every simulated MIMD thread executes. pairs is the
+	// Equation 3a update plan (model symbol ↔ gradient slots ↔ model leaf
+	// slots), resolved by the first RunBatch — the planner builds a Sim per
+	// design point for its timing alone — and kept, as is a pairing error.
+	tape     *dfg.Tape
+	tapeErr  error
+	planned  bool
+	pairs    []pairPlan
+	pairsErr error
+	// words is the number of state rows a lane carries: one per gradient
+	// word.
+	words int
 	// workers is the host-goroutine budget for RunBatch (0 = GOMAXPROCS,
 	// 1 = sequential).
 	workers int
+	// blocks are the lane arenas RunBatch evaluates the tape on, one per
+	// host worker and width lanes each; pos maps a thread to its lane
+	// (block·width + lane, −1 for a thread with no vectors). All are built
+	// on first use, retained across batches, and rebuilt only when the
+	// worker count changes.
+	blocks []laneBlock
+	width  int
+	pos    []int
+	wg     sync.WaitGroup // the workers of the batch in flight
 
 	// peLoad is the static per-vector occupancy of each PE (ops plus
 	// gradient accumulations); busLoad the per-vector transmissions per
@@ -101,6 +115,9 @@ type Sim struct {
 	interval int64
 	// streamPerVec is the memory-interface cycles to deliver one vector.
 	streamPerVec int
+	// broadcast and reduce are the per-batch model broadcast and cross-thread
+	// aggregation/write-back costs, fixed by the program.
+	broadcast, reduce int64
 
 	// mx holds the pre-resolved telemetry instruments (nil = disabled; the
 	// RunBatch hot path then takes a single nil check). cycleBase is the
@@ -129,16 +146,61 @@ func New(prog *compiler.Program) *Sim {
 	s := &Sim{prog: prog, threads: prog.Plan.Threads}
 	s.tape, s.tapeErr = prog.Graph.CompileTape()
 	s.streamPerVec = ceilDiv(len(prog.DataStream), prog.Columns)
+	s.broadcast = int64(ceilDiv(len(prog.ModelStream), prog.Columns))
+	levels := 0
+	if s.threads > 1 {
+		levels = int(math.Ceil(math.Log2(float64(s.threads))))
+	}
+	s.reduce = int64(ceilDiv(prog.Graph.GradientWords(), prog.Columns) * (levels + 2))
 	s.analyze()
 	return s
 }
 
 // SetWorkers sets the number of host goroutines RunBatch spreads the
-// simulated MIMD threads across: 0 (the default) uses GOMAXPROCS, 1 forces
-// the sequential path. The partial update is bit-identical for every
-// worker count — threads are functionally independent until the final
-// cross-thread reduction, which always runs in thread order.
+// simulated MIMD threads across: 0 (the default) uses GOMAXPROCS, 1 runs
+// every thread on the caller's goroutine. The partial update is
+// bit-identical for every worker count — threads are functionally
+// independent until the final cross-thread reduction, which always runs in
+// thread order.
 func (s *Sim) SetWorkers(n int) { s.workers = n }
+
+// pairPlan is one model symbol's Equation 3a update, resolved to arena
+// slots (slots are node IDs): element i of the model is stepped by the
+// gradient in slot grads[i], and lives in the graph at the leaf slots in
+// loads. row is the symbol's first state row in a laneBlock.
+type pairPlan struct {
+	model, grad string
+	row         int
+	grads       []int
+	loads       []modelLeaf
+}
+
+// modelLeaf is one graph leaf reading element elem of a model symbol.
+type modelLeaf struct{ slot, elem int }
+
+// planPairs resolves the graph's model/gradient pairing into slots. words
+// is the total number of gradient elements.
+func planPairs(g *dfg.Graph) (plan []pairPlan, words int, err error) {
+	pairs, err := g.Unit.ModelGradientPairs()
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, pr := range pairs {
+		outs := g.Outputs[pr[1].Name]
+		p := pairPlan{model: pr[0].Name, grad: pr[1].Name, row: words, grads: make([]int, len(outs))}
+		for i, o := range outs {
+			p.grads[i] = o.ID
+		}
+		for elem, leaf := range g.ModelLeaves[p.model] {
+			if leaf != nil { // nil: no node reads the element
+				p.loads = append(p.loads, modelLeaf{slot: leaf.ID, elem: elem})
+			}
+		}
+		words += len(outs)
+		plan = append(plan, p)
+	}
+	return plan, words, nil
+}
 
 // simObs is the simulator's telemetry: instruments resolved once at Attach
 // so RunBatch never touches the registry's lock or allocates for metrics.
@@ -158,7 +220,7 @@ type simObs struct {
 // counters, per-bus-segment transfer counters, thread-occupancy histogram,
 // reduction-tree (aggregation write-back) latency, and simulated-cycle trace
 // spans for every batch. Attach(nil) detaches; a detached simulator's
-// RunBatch is allocation-free.
+// RunBatch allocates only the BatchResult it returns.
 func (s *Sim) Attach(o *obs.Observer) {
 	if o == nil {
 		s.mx = nil
@@ -491,21 +553,12 @@ type BatchResult struct {
 }
 
 // ModelBroadcastCycles returns the per-batch model broadcast cost.
-func (s *Sim) ModelBroadcastCycles() int64 {
-	return int64(ceilDiv(len(s.prog.ModelStream), s.prog.Columns))
-}
+func (s *Sim) ModelBroadcastCycles() int64 { return s.broadcast }
 
 // AggWritebackCycles returns the end-of-batch cross-thread aggregation and
 // write-back cost: the tree-bus ALUs combine thread partials level by level
 // at Columns words per cycle, then the aggregate streams back to the host.
-func (s *Sim) AggWritebackCycles() int64 {
-	grads := s.prog.Graph.GradientWords()
-	levels := 0
-	if s.threads > 1 {
-		levels = int(math.Ceil(math.Log2(float64(s.threads))))
-	}
-	return int64(ceilDiv(grads, s.prog.Columns) * (levels + 2))
-}
+func (s *Sim) AggWritebackCycles() int64 { return s.reduce }
 
 // Interval returns the steady-state initiation interval per round (one
 // vector on every thread).
@@ -537,16 +590,38 @@ func (s *Sim) CyclesForRounds(rounds int) int64 {
 	return s.ModelBroadcastCycles() + int64(s.streamPerVec) + s.startup + int64(rounds-1)*s.interval
 }
 
+// laneBlock is one host worker's share of a batch: a lane arena and the
+// training state of up to width simulated threads, one per lane. Only that
+// worker touches it until RunBatch's cross-thread reduction.
+type laneBlock struct {
+	lanes *dfg.Lanes
+	// state is lane-major like the arena — row r, lane l at
+	// state[r*width+l] — with one row per gradient word in plan order: the
+	// lane's local model under AggAverage, its gradient sum under AggSum.
+	state []float64
+	// threads maps lane → simulated thread. Lanes are ordered by descending
+	// vector count (thread order among equals), so the lanes that still
+	// hold a vector at any step are a prefix.
+	threads []int
+	// err is the binding error of errThread, the block's lowest-indexed
+	// failing thread (−1 for the model, which is bound before any vector).
+	err       error
+	errThread int
+}
+
 // RunBatch simulates the accelerator processing one mini-batch: parts[t]
 // holds thread t's data sub-partition as per-vector data bindings. model is
 // the broadcast model; lr and agg define the local update discipline
 // (Equation 3a within each thread).
 //
-// Execution is MIMD on the host too: each simulated worker thread runs its
-// vector sequence on its own compiled-tape arena, spread across up to
-// SetWorkers host goroutines. Threads share no functional state until the
-// final reduction, which combines their partials in ascending thread order,
-// so the result is bit-identical to the sequential (workers=1) path.
+// The simulated threads all replay one tape, so they run in lockstep: each
+// thread with vectors is a lane of a lane-major arena, and one walk of the
+// tape evaluates a vector on every lane. Lanes are dealt in contiguous
+// blocks to up to SetWorkers host goroutines. A lane carries its thread's
+// local model (or gradient sum) and shares nothing with the others until
+// the final reduction, which combines the threads in ascending order, so the
+// result is bit-identical for every worker count — and to running each
+// thread alone on a scalar dfg.Arena.
 func (s *Sim) RunBatch(model map[string][]float64, parts [][]map[string][]float64,
 	lr float64, agg dsl.AggregatorKind) (*BatchResult, error) {
 
@@ -556,120 +631,60 @@ func (s *Sim) RunBatch(model map[string][]float64, parts [][]map[string][]float6
 	if s.tapeErr != nil {
 		return nil, s.tapeErr
 	}
-	pairs, err := s.prog.Graph.Unit.ModelGradientPairs()
-	if err != nil {
-		return nil, err
+	if !s.planned {
+		s.pairs, s.words, s.pairsErr = planPairs(s.prog.Graph)
+		s.planned = true
+	}
+	if s.pairsErr != nil {
+		return nil, s.pairsErr
+	}
+	for i := range s.pairs {
+		if p := &s.pairs[i]; len(model[p.model]) > len(p.grads) {
+			return nil, fmt.Errorf("accel: model %s has %d elements, its gradient %s has %d",
+				p.model, len(model[p.model]), p.grad, len(p.grads))
+		}
 	}
 
+	res := &BatchResult{
+		Partial:       make(map[string][]float64, len(s.pairs)),
+		ThreadVectors: make([]int, s.threads),
+	}
 	maxVecs := 0
-	for _, p := range parts {
+	for t, p := range parts {
+		res.ThreadVectors[t] = len(p)
 		if len(p) > maxVecs {
 			maxVecs = len(p)
 		}
 	}
 
-	res := &BatchResult{
-		Partial:       map[string][]float64{},
-		ThreadVectors: make([]int, s.threads),
+	blocks := s.deal(parts)
+	for b := 1; b < len(blocks); b++ {
+		s.wg.Add(1)
+		go func(b *laneBlock) {
+			defer s.wg.Done()
+			s.runBlock(b, model, parts, lr, agg)
+		}(&blocks[b])
 	}
-
-	// Functional state per thread: a local model copy (average mode) or a
-	// gradient accumulator (sum mode).
-	localModels := make([]map[string][]float64, s.threads)
-	gradSums := make([]map[string][]float64, s.threads)
-	for t := 0; t < s.threads; t++ {
-		localModels[t] = copyBindings(model)
-		gradSums[t] = map[string][]float64{}
-		for name, outs := range s.prog.Graph.Outputs {
-			gradSums[t][name] = make([]float64, len(outs))
-		}
-	}
-	for len(s.arenas) < s.threads {
-		s.arenas = append(s.arenas, s.tape.NewArena())
-	}
-
-	// runThread executes thread t's whole vector sequence. It touches only
-	// index-t state, so concurrent calls for distinct threads are
-	// race-free.
-	runThread := func(t int) error {
-		arena := s.arenas[t]
-		if err := arena.BindModel(localModels[t]); err != nil {
-			return err
-		}
-		for _, data := range parts[t] {
-			if err := arena.BindData(data); err != nil {
-				return err
-			}
-			grads := arena.Eval()
-			switch agg {
-			case dsl.AggAverage:
-				// Local SGD step: θ_t ← θ_t − μ·g (Equation 3a), then
-				// re-bind so the next vector sees the updated parameters.
-				for _, pr := range pairs {
-					mvec := localModels[t][pr[0].Name]
-					gvec := grads[pr[1].Name]
-					for i := range mvec {
-						mvec[i] -= lr * gvec[i]
-					}
-				}
-				if err := arena.BindModel(localModels[t]); err != nil {
-					return err
-				}
-			case dsl.AggSum:
-				for name, g := range grads {
-					acc := gradSums[t][name]
-					for i := range g {
-						acc[i] += g[i]
-					}
-				}
-			}
-		}
-		res.ThreadVectors[t] = len(parts[t])
-		return nil
-	}
-
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s.threads {
-		workers = s.threads
-	}
-	errs := make([]error, s.threads)
-	if workers <= 1 {
-		for t := 0; t < s.threads; t++ {
-			errs[t] = runThread(t)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for t := w; t < s.threads; t += workers {
-					errs[t] = runThread(t)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	// Report the lowest-indexed failure so the error is deterministic.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	s.runBlock(&blocks[0], model, parts, lr, agg)
+	s.wg.Wait()
+	// Blocks hold ascending thread ranges, so the first failing block holds
+	// the lowest-indexed failing thread: the error is deterministic.
+	for b := range blocks {
+		if blocks[b].err != nil {
+			return nil, blocks[b].err
 		}
 	}
 
-	res.Cycles = s.CyclesForRounds(maxVecs) + s.AggWritebackCycles()
-	res.StreamCycles = s.ModelBroadcastCycles() + int64(s.streamPerVec)*sumInts(res.ThreadVectors)
+	totalVecs := sumInts(res.ThreadVectors)
+	res.Cycles = s.CyclesForRounds(maxVecs) + s.reduce
+	res.StreamCycles = s.broadcast + int64(s.streamPerVec)*totalVecs
 	res.ComputeCycles = s.MaxPELoad() * int64(maxVecs)
-	broadcast, reduce := s.ModelBroadcastCycles(), s.AggWritebackCycles()
 	s.profMu.Lock()
 	s.profBatches++
-	s.profVectors += sumInts(res.ThreadVectors)
-	s.profBroadcast += broadcast
-	s.profReduce += reduce
-	s.profWindow += res.Cycles - broadcast - reduce
+	s.profVectors += totalVecs
+	s.profBroadcast += s.broadcast
+	s.profReduce += s.reduce
+	s.profWindow += res.Cycles - s.broadcast - s.reduce
 	s.profMu.Unlock()
 	if s.mx != nil {
 		s.recordBatch(res, maxVecs)
@@ -678,31 +693,201 @@ func (s *Sim) RunBatch(model map[string][]float64, parts [][]map[string][]float6
 	// Functional aggregation across threads (the tree-bus ALUs' job).
 	switch agg {
 	case dsl.AggAverage:
-		for _, pr := range pairs {
-			name := pr[0].Name
-			out := make([]float64, len(model[name]))
-			for t := 0; t < s.threads; t++ {
-				for i, v := range localModels[t][name] {
-					out[i] += v
-				}
-			}
+		for i := range s.pairs {
+			p := &s.pairs[i]
+			// A thread with no vectors still holds the broadcast model.
+			out := make([]float64, len(model[p.model]))
+			s.sumThreads(out, p.row, model[p.model])
 			for i := range out {
 				out[i] /= float64(s.threads)
 			}
-			res.Partial[name] = out
+			res.Partial[p.model] = out
 		}
 	case dsl.AggSum:
-		for name := range s.prog.Graph.Outputs {
-			out := make([]float64, len(gradSums[0][name]))
-			for t := 0; t < s.threads; t++ {
-				for i, v := range gradSums[t][name] {
-					out[i] += v
-				}
-			}
-			res.Partial[name] = out
+		for i := range s.pairs {
+			p := &s.pairs[i]
+			// A thread with no vectors holds a zero sum; leaving it out
+			// changes no bit, because a sum that starts at +0 is never −0.
+			out := make([]float64, len(p.grads))
+			s.sumThreads(out, p.row, nil)
+			res.Partial[p.grad] = out
 		}
 	}
 	return res, nil
+}
+
+// deal gives every thread that has vectors a lane: ascending threads in
+// contiguous, equally filled blocks, one block per host worker. It returns
+// the blocks in use — at least one, since an empty batch still has its model
+// checked.
+func (s *Sim) deal(parts [][]map[string][]float64) []laneBlock {
+	workers := s.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > s.threads {
+		workers = s.threads
+	}
+	if width := ceilDiv(s.threads, workers); width != s.width {
+		s.width = width
+		s.blocks = make([]laneBlock, ceilDiv(s.threads, width))
+		for b := range s.blocks {
+			s.blocks[b].threads = make([]int, 0, width)
+		}
+		s.pos = make([]int, s.threads)
+	}
+
+	active := 0
+	for _, p := range parts {
+		if len(p) > 0 {
+			active++
+		}
+	}
+	per := ceilDiv(active, len(s.blocks))
+	for b := range s.blocks {
+		s.blocks[b].threads = s.blocks[b].threads[:0]
+	}
+	used := 0
+	for t, p := range parts {
+		s.pos[t] = -1
+		if len(p) == 0 {
+			continue
+		}
+		if len(s.blocks[used].threads) == per {
+			used++
+		}
+		s.blocks[used].threads = append(s.blocks[used].threads, t)
+	}
+	for b := range s.blocks[:used+1] {
+		threads := s.blocks[b].threads
+		// Insertion sort by descending vector count; stable, so equal
+		// counts stay in thread order.
+		for i := 1; i < len(threads); i++ {
+			for j := i; j > 0 && len(parts[threads[j]]) > len(parts[threads[j-1]]); j-- {
+				threads[j], threads[j-1] = threads[j-1], threads[j]
+			}
+		}
+		for l, t := range threads {
+			s.pos[t] = b*s.width + l
+		}
+	}
+	return s.blocks[:used+1]
+}
+
+// runBlock runs the block's threads through their vector sequences in
+// lockstep: step k binds every live lane's k-th vector, walks the tape once,
+// and applies the local update discipline to the live lanes.
+func (s *Sim) runBlock(b *laneBlock, model map[string][]float64, parts [][]map[string][]float64,
+	lr float64, agg dsl.AggregatorKind) {
+
+	w := s.width
+	if b.lanes == nil {
+		b.lanes = s.tape.NewLanes(w)
+		b.state = make([]float64, s.words*w)
+	}
+	b.err, b.errThread = nil, -1
+	if err := b.lanes.BindModel(model); err != nil {
+		b.err = err
+		return
+	}
+	n := len(b.threads)
+	switch agg {
+	case dsl.AggAverage:
+		for i := range s.pairs {
+			p := &s.pairs[i]
+			for e, v := range model[p.model] {
+				row := b.state[(p.row+e)*w:][:n]
+				for l := range row {
+					row[l] = v
+				}
+			}
+		}
+	case dsl.AggSum:
+		clear(b.state)
+	}
+
+	for step := 0; ; step++ {
+		for n > 0 && len(parts[b.threads[n-1]]) <= step {
+			n--
+		}
+		if n == 0 {
+			return
+		}
+		for l, t := range b.threads[:n] {
+			// A lane that fails keeps running on stale data; the batch is
+			// discarded, and only the lowest thread's first error is kept.
+			if err := b.lanes.BindData(l, parts[t][step]); err != nil && (b.err == nil || t < b.errThread) {
+				b.err, b.errThread = err, t
+			}
+		}
+		b.lanes.Eval(n)
+		switch agg {
+		case dsl.AggAverage:
+			s.stepModels(b, n, lr)
+		case dsl.AggSum:
+			s.sumGradients(b, n)
+		}
+	}
+}
+
+// stepModels is the local SGD step on lanes [0, n): θ ← θ − μ·g (Equation
+// 3a) on each lane's model rows, which are then copied into the model's leaf
+// slots so the next vector sees the updated parameters. Every gradient is
+// read before any leaf is rewritten, because a gradient slot may itself be
+// a model leaf.
+func (s *Sim) stepModels(b *laneBlock, n int, lr float64) {
+	w := s.width
+	for i := range s.pairs {
+		p := &s.pairs[i]
+		for e, slot := range p.grads {
+			m := b.state[(p.row+e)*w:][:n]
+			g := b.lanes.Row(slot)[:n]
+			for l := range m {
+				m[l] -= lr * g[l]
+			}
+		}
+	}
+	for i := range s.pairs {
+		p := &s.pairs[i]
+		for _, ld := range p.loads {
+			copy(b.lanes.Row(ld.slot)[:n], b.state[(p.row+ld.elem)*w:][:n])
+		}
+	}
+}
+
+// sumGradients adds the vector's gradients on lanes [0, n) to the lanes'
+// running sums.
+func (s *Sim) sumGradients(b *laneBlock, n int) {
+	w := s.width
+	for i := range s.pairs {
+		p := &s.pairs[i]
+		for e, slot := range p.grads {
+			acc := b.state[(p.row+e)*w:][:n]
+			g := b.lanes.Row(slot)[:n]
+			for l := range acc {
+				acc[l] += g[l]
+			}
+		}
+	}
+}
+
+// sumThreads adds to out, in ascending thread order, every thread's state
+// rows [row, row+len(out)); a thread with no lane contributes idle (nothing
+// when idle is nil).
+func (s *Sim) sumThreads(out []float64, row int, idle []float64) {
+	w := s.width
+	for _, pos := range s.pos {
+		if pos < 0 {
+			for i := range idle {
+				out[i] += idle[i]
+			}
+			continue
+		}
+		lane := s.blocks[pos/w].state[row*w+pos%w:]
+		for i := range out {
+			out[i] += lane[i*w]
+		}
+	}
 }
 
 // sameRowAdjacent reports whether two PEs share a dedicated bidirectional
@@ -736,16 +921,6 @@ func sumInts(xs []int) int64 {
 		s += int64(x)
 	}
 	return s
-}
-
-func copyBindings(m map[string][]float64) map[string][]float64 {
-	out := make(map[string][]float64, len(m))
-	for k, v := range m {
-		c := make([]float64, len(v))
-		copy(c, v)
-		out[k] = c
-	}
-	return out
 }
 
 // MaxBusLoad returns the busiest bus segment's per-vector transmission

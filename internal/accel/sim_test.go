@@ -23,7 +23,19 @@ var testChip = arch.ChipSpec{
 
 func compileFor(t *testing.T, alg ml.Algorithm, threads, rows int, style compiler.Style) *compiler.Program {
 	t.Helper()
-	u, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
+	return compileOn(t, testChip, alg, threads, rows, style)
+}
+
+func compileOn(t testing.TB, chip arch.ChipSpec, alg ml.Algorithm, threads, rows int, style compiler.Style) *compiler.Program {
+	t.Helper()
+	return compileSource(t, chip, alg.DSLSource(), alg.DSLParams(), threads, rows, style)
+}
+
+func compileSource(t testing.TB, chip arch.ChipSpec, src string, params map[string]int,
+	threads, rows int, style compiler.Style) *compiler.Program {
+
+	t.Helper()
+	u, err := dsl.ParseAndAnalyze(src, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +43,7 @@ func compileFor(t *testing.T, alg ml.Algorithm, threads, rows int, style compile
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := arch.Plan{Chip: testChip, Columns: testChip.Columns(), Threads: threads, RowsPerThread: rows}
+	plan := arch.Plan{Chip: chip, Columns: chip.Columns(), Threads: threads, RowsPerThread: rows}
 	prog, err := compiler.Compile(g, plan, style)
 	if err != nil {
 		t.Fatal(err)

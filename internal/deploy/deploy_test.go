@@ -159,7 +159,7 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	spec := Spec{
 		Nodes: 3, Groups: 1,
 		Benchmark: "face", Scale: 0.02, Samples: 120, Seed: 7,
-		MiniBatch: 60, Rounds: 200, Average: true,
+		MiniBatch: 60, Rounds: 4000, Average: true,
 	}
 	addr := freeAddr(t)
 
@@ -200,8 +200,10 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 		return string(body)
 	}
 	// Poll /metrics until a worker's federated series and the Director's
-	// derived round-latency gauge appear. Bounded: training runs 200 rounds,
-	// far longer than a few scrape ticks.
+	// derived round-latency gauge appear. Bounded: training runs 4000 rounds
+	// (a few hundred ms), far longer than a few scrape ticks and polls — at
+	// 200 rounds it finished, and closed the HTTP surface, inside the first
+	// polls more often than not.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		body := fetch("/metrics")

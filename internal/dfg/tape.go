@@ -55,7 +55,8 @@ type outGather struct {
 
 // Tape is a Graph compiled for repeated evaluation. A Tape is immutable
 // after compilation and safe to share across goroutines; each evaluating
-// goroutine owns a private Arena.
+// goroutine owns a private Arena (one evaluation at a time) or Lanes (many
+// side by side).
 type Tape struct {
 	nSlots int
 	// template holds OpConst values at their slots; copied into each new
@@ -229,9 +230,8 @@ func (a *Arena) BindData(data map[string][]float64) error {
 
 // BindModel resolves and validates the model bindings. Model vectors are
 // bound by reference semantics at copy time: callers that update the bound
-// slices in place (the per-thread local SGD step) must re-bind — or simply
-// rely on the next BindModel call — before the next evaluation observes the
-// update. In practice RunBatch re-binds the model after each update.
+// slices in place (a local SGD step, as in ml.TapeEvaluator) must re-bind
+// before the next evaluation observes the update.
 func (a *Arena) BindModel(model map[string][]float64) error {
 	return a.bind(a.tape.model, model, "model")
 }
@@ -247,16 +247,25 @@ func (a *Arena) Bind(b Bindings) error {
 func (a *Arena) bind(syms []symBinding, vecs map[string][]float64, kind string) error {
 	vals := a.vals
 	for i := range syms {
-		sb := &syms[i]
-		vec, ok := vecs[sb.name]
-		if !ok || len(vec) < sb.minLen {
-			return fmt.Errorf("dfg: bind: missing %s binding %s[%d]", kind, sb.name, sb.minLen-1)
+		vec, err := syms[i].resolve(vecs, kind)
+		if err != nil {
+			return err
 		}
-		for _, ld := range sb.loads {
+		for _, ld := range syms[i].loads {
 			vals[ld.slot] = vec[ld.elem]
 		}
 	}
 	return nil
+}
+
+// resolve looks the symbol up in a binding map and checks the vector covers
+// every element the tape loads from it.
+func (sb *symBinding) resolve(vecs map[string][]float64, kind string) ([]float64, error) {
+	vec, ok := vecs[sb.name]
+	if !ok || len(vec) < sb.minLen {
+		return nil, fmt.Errorf("dfg: bind: missing %s binding %s[%d]", kind, sb.name, sb.minLen-1)
+	}
+	return vec, nil
 }
 
 // Eval executes the tape over the currently bound leaves and returns the

@@ -108,21 +108,43 @@ func (te *TapeEvaluator) AccumulateGradients(model []float64, samples []Sample) 
 	return te.alg.UnpackGradient(acc), nil
 }
 
-// UnpackModel flattens per-symbol model vectors back into the algorithm's
-// flat layout, recovering the symbol→offset correspondence from an
-// index-stamped probe of PackModel.
-func UnpackModel(alg Algorithm, packed map[string][]float64) []float64 {
+// ModelLayout is where each packed model symbol's elements sit in an
+// algorithm's flat model — symbol name → flat index of each element —
+// recovered once from an index-stamped probe of PackModel.
+type ModelLayout map[string][]int
+
+// NewModelLayout probes alg's PackModel.
+func NewModelLayout(alg Algorithm) ModelLayout {
 	stamp := make([]float64, alg.ModelSize())
 	for i := range stamp {
 		stamp[i] = float64(i)
 	}
-	stamped := alg.PackModel(stamp)
-	out := make([]float64, alg.ModelSize())
-	for name, vec := range stamped {
+	l := ModelLayout{}
+	for name, vec := range alg.PackModel(stamp) {
+		idx := make([]int, len(vec))
+		for j, v := range vec {
+			idx[j] = int(v)
+		}
+		l[name] = idx
+	}
+	return l
+}
+
+// Unpack writes the per-symbol vectors in packed to their places in the flat
+// model out.
+func (l ModelLayout) Unpack(out []float64, packed map[string][]float64) {
+	for name, idx := range l {
 		src := packed[name]
-		for j, idx := range vec {
-			out[int(idx)] = src[j]
+		for j, i := range idx {
+			out[i] = src[j]
 		}
 	}
+}
+
+// UnpackModel flattens per-symbol model vectors back into the algorithm's
+// flat layout.
+func UnpackModel(alg Algorithm, packed map[string][]float64) []float64 {
+	out := make([]float64, alg.ModelSize())
+	NewModelLayout(alg).Unpack(out, packed)
 	return out
 }

@@ -6,6 +6,9 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/compiler"
+	"repro/internal/dfg"
 	"repro/internal/dsl"
 	"repro/internal/ml"
 )
@@ -88,6 +91,69 @@ func TestRefEngineSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%v: PartialUpdate allocates %.0f per call, want 0", agg, allocs)
 		}
+	}
+}
+
+// TestAccelEngineSteadyStateAllocs: an AccelEngine keeps the dealt shard's
+// backing arrays, the model layout and the flattened partial from round to
+// round. What a round still allocates is what the packing interface hands
+// back — one binding map per sample and one for the model (two objects each)
+// — plus ml.Partition's slice and the five objects of RunBatch's result
+// (testing.AllocsPerRun pins GOMAXPROCS to 1, so there is one host worker;
+// see accel.TestRunBatchSteadyStateAllocs). A reused engine must also
+// return exactly what a fresh one does.
+func TestAccelEngineSteadyStateAllocs(t *testing.T) {
+	alg := &ml.LogisticRegression{M: 37}
+	unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := dfg.Translate(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := arch.ChipSpec{
+		Name: "engine-test-chip", Kind: arch.FPGA,
+		PEBudget: 64, StorageKB: 256,
+		MemBandwidthGBps: 3.2, FrequencyMHz: 100, TDPWatts: 5,
+	}
+	plan := arch.Plan{Chip: chip, Columns: chip.Columns(), Threads: 4, RowsPerThread: 1}
+	prog, err := compiler.Compile(g, plan, compiler.StyleCoSMIC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	model := alg.InitModel(rng)
+	const samples = 16
+	shards := [][]ml.Sample{randomShard(rng, alg.M, samples), randomShard(rng, alg.M, samples-5)}
+	for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
+		eng := &AccelEngine{Alg: alg, Prog: prog, LR: 0.05, Agg: agg}
+		for _, shard := range shards {
+			got, err := eng.PartialUpdate(model, shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&AccelEngine{Alg: alg, Prog: prog, LR: 0.05, Agg: agg}).PartialUpdate(model, shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(got, want) {
+				t.Errorf("%v: a reused engine's partial differs from a fresh engine's", agg)
+			}
+		}
+		bound := float64(2*samples + 2 + 1 + 5)
+		if agg == dsl.AggSum {
+			bound++ // UnpackGradient returns a fresh vector
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := eng.PartialUpdate(model, shards[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("%v: PartialUpdate allocates %.0f per call, want at most %.0f", agg, allocs, bound)
+		}
+		t.Logf("%v: %.0f allocations per call (bound %.0f)", agg, allocs, bound)
 	}
 }
 

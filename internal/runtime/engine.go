@@ -115,6 +115,13 @@ type AccelEngine struct {
 	simMu  sync.Mutex
 	sim    *accel.Sim
 	cycles int64
+
+	// parts (the shard dealt to the simulator's threads), layout and out
+	// (the flattened partial) are reused from round to round; only the
+	// drive goroutine touches them.
+	parts  [][]map[string][]float64
+	layout ml.ModelLayout
+	out    []float64
 }
 
 // Name returns "accelerator-sim".
@@ -149,14 +156,19 @@ func (e *AccelEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float
 	}
 	sim := e.sim
 	e.simMu.Unlock()
-	threads := e.Prog.Plan.Threads
-	parts := make([][]map[string][]float64, threads)
-	for t, part := range ml.Partition(shard, threads) {
+	if e.parts == nil {
+		e.parts = make([][]map[string][]float64, e.Prog.Plan.Threads)
+	}
+	for t, part := range ml.Partition(shard, len(e.parts)) {
+		e.parts[t] = e.parts[t][:0]
 		for _, s := range part {
-			parts[t] = append(parts[t], e.Alg.PackSample(s))
+			e.parts[t] = append(e.parts[t], e.Alg.PackSample(s))
 		}
 	}
-	res, err := sim.RunBatch(e.Alg.PackModel(model), parts, e.LR, e.Agg)
+	res, err := sim.RunBatch(e.Alg.PackModel(model), e.parts, e.LR, e.Agg)
+	for t := range e.parts {
+		clear(e.parts[t]) // the packed samples alias the shard, which is not retained
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +177,12 @@ func (e *AccelEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float
 	e.simMu.Unlock()
 	switch e.Agg {
 	case dsl.AggAverage:
-		return FlattenModel(e.Alg, res.Partial), nil
+		if e.layout == nil {
+			e.layout = ml.NewModelLayout(e.Alg)
+			e.out = make([]float64, e.Alg.ModelSize())
+		}
+		e.layout.Unpack(e.out, res.Partial)
+		return e.out, nil
 	case dsl.AggSum:
 		return e.Alg.UnpackGradient(res.Partial), nil
 	}
