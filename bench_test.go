@@ -216,67 +216,6 @@ func BenchmarkAblationHierarchy(b *testing.B) {
 	b.ReportMetric(ratio, "x_hier_over_flat")
 }
 
-// BenchmarkAblationOverlap measures the Sigma node's producer-consumer
-// pipeline: aggregation overlapped with chunked delivery through the
-// circular buffer versus a store-and-forward pass that only aggregates
-// after everything arrives.
-func BenchmarkAblationOverlap(b *testing.B) {
-	const n = 1 << 16
-	const contributors = 8
-	vec := make([]float64, n)
-	for i := range vec {
-		vec[i] = float64(i)
-	}
-	b.Run("overlapped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ring := runtime.NewCircularBuffer(64)
-			agg := runtime.NewAggregationBuffer(n)
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						c, ok := ring.Pop()
-						if !ok {
-							return
-						}
-						if err := agg.Add(c); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			for c := 0; c < contributors; c++ {
-				for _, ch := range runtime.SplitIntoChunks(0, uint32(c), vec, 1) {
-					ring.Push(ch)
-				}
-			}
-			ring.Close()
-			wg.Wait()
-		}
-	})
-	b.Run("store-and-forward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Buffer all contributions, then aggregate serially.
-			buffered := make([][]float64, 0, contributors)
-			for c := 0; c < contributors; c++ {
-				cp := make([]float64, n)
-				copy(cp, vec)
-				buffered = append(buffered, cp)
-			}
-			sum := make([]float64, n)
-			for _, v := range buffered {
-				for j := range v {
-					sum[j] += v[j]
-				}
-			}
-			_ = sum
-		}
-	})
-}
-
 // Component microbenchmarks.
 
 func BenchmarkCompileSVM(b *testing.B) {
@@ -312,119 +251,6 @@ func BenchmarkTranslateBackprop(b *testing.B) {
 	}
 }
 
-func BenchmarkSimulatedGradientBatch(b *testing.B) {
-	alg := &ml.SVM{M: 64}
-	prog := compileFor(b, alg, ablationChip, 2, 2, compiler.StyleCoSMIC)
-	sim := accel.New(prog)
-	rng := rand.New(rand.NewSource(10))
-	model := alg.PackModel(alg.InitModel(rng))
-	parts := make([][]map[string][]float64, 2)
-	for t := range parts {
-		for v := 0; v < 8; v++ {
-			s := ml.Sample{X: make([]float64, alg.M), Y: []float64{1}}
-			for j := range s.X {
-				s.X[j] = rng.NormFloat64()
-			}
-			parts[t] = append(parts[t], alg.PackSample(s))
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunBatch(model, parts, 0.05, dsl.AggAverage); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkConvergence(b *testing.B) { benchExperiment(b, "convergence") }
 
 func BenchmarkValidation(b *testing.B) { benchExperiment(b, "validation") }
-
-// BenchmarkTapeEval compares the Graph.Eval interpreter against the
-// compiled evaluation tape on the largest benchmark DFG (backprop at MNIST
-// geometry). The tape target is ≥3× the interpreter's throughput with zero
-// steady-state allocations; compare with
-// `go test -bench=BenchmarkTapeEval -benchmem -count=10 | benchstat -`.
-func BenchmarkTapeEval(b *testing.B) {
-	alg := &ml.MLP{In: 78, Hid: 78, Out: 10}
-	unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := dfg.Translate(unit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	s := ml.Sample{X: make([]float64, alg.FeatureSize()), Y: make([]float64, alg.OutputSize())}
-	for j := range s.X {
-		s.X[j] = rng.NormFloat64()
-	}
-	for k := range s.Y {
-		s.Y[k] = rng.Float64()
-	}
-	bind := dfg.Bindings{Data: alg.PackSample(s), Model: alg.PackModel(alg.InitModel(rng))}
-
-	b.Run("interpreter", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.Eval(bind); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tape", func(b *testing.B) {
-		tape, err := g.CompileTape()
-		if err != nil {
-			b.Fatal(err)
-		}
-		arena := tape.NewArena()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := arena.Bind(bind); err != nil {
-				b.Fatal(err)
-			}
-			arena.Eval()
-		}
-	})
-}
-
-// BenchmarkRunBatchParallel measures host-side MIMD scaling of the
-// simulator's batch execution: the same 8-thread compiled program driven
-// with 1, 2, and 4 worker goroutines. The partial update is bit-identical
-// across worker counts (TestParallelRunBatchBitIdentical); only wall-clock
-// should change, near-linearly until the host runs out of cores.
-func BenchmarkRunBatchParallel(b *testing.B) {
-	alg := &ml.MLP{In: 32, Hid: 24, Out: 8}
-	const threads = 8
-	prog := compileFor(b, alg, ablationChip, threads, 1, compiler.StyleCoSMIC)
-	rng := rand.New(rand.NewSource(8))
-	model := alg.PackModel(alg.InitModel(rng))
-	parts := make([][]map[string][]float64, threads)
-	for t := range parts {
-		for v := 0; v < 32; v++ {
-			s := ml.Sample{X: make([]float64, alg.FeatureSize()), Y: make([]float64, alg.OutputSize())}
-			for j := range s.X {
-				s.X[j] = rng.NormFloat64()
-			}
-			for k := range s.Y {
-				s.Y[k] = rng.Float64()
-			}
-			parts[t] = append(parts[t], alg.PackSample(s))
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sim := accel.New(prog)
-			sim.SetWorkers(workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunBatch(model, parts, 0.05, dsl.AggAverage); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

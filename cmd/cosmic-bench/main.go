@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,7 +61,6 @@ func main() {
 	out := flag.String("out", ".", "directory for the BENCH_<timestamp>.json artifact (empty = don't write)")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json artifacts (old new) instead of running")
 	threshold := flag.Float64("threshold", 0.25, "with -compare, exit nonzero when a shared entry regresses more than this fraction")
-	netBench := flag.Bool("net", false, "run only the loopback-cluster round-latency benchmark and write BENCH_net_<timestamp>.json")
 	flag.Parse()
 
 	if *list {
@@ -80,21 +78,6 @@ func main() {
 	}
 
 	report := benchReport{Timestamp: time.Now().UTC().Format("20060102T150405Z")}
-	if *netBench {
-		for _, mono := range []bool{false, true} {
-			e, err := netMicro(mono)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cosmic-bench: %s: %v\n", netEntryName(mono), err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-28s p50 round %v\n", e.Name, time.Duration(e.NsPerOp))
-			report.Entries = append(report.Entries, e)
-		}
-		if *out != "" {
-			writeReport(filepath.Join(*out, "BENCH_net_"+report.Timestamp+".json"), report)
-		}
-		return
-	}
 	runner := experiments.NewRunner()
 	ids := experiments.IDs()
 	if *exp != "" {
@@ -223,53 +206,6 @@ func loadReport(path string) (benchReport, error) {
 		return benchReport{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
-}
-
-func netEntryName(monolithic bool) string {
-	if monolithic {
-		return "net/loopback-6n2g-mono"
-	}
-	return "net/loopback-6n2g-stream"
-}
-
-// netMicro measures the aggregation round latency of a 6-node, 2-group
-// loopback TCP cluster pushing a 65535-parameter model (16 streaming chunks
-// at the default boundary), with streaming chunks or monolithic
-// whole-vector frames. Both modes train bit-identically; the entry is the
-// p50 round wall time at the master, after warmup.
-func netMicro(monolithic bool) (benchEntry, error) {
-	const (
-		nodes, groups = 6, 2
-		m             = 65535
-		warm, rounds  = 4, 24
-	)
-	alg := &ml.LinearRegression{M: m}
-	rng := rand.New(rand.NewSource(11))
-	data := make([]cosmic.Sample, 2*nodes)
-	for i := range data {
-		x := make([]float64, m)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		data[i] = cosmic.Sample{X: x, Y: []float64{rng.NormFloat64()}}
-	}
-	model := make([]float64, alg.ModelSize())
-	cfg := cosmic.ClusterConfig{
-		Nodes: nodes, Groups: groups, Threads: 1,
-		MiniBatch:    nodes,
-		LearningRate: 0.01,
-		Average:      true,
-		Rounds:       warm + rounds,
-		Monolithic:   monolithic,
-	}
-	res, err := cosmic.Train(alg, data, model, cfg)
-	if err != nil {
-		return benchEntry{}, err
-	}
-	return benchEntry{
-		Name:    netEntryName(monolithic),
-		NsPerOp: float64(res.RoundP50.Nanoseconds()),
-	}, nil
 }
 
 // simMicro compiles a benchmark at small geometry and times one simulated

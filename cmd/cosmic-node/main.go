@@ -110,7 +110,7 @@ func main() {
 		fmt.Printf("cosmic-node: serving /metrics, /healthz, /query, /dash, /alerts, /debug/pprof/, and %s on %s\n",
 			obs.CycleProfilePath, *httpAddr)
 	}
-	err := deploy.RunWorkerOpts(*join, deploy.WorkerOptions{
+	err := deploy.RunWorker(*join, deploy.WorkerOptions{
 		Obs:           o,
 		Logger:        logger,
 		ChunkWords:    *chunkWords,

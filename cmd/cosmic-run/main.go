@@ -50,7 +50,6 @@ func main() {
 	retention := flag.Duration("retention", 15*time.Minute, "multi-process mode: how long the Director's TSDB keeps raw samples")
 	alertsFile := flag.String("alerts", "", "multi-process mode: JSON file of alert rules evaluated every scrape tick (see README)")
 	chunkWords := flag.Int("chunk-words", 0, "streaming-chunk boundary in vector elements (0 = default 4096; must be a power of two)")
-	monolithic := flag.Bool("monolithic", false, "ship whole-vector frames instead of streaming chunks (pre-streaming wire behavior)")
 	roundTimeout := flag.Duration("round-timeout", 0, "bound each aggregation round (0 = wait forever; required by -min-quorum, which defaults it to 2s)")
 	minQuorum := flag.Int("min-quorum", 0, "fold a timed-out round once at least this many members arrived instead of failing the run (0 = fail-fast)")
 	flag.Parse()
@@ -81,8 +80,8 @@ func main() {
 			Benchmark: *benchName, Scale: *scale,
 			Samples: *samples / *nodes, Seed: *seed,
 			MiniBatch: *batch, Rounds: *rounds, Threads: *threads,
-			Average:    true,
-			ChunkWords: *chunkWords, Monolithic: *monolithic,
+			Average:      true,
+			ChunkWords:   *chunkWords,
 			RoundTimeout: *roundTimeout, MinQuorum: *minQuorum,
 			Simulate: *useSim,
 		}, opts, *tracePath, *profilePath)
@@ -131,7 +130,6 @@ func main() {
 		Average:      true,
 		Rounds:       *rounds,
 		ChunkWords:   *chunkWords,
-		Monolithic:   *monolithic,
 		RoundTimeout: *roundTimeout,
 		MinQuorum:    *minQuorum,
 		Obs:          o,
@@ -217,7 +215,7 @@ func runDistributed(addr string, spec deploy.Spec, opts deploy.MasterOptions, tr
 		// -trace record the same trace IDs for cosmic-trace to merge.
 		opts.TraceIDBase = 1 << 32
 	}
-	res, err := deploy.RunMasterOpts(addr, spec, opts)
+	res, err := deploy.RunMaster(addr, spec, opts)
 	if err != nil {
 		fatal(err)
 	}

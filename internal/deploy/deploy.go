@@ -79,9 +79,6 @@ type Spec struct {
 	// node must agree on it — fixed boundaries are what keep the
 	// aggregation deterministic — so the Director distributes it.
 	ChunkWords int `json:"chunk_words,omitempty"`
-	// Monolithic disables streaming: whole-vector partial/aggregate frames,
-	// as pre-streaming binaries sent them.
-	Monolithic bool `json:"monolithic,omitempty"`
 
 	// Simulate routes every node's gradient computation through the
 	// cycle-level accelerator simulator (each worker compiles the
@@ -148,7 +145,6 @@ type workerConfig struct {
 	Role         int      `json:"role"`
 	Group        int      `json:"group"`
 	UpstreamAddr string   `json:"upstream_addr"`
-	Members      int      `json:"members"`
 	MemberIDs    []uint32 `json:"member_ids,omitempty"`
 	Spec         Spec     `json:"spec"`
 	LR           float64  `json:"lr"`
@@ -359,10 +355,8 @@ func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect
 		Role:          runtime.Role(cfg.Role),
 		Group:         cfg.Group,
 		UpstreamAddr:  cfg.UpstreamAddr,
-		Members:       cfg.Members,
 		MemberIDs:     cfg.MemberIDs,
 		ChunkWords:    cfg.Spec.ChunkWords,
-		Monolithic:    cfg.Spec.Monolithic,
 		Engine:        engine,
 		ModelSize:     alg.ModelSize(),
 		Agg:           cfg.Spec.agg(),
@@ -387,7 +381,8 @@ type Result struct {
 
 // MasterOptions tunes the System Director's observability: metrics
 // federation over the control plane, the /metrics and /cluster HTTP
-// endpoints, straggler detection, and distributed tracing.
+// endpoints, straggler detection, and distributed tracing. The zero value
+// runs with all of it off.
 type MasterOptions struct {
 	// Obs observes the master node itself; its registry is also the local
 	// half of the federated /metrics.
@@ -425,12 +420,7 @@ type MasterOptions struct {
 // RunMaster listens on controlAddr, admits spec.Nodes-1 workers, assigns
 // roles, drives training, and shuts the cluster down. It blocks until
 // training completes.
-func RunMaster(controlAddr string, spec Spec) (*Result, error) {
-	return RunMasterOpts(controlAddr, spec, MasterOptions{})
-}
-
-// RunMasterOpts is RunMaster with the Director's observability attached.
-func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, error) {
+func RunMaster(controlAddr string, spec Spec, opts MasterOptions) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -455,8 +445,7 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 	// The master node itself (group 0's Sigma + top-level combiner).
 	masterCfg := workerConfig{
 		NodeID: 0, Role: int(runtime.RoleMasterSigma), Group: 0,
-		Members: len(topo.Members[0]), MemberIDs: topo.MasterMemberIDs(),
-		Spec: spec, LR: lr,
+		MemberIDs: topo.MasterMemberIDs(), Spec: spec, LR: lr,
 	}
 	master, err := buildNode(masterCfg, opts.Obs, opts.Logger, false, 0)
 	if err != nil {
@@ -550,8 +539,8 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 		w := workers[g-1]
 		cfg := workerConfig{
 			NodeID: uint32(g), Role: int(runtime.RoleGroupSigma), Group: g,
-			UpstreamAddr: master.Addr(), Members: len(topo.Members[g]),
-			MemberIDs: topo.MemberIDs(g), Spec: spec, LR: lr,
+			UpstreamAddr: master.Addr(), MemberIDs: topo.MemberIDs(g),
+			Spec: spec, LR: lr,
 		}
 		w.cfg = cfg
 		if err := sendConfig(w.conn, cfg); err != nil {
@@ -632,8 +621,7 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 	}
 
 	// Wait for the data plane to assemble, then train.
-	direct := (spec.Groups - 1) + (len(topo.Members[0]) - 1)
-	master.WaitMembers(direct)
+	master.WaitMembers()
 
 	// Metrics federation: the control connections are idle during training,
 	// so the Director periodically round-trips a MsgStats on each one,
@@ -761,7 +749,8 @@ func RunMasterOpts(controlAddr string, spec Spec, opts MasterOptions) (*Result, 
 	return res, nil
 }
 
-// WorkerOptions attaches observability to a worker process.
+// WorkerOptions attaches observability and the local redial policy to a
+// worker process; the zero value runs a bare worker.
 type WorkerOptions struct {
 	// Obs receives the node's telemetry; its exposition also rides MsgStats
 	// replies so the Director can federate it.
@@ -808,21 +797,10 @@ func dialControl(addr string) (*cosmicnet.Conn, error) {
 }
 
 // RunWorker joins the master at controlAddr, receives its assignment, and
-// runs its node loop until training completes.
-func RunWorker(controlAddr string) error {
-	return RunWorkerOpts(controlAddr, WorkerOptions{})
-}
-
-// RunWorkerObs is RunWorker with an observer attached to the local node, so
-// a long-running worker process can serve live /metrics while training.
-func RunWorkerObs(controlAddr string, o *obs.Observer) error {
-	return RunWorkerOpts(controlAddr, WorkerOptions{Obs: o})
-}
-
-// RunWorkerOpts is RunWorker with full observability wiring. After
-// configuration the worker answers the Director's MsgStats scrapes on the
-// control connection while the node loop runs on the data plane.
-func RunWorkerOpts(controlAddr string, opts WorkerOptions) error {
+// runs its node loop until training completes. After configuration the
+// worker answers the Director's MsgStats scrapes on the control connection
+// while the node loop runs on the data plane.
+func RunWorker(controlAddr string, opts WorkerOptions) error {
 	conn, err := dialControl(controlAddr)
 	if err != nil {
 		return err

@@ -31,11 +31,11 @@ func TestMasterWorkersEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			workerErrs[i] = RunWorker(addr)
+			workerErrs[i] = RunWorker(addr, WorkerOptions{})
 		}(i)
 	}
 
-	res, err := RunMaster(addr, spec)
+	res, err := RunMaster(addr, spec, MasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestMasterFlatTopology(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorker(addr); err != nil {
+			if err := RunWorker(addr, WorkerOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
-	res, err := RunMaster(addr, spec)
+	res, err := RunMaster(addr, spec, MasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSingleNodeMaster(t *testing.T) {
 		Benchmark: "stock", Scale: 0.01, Samples: 100, Seed: 2,
 		MiniBatch: 50, Rounds: 5, Average: true,
 	}
-	res, err := RunMaster(freeAddr(t), spec)
+	res, err := RunMaster(freeAddr(t), spec, MasterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMasterIgnoresGarbageJoin(t *testing.T) {
 	addr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunMaster(addr, spec)
+		_, err := RunMaster(addr, spec, MasterOptions{})
 		done <- err
 	}()
 
@@ -142,7 +142,7 @@ func TestMasterIgnoresGarbageJoin(t *testing.T) {
 
 	// A real worker follows.
 	go func() {
-		if err := RunWorker(addr); err != nil {
+		if err := RunWorker(addr, WorkerOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -168,7 +168,7 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorkerObs(addr, obs.New()); err != nil {
+			if err := RunWorker(addr, WorkerOptions{Obs: obs.New()}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -179,7 +179,7 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	var res *Result
 	go func() {
 		var err error
-		res, err = RunMasterOpts(addr, spec, MasterOptions{
+		res, err = RunMaster(addr, spec, MasterOptions{
 			Obs:            obs.New(),
 			HTTPAddr:       "127.0.0.1:0",
 			OnHTTP:         func(a string) { httpAddr <- a },

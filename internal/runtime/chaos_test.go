@@ -337,15 +337,13 @@ func (s *chaosLogBuf) String() string {
 	return s.b.String()
 }
 
-// TestChaosMasterPreExcludesDeadDelta pins a regression in the master's
-// pre-exclusion arithmetic. The master's cfg.Members counts only its own
-// group ({0,2} here), but its fold set also carries one aggregate per other
-// group's Sigma — three members in total. Counting quorum survivors against
-// the short number vetoed pre-exclusion whenever the master's own group
-// alone could not make quorum, so a permanently dead Delta re-paid the
-// round timeout on every round. With the fix the master folds the first
-// timed-out round on quorum, then starts every later round without the
-// suspect: one "round folded on quorum", pre-exclusions for the rest.
+// TestChaosMasterPreExcludesDeadDelta pins the master's pre-exclusion
+// arithmetic. Its own group is {0,2} here, but its fold set also carries one
+// aggregate per other group's Sigma — three members in total. Counting
+// quorum survivors against the group alone would veto pre-exclusion, so a
+// permanently dead Delta would re-pay the round timeout on every round. The
+// master must fold the first timed-out round on quorum, then start every
+// later round without the suspect.
 func TestChaosMasterPreExcludesDeadDelta(t *testing.T) {
 	const nodes, groups, rounds = 4, 2, 8
 	alg, shards := chaosWorkload(nodes)

@@ -45,13 +45,7 @@ type ClusterOptions struct {
 	// ChunkWords is the fixed streaming-chunk boundary in vector elements
 	// (0 = the default; must be a power of two).
 	ChunkWords int
-	// Monolithic ships whole-vector partial/aggregate frames instead of
-	// chunk streams (the pre-streaming wire behavior). Results are
-	// bit-identical to streaming either way.
-	Monolithic bool
-	// NetWorkers/AggWorkers/RingCapacity tune the Sigma pools.
-	NetWorkers, AggWorkers, RingCapacity int
-	Logf                                 func(format string, args ...any)
+	Logf       func(format string, args ...any)
 	// Obs, when non-nil, is shared by every node: per-node frame and
 	// fan-in counters, ring depth gauges, and per-round spans land in it.
 	Obs *obs.Observer
@@ -124,10 +118,6 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 			ShardBatch:    perNode,
 			RoundTimeout:  opts.RoundTimeout,
 			ChunkWords:    opts.ChunkWords,
-			Monolithic:    opts.Monolithic,
-			NetWorkers:    opts.NetWorkers,
-			AggWorkers:    opts.AggWorkers,
-			RingCapacity:  opts.RingCapacity,
 			Logf:          opts.Logf,
 			Obs:           opts.Obs,
 			Logger:        opts.Logger,
@@ -149,7 +139,6 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	// Master first: every group Sigma dials it.
 	mcfg := baseCfg(0)
 	mcfg.Role = RoleMasterSigma
-	mcfg.Members = len(topo.Members[0])
 	mcfg.MemberIDs = topo.MasterMemberIDs()
 	master, err := StartNode(mcfg, opts.Shards(0))
 	if err != nil {
@@ -165,7 +154,6 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 		cfg := baseCfg(g)
 		cfg.Role = RoleGroupSigma
 		cfg.UpstreamAddr = master.Addr()
-		cfg.Members = len(topo.Members[g])
 		cfg.MemberIDs = topo.MemberIDs(g)
 		node, err := StartNode(cfg, opts.Shards(g))
 		if err != nil {
@@ -193,8 +181,7 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 
 	// Startup barrier: the master hears directly from the other group
 	// Sigmas and its own group's Deltas.
-	direct := (topo.Groups - 1) + (len(topo.Members[0]) - 1)
-	master.WaitMembers(direct)
+	master.WaitMembers()
 	return c, nil
 }
 

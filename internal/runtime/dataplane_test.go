@@ -224,10 +224,7 @@ func BenchmarkAggregationFold(b *testing.B) {
 	orders := map[string][]int{"in-order": {0, 1, 2}, "parked": {2, 1, 0}}
 	for name, order := range orders {
 		b.Run(name, func(b *testing.B) {
-			ab := NewAggregationBufferChunked(n, words)
-			if err := ab.SetMembers(members); err != nil {
-				b.Fatal(err)
-			}
+			ab := newTestBuffer(b, n, words, members)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

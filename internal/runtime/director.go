@@ -74,12 +74,6 @@ func Assign(nodes, groups int) (Topology, error) {
 	return t, nil
 }
 
-// ExpectedContributions returns how many partials a group's Sigma waits for
-// per mini-batch: one per member (including its own).
-func (t Topology) ExpectedContributions(group int) int {
-	return len(t.Members[group])
-}
-
 // MemberIDs returns the node IDs whose contributions the group's Sigma
 // folds each round (its own included) — the ordered aggregation buffer's
 // member set.

@@ -29,9 +29,6 @@ type NodeConfig struct {
 	// address for Deltas, the master's address for group Sigmas; empty for
 	// the master.
 	UpstreamAddr string
-	// Members is the number of contributions this node's aggregation stage
-	// expects per mini-batch (Sigma roles only).
-	Members int
 	// MemberIDs lists the node IDs whose contributions this node's
 	// aggregation stage folds each round, its own included (Sigma roles
 	// only; required). The sorted order of the IDs fixes the fold order,
@@ -41,11 +38,6 @@ type NodeConfig struct {
 	// partials stream, fold, and forward at. 0 selects the default
 	// (ChunkSize); other values must be powers of two.
 	ChunkWords int
-	// Monolithic ships partials and group aggregates as single
-	// whole-vector frames (the pre-streaming wire behavior, byte-compatible
-	// with old binaries) instead of chunk-frame streams. Aggregation still
-	// folds in member order, so trained models match streaming bitwise.
-	Monolithic bool
 	// Engine computes partial updates.
 	Engine Engine
 	// ModelSize is the flat parameter-vector length.
@@ -76,10 +68,6 @@ type NodeConfig struct {
 	// Transport opens this node's listener and upstream connection. nil
 	// selects cosmicnet.TCP; the chaos fabric substitutes its own.
 	Transport cosmicnet.Transport
-	// NetWorkers and AggWorkers size the Sigma thread pools.
-	NetWorkers, AggWorkers int
-	// RingCapacity bounds the circular buffer.
-	RingCapacity int
 	// Logf, when set, receives diagnostic output.
 	Logf func(format string, args ...any)
 	// Logger, when set, receives structured diagnostics (failures,
@@ -108,6 +96,13 @@ func (c *NodeConfig) logf(format string, args ...any) {
 func ValidChunkWords(w int) bool {
 	return w == 0 || (w > 0 && bits.OnesCount(uint(w)) == 1)
 }
+
+// aggWorkers is the Sigma's Aggregation Pool size; ringCapacity bounds the
+// circular buffer feeding it.
+const (
+	aggWorkers   = 4
+	ringCapacity = 64
+)
 
 // discardLogger drops records; the default when no Logger is configured.
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -149,10 +144,8 @@ type Node struct {
 	sendMu sync.Mutex
 
 	// Sigma machinery.
-	ring    *CircularBuffer
-	agg     *AggregationBuffer
-	netPool *Pool
-	aggPool *Pool
+	ring *CircularBuffer
+	agg  *AggregationBuffer
 	// downstream are the member connections a Sigma forwards models to.
 	// Dead ones are pruned on send failure; downSentBase/downRecvBase carry
 	// the pruned connections' byte counters.
@@ -319,18 +312,8 @@ func (n *Node) lastSeenSummary() string {
 }
 
 // StartNode launches a node over its shard. Sigma roles open a listener and
-// start the networking/aggregation pools; Delta roles only dial upstream
-// (from Run).
+// start the aggregation pool; Delta roles only dial upstream (from Run).
 func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
-	if cfg.NetWorkers <= 0 {
-		cfg.NetWorkers = 4
-	}
-	if cfg.AggWorkers <= 0 {
-		cfg.AggWorkers = 4
-	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 64
-	}
 	if cfg.FlightSize <= 0 {
 		cfg.FlightSize = 256
 	}
@@ -356,29 +339,23 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 	n.logger = logger.With("node", cfg.ID, "role", cfg.Role.String(), "group", cfg.Group)
 	n.helloCond = sync.NewCond(&n.helloMu)
 	if cfg.Role != RoleDelta {
-		if len(cfg.MemberIDs) == 0 {
-			return nil, fmt.Errorf("runtime: node %d: %v role requires MemberIDs", cfg.ID, cfg.Role)
+		var err error
+		if n.agg, err = NewAggregationBuffer(cfg.ModelSize, cfg.ChunkWords, cfg.MemberIDs); err != nil {
+			return nil, fmt.Errorf("node %d (%v): %w", cfg.ID, cfg.Role, err)
 		}
 		ln, err := n.transport.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
 		n.ln = ln
-		n.ring = NewCircularBuffer(cfg.RingCapacity)
-		n.agg = NewAggregationBufferChunked(cfg.ModelSize, cfg.ChunkWords)
-		if err := n.agg.SetMembers(cfg.MemberIDs); err != nil {
-			ln.Close()
-			return nil, err
-		}
+		n.ring = NewCircularBuffer(ringCapacity)
 		if cfg.Obs != nil {
 			n.ring.SetDepthGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_node_ring_depth", "node", strconv.Itoa(int(cfg.ID)))))
 			n.agg.SetPipelineGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_sigma_pipeline_depth", "node", strconv.Itoa(int(cfg.ID)))))
 		}
-		n.netPool = NewPool(cfg.NetWorkers)
-		n.aggPool = NewPool(cfg.AggWorkers)
-		for i := 0; i < cfg.AggWorkers; i++ {
+		for i := 0; i < aggWorkers; i++ {
 			n.wg.Add(1)
 			go n.aggWorker()
 		}
@@ -471,37 +448,26 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 				sp := n.obs.tracer().Begin("runtime", name, n.obs.threadID())
 				sp.EndArgs(traceArgs(f, obs.ArgFlowIn))
 			}
-			if f.Chunked() {
-				// Fold on arrival: the frame already is one ring chunk, so it
-				// goes straight to the Aggregation Pool — no staging of the
-				// full vector, no re-chunking. The payload's ownership moves
-				// to the chunk (Recycle: true makes aggWorker Put it after
-				// folding).
-				//cosmic:transfers f.Payload moves into the ring chunk
-				c := Chunk{
-					Seq: f.Seq, From: f.From, Offset: int(f.ChunkOffset),
-					Data: f.Payload, Weight: f.Weight,
-					Last: f.ChunkIndex == f.ChunkCount-1, Recycle: true,
-				}
-				f.Payload = nil // the next decode draws a recycled buffer of its size
-				if !n.ring.Push(c) {
-					return
-				}
+			if !f.Chunked() {
+				// Every sender streams chunk frames; a whole-vector frame is
+				// outside input. f keeps its payload for the next decode.
+				n.fail(fmt.Errorf("node %d: un-chunked %v frame from %d", n.cfg.ID, f.Type, f.From))
 				continue
 			}
-			// Monolithic frame: Networking Pool cuts the received vector into
-			// circular-buffer chunks; the Aggregation Pool picks them up
-			// concurrently (producer-consumer overlap).
-			payload := f.Payload
-			f.Payload = nil
-			seq, from, weight := f.Seq, f.From, f.Weight
-			n.netPool.Submit(func() {
-				for _, c := range SplitIntoChunksWords(seq, from, payload, weight, n.chunkWords) {
-					if !n.ring.Push(c) {
-						return
-					}
-				}
-			})
+			// Fold on arrival: the frame already is one ring chunk, so it
+			// goes straight to the Aggregation Pool. The payload's ownership
+			// moves to the chunk (Recycle: true makes aggWorker Put it after
+			// folding).
+			//cosmic:transfers f.Payload moves into the ring chunk
+			c := Chunk{
+				Seq: f.Seq, From: f.From, Offset: int(f.ChunkOffset),
+				Data: f.Payload, Weight: f.Weight,
+				Last: f.ChunkIndex == f.ChunkCount-1, Recycle: true,
+			}
+			f.Payload = nil // the next decode draws a recycled buffer of its size
+			if !n.ring.Push(c) {
+				return
+			}
 		default:
 			n.fail(fmt.Errorf("node %d: unexpected %v frame from %d", n.cfg.ID, f.Type, f.From))
 		}
@@ -582,12 +548,12 @@ func (n *Node) NetworkBytes() (sent, received int64) {
 	return sent, received
 }
 
-// WaitMembers blocks until k member hellos have arrived (Sigma startup
-// barrier: a Sigma must know all its members before forwarding the first
-// model broadcast).
-func (n *Node) WaitMembers(k int) {
+// WaitMembers blocks until every other member of the node's fold set has
+// said hello (Sigma startup barrier: a Sigma must know all its members
+// before forwarding the first model broadcast).
+func (n *Node) WaitMembers() {
 	n.helloMu.Lock()
-	for n.helloCount < k {
+	for n.helloCount < len(n.cfg.MemberIDs)-1 {
 		n.helloCond.Wait()
 	}
 	n.helloMu.Unlock()
@@ -643,16 +609,9 @@ func (n *Node) preExcludeSuspects(seq uint32, minQuorum int) bool {
 		return false
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Count survivors against the fold set the buffer actually waits on.
-	// cfg.Members is the node's own group size, which undercounts for the
-	// master (its buffer also folds one aggregate per other group's Sigma);
-	// using it here would veto pre-exclusion and re-pay the round timeout
-	// for every round a dead member stays dead.
-	members := n.cfg.Members
-	if len(n.cfg.MemberIDs) > 0 {
-		members = len(n.cfg.MemberIDs)
-	}
-	if members-len(ids) < minQuorum {
+	// Count survivors against the fold set the buffer actually waits on
+	// (for the master that includes one aggregate per other group's Sigma).
+	if len(n.cfg.MemberIDs)-len(ids) < minQuorum {
 		return false
 	}
 	if n.agg.Exclude(ids) == 0 {
@@ -774,7 +733,7 @@ func (n *Node) Run() error {
 	if n.cfg.Role == RoleGroupSigma {
 		// All group members must be connected before the first model
 		// forward, or they would miss the round.
-		n.WaitMembers(n.cfg.Members - 1)
+		n.WaitMembers()
 	}
 
 	// One frame serves every round: a model is decoded into the payload the
@@ -827,12 +786,6 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		}
 		n.obs.sent(len(partial))
 		n.noteRound(f.Seq, time.Since(roundStart))
-		if n.cfg.Monolithic {
-			return n.sendUpstream(&cosmicnet.Frame{
-				Type: cosmicnet.MsgPartial, Seq: f.Seq, From: n.cfg.ID,
-				Weight: 1, Payload: partial, TraceID: f.TraceID,
-			})
-		}
 		return n.streamUpstream(cosmicnet.MsgPartial, f.Seq, 1, partial, f.TraceID)
 
 	case RoleGroupSigma:
@@ -843,27 +796,23 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		n.agg.Reset(f.Seq)
 		seq, traceID := f.Seq, f.TraceID
 		excludedRound := n.preExcludeSuspects(seq, n.cfg.MinQuorum)
-		if n.cfg.Monolithic {
-			n.agg.SetOnComplete(nil)
-		} else {
-			// Fold-on-arrival forwarding: the moment chunk idx has every
-			// member's contribution, ship it upstream — the master starts
-			// folding this group's early chunks while later ones are still
-			// crossing the group's own links. The callback runs on
-			// aggregation workers; sendUpstream serializes the writes.
-			count := uint32(n.agg.ChunkCount())
-			n.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
-				n.obs.sent(len(span))
-				if err := n.sendUpstream(&cosmicnet.Frame{
-					Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
-					Weight: weight, Payload: span, TraceID: traceID,
-					ChunkIndex: uint32(idx), ChunkCount: count,
-					ChunkOffset: uint32(idx * n.chunkWords),
-				}); err != nil {
-					n.fail(err)
-				}
-			})
-		}
+		// Fold-on-arrival forwarding: the moment chunk idx has every
+		// member's contribution, ship it upstream — the master starts
+		// folding this group's early chunks while later ones are still
+		// crossing the group's own links. The callback runs on
+		// aggregation workers; sendUpstream serializes the writes.
+		count := uint32(n.agg.ChunkCount())
+		n.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
+			n.obs.sent(len(span))
+			if err := n.sendUpstream(&cosmicnet.Frame{
+				Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
+				Weight: weight, Payload: span, TraceID: traceID,
+				ChunkIndex: uint32(idx), ChunkCount: count,
+				ChunkOffset: uint32(idx * n.chunkWords),
+			}); err != nil {
+				n.fail(err)
+			}
+		})
 		n.broadcastDownstream(f)
 		// The Sigma computes its own partial too; its contribution takes
 		// the same chunked path as remote ones.
@@ -876,8 +825,8 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		if err := n.pushLocalChunks(seq, partial, 1); err != nil {
 			return err
 		}
-		// Wait until every chunk has every member (streaming mode has then
-		// already forwarded each one).
+		// Wait until every chunk has every member (each one has then already
+		// been forwarded).
 		sp = tr.Begin("runtime", "sigma-aggregate-wait", n.obs.threadID())
 		ok, err := n.agg.WaitComplete(n.cfg.RoundTimeout, nil)
 		sp.End()
@@ -908,15 +857,7 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 		}
 		n.noteRound(seq, time.Since(roundStart))
 		round.EndArgs(traceArgs(f, obs.ArgFlowIn))
-		if !n.cfg.Monolithic {
-			return nil // every chunk already forwarded on completion
-		}
-		sum, weight := n.agg.Sum()
-		n.obs.sent(len(sum))
-		return n.sendUpstream(&cosmicnet.Frame{
-			Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
-			Weight: weight, Payload: sum, TraceID: traceID,
-		})
+		return nil // every chunk already forwarded on completion
 	}
 	return fmt.Errorf("node %d: role %v cannot handle model frames via Run", n.cfg.ID, n.cfg.Role)
 }
@@ -924,7 +865,7 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 // streamUpstream sends vec as a stream of fixed-boundary chunk frames. The
 // payloads alias vec — nothing is copied.
 func (n *Node) streamUpstream(typ cosmicnet.MsgType, seq uint32, weight float64, vec []float64, traceID uint64) error {
-	count := uint32(ChunksForWords(len(vec), n.chunkWords))
+	count := uint32(ChunksFor(len(vec), n.chunkWords))
 	if len(vec) == 0 {
 		return n.sendUpstream(&cosmicnet.Frame{
 			Type: typ, Seq: seq, From: n.cfg.ID, Weight: weight,
@@ -1076,11 +1017,5 @@ func (n *Node) Close() {
 		c.Close()
 	}
 	n.downstreamMu.Unlock()
-	if n.netPool != nil {
-		n.netPool.Close()
-	}
 	n.wg.Wait()
-	if n.aggPool != nil {
-		n.aggPool.Close()
-	}
 }

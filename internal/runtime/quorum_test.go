@@ -8,91 +8,105 @@ import (
 	"time"
 )
 
-// waitChunksTimeoutGuarded runs WaitChunksTimeout under a generous real-time
+// waitCompleteGuarded runs WaitComplete under a generous real-time
 // watchdog: the historical missed-wakeup race left the waiter parked on the
 // condition variable forever, which a plain call would turn into a hung test
 // run instead of a failure.
-func waitChunksTimeoutGuarded(t *testing.T, ab *AggregationBuffer, n int, timeout time.Duration) bool {
+func waitCompleteGuarded(t *testing.T, ab *AggregationBuffer, timeout time.Duration) bool {
 	t.Helper()
 	done := make(chan bool, 1)
-	go func() { done <- ab.WaitChunksTimeout(n, timeout) }()
+	go func() {
+		ok, err := ab.WaitComplete(timeout, nil)
+		if err != nil {
+			t.Errorf("WaitComplete: %v", err)
+		}
+		done <- ok
+	}()
 	select {
 	case ok := <-done:
 		return ok
 	case <-time.After(timeout + 10*time.Second):
-		t.Fatal("WaitChunksTimeout never returned: the deadline wakeup was missed")
+		t.Fatal("WaitComplete never returned: the deadline wakeup was missed")
 		return false
 	}
 }
 
-// TestWaitChunksTimeoutExpiresQuiet: no chunks ever arrive, so the only
+// TestWaitCompleteTimeoutExpiresQuiet: no chunks ever arrive, so the only
 // wakeup the waiter can get is the watchdog's. Regression for the missed
 // wakeup: a flagless timer broadcast could land while the waiter was between
 // its deadline check and cond.Wait, after which nothing would ever wake it.
-func TestWaitChunksTimeoutExpiresQuiet(t *testing.T) {
-	ab := NewAggregationBuffer(64)
+func TestWaitCompleteTimeoutExpiresQuiet(t *testing.T) {
+	ab := newTestBuffer(t, 64, 64, []uint32{0})
 	start := time.Now()
-	if waitChunksTimeoutGuarded(t, ab, 1, 50*time.Millisecond) {
-		t.Fatal("reported chunks arrived on an empty buffer")
+	if waitCompleteGuarded(t, ab, 50*time.Millisecond) {
+		t.Fatal("reported an empty buffer complete")
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Fatalf("returned after %v, before the %v deadline", elapsed, 50*time.Millisecond)
 	}
 }
 
-// TestWaitChunksTimeoutExpiresUnderBroadcastStorm: concurrent adds broadcast
-// the condition variable continuously while the waiter's target stays
-// unreachable. Every spurious wakeup re-parks the waiter, so the test churns
+// TestWaitCompleteTimeoutExpiresUnderBroadcastStorm: concurrent adds
+// broadcast the condition variable continuously while completion stays
+// unreachable (member 4 never contributes; the other four fold round after
+// round). Every spurious wakeup re-parks the waiter, so the test churns
 // through exactly the window the missed-wakeup race needed: the deadline
 // broadcast must still get through.
-func TestWaitChunksTimeoutExpiresUnderBroadcastStorm(t *testing.T) {
-	const n = 64
-	ab := NewAggregationBuffer(n)
+func TestWaitCompleteTimeoutExpiresUnderBroadcastStorm(t *testing.T) {
+	const n, words = 64, 16
+	ab := newTestBuffer(t, n, words, []uint32{0, 1, 2, 3, 4})
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	stormDone := make(chan struct{})
 	vec := make([]float64, n)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, c := range SplitIntoChunks(0, uint32(id), vec, 0) {
-					if err := ab.Add(c); err != nil {
-						t.Error(err)
-						return
-					}
-				}
+	go func() {
+		defer close(stormDone)
+		for seq := uint32(0); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}(w)
-	}
-	// The target is unreachably high, so the adds only generate wakeups.
-	if waitChunksTimeoutGuarded(t, ab, 1<<30, 100*time.Millisecond) {
-		t.Error("reported an unreachable chunk target as satisfied")
+			// Reset is the round driver's call: the round's adders are
+			// joined before the next one.
+			ab.Reset(seq)
+			var wg sync.WaitGroup
+			for id := uint32(0); id < 4; id++ {
+				wg.Add(1)
+				go func(seq, id uint32) {
+					defer wg.Done()
+					for _, c := range splitIntoChunks(seq, id, vec, 1, words) {
+						if err := ab.Add(c); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(seq, id)
+			}
+			wg.Wait()
+		}
+	}()
+	if waitCompleteGuarded(t, ab, 100*time.Millisecond) {
+		t.Error("reported a round missing a member as complete")
 	}
 	close(stop)
-	wg.Wait()
+	<-stormDone
 }
 
-// TestWaitChunksTimeoutSatisfied: chunks that do arrive before the deadline
-// report success, with the full chunk count folded.
-func TestWaitChunksTimeoutSatisfied(t *testing.T) {
-	const n = 128
-	ab := NewAggregationBuffer(n)
+// TestWaitCompleteTimeoutSatisfied: chunks that do arrive before the
+// deadline report success, with every chunk index folded.
+func TestWaitCompleteTimeoutSatisfied(t *testing.T) {
+	const n, words = 128, 32
+	ab := newTestBuffer(t, n, words, []uint32{1})
 	vec := make([]float64, n)
 	for i := range vec {
 		vec[i] = 1
 	}
 	go func() {
-		for _, c := range SplitIntoChunks(0, 1, vec, 1) {
+		for _, c := range splitIntoChunks(0, 1, vec, 1, words) {
 			ab.Add(c)
 		}
 	}()
-	if !waitChunksTimeoutGuarded(t, ab, ChunksFor(n), 10*time.Second) {
+	if !waitCompleteGuarded(t, ab, 10*time.Second) {
 		t.Fatal("timed out waiting for chunks that were delivered")
 	}
 	sum, w := ab.Sum()
@@ -118,17 +132,14 @@ func quorumMemberVec(id uint32, n int) []float64 {
 // folded sum and weight.
 func foldQuorum(t *testing.T, n, words int, seed int64, excludeFirst bool) ([]float64, float64) {
 	t.Helper()
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newTestBuffer(t, n, words, []uint32{1, 2, 3, 4, 5})
 	ab.Reset(7)
 	if excludeFirst {
 		ab.Exclude([]uint32{2, 4})
 	}
 	var chunks []Chunk
 	for _, id := range []uint32{1, 3, 5} {
-		chunks = append(chunks, SplitIntoChunksWords(7, id, quorumMemberVec(id, n), 1, words)...)
+		chunks = append(chunks, splitIntoChunks(7, id, quorumMemberVec(id, n), 1, words)...)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
@@ -191,10 +202,7 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 	const n, words = 300, 64
 	ref, _ := foldQuorum(t, n, words, 1, false)
 	for run := 0; run < 4; run++ {
-		ab := NewAggregationBufferChunked(n, words)
-		if err := ab.SetMembers([]uint32{1, 2, 3, 4, 5}); err != nil {
-			t.Fatal(err)
-		}
+		ab := newTestBuffer(t, n, words, []uint32{1, 2, 3, 4, 5})
 		ab.Reset(7)
 		ab.Exclude([]uint32{2, 4})
 		var wg sync.WaitGroup
@@ -202,7 +210,7 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(id uint32) {
 				defer wg.Done()
-				for _, c := range SplitIntoChunksWords(7, id, quorumMemberVec(id, n), 1, words) {
+				for _, c := range splitIntoChunks(7, id, quorumMemberVec(id, n), 1, words) {
 					if err := ab.Add(c); err != nil {
 						t.Error(err)
 					}
@@ -228,20 +236,17 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 // and a member with only part of its chunks stays missing.
 func TestQuorumStatusCensus(t *testing.T) {
 	const n, words = 300, 64
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newTestBuffer(t, n, words, []uint32{1, 2, 3, 4, 5})
 	ab.Reset(3)
 	for _, id := range []uint32{1, 5} {
-		for _, c := range SplitIntoChunksWords(3, id, quorumMemberVec(id, n), 1, words) {
+		for _, c := range splitIntoChunks(3, id, quorumMemberVec(id, n), 1, words) {
 			if err := ab.Add(c); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// Member 3 delivers only its first chunk: started, not present.
-	partial := SplitIntoChunksWords(3, 3, quorumMemberVec(3, n), 1, words)
+	partial := splitIntoChunks(3, 3, quorumMemberVec(3, n), 1, words)
 	if err := ab.Add(partial[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -267,21 +272,18 @@ func TestQuorumStatusCensus(t *testing.T) {
 // the sequence filter.
 func TestExcludedMemberTrafficDiscarded(t *testing.T) {
 	const n, words = 300, 64
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newTestBuffer(t, n, words, []uint32{1, 2, 3})
 	ab.Reset(9)
 	// Member 2's chunks park (rank 1 waits on rank 0), then the exclusion
 	// sweep must discard them.
-	for _, c := range SplitIntoChunksWords(9, 2, quorumMemberVec(2, n), 1, words) {
+	for _, c := range splitIntoChunks(9, 2, quorumMemberVec(2, n), 1, words) {
 		if err := ab.Add(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ab.Exclude([]uint32{2})
 	for _, id := range []uint32{1, 3} {
-		for _, c := range SplitIntoChunksWords(9, id, quorumMemberVec(id, n), 1, words) {
+		for _, c := range splitIntoChunks(9, id, quorumMemberVec(id, n), 1, words) {
 			if err := ab.Add(c); err != nil {
 				t.Fatal(err)
 			}
@@ -289,12 +291,12 @@ func TestExcludedMemberTrafficDiscarded(t *testing.T) {
 	}
 	// Late traffic from the excluded member, and a stale round's chunk, both
 	// vanish without error.
-	for _, c := range SplitIntoChunksWords(9, 2, quorumMemberVec(2, n), 1, words) {
+	for _, c := range splitIntoChunks(9, 2, quorumMemberVec(2, n), 1, words) {
 		if err := ab.Add(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stale := SplitIntoChunksWords(8, 1, quorumMemberVec(1, n), 1, words)
+	stale := splitIntoChunks(8, 1, quorumMemberVec(1, n), 1, words)
 	if err := ab.Add(stale[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -3,20 +3,19 @@
 // training (Section 3 of the paper).
 //
 // The System Director assigns Sigma (aggregator) and Delta (worker) roles
-// and configures the cluster. Within a Sigma node, an incoming-network
-// handler hands received partial updates to a fixed Networking Pool, whose
-// workers copy the data into a Circular Buffer in cache-friendly chunks; a
-// fixed Aggregation Pool consumes chunks and folds them into the
-// Aggregation Buffer. The two pools form a producer-consumer pair, so
-// communication and aggregation overlap and no thread is created per
-// connection. (Goroutines are the user-level threads here — the Go runtime
-// multiplexes them over a fixed set of OS threads, which is precisely the
-// "internally managed thread pool avoiding OS-level context switches" the
-// paper builds by hand in C++.)
+// and configures the cluster. Within a Sigma node, the incoming-network
+// handler's per-connection readers push each received chunk frame onto a
+// Circular Buffer; a fixed Aggregation Pool consumes chunks and folds them
+// into the Aggregation Buffer. Readers and pool form a producer-consumer
+// pair, so communication and aggregation overlap. (Goroutines are the
+// user-level threads here — the Go runtime multiplexes them over a fixed set
+// of OS threads, which is precisely the "internally managed thread pool
+// avoiding OS-level context switches" the paper builds by hand in C++.)
 package runtime
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +24,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Chunk is one unit of work flowing from the Networking Pool to the
+// Chunk is one unit of work flowing from the network readers to the
 // Aggregation Pool: a contiguous span of a partial-update vector.
 type Chunk struct {
 	// Seq is the mini-batch sequence number the chunk belongs to.
@@ -47,8 +46,8 @@ type Chunk struct {
 	Recycle bool
 }
 
-// CircularBuffer is a bounded, blocking MPMC ring of chunks: networking
-// workers produce, aggregation workers consume. Bounding the ring is what
+// CircularBuffer is a bounded, blocking MPMC ring of chunks: network
+// readers produce, aggregation workers consume. Bounding the ring is what
 // "reduces the memory required for aggregating partial results from
 // multiple sources while enabling overlap between communication and
 // computation".
@@ -142,34 +141,29 @@ func (cb *CircularBuffer) Len() int {
 // call Add concurrently; chunks of different regions never serialize
 // against each other.
 //
-// The buffer has two folding modes. The legacy mode (no member set) folds
-// chunks in arrival order under striped locks — fast, but the floating-
-// point result depends on arrival order. Ordered mode (after SetMembers)
-// folds each fixed-boundary chunk index in member-rank order: an in-order
+// Each fixed-boundary chunk index folds in member-rank order: an in-order
 // arrival folds immediately, an out-of-order one is parked (as a pooled
 // copy) until its rank comes up. Per-element fold order is then a pure
 // function of the member set — independent of chunk size, arrival order,
 // and aggregation-worker count — which is what keeps training bit-identical
-// across those knobs. Ordered mode also knows when chunk index i has every
+// across those knobs. The buffer also knows when chunk index i has every
 // member's contribution and fires the OnComplete callback right then, which
 // is what lets a Sigma forward chunk i upstream with no whole-vector
 // barrier.
 type AggregationBuffer struct {
-	stripes []sync.Mutex
-	sum     []float64
+	sum []float64
 	// chunkWords is the fixed chunk boundary; states has one entry per
-	// chunk index in ordered mode.
+	// chunk index.
 	chunkWords int
 	states     []chunkAgg
-	// rank maps a member's node ID to its fold position; nil selects the
-	// legacy arrival-order mode. members = len(rank); ids is the sorted
-	// member list (ids[rank[id]] == id).
+	// rank maps a member's node ID to its fold position. members =
+	// len(rank); ids is the sorted member list (ids[rank[id]] == id).
 	rank    map[uint32]int
 	members int
 	ids     []uint32
-	// seqWord gates ordered-mode adds to the current round: once Reset has
-	// armed it, a chunk whose Seq differs is stale traffic from an earlier
-	// round (an excluded member catching up late) and is dropped silently.
+	// seqWord gates adds to the current round: once Reset has armed it, a
+	// chunk whose Seq differs is stale traffic from an earlier round (an
+	// excluded member catching up late) and is dropped silently.
 	seqWord atomic.Uint64
 	// excluded flags member ranks dropped from the current round's fold
 	// (quorum mode). An excluded rank's chunks are discarded, so the folded
@@ -185,13 +179,10 @@ type AggregationBuffer struct {
 	weight float64
 	wmu    sync.Mutex
 	done   *sync.Cond
-	// contributions counts completed (Last-marked) partials; chunks counts
-	// every folded chunk; complete counts finished chunk indexes; inflight
-	// the started-but-incomplete ones.
-	contributions int
-	chunks        int
-	complete      int
-	inflight      int
+	// complete counts finished chunk indexes; inflight the
+	// started-but-incomplete ones.
+	complete int
+	inflight int
 	// got counts accepted chunks per member rank this round; a member is
 	// present once it has contributed every chunk index.
 	got []int
@@ -200,7 +191,7 @@ type AggregationBuffer struct {
 // seqArmed marks seqWord as holding a live round sequence.
 const seqArmed = 1 << 32
 
-// chunkAgg is the per-chunk-index fold state of ordered mode.
+// chunkAgg is the per-chunk-index fold state.
 type chunkAgg struct {
 	mu sync.Mutex
 	// next is the member rank whose contribution folds next.
@@ -222,60 +213,43 @@ type parkedChunk struct {
 	data   []float64
 }
 
-// aggStripe is the span of values guarded by one lock stripe.
-const aggStripe = 1024
-
-// NewAggregationBuffer creates a buffer for vectors of length n with the
-// default chunk boundary.
-func NewAggregationBuffer(n int) *AggregationBuffer {
-	return NewAggregationBufferChunked(n, ChunkSize)
-}
-
-// NewAggregationBufferChunked creates a buffer for vectors of length n cut
-// at fixed boundaries of words elements (words <= 0 selects the default).
-func NewAggregationBufferChunked(n, words int) *AggregationBuffer {
-	if words <= 0 {
-		words = ChunkSize
+// NewAggregationBuffer creates a buffer for vectors of length n cut at fixed
+// boundaries of chunkWords elements, folding the given member node IDs in
+// rank order: member rank is the ID's position in the sorted ID list.
+func NewAggregationBuffer(n, chunkWords int, members []uint32) (*AggregationBuffer, error) {
+	if chunkWords <= 0 {
+		return nil, fmt.Errorf("runtime: chunk boundary of %d words", chunkWords)
 	}
-	ab := &AggregationBuffer{
-		stripes:    make([]sync.Mutex, (n+aggStripe-1)/aggStripe+1),
-		sum:        make([]float64, n),
-		chunkWords: words,
-		states:     make([]chunkAgg, ChunksForWords(n, words)),
+	if len(members) == 0 {
+		return nil, fmt.Errorf("runtime: aggregation buffer with no members")
 	}
-	ab.done = sync.NewCond(&ab.wmu)
-	return ab
-}
-
-// SetMembers switches the buffer to ordered folding over the given member
-// node IDs: member rank is the ID's position in the sorted ID list. Call
-// before the buffer is shared.
-func (ab *AggregationBuffer) SetMembers(ids []uint32) error {
-	rank := make(map[uint32]int, len(ids))
-	sorted := append([]uint32(nil), ids...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	rank := make(map[uint32]int, len(members))
+	sorted := append([]uint32(nil), members...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for i, id := range sorted {
 		if _, dup := rank[id]; dup {
-			return fmt.Errorf("runtime: duplicate member %d", id)
+			return nil, fmt.Errorf("runtime: duplicate member %d", id)
 		}
 		rank[id] = i
 	}
-	ab.rank = rank
-	ab.members = len(rank)
-	ab.ids = sorted
-	ab.excluded = make([]atomic.Bool, len(sorted))
-	ab.got = make([]int, len(sorted))
-	return nil
+	ab := &AggregationBuffer{
+		sum:        make([]float64, n),
+		chunkWords: chunkWords,
+		states:     make([]chunkAgg, ChunksFor(n, chunkWords)),
+		rank:       rank,
+		members:    len(rank),
+		ids:        sorted,
+		excluded:   make([]atomic.Bool, len(sorted)),
+		got:        make([]int, len(sorted)),
+	}
+	ab.done = sync.NewCond(&ab.wmu)
+	return ab, nil
 }
 
-// SetOnComplete installs the per-chunk completion callback (ordered mode).
-// The callback runs on an aggregation worker with no buffer locks held;
-// span aliases the buffer's sum and must not be retained past the round.
-// Call before the buffer is shared.
+// SetOnComplete installs the per-chunk completion callback. It runs on an
+// aggregation worker with no buffer locks held; span aliases the buffer's
+// sum and must not be retained past the round. Call before the round's
+// first Add.
 func (ab *AggregationBuffer) SetOnComplete(fn func(idx int, span []float64, weight float64)) {
 	ab.onComplete = fn
 }
@@ -286,9 +260,6 @@ func (ab *AggregationBuffer) SetPipelineGauge(g *obs.Gauge) { ab.pipeline = g }
 
 // ChunkCount returns the number of fixed-boundary chunk indexes.
 func (ab *AggregationBuffer) ChunkCount() int { return len(ab.states) }
-
-// ChunkWords returns the fixed chunk boundary in elements.
-func (ab *AggregationBuffer) ChunkWords() int { return ab.chunkWords }
 
 // spanLen is chunk idx's element count (the last chunk may run short).
 func (ab *AggregationBuffer) spanLen(idx int) int {
@@ -301,46 +272,16 @@ func (ab *AggregationBuffer) spanLen(idx int) int {
 	return ab.chunkWords
 }
 
-// Add folds a chunk into the running sum and, on a contribution's final
-// chunk, credits its weight toward the average. In ordered mode the chunk
-// must sit exactly on a fixed boundary and come from a known member.
+// Add folds a chunk of one index in member-rank order, parking early
+// arrivals, and fires onComplete when the index has every included member.
+// The chunk must sit exactly on a fixed boundary and come from a known
+// member. Stale-round chunks and chunks from excluded members are dropped
+// silently: after a quorum fold moves on, a late member's traffic must not
+// corrupt the next round.
 func (ab *AggregationBuffer) Add(c Chunk) error {
 	if c.Offset < 0 || c.Offset+len(c.Data) > len(ab.sum) {
 		return fmt.Errorf("runtime: chunk [%d,%d) outside buffer of %d", c.Offset, c.Offset+len(c.Data), len(ab.sum))
 	}
-	if ab.rank != nil {
-		return ab.addOrdered(c)
-	}
-	for start := c.Offset; start < c.Offset+len(c.Data); {
-		stripe := start / aggStripe
-		end := (stripe + 1) * aggStripe
-		if end > c.Offset+len(c.Data) {
-			end = c.Offset + len(c.Data)
-		}
-		ab.stripes[stripe].Lock()
-		for i := start; i < end; i++ {
-			ab.sum[i] += c.Data[i-c.Offset]
-		}
-		ab.stripes[stripe].Unlock()
-		start = end
-	}
-	ab.wmu.Lock()
-	ab.chunks++
-	if c.Last {
-		ab.weight += c.Weight
-		ab.contributions++
-	}
-	ab.wmu.Unlock()
-	ab.done.Broadcast()
-	return nil
-}
-
-// addOrdered folds chunks of one index in member-rank order, parking
-// early arrivals, and fires onComplete when the index has every included
-// member. Stale-round chunks and chunks from excluded members are dropped
-// silently: after a quorum fold moves on, a late member's traffic must not
-// corrupt the next round.
-func (ab *AggregationBuffer) addOrdered(c Chunk) error {
 	if w := ab.seqWord.Load(); w&seqArmed != 0 && uint32(w) != c.Seq {
 		return nil
 	}
@@ -361,7 +302,6 @@ func (ab *AggregationBuffer) addOrdered(c Chunk) error {
 	st := &ab.states[idx]
 	span := ab.sum[c.Offset : c.Offset+ab.spanLen(idx)]
 
-	folded, contribs := 0, 0
 	lastWeight := 0.0
 	startedNow, completeNow := false, false
 	chunkWeight := 0.0
@@ -397,16 +337,11 @@ func (ab *AggregationBuffer) addOrdered(c Chunk) error {
 		}
 		st.next++
 		st.weight += c.Weight
-		folded++
 		if c.Last {
-			contribs++
 			lastWeight += c.Weight
 		}
-		var f2, c2 int
 		var lw2 float64
-		f2, c2, lw2, completeNow, chunkWeight = ab.advanceLocked(st, span)
-		folded += f2
-		contribs += c2
+		lw2, completeNow, chunkWeight = ab.advanceLocked(st, span)
 		lastWeight += lw2
 		st.mu.Unlock()
 	}
@@ -418,8 +353,6 @@ func (ab *AggregationBuffer) addOrdered(c Chunk) error {
 	}
 
 	ab.wmu.Lock()
-	ab.chunks += folded
-	ab.contributions += contribs
 	ab.weight += lastWeight
 	ab.got[r]++
 	if startedNow {
@@ -438,9 +371,9 @@ func (ab *AggregationBuffer) addOrdered(c Chunk) error {
 
 // advanceLocked advances st.next past excluded ranks (discarding any parked
 // chunks they delivered) and folds parked chunks as their ranks come up,
-// reporting what folded and whether the chunk index just completed. Call
-// with st.mu held.
-func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (folded, contribs int, lastWeight float64, completeNow bool, chunkWeight float64) {
+// reporting the weight of the contributions that finished and whether the
+// chunk index just completed. Call with st.mu held.
+func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWeight float64, completeNow bool, chunkWeight float64) {
 	for st.next < ab.members {
 		if ab.excluded[st.next].Load() {
 			for i := 0; i < len(st.pending); {
@@ -467,9 +400,7 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (folded
 			cosmicnet.PutPayload(p.data)
 			st.next++
 			st.weight += p.weight
-			folded++
 			if p.last {
-				contribs++
 				lastWeight += p.weight
 			}
 			st.pending[i] = st.pending[len(st.pending)-1]
@@ -486,7 +417,7 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (folded
 		completeNow = true
 		chunkWeight = st.weight
 	}
-	return folded, contribs, lastWeight, completeNow, chunkWeight
+	return lastWeight, completeNow, chunkWeight
 }
 
 // Exclude drops members from the current round's fold: their chunks stop
@@ -497,9 +428,6 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (folded
 // is the exclude-and-continue primitive: a Sigma that times out a round
 // folds with the quorum that arrived instead of wedging on the absent.
 func (ab *AggregationBuffer) Exclude(ids []uint32) int {
-	if ab.rank == nil {
-		return 0
-	}
 	newly := 0
 	for _, id := range ids {
 		r, ok := ab.rank[id]
@@ -513,21 +441,18 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 	if newly == 0 {
 		return 0
 	}
-	folded, contribs := 0, 0
 	lastWeight := 0.0
 	startedNow, completed := 0, 0
 	for idx := range ab.states {
 		st := &ab.states[idx]
 		span := ab.sum[idx*ab.chunkWords : idx*ab.chunkWords+ab.spanLen(idx)]
 		st.mu.Lock()
-		f2, c2, lw2, completeNow, chunkWeight := ab.advanceLocked(st, span)
+		lw2, completeNow, chunkWeight := ab.advanceLocked(st, span)
 		if completeNow && !st.started {
 			st.started = true
 			startedNow++
 		}
 		st.mu.Unlock()
-		folded += f2
-		contribs += c2
 		lastWeight += lw2
 		if completeNow {
 			completed++
@@ -537,8 +462,6 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 		}
 	}
 	ab.wmu.Lock()
-	ab.chunks += folded
-	ab.contributions += contribs
 	ab.weight += lastWeight
 	ab.inflight += startedNow
 	ab.complete += completed
@@ -554,9 +477,6 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 // chunk index accepted), excluded members, and missing members (absent or
 // partial). Each list is sorted by node ID.
 func (ab *AggregationBuffer) QuorumStatus() (present, excluded, missing []uint32) {
-	if ab.rank == nil {
-		return nil, nil, nil
-	}
 	target := len(ab.states)
 	ab.wmu.Lock()
 	defer ab.wmu.Unlock()
@@ -623,100 +543,13 @@ func (ab *AggregationBuffer) WaitComplete(timeout time.Duration, fail <-chan err
 	return true, nil
 }
 
-// ChunksFor returns how many ring chunks a vector of length n splits into
-// at the default boundary.
-func ChunksFor(n int) int { return ChunksForWords(n, ChunkSize) }
-
-// ChunksForWords returns how many chunks a vector of length n splits into
-// at a words-element boundary.
-func ChunksForWords(n, words int) int {
-	if words <= 0 {
-		words = ChunkSize
-	}
+// ChunksFor returns how many chunks a vector of length n splits into at a
+// words-element boundary (an empty vector still travels as one chunk).
+func ChunksFor(n, words int) int {
 	if n == 0 {
 		return 1
 	}
 	return (n + words - 1) / words
-}
-
-// WaitChunks blocks until at least n chunks have been folded in.
-func (ab *AggregationBuffer) WaitChunks(n int) {
-	ab.wmu.Lock()
-	for ab.chunks < n {
-		ab.done.Wait()
-	}
-	ab.wmu.Unlock()
-}
-
-// WaitChunksTimeout blocks until n chunks have been folded in or the
-// timeout elapses, reporting whether the chunks arrived. A zero timeout
-// waits forever. This is the Sigma node's defense against a dead member: a
-// bounded round instead of a wedged aggregation.
-func (ab *AggregationBuffer) WaitChunksTimeout(n int, timeout time.Duration) bool {
-	if timeout <= 0 {
-		ab.WaitChunks(n)
-		return true
-	}
-	// One timer, one deadline: the watchdog sets the timed-out flag under
-	// the counter lock before broadcasting, so the waiter cannot miss the
-	// wakeup (a flagless broadcast races with a waiter that re-checks the
-	// clock just before the deadline and then sleeps forever).
-	var timedOut bool
-	stop := make(chan struct{})
-	defer close(stop)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	go func() {
-		select {
-		case <-timer.C:
-			ab.wmu.Lock()
-			timedOut = true
-			ab.wmu.Unlock()
-			ab.done.Broadcast()
-		case <-stop:
-		}
-	}()
-	ab.wmu.Lock()
-	defer ab.wmu.Unlock()
-	for ab.chunks < n {
-		if timedOut {
-			return false
-		}
-		ab.done.Wait()
-	}
-	return true
-}
-
-// WaitContributions blocks until at least n contributions have completed.
-func (ab *AggregationBuffer) WaitContributions(n int) {
-	ab.wmu.Lock()
-	for ab.contributions < n {
-		ab.done.Wait()
-	}
-	ab.wmu.Unlock()
-}
-
-// Contributions returns the number of completed partials folded in.
-func (ab *AggregationBuffer) Contributions() int {
-	ab.wmu.Lock()
-	defer ab.wmu.Unlock()
-	return ab.contributions
-}
-
-// WeightedMean returns sum/weight (the Equation 3b average) and the total
-// weight.
-func (ab *AggregationBuffer) WeightedMean() ([]float64, float64) {
-	ab.wmu.Lock()
-	w := ab.weight
-	ab.wmu.Unlock()
-	out := make([]float64, len(ab.sum))
-	if w == 0 {
-		return out, 0
-	}
-	for i, v := range ab.sum {
-		out[i] = v / w
-	}
-	return out, w
 }
 
 // Sum returns the raw accumulated sum and total weight.
@@ -731,14 +564,12 @@ func (ab *AggregationBuffer) Sum() ([]float64, float64) {
 
 // Reset clears the buffer for mini-batch seq, recycling any parked chunks
 // and lifting exclusions. It also arms the stale-round filter: from here on
-// ordered-mode chunks carrying a different sequence number — a timed-out
-// member's late traffic — are dropped instead of folded.
+// chunks carrying a different sequence number — a timed-out member's late
+// traffic — are dropped instead of folded.
 func (ab *AggregationBuffer) Reset(seq uint32) {
 	ab.seqWord.Store(seqArmed | uint64(seq))
 	ab.wmu.Lock()
 	ab.weight = 0
-	ab.contributions = 0
-	ab.chunks = 0
 	ab.complete = 0
 	ab.inflight = 0
 	for r := range ab.got {
@@ -768,68 +599,3 @@ func (ab *AggregationBuffer) Reset(seq uint32) {
 // that aggregation starts while later chunks are still in flight, large
 // enough to amortize ring and frame overhead.
 const ChunkSize = 4096
-
-// SplitIntoChunks cuts a partial update into ring chunks at the default
-// boundary.
-func SplitIntoChunks(seq, from uint32, vec []float64, weight float64) []Chunk {
-	return SplitIntoChunksWords(seq, from, vec, weight, ChunkSize)
-}
-
-// SplitIntoChunksWords cuts a partial update into ring chunks of words
-// elements. The chunks alias vec (no copy).
-func SplitIntoChunksWords(seq, from uint32, vec []float64, weight float64, words int) []Chunk {
-	if words <= 0 {
-		words = ChunkSize
-	}
-	if len(vec) == 0 {
-		return []Chunk{{Seq: seq, From: from, Weight: weight, Last: true}}
-	}
-	out := make([]Chunk, 0, ChunksForWords(len(vec), words))
-	for off := 0; off < len(vec); off += words {
-		end := off + words
-		if end > len(vec) {
-			end = len(vec)
-		}
-		out = append(out, Chunk{
-			Seq: seq, From: from, Offset: off,
-			Data: vec[off:end], Weight: weight,
-			Last: end == len(vec),
-		})
-	}
-	return out
-}
-
-// Pool is a fixed-size worker pool: the system software's internally
-// managed threads. Submitted tasks run on one of n long-lived workers.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-}
-
-// NewPool starts n workers.
-func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = 1
-	}
-	p := &Pool{tasks: make(chan func(), 4*n)}
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.wg.Done()
-			for task := range p.tasks {
-				task()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task; it blocks when all workers are busy and the
-// backlog is full (bounded, like a real pool).
-func (p *Pool) Submit(task func()) { p.tasks <- task }
-
-// Close stops accepting tasks and waits for the workers to drain.
-func (p *Pool) Close() {
-	close(p.tasks)
-	p.wg.Wait()
-}

@@ -89,38 +89,78 @@ func TestCircularBufferConcurrent(t *testing.T) {
 	}
 }
 
+// splitIntoChunks cuts a partial update into fixed-boundary ring chunks of
+// words elements, the way a sender's chunk frames arrive. The chunks alias
+// vec (no copy).
+func splitIntoChunks(seq, from uint32, vec []float64, weight float64, words int) []Chunk {
+	if len(vec) == 0 {
+		return []Chunk{{Seq: seq, From: from, Weight: weight, Last: true}}
+	}
+	out := make([]Chunk, 0, ChunksFor(len(vec), words))
+	for off := 0; off < len(vec); off += words {
+		end := off + words
+		if end > len(vec) {
+			end = len(vec)
+		}
+		out = append(out, Chunk{
+			Seq: seq, From: from, Offset: off,
+			Data: vec[off:end], Weight: weight,
+			Last: end == len(vec),
+		})
+	}
+	return out
+}
+
+// newTestBuffer builds an aggregation buffer or fails the test.
+func newTestBuffer(t testing.TB, n, words int, members []uint32) *AggregationBuffer {
+	t.Helper()
+	ab, err := NewAggregationBuffer(n, words, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ab
+}
+
+// TestAggregationBufferConcurrentSum: ten members add their chunks from
+// concurrent goroutines; the ordered fold must equal the serial rank-order
+// sum bitwise, with every member's weight credited.
 func TestAggregationBufferConcurrentSum(t *testing.T) {
 	const n, contributors = 5000, 10
-	ab := NewAggregationBuffer(n)
-	vec := make([]float64, n)
-	for i := range vec {
-		vec[i] = float64(i % 17)
+	members := make([]uint32, contributors)
+	vecs := make([][]float64, contributors)
+	want := make([]float64, n)
+	for id := range members {
+		members[id] = uint32(id)
+		vecs[id] = quorumMemberVec(uint32(id), n)
+		for i, v := range vecs[id] {
+			want[i] += v
+		}
 	}
+	ab := newTestBuffer(t, n, 512, members)
 	var wg sync.WaitGroup
-	for c := 0; c < contributors; c++ {
+	for id := range members {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			for _, ch := range SplitIntoChunks(0, uint32(id), vec, 1) {
+			for _, ch := range splitIntoChunks(0, uint32(id), vecs[id], 1, 512) {
 				if err := ab.Add(ch); err != nil {
 					t.Error(err)
 				}
 			}
-		}(c)
+		}(id)
 	}
 	wg.Wait()
-	ab.WaitChunks(contributors * ChunksFor(n))
-	mean, w := ab.WeightedMean()
+	if ok, err := ab.WaitComplete(5*time.Second, nil); err != nil || !ok {
+		t.Fatalf("fold did not complete: ok=%v err=%v", ok, err)
+	}
+	sum, w := ab.Sum()
 	if w != contributors {
 		t.Fatalf("weight %g, want %d", w, contributors)
 	}
-	for i := range vec {
-		if math.Abs(mean[i]-vec[i]) > 1e-12 {
-			t.Fatalf("mean[%d] = %g, want %g", i, mean[i], vec[i])
+	for i := range want {
+		if sum[i] != want[i] {
+			t.Fatalf("sum[%d] = %b, want the serial rank-order sum %b", i, sum[i], want[i])
 		}
-	}
-	if ab.Contributions() != contributors {
-		t.Errorf("contributions %d", ab.Contributions())
 	}
 	ab.Reset(0)
 	if _, w := ab.Sum(); w != 0 {
@@ -134,8 +174,8 @@ func TestSplitIntoChunksProperties(t *testing.T) {
 		for i := range vec {
 			vec[i] = float64(i)
 		}
-		chunks := SplitIntoChunks(3, 7, vec, 2)
-		if len(chunks) != ChunksFor(len(vec)) {
+		chunks := splitIntoChunks(3, 7, vec, 2, ChunkSize)
+		if len(chunks) != ChunksFor(len(vec), ChunkSize) {
 			return false
 		}
 		lastSeen := 0
@@ -382,23 +422,6 @@ func TestFlattenModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(3)
-	var mu sync.Mutex
-	count := 0
-	for i := 0; i < 100; i++ {
-		p.Submit(func() {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
-	}
-	p.Close()
-	if count != 100 {
-		t.Errorf("ran %d tasks, want 100", count)
-	}
-}
-
 // TestRoundTimeoutSurfacesDeadNode: with a bounded round, killing a Delta
 // turns into a prompt training error instead of a wedged cluster.
 func TestRoundTimeoutSurfacesDeadNode(t *testing.T) {
@@ -446,26 +469,26 @@ func TestRoundTimeoutSurfacesDeadNode(t *testing.T) {
 	}
 }
 
-// TestWaitChunksTimeoutSemantics exercises the timed wait directly.
-func TestWaitChunksTimeoutSemantics(t *testing.T) {
-	ab := NewAggregationBuffer(16)
+// TestWaitCompleteTimeoutSemantics exercises the timed wait directly.
+func TestWaitCompleteTimeoutSemantics(t *testing.T) {
+	ab := newTestBuffer(t, 16, 16, []uint32{0})
 	start := time.Now()
-	if ab.WaitChunksTimeout(1, 50*time.Millisecond) {
-		t.Error("wait reported success with no chunks")
+	if ok, err := ab.WaitComplete(50*time.Millisecond, nil); ok || err != nil {
+		t.Errorf("wait on an empty buffer = (%v, %v), want (false, nil)", ok, err)
 	}
 	if time.Since(start) < 40*time.Millisecond {
 		t.Error("timed wait returned too early")
 	}
 	// Satisfied waits report true and do not consume the full timeout.
 	go func() {
-		ab.Add(Chunk{Data: []float64{1}, Weight: 1, Last: true})
+		ab.Add(Chunk{Data: make([]float64, 16), Weight: 1, Last: true})
 	}()
-	if !ab.WaitChunksTimeout(1, 2*time.Second) {
-		t.Error("wait missed an arriving chunk")
+	if ok, err := ab.WaitComplete(2*time.Second, nil); !ok || err != nil {
+		t.Errorf("wait missed an arriving chunk: (%v, %v)", ok, err)
 	}
 	// Zero timeout means wait forever (here: already satisfied).
-	if !ab.WaitChunksTimeout(1, 0) {
-		t.Error("zero-timeout wait failed on satisfied condition")
+	if ok, err := ab.WaitComplete(0, nil); !ok || err != nil {
+		t.Errorf("zero-timeout wait failed on satisfied condition: (%v, %v)", ok, err)
 	}
 }
 

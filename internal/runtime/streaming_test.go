@@ -2,16 +2,18 @@ package runtime
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cosmicnet"
 	"repro/internal/dsl"
 	"repro/internal/ml"
 )
 
-// TestOrderedFoldArrivalOrderInvariant: in ordered mode the accumulated sum
-// is a pure function of the member set — bitwise identical no matter how
+// TestOrderedFoldArrivalOrderInvariant: the accumulated sum is a pure
+// function of the member set — bitwise identical no matter how
 // chunk arrivals interleave — and every chunk index completes exactly once
 // with the full member weight.
 func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
@@ -28,10 +30,7 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 	}
 
 	run := func(shuffleSeed int64) []float64 {
-		ab := NewAggregationBufferChunked(n, words)
-		if err := ab.SetMembers(members); err != nil {
-			t.Fatal(err)
-		}
+		ab := newTestBuffer(t, n, words, members)
 		completed := make(map[int]float64)
 		ab.SetOnComplete(func(idx int, span []float64, weight float64) {
 			if _, dup := completed[idx]; dup {
@@ -41,7 +40,7 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 		})
 		var chunks []Chunk
 		for _, id := range members {
-			chunks = append(chunks, SplitIntoChunksWords(0, id, vecs[id], 1, words)...)
+			chunks = append(chunks, splitIntoChunks(0, id, vecs[id], 1, words)...)
 		}
 		rand.New(rand.NewSource(shuffleSeed)).Shuffle(len(chunks), func(i, j int) {
 			chunks[i], chunks[j] = chunks[j], chunks[i]
@@ -81,13 +80,17 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestOrderedFoldRejectsOffBoundaryChunks: ordered mode insists on the fixed
-// boundaries the determinism argument depends on.
+// TestOrderedFoldRejectsOffBoundaryChunks: the fold insists on the fixed
+// boundaries and the unambiguous member set the determinism argument
+// depends on.
 func TestOrderedFoldRejectsOffBoundaryChunks(t *testing.T) {
-	ab := NewAggregationBufferChunked(256, 64)
-	if err := ab.SetMembers([]uint32{1}); err != nil {
-		t.Fatal(err)
+	if _, err := NewAggregationBuffer(256, 64, nil); err == nil {
+		t.Error("empty member list accepted")
 	}
+	if _, err := NewAggregationBuffer(256, 64, []uint32{3, 1, 3}); err == nil {
+		t.Error("duplicate member accepted")
+	}
+	ab := newTestBuffer(t, 256, 64, []uint32{1})
 	if err := ab.Add(Chunk{From: 1, Offset: 32, Data: make([]float64, 64)}); err == nil {
 		t.Error("off-boundary offset accepted")
 	}
@@ -110,17 +113,14 @@ func TestOrderedFoldRejectsOffBoundaryChunks(t *testing.T) {
 // element or per chunk (one slice header for the split is the budget).
 func TestOrderedFoldAllocs(t *testing.T) {
 	const n, words = 1 << 14, 1024
-	ab := NewAggregationBufferChunked(n, words)
-	if err := ab.SetMembers([]uint32{0}); err != nil {
-		t.Fatal(err)
-	}
+	ab := newTestBuffer(t, n, words, []uint32{0})
 	vec := make([]float64, n)
 	for i := range vec {
 		vec[i] = float64(i)
 	}
 	avg := testing.AllocsPerRun(100, func() {
 		ab.Reset(0)
-		for _, c := range SplitIntoChunksWords(0, 0, vec, 1, words) {
+		for _, c := range splitIntoChunks(0, 0, vec, 1, words) {
 			if err := ab.Add(c); err != nil {
 				t.Fatal(err)
 			}
@@ -150,13 +150,13 @@ func (e *jitterEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]floa
 	return e.inner.PartialUpdate(model, shard)
 }
 
-// TestStreamingMatchesMonolithicBitwise is the streaming pipeline's
-// differential test: across two model families, two chunk boundaries,
-// monolithic whole-vector frames, and shuffled member arrival orders, a
-// hierarchical cluster must train to the bitwise-identical model. The
-// ordered member-rank fold is what makes this hold exactly, not just to
-// floating-point tolerance.
-func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
+// TestTrainingBitwiseAcrossChunkBoundaries is the streaming pipeline's
+// differential test: across two model families, three chunk boundaries (the
+// largest holding the whole model in one chunk frame per contribution), and
+// shuffled member arrival orders, a hierarchical cluster must train to the
+// bitwise-identical model. The ordered member-rank fold is what makes this
+// hold exactly, not just to floating-point tolerance.
+func TestTrainingBitwiseAcrossChunkBoundaries(t *testing.T) {
 	const nodes, groups, rounds = 6, 2, 3
 	algs := []struct {
 		name   string
@@ -187,7 +187,7 @@ func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
 			}
 			model := alg.InitModel(rand.New(rand.NewSource(5)))
 
-			run := func(chunkWords int, monolithic bool, delaySeed int64) []float64 {
+			run := func(chunkWords int, delaySeed int64) []float64 {
 				cl, err := Launch(ClusterOptions{
 					Nodes: nodes, Groups: groups,
 					Engines: func(id int) Engine {
@@ -202,7 +202,6 @@ func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
 					LR:         0.01,
 					MiniBatch:  nodes * 4,
 					ChunkWords: chunkWords,
-					Monolithic: monolithic,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -218,25 +217,80 @@ func TestStreamingMatchesMonolithicBitwise(t *testing.T) {
 				return got
 			}
 
-			want := run(64, false, 100)
+			oneChunk := 1
+			for oneChunk < alg.ModelSize() {
+				oneChunk *= 2
+			}
+			want := run(64, 100)
 			variants := []struct {
 				label      string
 				chunkWords int
-				monolithic bool
 				delaySeed  int64
 			}{
-				{"chunk-64/reshuffled", 64, false, 900},
-				{"chunk-1024", 1024, false, 300},
-				{"monolithic", 0, true, 500},
+				{"chunk-64/reshuffled", 64, 900},
+				{"chunk-1024", 1024, 300},
+				{"one-chunk", oneChunk, 500},
 			}
 			for _, v := range variants {
-				got := run(v.chunkWords, v.monolithic, v.delaySeed)
+				got := run(v.chunkWords, v.delaySeed)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: w[%d] = %.17g, want bitwise %.17g",
 							v.label, i, got[i], want[i])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestSigmaRejectsUnchunkedFrames: every sender streams chunk frames, so a
+// whole-vector partial or group aggregate is outside input. The Sigma must
+// fail with an error naming the frame type and the sender, and still close
+// without hanging.
+func TestSigmaRejectsUnchunkedFrames(t *testing.T) {
+	const words = 8
+	for _, typ := range []cosmicnet.MsgType{cosmicnet.MsgPartial, cosmicnet.MsgGroupAggregate} {
+		t.Run(typ.String(), func(t *testing.T) {
+			failed := make(chan struct{}, 1)
+			node, err := StartNode(NodeConfig{
+				Role: RoleMasterSigma, MemberIDs: []uint32{0, 7}, ModelSize: words, ChunkWords: words,
+				// fail() logs after recording the error, so a receive from
+				// failed orders the test's Err() read after that write.
+				Logf: func(format string, args ...any) {
+					if strings.Contains(format, "failed") {
+						failed <- struct{}{}
+					}
+				},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := cosmicnet.Dial(node.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.Send(&cosmicnet.Frame{
+				Type: typ, From: 7, Weight: 1, Payload: make([]float64, words),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-failed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the Sigma never rejected the un-chunked frame")
+			}
+			msg := node.Err().Error()
+			if !strings.Contains(msg, "un-chunked "+typ.String()) || !strings.Contains(msg, "from 7") {
+				t.Errorf("error %q does not name the frame type and sender", msg)
+			}
+			closed := make(chan struct{})
+			go func() { node.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close hung after a rejected frame")
 			}
 		})
 	}

@@ -61,10 +61,6 @@ type ClusterConfig struct {
 	// aggregates travel the wire as sub-vector chunk frames cut on this
 	// boundary and fold on arrival.
 	ChunkWords int
-	// Monolithic disables streaming and ships whole-vector frames, as
-	// pre-streaming builds did. Training results are bit-identical either
-	// way.
-	Monolithic bool
 	// RoundTimeout bounds each aggregation round (0 = wait forever).
 	RoundTimeout time.Duration
 	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
@@ -157,7 +153,6 @@ func Train(alg Algorithm, data []Sample, model []float64, cfg ClusterConfig) (Tr
 		LR:           cfg.LearningRate,
 		MiniBatch:    cfg.MiniBatch,
 		ChunkWords:   cfg.ChunkWords,
-		Monolithic:   cfg.Monolithic,
 		RoundTimeout: cfg.RoundTimeout,
 		MinQuorum:    cfg.MinQuorum,
 		Obs:          cfg.Obs,
