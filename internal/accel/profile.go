@@ -28,8 +28,9 @@ import (
 // Safe to call concurrently with RunBatch; the snapshot is consistent as of
 // some batch boundary.
 func (s *Sim) CycleProfile() (*profile.Raw, error) {
-	if s.tapeErr != nil {
-		return nil, s.tapeErr
+	tape, err := s.compiledTape()
+	if err != nil {
+		return nil, err
 	}
 	s.profMu.Lock()
 	batches, vectors := s.profBatches, s.profVectors
@@ -54,7 +55,7 @@ func (s *Sim) CycleProfile() (*profile.Raw, error) {
 
 	// The compute window is split uniformly over everything that executes
 	// once per vector: tape instructions plus per-PE gradient accumulations.
-	nInstr := s.tape.NumInstrs()
+	nInstr := tape.NumInstrs()
 	items := nInstr
 	for _, ids := range s.prog.GradAccum {
 		items += len(ids)
@@ -73,7 +74,7 @@ func (s *Sim) CycleProfile() (*profile.Raw, error) {
 		return v
 	}
 	for i := 0; i < nInstr; i++ {
-		op, node := s.tape.Instr(i)
+		op, node := tape.Instr(i)
 		p.Add([]int64{share(), vectors},
 			[]string{fmt.Sprintf("n%d %s", node, op), "op " + op.String(), peFrame(node), "compute"})
 	}

@@ -28,9 +28,7 @@ package accel
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -40,47 +38,21 @@ import (
 	"repro/internal/obs"
 )
 
-// PipelineDepth is the PE pipeline depth: read, register, operand-select,
-// execute, write-back.
-const PipelineDepth = 5
-
-// Latencies of the three connectivity levels, in cycles.
-const (
-	// NeighborLatency is a hop over the dedicated bidirectional link
-	// between adjacent PEs in a row.
-	NeighborLatency = 1
-	// RowBusLatency is a transfer over a row's shared bus.
-	RowBusLatency = 2
-	// treeBusBase is the fixed cost of entering and leaving the tree bus;
-	// each tree level adds treeBusPerLevel.
-	treeBusBase     = 4
-	treeBusPerLevel = 2
-)
-
-// Bus identifiers for transmission bookkeeping: row buses use their row
-// index; tree-bus switches use busTree plus the heap index of the lowest
-// common ancestor (so disjoint subtrees transfer concurrently, as in the
-// real hierarchical tree bus); the TABLA-style template uses 8-PE group
-// buses under one global bus.
-const (
-	busNone  = -1
-	busTree  = 1 << 20
-	busFlat  = 1 << 21
-	busGroup = 1 << 22
-	// tablaGroupSize is the PE-group width of TABLA's template.
-	tablaGroupSize = 8
-)
-
 // Sim simulates one accelerator chip configured by a compiled program.
 type Sim struct {
 	prog    *compiler.Program
 	threads int
 
+	// tm is the program's static timing.
+	tm *Timing
+
 	// tape is the gradient DFG compiled to a flat evaluation tape — the
-	// functional engine every simulated MIMD thread executes. pairs is the
-	// Equation 3a update plan (model symbol ↔ gradient slots ↔ model leaf
-	// slots), resolved by the first RunBatch — the planner builds a Sim per
-	// design point for its timing alone — and kept, as is a pairing error.
+	// functional engine every simulated MIMD thread executes — built by the
+	// first RunBatch or CycleProfile: a Sim that only answers timing
+	// questions never pays for one. pairs is the Equation 3a update plan
+	// (model symbol ↔ gradient slots ↔ model leaf slots), resolved by the
+	// first RunBatch. Both are kept, as are their errors.
+	tapeOnce sync.Once
 	tape     *dfg.Tape
 	tapeErr  error
 	planned  bool
@@ -101,23 +73,6 @@ type Sim struct {
 	width  int
 	pos    []int
 	wg     sync.WaitGroup // the workers of the batch in flight
-
-	// peLoad is the static per-vector occupancy of each PE (ops plus
-	// gradient accumulations); busLoad the per-vector transmissions per
-	// bus segment. Identical across threads and vectors.
-	peLoad  []int64
-	busLoad map[int]int64
-	// startup is the event-simulated makespan of one vector relative to
-	// its first word delivery.
-	startup int64
-	// interval is the steady-state initiation interval of one round (one
-	// vector on every thread).
-	interval int64
-	// streamPerVec is the memory-interface cycles to deliver one vector.
-	streamPerVec int
-	// broadcast and reduce are the per-batch model broadcast and cross-thread
-	// aggregation/write-back costs, fixed by the program.
-	broadcast, reduce int64
 
 	// mx holds the pre-resolved telemetry instruments (nil = disabled; the
 	// RunBatch hot path then takes a single nil check). cycleBase is the
@@ -143,17 +98,13 @@ type Sim struct {
 // New creates a simulator for the compiled program. The thread count comes
 // from the program's plan.
 func New(prog *compiler.Program) *Sim {
-	s := &Sim{prog: prog, threads: prog.Plan.Threads}
-	s.tape, s.tapeErr = prog.Graph.CompileTape()
-	s.streamPerVec = ceilDiv(len(prog.DataStream), prog.Columns)
-	s.broadcast = int64(ceilDiv(len(prog.ModelStream), prog.Columns))
-	levels := 0
-	if s.threads > 1 {
-		levels = int(math.Ceil(math.Log2(float64(s.threads))))
-	}
-	s.reduce = int64(ceilDiv(prog.Graph.GradientWords(), prog.Columns) * (levels + 2))
-	s.analyze()
-	return s
+	return &Sim{prog: prog, threads: prog.Plan.Threads, tm: Analyze(prog)}
+}
+
+// compiledTape returns the evaluation tape, compiling it on first use.
+func (s *Sim) compiledTape() (*dfg.Tape, error) {
+	s.tapeOnce.Do(func() { s.tape, s.tapeErr = s.prog.Graph.CompileTape() })
+	return s.tape, s.tapeErr
 }
 
 // SetWorkers sets the number of host goroutines RunBatch spreads the
@@ -211,7 +162,7 @@ type simObs struct {
 	streamCycles, computeCycles *obs.Counter
 	broadcastCycles, aggCycles  *obs.Counter
 	peBusy, peIdle              []*obs.Counter // indexed by PE
-	busKeys                     []int          // sorted bus segment ids
+	busKeys                     []int          // the bus segments that carry traffic, ascending
 	busTransfers                []*obs.Counter // parallel to busKeys
 	threadVectors               *obs.Histogram
 }
@@ -235,18 +186,17 @@ func (s *Sim) Attach(o *obs.Observer) {
 	mx.computeCycles = reg.Counter("cosmic_sim_compute_cycles_total")
 	mx.broadcastCycles = reg.Counter("cosmic_sim_broadcast_cycles_total")
 	mx.aggCycles = reg.Counter("cosmic_sim_reduce_cycles_total")
-	for pe := range s.peLoad {
+	for pe := range s.tm.peLoad {
 		id := strconv.Itoa(pe)
 		mx.peBusy = append(mx.peBusy, reg.Counter(obs.Labeled("cosmic_sim_pe_busy_cycles_total", "pe", id)))
 		mx.peIdle = append(mx.peIdle, reg.Counter(obs.Labeled("cosmic_sim_pe_idle_cycles_total", "pe", id)))
 	}
-	for bus := range s.busLoad {
-		mx.busKeys = append(mx.busKeys, bus)
-	}
-	sort.Ints(mx.busKeys)
-	for _, bus := range mx.busKeys {
-		mx.busTransfers = append(mx.busTransfers,
-			reg.Counter(obs.Labeled("cosmic_sim_bus_transfers_total", "bus", busName(bus))))
+	for bus, load := range s.tm.busLoad {
+		if load > 0 {
+			mx.busKeys = append(mx.busKeys, bus)
+			mx.busTransfers = append(mx.busTransfers,
+				reg.Counter(obs.Labeled("cosmic_sim_bus_transfers_total", "bus", busName(s.prog, bus))))
+		}
 	}
 	mx.threadVectors = reg.Histogram("cosmic_sim_thread_vectors",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
@@ -254,7 +204,7 @@ func (s *Sim) Attach(o *obs.Observer) {
 	for t := 0; t < s.threads; t++ {
 		mx.tr.NameThread(obs.PIDAccel, t, "thread "+strconv.Itoa(t))
 	}
-	for pe := range s.peLoad {
+	for pe := range s.tm.peLoad {
 		mx.tr.NameThread(obs.PIDAccel, peTraceTID+pe, "pe "+strconv.Itoa(pe))
 	}
 	s.mx = mx
@@ -262,20 +212,6 @@ func (s *Sim) Attach(o *obs.Observer) {
 
 // peTraceTID offsets per-PE trace rows past the per-thread rows.
 const peTraceTID = 1 << 10
-
-// busName renders a bus segment id for metric labels.
-func busName(bus int) string {
-	switch {
-	case bus >= busGroup:
-		return "group" + strconv.Itoa(bus-busGroup)
-	case bus >= busFlat:
-		return "flat"
-	case bus >= busTree:
-		return "tree" + strconv.Itoa(bus-busTree)
-	default:
-		return "row" + strconv.Itoa(bus)
-	}
-}
 
 // recordBatch emits the batch's metrics and simulated-cycle spans. The
 // analytic timing model gives per-resource occupancies, not per-cycle
@@ -295,7 +231,7 @@ func (s *Sim) recordBatch(res *BatchResult, maxVecs int) {
 	reduce := s.AggWritebackCycles()
 	mx.broadcastCycles.Add(broadcast)
 	mx.aggCycles.Add(reduce)
-	for pe, load := range s.peLoad {
+	for pe, load := range s.tm.peLoad {
 		busy := load * int64(maxVecs)
 		mx.peBusy[pe].Add(busy)
 		if idle := res.Cycles - busy; idle > 0 {
@@ -305,7 +241,7 @@ func (s *Sim) recordBatch(res *BatchResult, maxVecs int) {
 	// busLoad counts one thread's per-vector transmissions; every thread
 	// replays the schedule on its own sub-array's segments.
 	for i, bus := range mx.busKeys {
-		mx.busTransfers[i].Add(s.busLoad[bus] * totalVecs)
+		mx.busTransfers[i].Add(s.tm.busLoad[bus] * totalVecs)
 	}
 	for _, n := range res.ThreadVectors {
 		mx.threadVectors.Observe(float64(n))
@@ -318,221 +254,13 @@ func (s *Sim) recordBatch(res *BatchResult, maxVecs int) {
 		mx.tr.Cycles("accel", "thread-compute", t, base+broadcast, computeEnd-broadcast,
 			map[string]any{"vectors": n})
 	}
-	for pe, load := range s.peLoad {
+	for pe, load := range s.tm.peLoad {
 		if busy := load * int64(maxVecs); busy > 0 {
 			mx.tr.Cycles("accel", "pe-busy", peTraceTID+pe, base+broadcast, busy, nil)
 		}
 	}
 	mx.tr.Cycles("accel", "tree-reduce", 0, base+computeEnd, reduce, nil)
 	s.cycleBase = base + computeEnd + reduce
-}
-
-// analyze derives the static occupancy profile and single-vector makespan.
-func (s *Sim) analyze() {
-	prog := s.prog
-	s.peLoad = make([]int64, prog.NPE)
-	s.busLoad = map[int]int64{}
-
-	seen := map[int64]bool{}
-	for _, id := range prog.IssueOrder {
-		n := prog.Graph.Nodes[id]
-		pe := prog.PE[id]
-		s.peLoad[pe]++
-		for _, a := range n.Args {
-			if a.Op == dfg.OpConst {
-				continue
-			}
-			src := prog.PE[a.ID]
-			if src < 0 || src == pe {
-				continue
-			}
-			bus := s.busFor(src, pe)
-			if bus == busNone {
-				continue
-			}
-			key := int64(a.ID)<<24 | int64(bus)
-			if !seen[key] {
-				seen[key] = true
-				s.busLoad[bus]++
-			}
-		}
-	}
-	for pe, ids := range prog.GradAccum {
-		s.peLoad[pe] += int64(len(ids))
-	}
-
-	s.startup = s.vectorMakespan()
-
-	// Steady-state initiation interval of one round (Threads vectors): the
-	// busiest private resource bounds each thread's vector; the shared
-	// memory interface delivers Threads vectors per round.
-	s.interval = int64(s.threads * s.streamPerVec)
-	for _, l := range s.peLoad {
-		if l > s.interval {
-			s.interval = l
-		}
-	}
-	for _, l := range s.busLoad {
-		if l > s.interval {
-			s.interval = l
-		}
-	}
-	if s.interval < 1 {
-		s.interval = 1
-	}
-}
-
-// busFor classifies the interconnect segment a src→dst transfer rides.
-func (s *Sim) busFor(src, dst int) int {
-	if s.prog.Interconnect == compiler.FlatBus {
-		if src/tablaGroupSize == dst/tablaGroupSize {
-			return busGroup + src/tablaGroupSize
-		}
-		return busFlat
-	}
-	srcRow, dstRow := s.prog.RowOf(src), s.prog.RowOf(dst)
-	switch {
-	case sameRowAdjacent(s.prog, src, dst):
-		return busNone // dedicated neighbor link, no shared segment
-	case srcRow == dstRow:
-		return srcRow
-	default:
-		return busTree + treeLCA(srcRow, dstRow, s.prog.Rows)
-	}
-}
-
-// treeLCA returns the heap index of the lowest common ancestor of two rows
-// in the complete binary tree the tree bus forms over the accelerator's
-// rows: the switch where a cross-row transfer contends.
-func treeLCA(a, b, rows int) int {
-	n := 1
-	for n < rows {
-		n <<= 1
-	}
-	a += n
-	b += n
-	for a != b {
-		if a > b {
-			a >>= 1
-		} else {
-			b >>= 1
-		}
-	}
-	return a
-}
-
-// transferLatency is the cycles a value spends in flight from src to dst
-// once granted its segment.
-func (s *Sim) transferLatency(src, dst int) int64 {
-	if s.prog.Interconnect == compiler.FlatBus {
-		if src/tablaGroupSize == dst/tablaGroupSize {
-			return RowBusLatency
-		}
-		return 2 * RowBusLatency // the global bus spans the whole fabric
-	}
-	srcRow, dstRow := s.prog.RowOf(src), s.prog.RowOf(dst)
-	switch {
-	case sameRowAdjacent(s.prog, src, dst):
-		return NeighborLatency
-	case srcRow == dstRow:
-		return RowBusLatency
-	default:
-		// The tree bus's latency grows logarithmically with the row span,
-		// the property that keeps the template scalable ("communication
-		// latency only grows by a logarithmic order").
-		span := absInt(srcRow-dstRow) + 1
-		levels := int(math.Ceil(math.Log2(float64(span))))
-		return int64(treeBusBase + treeBusPerLevel*levels)
-	}
-}
-
-// vectorMakespan event-simulates one vector on one thread: in-order PE
-// issue, bus contention (one transmission per segment per cycle, snoopable
-// by every PE on the segment), and word-by-word data delivery from cycle 0.
-func (s *Sim) vectorMakespan() int64 {
-	prog := s.prog
-	g := prog.Graph
-
-	arrival := make([]int64, len(g.Nodes))
-	for k, id := range prog.DataStream {
-		if id >= 0 {
-			arrival[id] = int64(k/prog.Columns) + 1
-		}
-	}
-	// Model parameters are resident before the batch starts (broadcast is
-	// accounted separately in ModelBroadcastCycles).
-
-	peFree := make([]int64, prog.NPE)
-	busFree := map[int]int64{}
-	sent := map[int64]int64{}
-
-	var makespan int64
-	for _, id := range prog.IssueOrder {
-		n := g.Nodes[id]
-		pe := prog.PE[id]
-		ready := peFree[pe]
-		for _, a := range n.Args {
-			if a.Op == dfg.OpConst {
-				continue
-			}
-			at := arrival[a.ID]
-			src := prog.PE[a.ID]
-			if src >= 0 && src != pe {
-				at = s.scheduleTransfer(a.ID, src, pe, at, busFree, sent)
-			}
-			if at > ready {
-				ready = at
-			}
-		}
-		issue := ready
-		peFree[pe] = issue + 1
-		arrival[id] = issue + 1 // bypass path for local consumers
-		if issue+1 > makespan {
-			makespan = issue + 1
-		}
-	}
-	// Per-vector gradient accumulation on the owning PEs.
-	for pe, ids := range prog.GradAccum {
-		if len(ids) == 0 {
-			continue
-		}
-		t := peFree[pe]
-		for _, id := range ids {
-			if arrival[id] > t {
-				t = arrival[id]
-			}
-			t++
-		}
-		if t > makespan {
-			makespan = t
-		}
-	}
-	return makespan
-}
-
-// scheduleTransfer books a bus slot for a value's transmission (or snoops
-// one already made) and returns its arrival at dst.
-func (s *Sim) scheduleTransfer(node, src, dst int, ready int64, busFree map[int]int64, sent map[int64]int64) int64 {
-	// A remote reader sees the value after pipeline write-back, not the
-	// bypass: charge the tail.
-	ready += PipelineDepth - 2
-	bus := s.busFor(src, dst)
-	lat := s.transferLatency(src, dst)
-	if bus == busNone {
-		return ready + lat
-	}
-	key := int64(node)<<24 | int64(bus)
-	if at, ok := sent[key]; ok {
-		return at
-	}
-	start := ready
-	if f := busFree[bus]; f > start {
-		start = f
-	}
-	busFree[bus] = start + 1
-	at := start + lat
-	sent[key] = at
-	return at
 }
 
 // BatchResult is the outcome of one mini-batch on one accelerator.
@@ -553,41 +281,36 @@ type BatchResult struct {
 }
 
 // ModelBroadcastCycles returns the per-batch model broadcast cost.
-func (s *Sim) ModelBroadcastCycles() int64 { return s.broadcast }
+func (s *Sim) ModelBroadcastCycles() int64 { return s.tm.broadcast }
 
 // AggWritebackCycles returns the end-of-batch cross-thread aggregation and
-// write-back cost: the tree-bus ALUs combine thread partials level by level
-// at Columns words per cycle, then the aggregate streams back to the host.
-func (s *Sim) AggWritebackCycles() int64 { return s.reduce }
+// write-back cost (Timing.AggWriteback at the simulator's thread count).
+func (s *Sim) AggWritebackCycles() int64 { return s.tm.AggWriteback(s.threads) }
 
 // Interval returns the steady-state initiation interval per round (one
 // vector on every thread).
-func (s *Sim) Interval() int64 { return s.interval }
+func (s *Sim) Interval() int64 { return s.tm.Interval(s.threads) }
 
 // Startup returns the single-vector makespan (pipeline fill latency).
-func (s *Sim) Startup() int64 { return s.startup }
+func (s *Sim) Startup() int64 { return s.tm.startup }
 
 // StreamPerVector returns the memory cycles to deliver one vector.
-func (s *Sim) StreamPerVector() int { return s.streamPerVec }
+func (s *Sim) StreamPerVector() int { return s.tm.streamPerVec }
 
 // MaxPELoad returns the busiest PE's per-vector occupancy.
-func (s *Sim) MaxPELoad() int64 {
-	var m int64
-	for _, l := range s.peLoad {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
+func (s *Sim) MaxPELoad() int64 { return s.tm.maxPE }
+
+// MaxBusLoad returns the busiest bus segment's per-vector transmission
+// count.
+func (s *Sim) MaxBusLoad() int64 { return s.tm.maxBus }
 
 // CyclesForRounds composes the timing model for the given number of rounds
 // (one vector per thread per round), excluding aggregation/write-back.
 func (s *Sim) CyclesForRounds(rounds int) int64 {
 	if rounds <= 0 {
-		return s.ModelBroadcastCycles()
+		return s.tm.broadcast
 	}
-	return s.ModelBroadcastCycles() + int64(s.streamPerVec) + s.startup + int64(rounds-1)*s.interval
+	return s.tm.broadcast + int64(s.tm.streamPerVec) + s.tm.startup + int64(rounds-1)*s.Interval()
 }
 
 // laneBlock is one host worker's share of a batch: a lane arena and the
@@ -628,8 +351,8 @@ func (s *Sim) RunBatch(model map[string][]float64, parts [][]map[string][]float6
 	if len(parts) != s.threads {
 		return nil, fmt.Errorf("accel: %d sub-partitions for %d threads", len(parts), s.threads)
 	}
-	if s.tapeErr != nil {
-		return nil, s.tapeErr
+	if _, err := s.compiledTape(); err != nil {
+		return nil, err
 	}
 	if !s.planned {
 		s.pairs, s.words, s.pairsErr = planPairs(s.prog.Graph)
@@ -676,15 +399,16 @@ func (s *Sim) RunBatch(model map[string][]float64, parts [][]map[string][]float6
 	}
 
 	totalVecs := sumInts(res.ThreadVectors)
-	res.Cycles = s.CyclesForRounds(maxVecs) + s.reduce
-	res.StreamCycles = s.broadcast + int64(s.streamPerVec)*totalVecs
-	res.ComputeCycles = s.MaxPELoad() * int64(maxVecs)
+	reduce := s.AggWritebackCycles()
+	res.Cycles = s.CyclesForRounds(maxVecs) + reduce
+	res.StreamCycles = s.tm.broadcast + int64(s.tm.streamPerVec)*totalVecs
+	res.ComputeCycles = s.tm.maxPE * int64(maxVecs)
 	s.profMu.Lock()
 	s.profBatches++
 	s.profVectors += totalVecs
-	s.profBroadcast += s.broadcast
-	s.profReduce += s.reduce
-	s.profWindow += res.Cycles - s.broadcast - s.reduce
+	s.profBroadcast += s.tm.broadcast
+	s.profReduce += reduce
+	s.profWindow += res.Cycles - s.tm.broadcast - reduce
 	s.profMu.Unlock()
 	if s.mx != nil {
 		s.recordBatch(res, maxVecs)
@@ -890,13 +614,6 @@ func (s *Sim) sumThreads(out []float64, row int, idle []float64) {
 	}
 }
 
-// sameRowAdjacent reports whether two PEs share a dedicated bidirectional
-// neighbor link: same row, adjacent columns. Such transfers ride no shared
-// bus segment.
-func sameRowAdjacent(p *compiler.Program, a, b int) bool {
-	return p.RowOf(a) == p.RowOf(b) && absInt(p.ColOf(a)-p.ColOf(b)) == 1
-}
-
 // ceilDiv returns ⌈a/b⌉ for b > 0. The divisor is always a structural
 // quantity (PE columns) that the plan validates as positive; a
 // non-positive b is a programming error, so it panics rather than silently
@@ -908,29 +625,10 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 func sumInts(xs []int) int64 {
 	var s int64
 	for _, x := range xs {
 		s += int64(x)
 	}
 	return s
-}
-
-// MaxBusLoad returns the busiest bus segment's per-vector transmission
-// count.
-func (s *Sim) MaxBusLoad() int64 {
-	var m int64
-	for _, l := range s.busLoad {
-		if l > m {
-			m = l
-		}
-	}
-	return m
 }

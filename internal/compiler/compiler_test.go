@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -251,6 +252,24 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	p.PEOps[0] = append(p.PEOps[0], p.PEOps[0][0])
 	if err := p.Validate(); err == nil {
 		t.Error("expected duplicate-schedule error")
+	}
+}
+
+// TestValidateRejectsOutOfRangeNode: a schedule naming a node the graph does
+// not have is reported, not indexed.
+func TestValidateRejectsOutOfRangeNode(t *testing.T) {
+	g := graphFor(t, dsl.SourceSVM, map[string]int{"M": 8})
+	for _, id := range []int{-1, len(g.Nodes), 1 << 30} {
+		p, err := Compile(g, testPlan(1, 1), StyleCoSMIC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.PEOps[3] = append(p.PEOps[3], id)
+		err = p.Validate()
+		want := fmt.Sprintf("compiler: PE 3 schedules node %d, outside the graph", id)
+		if err == nil || err.Error() != want {
+			t.Errorf("node %d: got %v, want %q", id, err, want)
+		}
 	}
 }
 

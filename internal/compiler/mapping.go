@@ -24,16 +24,20 @@ func (h *nodeHeap) Push(x any)           { *h = append(*h, x.(*dfg.Node)) }
 func (h *nodeHeap) Pop() any             { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
 func (h *nodeHeap) PushNode(n *dfg.Node) { heap.Push(h, n) }
 
-// readyWalk drives a topological traversal in priority order: visit is
-// called once per compute node, after all its compute arguments have been
-// visited.
-func readyWalk(g *dfg.Graph, visit func(*dfg.Node)) {
+// priorityOrder returns the compute node IDs in the order both mappers visit
+// them: a topological traversal in priority order, each node after all its
+// compute arguments. The order is a property of the graph — readiness and
+// priority never look at a placement — so it is also every program's
+// IssueOrder.
+func priorityOrder(g *dfg.Graph) []int {
 	pending := make([]int, len(g.Nodes))
 	ready := &nodeHeap{}
+	ops := 0
 	for _, n := range g.Nodes {
 		if n.Op.IsLeaf() {
 			continue
 		}
+		ops++
 		cnt := 0
 		for _, a := range n.Args {
 			if !a.Op.IsLeaf() {
@@ -45,9 +49,10 @@ func readyWalk(g *dfg.Graph, visit func(*dfg.Node)) {
 			ready.PushNode(n)
 		}
 	}
+	order := make([]int, 0, ops)
 	for ready.Len() > 0 {
 		n := heap.Pop(ready).(*dfg.Node)
-		visit(n)
+		order = append(order, n.ID)
 		for _, c := range n.Consumers {
 			pending[c.ID]--
 			if pending[c.ID] == 0 {
@@ -55,6 +60,7 @@ func readyWalk(g *dfg.Graph, visit func(*dfg.Node)) {
 			}
 		}
 	}
+	return order
 }
 
 // mapCoSMIC is Algorithm 1: data-first, minimum-communication mapping.
@@ -63,7 +69,8 @@ func readyWalk(g *dfg.Graph, visit func(*dfg.Node)) {
 // operands, placing model parameters next to their consumers on the way.
 func (p *Program) mapCoSMIC() {
 	rr := 0 // the PE_i round-robin counter of Algorithm 1
-	readyWalk(p.Graph, func(v *dfg.Node) {
+	for _, id := range p.IssueOrder {
+		v := p.Graph.Nodes[id]
 		pe := -1
 
 		// Step 3: an operand of type DATA anchors the operation. When
@@ -136,8 +143,7 @@ func (p *Program) mapCoSMIC() {
 
 		p.PE[v.ID] = pe
 		p.PEOps[pe] = append(p.PEOps[pe], v.ID)
-		p.IssueOrder = append(p.IssueOrder, v.ID)
-	})
+	}
 }
 
 // tablaTransferPenalty is the greedy scheduler's estimate of one operand
@@ -154,7 +160,8 @@ const tablaTransferPenalty = 4
 // charges at UltraScale+ scale.
 func (p *Program) mapTABLA() {
 	rr := 0
-	readyWalk(p.Graph, func(v *dfg.Node) {
+	for _, id := range p.IssueOrder {
+		v := p.Graph.Nodes[id]
 		// Candidate PEs: the operands' homes plus a rotating fallback.
 		cands := make([]int, 0, len(v.Args)+1)
 		for _, a := range v.Args {
@@ -179,13 +186,12 @@ func (p *Program) mapTABLA() {
 		}
 		p.PE[v.ID] = best
 		p.PEOps[best] = append(p.PEOps[best], v.ID)
-		p.IssueOrder = append(p.IssueOrder, v.ID)
 		for _, a := range v.Args {
 			if a.Op == dfg.OpModel && p.PE[a.ID] < 0 {
 				p.PE[a.ID] = best
 			}
 		}
-	})
+	}
 	// Any model parameter that is never consumed directly still needs a
 	// home for broadcast.
 	for _, leaves := range p.Graph.ModelLeaves {

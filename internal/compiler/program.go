@@ -72,7 +72,9 @@ type MemEntry struct {
 // Program is the compiled artifact for one worker thread: placement of data,
 // model parameters and operations, per-PE issue order, and the memory
 // interface schedule. All threads share it (MIMD execution differs only in
-// base addresses and PE offsets).
+// base addresses and PE offsets). A Program is read-only once compiled:
+// programs of one Prepared graph share IssueOrder, DataStream and
+// ModelStream, and the Planner's design points of one mapping share the rest.
 type Program struct {
 	Plan         arch.Plan
 	Graph        *dfg.Graph
@@ -121,51 +123,61 @@ func (p *Program) Validate() error {
 	if p.NPE != p.Columns*p.Rows {
 		return fmt.Errorf("compiler: NPE %d != %d cols × %d rows", p.NPE, p.Columns, p.Rows)
 	}
-	seen := make(map[int]bool)
+	nodes := p.Graph.Nodes
+	if len(p.PE) != len(nodes) {
+		return fmt.Errorf("compiler: placement covers %d of %d nodes", len(p.PE), len(nodes))
+	}
+	// Node IDs are dense, so the bookkeeping below is indexed by ID.
+	scheduled := make([]bool, len(nodes))
 	for pe, ops := range p.PEOps {
 		if pe >= p.NPE {
 			return fmt.Errorf("compiler: ops scheduled on PE %d of %d", pe, p.NPE)
 		}
 		for _, id := range ops {
-			if seen[id] {
+			if id < 0 || id >= len(nodes) {
+				return fmt.Errorf("compiler: PE %d schedules node %d, outside the graph", pe, id)
+			}
+			if scheduled[id] {
 				return fmt.Errorf("compiler: node %d scheduled twice", id)
 			}
-			seen[id] = true
+			scheduled[id] = true
 			if p.PE[id] != pe {
 				return fmt.Errorf("compiler: node %d on PE list %d but placed on %d", id, pe, p.PE[id])
 			}
 		}
 	}
-	for _, n := range p.Graph.Nodes {
+	numOps := 0
+	for _, n := range nodes {
 		if n.Op.IsLeaf() {
 			continue
 		}
-		if !seen[n.ID] {
+		numOps++
+		if !scheduled[n.ID] {
 			return fmt.Errorf("compiler: compute node %d never scheduled", n.ID)
 		}
 	}
 	// IssueOrder must be a permutation of the compute nodes…
-	pos := make(map[int]int, len(p.IssueOrder))
+	pos := make([]int, len(nodes)) // 1 + index in IssueOrder; 0 = not issued
 	for i, id := range p.IssueOrder {
-		if id < 0 || id >= len(p.Graph.Nodes) || p.Graph.Nodes[id].Op.IsLeaf() {
+		if id < 0 || id >= len(nodes) || nodes[id].Op.IsLeaf() {
 			return fmt.Errorf("compiler: issue order entry %d is not a compute node", id)
 		}
-		if _, dup := pos[id]; dup {
+		if pos[id] != 0 {
 			return fmt.Errorf("compiler: node %d issued twice", id)
 		}
-		pos[id] = i
+		pos[id] = i + 1
 	}
-	if len(pos) != p.Graph.NumOps() {
-		return fmt.Errorf("compiler: issue order covers %d of %d compute nodes", len(pos), p.Graph.NumOps())
+	if len(p.IssueOrder) != numOps {
+		return fmt.Errorf("compiler: issue order covers %d of %d compute nodes", len(p.IssueOrder), numOps)
 	}
 	// …in a topological order: every compute operand — on any PE — is
 	// issued before its consumer (global def-before-use).
 	for i, id := range p.IssueOrder {
-		for _, a := range p.Graph.Nodes[id].Args {
+		for _, a := range nodes[id].Args {
 			if a.Op.IsLeaf() {
 				continue
 			}
-			if pos[a.ID] > i {
+			if pos[a.ID] > i+1 {
 				return fmt.Errorf("compiler: node %d (PE %d) issued before operand %d (PE %d)",
 					id, p.PE[id], a.ID, p.PE[a.ID])
 			}
@@ -190,20 +202,54 @@ func (p *Program) RowOf(pe int) int { return pe / p.Columns }
 // ColOf returns the column of a PE index.
 func (p *Program) ColOf(pe int) int { return pe % p.Columns }
 
+// Prepared is the part of compilation that depends on the graph alone, so a
+// design-space sweep does it once for all its plans and both styles: the
+// priority order the mappers walk (which operation comes next never depends
+// on where the earlier ones landed) and the data and model stream layouts.
+// It is read-only once built; any number of goroutines may Compile from it.
+type Prepared struct {
+	g *dfg.Graph
+	// Programs compiled from one Prepared share these three slices.
+	issueOrder  []int
+	dataStream  []int
+	modelStream []int
+}
+
+// Prepare does the graph-only work of compilation.
+func Prepare(g *dfg.Graph) *Prepared {
+	return &Prepared{
+		g:           g,
+		issueOrder:  priorityOrder(g),
+		dataStream:  dataStream(g),
+		modelStream: modelStream(g),
+	}
+}
+
 // Compile maps and schedules the graph onto one thread of the planned
 // accelerator using the selected style.
 func Compile(g *dfg.Graph, plan arch.Plan, style Style) (*Program, error) {
+	return Prepare(g).Compile(plan, style)
+}
+
+// Compile maps and schedules the prepared graph onto one thread of the
+// planned accelerator. The mapping depends on the plan's Columns and
+// RowsPerThread and on the style only: plans that differ in Threads alone
+// compile to programs that differ in Plan alone.
+func (c *Prepared) Compile(plan arch.Plan, style Style) (*Program, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Program{
-		Plan:    plan,
-		Graph:   g,
-		Style:   style,
-		NPE:     plan.PEsPerThread(),
-		Columns: plan.Columns,
-		Rows:    plan.RowsPerThread,
-		PE:      make([]int, len(g.Nodes)),
+		Plan:        plan,
+		Graph:       c.g,
+		Style:       style,
+		NPE:         plan.PEsPerThread(),
+		Columns:     plan.Columns,
+		Rows:        plan.RowsPerThread,
+		PE:          make([]int, len(c.g.Nodes)),
+		IssueOrder:  c.issueOrder,
+		DataStream:  c.dataStream,
+		ModelStream: c.modelStream,
 	}
 	for i := range p.PE {
 		p.PE[i] = -1
@@ -223,7 +269,6 @@ func Compile(g *dfg.Graph, plan arch.Plan, style Style) (*Program, error) {
 	default:
 		return nil, fmt.Errorf("compiler: unknown style %d", style)
 	}
-	p.buildModelStream()
 	p.buildGradAccum()
 	p.buildMemSchedule()
 	if err := p.Validate(); err != nil {
@@ -238,17 +283,9 @@ func Compile(g *dfg.Graph, plan arch.Plan, style Style) (*Program, error) {
 // that lets the accelerator consume data in its raw memory layout, with the
 // shifter handling alignment instead of software marshaling.
 func (p *Program) placeData() {
-	for _, leaves := range p.dataSymbolLeaves() {
-		for _, leaf := range leaves {
-			pe := p.peForStreamIndex(len(p.DataStream))
-			if leaf != nil {
-				p.PE[leaf.ID] = pe
-				p.DataStream = append(p.DataStream, leaf.ID)
-			} else {
-				// The element exists in memory but the DFG never reads it;
-				// the word still occupies a stream slot.
-				p.DataStream = append(p.DataStream, -1)
-			}
+	for k, id := range p.DataStream {
+		if id >= 0 {
+			p.PE[id] = p.peForStreamIndex(k)
 		}
 	}
 }
@@ -260,42 +297,48 @@ func (p *Program) peForStreamIndex(k int) int {
 	return row*p.Columns + col
 }
 
-// dataSymbolLeaves returns the DATA leaf tables in the training vector's
-// memory order: model_input and model_output symbols in declaration order.
-func (p *Program) dataSymbolLeaves() [][]*dfg.Node {
-	u := p.Graph.Unit
-	var out [][]*dfg.Node
+// dataStream lists DATA leaf node IDs in the training vector's memory order:
+// model_input and model_output symbols in declaration order, flat element
+// order. An element that exists in memory but that the DFG never reads
+// still occupies a stream slot, as -1.
+func dataStream(g *dfg.Graph) []int {
+	u := g.Unit
+	var stream []int
 	for _, name := range u.Order {
-		if leaves, ok := p.Graph.DataLeaves[name]; ok {
-			out = append(out, leaves)
+		if leaves, ok := g.DataLeaves[name]; ok {
+			for _, leaf := range leaves {
+				if leaf != nil {
+					stream = append(stream, leaf.ID)
+				} else {
+					stream = append(stream, -1)
+				}
+			}
 			continue
 		}
-		// Data symbols that the DFG never references at all still occupy
-		// stream slots; synthesize an all-nil table for them.
+		// So does every element of a data symbol the DFG never references
+		// at all.
 		sym := u.Symbols[name]
 		if sym.Kind == dsl.KindModelInput || sym.Kind == dsl.KindModelOutput {
-			out = append(out, make([]*dfg.Node, sym.Size()))
-		}
-	}
-	return out
-}
-
-// buildModelStream records model parameters in broadcast order: symbol
-// declaration order, flat element order. Only referenced parameters are
-// broadcast.
-func (p *Program) buildModelStream() {
-	u := p.Graph.Unit
-	for _, name := range u.Order {
-		leaves, ok := p.Graph.ModelLeaves[name]
-		if !ok {
-			continue
-		}
-		for _, leaf := range leaves {
-			if leaf != nil {
-				p.ModelStream = append(p.ModelStream, leaf.ID)
+			for i := sym.Size(); i > 0; i-- {
+				stream = append(stream, -1)
 			}
 		}
 	}
+	return stream
+}
+
+// modelStream lists model parameters in broadcast order: symbol declaration
+// order, flat element order. Only referenced parameters are broadcast.
+func modelStream(g *dfg.Graph) []int {
+	var stream []int
+	for _, name := range g.Unit.Order {
+		for _, leaf := range g.ModelLeaves[name] {
+			if leaf != nil {
+				stream = append(stream, leaf.ID)
+			}
+		}
+	}
+	return stream
 }
 
 // buildGradAccum assigns each gradient output's local accumulation to the

@@ -3,8 +3,9 @@
 //
 //	programming   dsl.ParseAndAnalyze   the math DSL → analyzed program
 //	compilation   dfg.Translate         program → dataflow graph
-//	architecture  planner.Plan          graph + chip → template plan
-//	compilation   compiler.Compile      graph + plan → static schedule
+//	architecture  planner.Plan          graph + chip → template plan, and with
+//	compilation                         it the static schedule: the Planner
+//	                                    compiles every mapping it costs
 //	circuit       verilog.Encode/Generate schedule → synthesizable RTL
 //
 // The public facade (package cosmic at the repository root) delegates here;
@@ -45,8 +46,8 @@ type BuildOptions struct {
 	// Setting COSMIC_VET=1 in the environment enables it for every build.
 	Verify bool
 	// Obs, when non-nil, records one wall-clock span per pipeline phase
-	// (parse → translate → plan → map-schedule → verify, and microcode on
-	// Verilog emission) plus build counters. nil disables all of it.
+	// (parse → translate → plan → verify, and microcode on Verilog
+	// emission) plus build counters. nil disables all of it.
 	Obs *obs.Observer
 }
 
@@ -97,12 +98,7 @@ func BuildProgram(source string, params map[string]int, chip arch.ChipSpec, opts
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Begin("compile", "map-schedule", 0)
-	prog, err := compiler.Compile(graph, point.Plan, opts.Style)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
+	prog := point.Program
 	if opts.Verify || envVerify {
 		sp = tr.Begin("compile", "verify", 0)
 		ds := check.All(prog)

@@ -75,8 +75,7 @@ func TestBuildProgramCompileSpans(t *testing.T) {
 	}
 	want := map[string]bool{
 		"parse": false, "translate": false, "plan": false,
-		"map-schedule": false, "verify": false, "microcode": false,
-		"build-program": false,
+		"verify": false, "microcode": false, "build-program": false,
 	}
 	for _, e := range o.Trace.Events() {
 		if e.Cat == "compile" {

@@ -43,28 +43,34 @@ type Estimate struct {
 // FromProgram derives the estimate from a compiled program's static
 // schedule (no functional simulation).
 func FromProgram(prog *compiler.Program) (Estimate, error) {
+	return FromTiming(accel.Analyze(prog), prog.Plan.Threads)
+}
+
+// FromTiming derives the estimate of the analyzed program run by the given
+// number of threads. The analysis does not depend on the thread count, so
+// one of it costs every design point that shares the program's mapping.
+func FromTiming(tm *accel.Timing, threads int) (Estimate, error) {
+	prog := tm.Program()
 	if len(prog.IssueOrder) == 0 {
 		return Estimate{}, fmt.Errorf("perf: program has no scheduled operations")
 	}
-	sim := accel.New(prog)
 	g := prog.Graph
-	e := Estimate{
-		ModelCycles:   sim.ModelBroadcastCycles(),
-		Startup:       int64(sim.StreamPerVector()) + sim.Startup(),
-		Interval:      sim.Interval(),
-		MemPerRound:   int64(prog.Plan.Threads) * int64(sim.StreamPerVector()),
-		ComputePerVec: sim.MaxPELoad(),
-		BusPerVec:     sim.MaxBusLoad(),
-		AggWriteback:  sim.AggWritebackCycles(),
-		Threads:       prog.Plan.Threads,
+	return Estimate{
+		ModelCycles:   tm.ModelBroadcastCycles(),
+		Startup:       int64(tm.StreamPerVector()) + tm.Startup(),
+		Interval:      tm.Interval(threads),
+		MemPerRound:   int64(threads) * int64(tm.StreamPerVector()),
+		ComputePerVec: tm.MaxPELoad(),
+		BusPerVec:     tm.MaxBusLoad(),
+		AggWriteback:  tm.AggWriteback(threads),
+		Threads:       threads,
 		Columns:       prog.Columns,
 		PEsPerThread:  prog.NPE,
-		Ops:           g.NumOps(),
+		Ops:           len(prog.IssueOrder), // every compute node, once
 		DataWords:     len(prog.DataStream),
 		ModelWords:    len(prog.ModelStream),
 		GradWords:     g.GradientWords(),
-	}
-	return e, nil
+	}, nil
 }
 
 // BatchCycles returns the estimated cycles for one mini-batch of

@@ -8,14 +8,25 @@
 // allocations: columns are fixed by the off-chip bandwidth, the row count is
 // bounded by DSPs/columns (and the fabric's routing cap), and the thread
 // count by on-chip storage, the row bound, and the mini-batch size. Each
-// surviving design point is compiled and costed with the performance
-// estimation tool; the Planner picks the smallest best-performing point.
+// surviving design point is costed with the performance estimation tool; the
+// Planner picks the smallest best-performing point.
+//
+// A sweep is cheap because its points share almost all of their work. The
+// Compiler maps and schedules one thread, so a point's program depends on
+// its rows per thread, not on how many threads replay it: the points fall
+// into a handful of mappings (six on UltraScale+, for 21 points), each
+// compiled and analyzed once, on as many cores as there are. A point's
+// estimate is then arithmetic on its mapping's analysis (accel.Timing).
 package planner
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/accel"
 	"repro/internal/arch"
 	"repro/internal/compiler"
 	"repro/internal/dfg"
@@ -30,6 +41,10 @@ type DesignPoint struct {
 	Estimate perf.Estimate
 	// BatchCycles is the estimated cycles for one node-local mini-batch.
 	BatchCycles int64
+	// Program is the point's compiled program: its mapping's schedule —
+	// shared, read-only, with every point of the same rows per thread —
+	// under this point's Plan.
+	Program *compiler.Program
 }
 
 // Options configures exploration.
@@ -74,7 +89,14 @@ func Explore(g *dfg.Graph, chip arch.ChipSpec, opts Options) ([]DesignPoint, err
 		tmax = 1
 	}
 
-	var points []DesignPoint
+	// The sweep, minus the points whose fabric cost exceeds the chip (the
+	// LUT budget binds first on big designs). Columns and style are fixed
+	// for the whole sweep, so a point's mapping is named by its rows per
+	// thread.
+	nonlinear := g.HasNonlinear()
+	var plans []arch.Plan
+	var mappings []*mapping
+	byRows := map[int]*mapping{}
 	for _, rowsTotal := range rowChoices(rowLimit) {
 		for _, threads := range divisorsUpTo(rowsTotal, tmax) {
 			plan := arch.Plan{
@@ -83,34 +105,50 @@ func Explore(g *dfg.Graph, chip arch.ChipSpec, opts Options) ([]DesignPoint, err
 				Threads:       threads,
 				RowsPerThread: rowsTotal / threads,
 			}
-			// Skip points whose fabric cost exceeds the chip (LUT budget
-			// binds first on big designs).
-			if chip.LUTs > 0 {
-				if res := EstimateResources(plan, g); res.LUTs > chip.LUTs {
-					continue
-				}
+			if chip.LUTs > 0 && estimateLUTs(plan, nonlinear) > chip.LUTs {
+				continue
 			}
-			prog, err := compiler.Compile(g, plan, opts.Style)
-			if err != nil {
-				return nil, fmt.Errorf("planner: point T%d×R%d: %w", threads, rowsTotal, err)
+			plans = append(plans, plan)
+			if byRows[plan.RowsPerThread] == nil {
+				m := &mapping{plan: plan}
+				byRows[plan.RowsPerThread] = m
+				mappings = append(mappings, m)
 			}
-			est, err := perf.FromProgram(prog)
-			if err != nil {
-				return nil, err
-			}
-			if opts.FullGeometry != nil {
-				est = est.ScaledTo(*opts.FullGeometry)
-			}
-			vecsPerThread := opts.MiniBatch / threads
-			if vecsPerThread < 1 {
-				vecsPerThread = 1
-			}
-			points = append(points, DesignPoint{
-				Plan:        plan,
-				Estimate:    est,
-				BatchCycles: est.BatchCycles(vecsPerThread),
-			})
 		}
+	}
+	compileAll(g, opts.Style, mappings)
+
+	// Points are costed in sweep order, so the error returned is that of the
+	// first failing point however the compiles were scheduled.
+	points := make([]DesignPoint, 0, len(plans))
+	for _, plan := range plans {
+		m := byRows[plan.RowsPerThread]
+		err := plan.Validate()
+		if err == nil {
+			err = m.err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("planner: point T%d×R%d: %w", plan.Threads, plan.TotalRows(), err)
+		}
+		est, err := perf.FromTiming(m.timing, plan.Threads)
+		if err != nil {
+			return nil, err
+		}
+		if opts.FullGeometry != nil {
+			est = est.ScaledTo(*opts.FullGeometry)
+		}
+		vecsPerThread := opts.MiniBatch / plan.Threads
+		if vecsPerThread < 1 {
+			vecsPerThread = 1
+		}
+		prog := *m.timing.Program()
+		prog.Plan = plan
+		points = append(points, DesignPoint{
+			Plan:        plan,
+			Estimate:    est,
+			BatchCycles: est.BatchCycles(vecsPerThread),
+			Program:     &prog,
+		})
 	}
 	sort.Slice(points, func(i, j int) bool {
 		pi, pj := points[i], points[j]
@@ -120,6 +158,48 @@ func Explore(g *dfg.Graph, chip arch.ChipSpec, opts Options) ([]DesignPoint, err
 		return pi.Plan.Threads < pj.Plan.Threads
 	})
 	return points, nil
+}
+
+// mapping is the work every design point with the same rows per thread
+// shares: one compile and one static timing analysis.
+type mapping struct {
+	plan   arch.Plan     // the first plan of the sweep that uses the mapping
+	timing *accel.Timing // of the program compiled for plan; nil if err is set
+	err    error
+}
+
+// compileAll compiles and analyzes every mapping, spread over up to
+// GOMAXPROCS goroutines that all finish before it returns. The graph-only
+// part of compilation is done once and shared; the graph itself is only
+// read.
+func compileAll(g *dfg.Graph, style compiler.Style, mappings []*mapping) {
+	prepared := compiler.Prepare(g)
+	var next atomic.Int32
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(mappings) {
+				return
+			}
+			m := mappings[i]
+			prog, err := prepared.Compile(m.plan, style)
+			if err != nil {
+				m.err = err
+				continue
+			}
+			m.timing = accel.Analyze(prog)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(mappings)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // ChooseTolerance is the performance slack within which the Planner prefers

@@ -35,14 +35,8 @@ func EstimateResources(plan arch.Plan, g *dfg.Graph) Resources {
 	}
 	r := Resources{
 		DSPs:      pes + treeALUs*dspsPerTreeALU,
-		LUTs:      lutsBase + lutsPerPE*pes,
+		LUTs:      estimateLUTs(plan, g.HasNonlinear()),
 		FlipFlops: ffsBase + ffsPerPE*pes,
-	}
-	if g.HasNonlinear() {
-		// The nonlinear lookup table is "only instantiated in a PE if the
-		// Compiler schedules a non-linear operation for that PE"; sizing
-		// for the worst case charges every PE of one row per thread.
-		r.LUTs += lutsPerNLPE * plan.Columns * plan.Threads
 	}
 
 	// Buffer storage: per-PE data/model/interim partitions sized for the
@@ -66,6 +60,19 @@ func EstimateResources(plan arch.Plan, g *dfg.Graph) Resources {
 		r.BRAMBytes = budget
 	}
 	return r
+}
+
+// estimateLUTs models the plan's LUT cost for a DFG with or without
+// nonlinear operations — the one resource that prunes the design space.
+func estimateLUTs(plan arch.Plan, nonlinear bool) int {
+	luts := lutsBase + lutsPerPE*plan.TotalPEs()
+	if nonlinear {
+		// The nonlinear lookup table is "only instantiated in a PE if the
+		// Compiler schedules a non-linear operation for that PE"; sizing
+		// for the worst case charges every PE of one row per thread.
+		luts += lutsPerNLPE * plan.Columns * plan.Threads
+	}
+	return luts
 }
 
 // Utilization expresses the resources as fractions of the chip's budget
