@@ -237,20 +237,6 @@ func BenchmarkCompileSVM(b *testing.B) {
 	}
 }
 
-func BenchmarkTranslateBackprop(b *testing.B) {
-	unit, err := dsl.ParseAndAnalyze(dsl.SourceBackprop,
-		map[string]int{"IN": 78, "HID": 78, "OUT": 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dfg.Translate(unit); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkConvergence(b *testing.B) { benchExperiment(b, "convergence") }
 
 func BenchmarkValidation(b *testing.B) { benchExperiment(b, "validation") }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/verilog"
 )
 
-// Microcode field widths (see Instruction.Microcode): operand indices ride
+// Microcode field widths (see Instruction.AppendMicrocode): operand indices ride
 // 13-bit fields, destinations and routing slots 16-bit fields. An index
 // beyond its field is silently truncated by the packer, so the checker
 // rejects it statically.
@@ -68,20 +68,20 @@ func Microcode(img *verilog.Image) Diagnostics {
 		}
 	}
 
-	// Slot maps: every scheduled compute node owns an in-range interim slot
-	// on its PE; every accumulated output owns an accumulator slot.
+	// Slot tables: every scheduled compute node owns an in-range interim
+	// slot on its PE; every accumulated output owns an accumulator slot.
 	for pe, ops := range prog.PEOps {
 		for _, id := range ops {
-			slot, ok := img.InterimSlotOf[id]
-			if !ok || slot < 0 || slot >= img.PEs[pe].InterimSlots {
+			slot := slotOf(img.InterimSlotOf, id)
+			if slot < 0 || slot >= img.PEs[pe].InterimSlots {
 				ds.errorf(LayerMicrocode, fmt.Sprintf("PE %d", pe), "compute node %d has no valid interim slot", id)
 			}
 		}
 	}
 	for pe, ids := range prog.GradAccum {
 		for _, id := range ids {
-			slot, ok := img.AccSlotOf[id]
-			if !ok || slot < 0 || slot >= img.PEs[pe].InterimSlots {
+			slot := slotOf(img.AccSlotOf, id)
+			if slot < 0 || slot >= img.PEs[pe].InterimSlots {
 				ds.errorf(LayerMicrocode, fmt.Sprintf("PE %d", pe), "output node %d has no valid accumulator slot", id)
 			}
 		}
@@ -101,13 +101,22 @@ func Microcode(img *verilog.Image) Diagnostics {
 		}
 		var rewords []uint32
 		for _, ins := range decoded {
-			rewords = append(rewords, ins.Microcode()...)
+			rewords = ins.AppendMicrocode(rewords)
 		}
 		if !reflect.DeepEqual(rewords, words) {
 			ds.errorf(LayerMicrocode, fmt.Sprintf("PE %d", pe), "re-encoded ROM differs from the original")
 		}
 	}
 	return ds
+}
+
+// slotOf reads a node's slot from one of the image's dense slot tables, -1
+// when the table has none for it.
+func slotOf(slots []int, id int) int {
+	if id < 0 || id >= len(slots) {
+		return -1
+	}
+	return slots[id]
 }
 
 // checkOperand audits one resolved operand against the image's buffer

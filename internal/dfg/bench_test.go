@@ -10,6 +10,31 @@ import (
 	"repro/internal/dsl"
 )
 
+// BenchmarkTranslate is the Translator's own number: DSL unit → graph for
+// the backprop and CF graphs the `stack` workload compiles (mnist@0.1 and
+// movielens@0.1, ~93k nodes).
+func BenchmarkTranslate(b *testing.B) {
+	for _, f := range []struct{ name, bench string }{{"backprop", "mnist"}, {"cf", "movielens"}} {
+		bm, err := dataset.ByName(f.bench)
+		if err != nil {
+			b.Fatal(err)
+		}
+		alg := bm.Algorithm(0.1)
+		unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dfg.Translate(unit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTapeEval is the tape layer's own number: nanoseconds to evaluate
 // one sample's gradient, on the scalar arena and on 16- and 32-lane arenas,
 // for the graph the `deep` workload trains (mnist@0.05, ~5k instructions) and

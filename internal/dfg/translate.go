@@ -2,19 +2,22 @@ package dfg
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 
 	"repro/internal/dsl"
 )
 
 // translator elaborates a dsl.Unit into a Graph, hash-consing nodes so that
-// common subexpressions (and repeated leaf references) are shared.
+// common subexpressions (and repeated leaf references) are shared. Node
+// identity is typed, never formatted: an interior node is its op plus its
+// argument IDs, a constant is its ConstBits, and a leaf is its slot in
+// Graph.DataLeaves/ModelLeaves, which doubles as the leaf intern table.
 type translator struct {
 	unit  *dsl.Unit
 	graph *Graph
-	// cse maps a structural key to an existing node.
-	cse map[string]*Node
+	// ops and consts map structural keys to existing nodes.
+	ops    map[opKey]*Node
+	consts map[uint64]*Node
 	// env maps interim symbol elements and assigned model/gradient elements
 	// to their producing nodes: env[name][flatIndex].
 	env map[string][]*Node
@@ -31,8 +34,9 @@ func Translate(u *dsl.Unit) (*Graph, error) {
 			Outputs:     map[string][]*Node{},
 			Unit:        u,
 		},
-		cse: map[string]*Node{},
-		env: map[string][]*Node{},
+		ops:    map[opKey]*Node{},
+		consts: map[uint64]*Node{},
+		env:    map[string][]*Node{},
 	}
 	for _, st := range u.Program.Stmts {
 		if err := tr.elaborate(st); err != nil {
@@ -70,8 +74,29 @@ func MustTranslate(u *dsl.Unit) *Graph {
 	return g
 }
 
-func (tr *translator) newNode(op Op, args ...*Node) *Node {
-	n := &Node{ID: len(tr.graph.Nodes), Op: op, Args: args}
+// opKey identifies an interior node: its op and up to three argument IDs
+// (-1 past the op's arity), packed into 16 bytes to hash cheaply.
+type opKey struct {
+	op   int32
+	args [3]int32
+}
+
+// ConstBits is a constant's identity: its IEEE bits, with every NaN mapped
+// to one canonical NaN. +0 and -0 stay distinct. The translator interns
+// constants by it and the circuit layer's immediate table is keyed by it.
+func ConstBits(v float64) uint64 {
+	if v != v {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(v)
+}
+
+// newNode appends a node; args is copied, so callers may pass a stack slice.
+func (tr *translator) newNode(op Op, args []*Node) *Node {
+	n := &Node{ID: len(tr.graph.Nodes), Op: op}
+	if len(args) > 0 {
+		n.Args = append(make([]*Node, 0, len(args)), args...)
+	}
 	tr.graph.Nodes = append(tr.graph.Nodes, n)
 	for _, a := range args {
 		a.Consumers = append(a.Consumers, n)
@@ -79,43 +104,34 @@ func (tr *translator) newNode(op Op, args ...*Node) *Node {
 	return n
 }
 
-// intern returns an existing node for key or creates one with build.
-func (tr *translator) intern(key string, build func() *Node) *Node {
-	if n, ok := tr.cse[key]; ok {
+func (tr *translator) constNode(v float64) *Node {
+	key := ConstBits(v)
+	if n, ok := tr.consts[key]; ok {
 		return n
 	}
-	n := build()
-	tr.cse[key] = n
+	n := tr.newNode(OpConst, nil)
+	n.Const = v
+	tr.consts[key] = n
 	return n
 }
 
-func (tr *translator) constNode(v float64) *Node {
-	key := "c:" + strconv.FormatFloat(v, 'g', -1, 64)
-	return tr.intern(key, func() *Node {
-		n := tr.newNode(OpConst)
-		n.Const = v
-		return n
-	})
-}
-
 func (tr *translator) leafNode(op Op, name string, size, flat int) *Node {
-	key := fmt.Sprintf("l:%d:%s:%d", op, name, flat)
-	return tr.intern(key, func() *Node {
-		n := tr.newNode(op)
-		n.Var = name
-		n.Index = flat
-		table := tr.graph.DataLeaves
-		if op == OpModel {
-			table = tr.graph.ModelLeaves
-		}
-		leaves := table[name]
-		if leaves == nil {
-			leaves = make([]*Node, size)
-			table[name] = leaves
-		}
-		leaves[flat] = n
+	table := tr.graph.DataLeaves
+	if op == OpModel {
+		table = tr.graph.ModelLeaves
+	}
+	leaves := table[name]
+	if leaves == nil {
+		leaves = make([]*Node, size)
+		table[name] = leaves
+	} else if n := leaves[flat]; n != nil {
 		return n
-	})
+	}
+	n := tr.newNode(op, nil)
+	n.Var = name
+	n.Index = flat
+	leaves[flat] = n
+	return n
 }
 
 func (tr *translator) opNode(op Op, args ...*Node) *Node {
@@ -126,12 +142,16 @@ func (tr *translator) opNode(op Op, args ...*Node) *Node {
 			return tr.constNode(v)
 		}
 	}
-	var key strings.Builder
-	fmt.Fprintf(&key, "o:%d", op)
-	for _, a := range args {
-		fmt.Fprintf(&key, ":%d", a.ID)
+	key := opKey{op: int32(op), args: [3]int32{-1, -1, -1}}
+	for i, a := range args {
+		key.args[i] = int32(a.ID)
 	}
-	return tr.intern(key.String(), func() *Node { return tr.newNode(op, args...) })
+	if n, ok := tr.ops[key]; ok {
+		return n
+	}
+	n := tr.newNode(op, args)
+	tr.ops[key] = n
+	return n
 }
 
 func allConst(args []*Node) bool {

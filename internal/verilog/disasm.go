@@ -7,7 +7,7 @@ import (
 
 // Disassemble decodes a microcode word stream (the exact contents of a
 // P-ASIC control ROM) back into instructions. Together with
-// Instruction.Microcode it round-trips the ISA, which the tests verify —
+// Instruction.AppendMicrocode it round-trips the ISA, which the tests verify —
 // the property a real toolchain needs before anyone trusts ROM images.
 func Disassemble(words []uint32) ([]Instruction, error) {
 	var out []Instruction
@@ -16,7 +16,7 @@ func Disassemble(words []uint32) ([]Instruction, error) {
 		w0 := words[i]
 		i++
 		opc := Opcode(w0 >> 24)
-		if _, known := opcodeNames[opc]; !known {
+		if !opc.valid() {
 			return out, fmt.Errorf("verilog: word %d: unknown opcode %d", i-1, uint8(opc))
 		}
 		srcCount := int(w0 & 0xff)
@@ -96,7 +96,7 @@ func MicrocodeOf(img *Image) [][]uint32 {
 	out := make([][]uint32, len(img.PEs))
 	for pe, p := range img.PEs {
 		for _, ins := range p.Instructions {
-			out[pe] = append(out[pe], ins.Microcode()...)
+			out[pe] = ins.AppendMicrocode(out[pe])
 		}
 	}
 	return out

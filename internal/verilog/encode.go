@@ -12,7 +12,6 @@ package verilog
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/compiler"
 	"repro/internal/dfg"
@@ -50,7 +49,9 @@ const (
 	OpcAcc // gradient accumulation into the interim buffer
 )
 
-var opcodeOf = map[dfg.Op]Opcode{
+// opcodeOf maps each compute op to its opcode; leaves map to OpcNop, which
+// no compute op uses.
+var opcodeOf = [...]Opcode{
 	dfg.OpAdd: OpcAdd, dfg.OpSub: OpcSub, dfg.OpMul: OpcMul, dfg.OpDiv: OpcDiv,
 	dfg.OpNeg: OpcNeg, dfg.OpGT: OpcGT, dfg.OpLT: OpcLT, dfg.OpGE: OpcGE,
 	dfg.OpLE: OpcLE, dfg.OpEQ: OpcEQ, dfg.OpNE: OpcNE, dfg.OpSelect: OpcSel,
@@ -59,7 +60,7 @@ var opcodeOf = map[dfg.Op]Opcode{
 	dfg.OpRelu: OpcRelu, dfg.OpAbs: OpcAbs, dfg.OpSign: OpcSign,
 }
 
-var opcodeNames = map[Opcode]string{
+var opcodeNames = [...]string{
 	OpcNop: "NOP", OpcAdd: "ADD", OpcSub: "SUB", OpcMul: "MUL", OpcDiv: "DIV",
 	OpcNeg: "NEG", OpcGT: "GT", OpcLT: "LT", OpcGE: "GE", OpcLE: "LE",
 	OpcEQ: "EQ", OpcNE: "NE", OpcSel: "SEL", OpcSigmoid: "SIGMOID",
@@ -70,10 +71,15 @@ var opcodeNames = map[Opcode]string{
 
 // String names the opcode.
 func (o Opcode) String() string {
-	if s, ok := opcodeNames[o]; ok {
-		return s
+	if o.valid() {
+		return opcodeNames[o]
 	}
 	return fmt.Sprintf("OPC(%d)", uint8(o))
+}
+
+// valid reports whether o is a defined opcode.
+func (o Opcode) valid() bool {
+	return int(o) < len(opcodeNames)
 }
 
 // OperandClass selects which PE buffer (or bus port) an operand reads from.
@@ -127,42 +133,45 @@ type PEImage struct {
 }
 
 // Image is the encoded accelerator: one control program per PE plus the
-// shared constant table and the slot maps the write-back and aggregation
+// shared constant table and the slot tables the write-back and aggregation
 // schedules are generated from.
 type Image struct {
 	Prog   *compiler.Program
 	PEs    []PEImage
 	Consts []float64
-	// InterimSlotOf maps a compute node to its interim-buffer slot on its
-	// owning PE; AccSlotOf maps a gradient output node to its running-sum
-	// accumulator slot.
-	InterimSlotOf map[int]int
-	AccSlotOf     map[int]int
+	// InterimSlotOf gives, per node ID, a compute node's interim-buffer slot
+	// on its owning PE; AccSlotOf gives a gradient output node's running-sum
+	// accumulator slot. Both are -1 for nodes without one.
+	InterimSlotOf []int
+	AccSlotOf     []int
 }
 
 // Encode lowers the compiled program into per-PE control programs,
 // allocating buffer slots for every value each PE holds.
 func Encode(prog *compiler.Program) (*Image, error) {
-	img := &Image{Prog: prog, AccSlotOf: map[int]int{}}
 	g := prog.Graph
+	img := &Image{Prog: prog, AccSlotOf: filled(len(g.Nodes), -1)}
 
 	// Constant table (shared; immediates are replicated into each PE's
-	// decoder ROM at generation time).
-	constIdx := map[float64]int{}
+	// decoder ROM at generation time), keyed like the translator's constant
+	// interning so -0 and +0 stay apart and every NaN shares one entry.
+	constIdx := map[uint64]int{}
 	constOf := func(v float64) int {
-		if i, ok := constIdx[v]; ok {
-			return i
+		key := dfg.ConstBits(v)
+		i, ok := constIdx[key]
+		if !ok {
+			i = len(img.Consts)
+			constIdx[key] = i
+			img.Consts = append(img.Consts, v)
 		}
-		constIdx[v] = len(img.Consts)
-		img.Consts = append(img.Consts, v)
-		return constIdx[v]
+		return i
 	}
 
-	// Per-PE slot allocation: node ID → slot within the owning PE's
-	// partition.
-	dataSlot := map[int]int{}
-	modelSlot := map[int]int{}
-	interimSlot := map[int]int{}
+	// Per-PE slot allocation, indexed by node ID: the slot within the owning
+	// PE's partition.
+	dataSlot := make([]int, len(g.Nodes))
+	modelSlot := make([]int, len(g.Nodes))
+	interimSlot := filled(len(g.Nodes), -1)
 	dataCount := make([]int, prog.NPE)
 	modelCount := make([]int, prog.NPE)
 	interimCount := make([]int, prog.NPE)
@@ -211,42 +220,72 @@ func Encode(prog *compiler.Program) (*Image, error) {
 		}
 	}
 
+	// Every instruction's operands are carved, capacity-capped, from one
+	// slab: one operand per argument of every scheduled op, one per
+	// accumulation.
+	nsrcs := 0
+	for pe, ids := range prog.PEOps {
+		for _, id := range ids {
+			nsrcs += len(g.Nodes[id].Args)
+		}
+		nsrcs += len(prog.GradAccum[pe])
+	}
+	slab := make([]Operand, nsrcs)
+	srcs := func(n int) []Operand {
+		s := slab[:n:n]
+		slab = slab[n:]
+		return s
+	}
+
 	img.PEs = make([]PEImage, prog.NPE)
 	for pe := range img.PEs {
-		img.PEs[pe].PE = pe
+		p := &img.PEs[pe]
+		p.PE = pe
+		p.Instructions = make([]Instruction, 0, len(prog.PEOps[pe])+len(prog.GradAccum[pe]))
 		for _, id := range prog.PEOps[pe] {
 			n := g.Nodes[id]
-			opc, ok := opcodeOf[n.Op]
-			if !ok {
+			var opc Opcode
+			if int(n.Op) < len(opcodeOf) {
+				opc = opcodeOf[n.Op]
+			}
+			if opc == OpcNop {
 				return nil, fmt.Errorf("verilog: no opcode for %s", n.Op)
 			}
-			ins := Instruction{Opc: opc, Dst: interimSlot[id]}
-			for _, a := range n.Args {
-				ins.Srcs = append(ins.Srcs, operandFor(a, pe))
+			ins := Instruction{Opc: opc, Srcs: srcs(len(n.Args)), Dst: interimSlot[id]}
+			for k, a := range n.Args {
+				ins.Srcs[k] = operandFor(a, pe)
 			}
-			img.PEs[pe].Instructions = append(img.PEs[pe].Instructions, ins)
+			p.Instructions = append(p.Instructions, ins)
 		}
 		// Gradient accumulations append to the control program, each with
 		// its own running-sum slot after the ordinary interims (so the
 		// per-vector values can be overwritten while the sums persist).
 		for _, id := range prog.GradAccum[pe] {
-			src := operandFor(g.Nodes[id], pe)
+			src := srcs(1)
+			src[0] = operandFor(g.Nodes[id], pe)
 			accSlot := interimCount[pe]
 			interimCount[pe]++
 			img.AccSlotOf[id] = accSlot
-			img.PEs[pe].Instructions = append(img.PEs[pe].Instructions, Instruction{
-				Opc: OpcAcc, Srcs: []Operand{src}, Dst: accSlot,
-			})
+			p.Instructions = append(p.Instructions, Instruction{Opc: OpcAcc, Srcs: src, Dst: accSlot})
 		}
-		img.PEs[pe].DataSlots = dataCount[pe]
-		img.PEs[pe].ModelSlots = modelCount[pe]
-		img.PEs[pe].InterimSlots = interimCount[pe]
+		p.DataSlots = dataCount[pe]
+		p.ModelSlots = modelCount[pe]
+		p.InterimSlots = interimCount[pe]
 	}
 	img.InterimSlotOf = interimSlot
 	return img, nil
 }
 
-func busSlotOf(a *dfg.Node, dataSlot, modelSlot, interimSlot map[int]int) (int, OperandClass) {
+// filled returns a slice of n copies of v.
+func filled(n, v int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+func busSlotOf(a *dfg.Node, dataSlot, modelSlot, interimSlot []int) (int, OperandClass) {
 	switch a.Op {
 	case dfg.OpData:
 		return dataSlot[a.ID], ClsData
@@ -257,8 +296,8 @@ func busSlotOf(a *dfg.Node, dataSlot, modelSlot, interimSlot map[int]int) (int, 
 	}
 }
 
-// Microcode packs one instruction into 32-bit control words for the P-ASIC
-// backend:
+// AppendMicrocode packs one instruction into 32-bit control words for the
+// P-ASIC backend and appends them to dst:
 //
 //	word0: [31:24] opcode | [23:21] srcA class | [20:8] srcA index | [7:0] src count
 //	word1: [31:29] srcB class | [28:16] srcB index | [15:0] dst slot
@@ -267,7 +306,7 @@ func busSlotOf(a *dfg.Node, dataSlot, modelSlot, interimSlot map[int]int) (int, 
 // ClsBus operand appends a routing word:
 //
 //	route: [31:29] source class | [28:16] source PE | [15:0] source slot
-func (ins Instruction) Microcode() []uint32 {
+func (ins Instruction) AppendMicrocode(dst []uint32) []uint32 {
 	src := func(i int) (cls, idx uint32) {
 		if i < len(ins.Srcs) {
 			return uint32(ins.Srcs[i].Class), uint32(ins.Srcs[i].Index)
@@ -278,18 +317,18 @@ func (ins Instruction) Microcode() []uint32 {
 	bCls, bIdx := src(1)
 	w0 := uint32(ins.Opc)<<24 | aCls<<21 | (aIdx&0x1fff)<<8 | uint32(len(ins.Srcs))
 	w1 := bCls<<29 | (bIdx&0x1fff)<<16 | uint32(ins.Dst)&0xffff
-	words := []uint32{w0, w1}
+	dst = append(dst, w0, w1)
 	if len(ins.Srcs) > 2 {
 		cCls, cIdx := src(2)
-		words = append(words, cCls<<29|(cIdx&0x1fff)<<16)
+		dst = append(dst, cCls<<29|(cIdx&0x1fff)<<16)
 	}
 	for _, s := range ins.Srcs {
 		if s.Class == ClsBus {
-			words = append(words,
+			dst = append(dst,
 				uint32(s.SrcClass)<<29|uint32(s.SrcPE&0x1fff)<<16|uint32(s.Index)&0xffff)
 		}
 	}
-	return words
+	return dst
 }
 
 // Stats summarizes the image for reports.
@@ -304,15 +343,4 @@ func (img *Image) Stats() (instructions, busyPEs, maxProgram int) {
 		}
 	}
 	return
-}
-
-// sortedConstIndices returns constant-table indices in value order for
-// deterministic emission.
-func (img *Image) sortedConstIndices() []int {
-	idx := make([]int, len(img.Consts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return img.Consts[idx[a]] < img.Consts[idx[b]] })
-	return idx
 }

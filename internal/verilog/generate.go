@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
@@ -16,6 +17,7 @@ func Generate(img *Image) (string, error) {
 	prog := img.Prog
 	plan := prog.Plan
 	var b strings.Builder
+	b.Grow(sizeHint(img))
 
 	fmt.Fprintf(&b, "// CoSMIC-generated accelerator\n")
 	fmt.Fprintf(&b, "// target: %s (%s), plan: T%d x R%d, %d columns, %d PEs/thread\n",
@@ -39,6 +41,19 @@ func Generate(img *Image) (string, error) {
 		}
 	}
 	return b.String(), nil
+}
+
+// sizeHint estimates the generated text's length so the builder grows once:
+// the fixed templates plus a line per memory-schedule entry, thread, PE and
+// control word.
+func sizeHint(img *Image) int {
+	instructions, _, _ := img.Stats()
+	perInstr := 80 // one FSM state line
+	if img.Prog.Plan.Chip.Kind != arch.FPGA {
+		perInstr = 112 // two to six microcode lines, 45 bytes each
+	}
+	return 8<<10 + 32*len(img.Prog.MemSchedule) + 72*img.Prog.Plan.Threads +
+		48*len(img.PEs) + perInstr*instructions
 }
 
 func interconnectName(ic compiler.Interconnect) string {
@@ -112,17 +127,32 @@ func emitMemInterface(b *strings.Builder, img *Image) {
 	b.WriteString(");\n")
 	fmt.Fprintf(b, "  localparam SCHED_LEN = %d;\n", len(prog.MemSchedule))
 	b.WriteString("  // {base_pe[15:0], wr, bcast, size[13:0]} per entry\n")
-	fmt.Fprintf(b, "  reg [31:0] sched [0:SCHED_LEN-1];\n")
-	fmt.Fprintf(b, "  reg [31:0] thread_table [0:`THREADS-1]; // {pe_offset, mem_base}\n")
+	b.WriteString("  reg [31:0] sched [0:SCHED_LEN-1];\n")
+	b.WriteString("  reg [31:0] thread_table [0:`THREADS-1]; // {pe_offset, mem_base}\n")
 	b.WriteString("  integer i;\n")
 	b.WriteString("  initial begin\n")
+	var line []byte
 	for i, e := range prog.MemSchedule {
 		word := uint32(e.BasePE)<<16 | boolBit(e.Write)<<15 | boolBit(e.Broadcast)<<14 | uint32(e.Size)&0x3fff
-		fmt.Fprintf(b, "    sched[%d] = 32'h%08x;\n", i, word)
+		line = append(line[:0], "    sched["...)
+		line = strconv.AppendInt(line, int64(i), 10)
+		line = append(line, "] = 32'h"...)
+		line = appendHex32(line, word)
+		line = append(line, ";\n"...)
+		b.Write(line)
 	}
 	for t := 0; t < prog.Plan.Threads; t++ {
-		fmt.Fprintf(b, "    thread_table[%d] = 32'h%08x; // thread %d: PE offset %d\n",
-			t, uint32(t*prog.Rows*prog.Columns)<<16, t, t*prog.Rows*prog.Columns)
+		offset := t * prog.Rows * prog.Columns
+		line = append(line[:0], "    thread_table["...)
+		line = strconv.AppendInt(line, int64(t), 10)
+		line = append(line, "] = 32'h"...)
+		line = appendHex32(line, uint32(offset)<<16)
+		line = append(line, "; // thread "...)
+		line = strconv.AppendInt(line, int64(t), 10)
+		line = append(line, ": PE offset "...)
+		line = strconv.AppendInt(line, int64(offset), 10)
+		line = append(line, '\n')
+		b.Write(line)
 	}
 	b.WriteString("  end\n")
 	b.WriteString("  reg [15:0] ptr; reg [7:0] cur_thread;\n")
@@ -269,19 +299,37 @@ func emitFSMControl(b *strings.Builder, img *Image) error {
 	b.WriteString("    if (!rst_n) begin state <= 0; done <= 0; opcode <= 0; end\n")
 	b.WriteString("    else begin\n")
 	b.WriteString("      case ({ROW[7:0], COL[7:0]})\n")
+	var line []byte
 	for _, pe := range img.PEs {
-		row := pe.PE / img.Prog.Columns
-		col := pe.PE % img.Prog.Columns
-		fmt.Fprintf(b, "        {8'd%d, 8'd%d}: begin // PE %d: %d ops\n", row, col, pe.PE, len(pe.Instructions))
+		line = append(line[:0], "        {8'd"...)
+		line = strconv.AppendInt(line, int64(pe.PE/img.Prog.Columns), 10)
+		line = append(line, ", 8'd"...)
+		line = strconv.AppendInt(line, int64(pe.PE%img.Prog.Columns), 10)
+		line = append(line, "}: begin // PE "...)
+		line = strconv.AppendInt(line, int64(pe.PE), 10)
+		line = append(line, ": "...)
+		line = strconv.AppendInt(line, int64(len(pe.Instructions)), 10)
+		line = append(line, " ops\n"...)
+		b.Write(line)
 		if len(pe.Instructions) == 0 {
 			b.WriteString("          done <= 1;\n")
 		} else {
 			b.WriteString("          case (state)\n")
 			for k, ins := range pe.Instructions {
-				fmt.Fprintf(b, "            16'd%d: begin opcode <= 8'd%d; state <= 16'd%d; end // %s dst=%d\n",
-					k, uint8(ins.Opc), k+1, ins.Opc, ins.Dst)
+				line = append(line[:0], "            16'd"...)
+				line = strconv.AppendInt(line, int64(k), 10)
+				line = append(line, ": begin opcode <= 8'd"...)
+				line = strconv.AppendInt(line, int64(ins.Opc), 10)
+				line = append(line, "; state <= 16'd"...)
+				line = strconv.AppendInt(line, int64(k+1), 10)
+				line = append(line, "; end // "...)
+				line = append(line, ins.Opc.String()...)
+				line = append(line, " dst="...)
+				line = strconv.AppendInt(line, int64(ins.Dst), 10)
+				line = append(line, '\n')
+				b.Write(line)
 			}
-			fmt.Fprintf(b, "            default: done <= 1;\n")
+			b.WriteString("            default: done <= 1;\n")
 			b.WriteString("          endcase\n")
 		}
 		b.WriteString("        end\n")
@@ -304,22 +352,37 @@ func emitMicrocodeROM(b *strings.Builder, img *Image) error {
 	b.WriteString("  output reg [7:0] opcode,\n")
 	b.WriteString("  output reg done\n")
 	b.WriteString(");\n")
-	total := 0
+	// Pack every instruction once; the header declares the total before
+	// the lines that print the words.
+	instructions, _, _ := img.Stats()
+	var words []uint32
+	ends := make([]int, 0, instructions)
 	for _, pe := range img.PEs {
 		for _, ins := range pe.Instructions {
-			total += len(ins.Microcode())
+			words = ins.AppendMicrocode(words)
+			ends = append(ends, len(words))
 		}
 	}
-	fmt.Fprintf(b, "  localparam UCODE_WORDS = %d;\n", total)
+	fmt.Fprintf(b, "  localparam UCODE_WORDS = %d;\n", len(words))
 	b.WriteString("  reg [31:0] ucode [0:UCODE_WORDS-1];\n")
 	b.WriteString("  initial begin\n")
-	w := 0
+	var line []byte
+	w, k := 0, 0
 	for _, pe := range img.PEs {
 		for _, ins := range pe.Instructions {
-			for _, word := range ins.Microcode() {
-				fmt.Fprintf(b, "    ucode[%d] = 32'h%08x; // PE %d %s\n", w, word, pe.PE, ins.Opc)
-				w++
+			for ; w < ends[k]; w++ {
+				line = append(line[:0], "    ucode["...)
+				line = strconv.AppendInt(line, int64(w), 10)
+				line = append(line, "] = 32'h"...)
+				line = appendHex32(line, words[w])
+				line = append(line, "; // PE "...)
+				line = strconv.AppendInt(line, int64(pe.PE), 10)
+				line = append(line, ' ')
+				line = append(line, ins.Opc.String()...)
+				line = append(line, '\n')
+				b.Write(line)
 			}
+			k++
 		}
 	}
 	b.WriteString("  end\n")
@@ -331,6 +394,15 @@ func emitMicrocodeROM(b *strings.Builder, img *Image) error {
 	b.WriteString("  end\n")
 	b.WriteString("endmodule\n")
 	return nil
+}
+
+// appendHex32 appends w as eight lower-case hex digits, like %08x.
+func appendHex32(dst []byte, w uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[w>>shift&0xf])
+	}
+	return dst
 }
 
 func boolBit(v bool) uint32 {

@@ -103,7 +103,7 @@ func (m *Machine) Accumulate() error {
 }
 
 // Gradient reads the current vector's gradient outputs from the interim
-// buffers, using only the image's slot maps.
+// buffers, using only the image's slot tables.
 func (m *Machine) Gradient() (map[string][]float64, error) {
 	return m.readOutputs(m.img.InterimSlotOf, false)
 }
@@ -113,7 +113,7 @@ func (m *Machine) Accumulated() (map[string][]float64, error) {
 	return m.readOutputs(m.img.AccSlotOf, true)
 }
 
-func (m *Machine) readOutputs(slots map[int]int, accumulated bool) (map[string][]float64, error) {
+func (m *Machine) readOutputs(slots []int, accumulated bool) (map[string][]float64, error) {
 	prog := m.img.Prog
 	out := map[string][]float64{}
 	for name, nodes := range prog.Graph.Outputs {
@@ -129,10 +129,10 @@ func (m *Machine) readOutputs(slots map[int]int, accumulated bool) (map[string][
 				// compiler.buildGradAccum).
 				pe = 0
 			}
-			slot, ok := slots[n.ID]
-			if !ok {
+			if n.ID >= len(slots) || slots[n.ID] < 0 {
 				return nil, fmt.Errorf("verilog: no slot for output node %d", n.ID)
 			}
+			slot := slots[n.ID]
 			vec[i] = m.interim[pe][slot]
 		}
 		out[name] = vec

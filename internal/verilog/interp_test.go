@@ -151,7 +151,7 @@ func TestMicrocodeBusRoutingWords(t *testing.T) {
 		},
 		Dst: 2,
 	}
-	words := ins.Microcode()
+	words := ins.AppendMicrocode(nil)
 	if len(words) != 3 {
 		t.Fatalf("bus operand should add a routing word: got %d words", len(words))
 	}
@@ -191,7 +191,7 @@ func sampleFor(alg ml.Algorithm, rng *rand.Rand) ml.Sample {
 	return s
 }
 
-// TestMicrocodeRoundTrip: Disassemble(Microcode(x)) == x for every
+// TestMicrocodeRoundTrip: Disassemble(AppendMicrocode(x)) == x for every
 // instruction of every PE's control program, across algorithm families.
 func TestMicrocodeRoundTrip(t *testing.T) {
 	algs := []ml.Algorithm{
@@ -204,7 +204,7 @@ func TestMicrocodeRoundTrip(t *testing.T) {
 		for pe, p := range img.PEs {
 			var words []uint32
 			for _, ins := range p.Instructions {
-				words = append(words, ins.Microcode()...)
+				words = ins.AppendMicrocode(words)
 			}
 			got, err := Disassemble(words)
 			if err != nil {

@@ -68,7 +68,7 @@ func TestMicrocodeRoundTripAllBenchmarks(t *testing.T) {
 						if !instructionEqual(dec[i], want[i]) {
 							t.Fatalf("PE %d instruction %d: decoded %s, encoded %s", pe, i, dec[i], want[i])
 						}
-						rewords = append(rewords, dec[i].Microcode()...)
+						rewords = dec[i].AppendMicrocode(rewords)
 					}
 					if !reflect.DeepEqual(rewords, words) && !(len(rewords) == 0 && len(words) == 0) {
 						t.Fatalf("PE %d: re-encoded ROM differs from original (%d vs %d words)", pe, len(rewords), len(words))

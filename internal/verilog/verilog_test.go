@@ -93,7 +93,7 @@ func TestMicrocodePackingRoundTrip(t *testing.T) {
 		},
 		Dst: 3,
 	}
-	words := ins.Microcode()
+	words := ins.AppendMicrocode(nil)
 	if len(words) != 2 {
 		t.Fatalf("2-operand op packed into %d words", len(words))
 	}
@@ -113,8 +113,8 @@ func TestMicrocodePackingRoundTrip(t *testing.T) {
 		t.Errorf("dst = %d", dst)
 	}
 	sel := Instruction{Opc: OpcSel, Srcs: []Operand{{}, {}, {Class: ClsInterim, Index: 7}}, Dst: 1}
-	if len(sel.Microcode()) != 3 {
-		t.Errorf("3-operand select packed into %d words", len(sel.Microcode()))
+	if words := sel.AppendMicrocode(nil); len(words) != 3 {
+		t.Errorf("3-operand select packed into %d words", len(words))
 	}
 }
 
