@@ -24,17 +24,18 @@ const digestScale = 0.02
 // constant bits, symbol and flat index, then each gradient's output nodes.
 func dfgDigest(g *dfg.Graph) string {
 	h := sha256.New()
-	for _, n := range g.Nodes {
-		fmt.Fprintf(h, "%d %d", n.ID, n.Op)
-		for _, a := range n.Args {
-			fmt.Fprintf(h, " %d", a.ID)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		fmt.Fprintf(h, "%d %d", i, n.Op)
+		for _, a := range n.Args() {
+			fmt.Fprintf(h, " %d", a)
 		}
-		fmt.Fprintf(h, " %016x %q %d\n", math.Float64bits(n.Const), n.Var, n.Index)
+		fmt.Fprintf(h, " %016x %q %d\n", math.Float64bits(n.Const), g.Var(int32(i)), n.Index)
 	}
 	for _, name := range g.OutputOrder {
 		fmt.Fprintf(h, "out %q", name)
-		for _, n := range g.Outputs[name] {
-			fmt.Fprintf(h, " %d", n.ID)
+		for _, id := range g.Outputs[name] {
+			fmt.Fprintf(h, " %d", id)
 		}
 		h.Write([]byte{'\n'})
 	}

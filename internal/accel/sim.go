@@ -162,7 +162,7 @@ func (s *Sim) planPairs() error {
 	for _, pr := range pairs {
 		outs := g.Outputs[pr[1].Name]
 		for elem, leaf := range g.ModelLeaves[pr[0].Name] {
-			if leaf != nil && elem >= len(outs) {
+			if leaf >= 0 && elem >= len(outs) {
 				return fmt.Errorf("accel: model %s is read past its gradient %s's %d elements",
 					pr[0].Name, pr[1].Name, len(outs))
 			}
@@ -170,7 +170,7 @@ func (s *Sim) planPairs() error {
 		s.pairs = append(s.pairs, pairPlan{model: pr[0].Name, grad: pr[1].Name, row: len(s.layout.Grads), words: len(outs)})
 		s.layout.Model = append(s.layout.Model, dfg.ModelSpan{Name: pr[0].Name, Words: len(outs)})
 		for _, o := range outs {
-			s.layout.Grads = append(s.layout.Grads, o.ID)
+			s.layout.Grads = append(s.layout.Grads, int(o))
 		}
 	}
 	s.dataSyms = s.tape.DataSymbols()

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/compiler"
@@ -211,8 +212,9 @@ func transferLatency(p *compiler.Program, src, dst int) int64 {
 		// The tree bus's latency grows logarithmically with the row span,
 		// the property that keeps the template scalable ("communication
 		// latency only grows by a logarithmic order").
+		// ⌈log2 span⌉, in integers: span ≥ 1.
 		span := absInt(srcRow-dstRow) + 1
-		levels := int(math.Ceil(math.Log2(float64(span))))
+		levels := bits.Len(uint(span - 1))
 		return int64(treeBusBase + treeBusPerLevel*levels)
 	}
 }
@@ -246,14 +248,26 @@ type transmission struct {
 	at        int64 // arrival at the readers
 }
 
+// newSchedWalk allocates the walk's scratch once, at its final size. A
+// transmission carries one argument edge between two PEs, so counting those
+// edges bounds how many the walk can make.
 func newSchedWalk(prog *compiler.Program) *schedWalk {
-	nodes := len(prog.Graph.Nodes)
+	g := prog.Graph
+	crossing := 0
+	for _, id := range prog.IssueOrder {
+		for _, a := range g.Nodes[id].Args() {
+			if src := prog.PE[a]; src >= 0 && src != prog.PE[id] && g.Nodes[a].Op != dfg.OpConst {
+				crossing++
+			}
+		}
+	}
 	return &schedWalk{
 		prog:     prog,
-		arrival:  make([]int64, nodes),
+		arrival:  make([]int64, len(g.Nodes)),
 		peFree:   make([]int64, prog.NPE),
 		busFree:  make([]int64, numBuses(prog)),
-		sentHead: make([]int32, nodes),
+		sentHead: make([]int32, len(g.Nodes)),
+		sent:     make([]transmission, 0, crossing),
 	}
 }
 
@@ -277,18 +291,17 @@ func (w *schedWalk) run(t *Timing) {
 
 	var makespan int64
 	for _, id := range prog.IssueOrder {
-		n := g.Nodes[id]
 		pe := prog.PE[id]
 		t.peLoad[pe]++
 		ready := w.peFree[pe]
-		for _, a := range n.Args {
-			if a.Op == dfg.OpConst {
+		for _, a := range g.Nodes[id].Args() {
+			if g.Nodes[a].Op == dfg.OpConst {
 				continue
 			}
-			at := w.arrival[a.ID]
-			src := prog.PE[a.ID]
+			at := w.arrival[a]
+			src := prog.PE[a]
 			if src >= 0 && src != pe {
-				at = w.transfer(t, a.ID, src, pe, at)
+				at = w.transfer(t, a, src, pe, at)
 			}
 			if at > ready {
 				ready = at
@@ -324,7 +337,7 @@ func (w *schedWalk) run(t *Timing) {
 // transfer books a bus slot for a value's transmission, counting it against
 // the segment's load (or snoops one already made), and returns the value's
 // arrival at dst.
-func (w *schedWalk) transfer(t *Timing, node, src, dst int, ready int64) int64 {
+func (w *schedWalk) transfer(t *Timing, node int32, src, dst int, ready int64) int64 {
 	// A remote reader sees the value after pipeline write-back, not the
 	// bypass: charge the tail.
 	ready += PipelineDepth - 2

@@ -114,13 +114,13 @@ func oracleTiming(prog *compiler.Program) perThreadTiming {
 	for _, id := range prog.IssueOrder {
 		pe := prog.PE[id]
 		peLoad[pe]++
-		for _, a := range g.Nodes[id].Args {
-			src := prog.PE[a.ID]
-			if a.Op == dfg.OpConst || src < 0 || src == pe {
+		for _, a := range g.Nodes[id].Args() {
+			src := prog.PE[a]
+			if g.Nodes[a].Op == dfg.OpConst || src < 0 || src == pe {
 				continue
 			}
-			if bus, ok := oracleBusFor(prog, src, pe); ok && !seen[ride{a.ID, bus}] {
-				seen[ride{a.ID, bus}] = true
+			if bus, ok := oracleBusFor(prog, src, pe); ok && !seen[ride{int(a), bus}] {
+				seen[ride{int(a), bus}] = true
 				busLoad[bus]++
 			}
 		}
@@ -148,16 +148,16 @@ func oracleTiming(prog *compiler.Program) perThreadTiming {
 	for _, id := range prog.IssueOrder {
 		pe := prog.PE[id]
 		ready := peFree[pe]
-		for _, a := range g.Nodes[id].Args {
-			if a.Op == dfg.OpConst {
+		for _, a := range g.Nodes[id].Args() {
+			if g.Nodes[a].Op == dfg.OpConst {
 				continue
 			}
-			at := arrival[a.ID]
-			if src := prog.PE[a.ID]; src >= 0 && src != pe {
+			at := arrival[a]
+			if src := prog.PE[a]; src >= 0 && src != pe {
 				at += PipelineDepth - 2
 				lat := transferLatency(prog, src, pe)
 				bus, shared := oracleBusFor(prog, src, pe)
-				if was, ok := sent[ride{a.ID, bus}]; !shared {
+				if was, ok := sent[ride{int(a), bus}]; !shared {
 					at += lat
 				} else if ok {
 					at = was
@@ -165,7 +165,7 @@ func oracleTiming(prog *compiler.Program) perThreadTiming {
 					at = max(at, busFree[bus])
 					busFree[bus] = at + 1
 					at += lat
-					sent[ride{a.ID, bus}] = at
+					sent[ride{int(a), bus}] = at
 				}
 			}
 			ready = max(ready, at)
@@ -219,9 +219,9 @@ func TestNewCompilesNoTape(t *testing.T) {
 	// Break the graph the way only the tape compiler notices: a binary
 	// operation left with one argument.
 	var broken bool
-	for _, n := range prog.Graph.Nodes {
-		if len(n.Args) == 2 {
-			n.Args = n.Args[:1]
+	for i := range prog.Graph.Nodes {
+		if n := &prog.Graph.Nodes[i]; n.Arity == 2 {
+			n.Arity = 1
 			broken = true
 			break
 		}

@@ -76,8 +76,8 @@ func wantError(t *testing.T, ds Diagnostics, layer Layer, frag string) {
 
 func TestGraphCatchesLevelDrift(t *testing.T) {
 	p := compileFor(t, dsl.SourceSVM, map[string]int{"M": 12}, compiler.StyleCoSMIC)
-	for _, n := range p.Graph.Nodes {
-		if !n.Op.IsLeaf() {
+	for i := range p.Graph.Nodes {
+		if n := &p.Graph.Nodes[i]; !n.Op.IsLeaf() {
 			n.Level += 5
 			break
 		}
@@ -87,9 +87,16 @@ func TestGraphCatchesLevelDrift(t *testing.T) {
 
 func TestGraphCatchesBrokenConsumerEdges(t *testing.T) {
 	p := compileFor(t, dsl.SourceSVM, map[string]int{"M": 12}, compiler.StyleCoSMIC)
-	for _, n := range p.Graph.Nodes {
-		if !n.Op.IsLeaf() && len(n.Consumers) > 0 {
-			n.Consumers = nil
+	// Drop the first consumer edge of a compute node: shift the rest of
+	// the table down over it and end the node's list one entry early.
+	g := p.Graph
+	for i := range g.Nodes {
+		if !g.Nodes[i].Op.IsLeaf() && len(g.Consumers(int32(i))) > 0 {
+			at := g.ConsumerOff[i]
+			g.ConsumerIDs = append(g.ConsumerIDs[:at], g.ConsumerIDs[at+1:]...)
+			for j := i + 1; j < len(g.ConsumerOff); j++ {
+				g.ConsumerOff[j]--
+			}
 			break
 		}
 	}
@@ -105,9 +112,9 @@ func TestGraphCatchesLeafTableCorruption(t *testing.T) {
 
 func TestScheduleCatchesUnplacedComputeNode(t *testing.T) {
 	p := compileFor(t, dsl.SourceSVM, map[string]int{"M": 12}, compiler.StyleCoSMIC)
-	for _, n := range p.Graph.Nodes {
-		if !n.Op.IsLeaf() {
-			p.PE[n.ID] = -5
+	for i := range p.Graph.Nodes {
+		if !p.Graph.Nodes[i].Op.IsLeaf() {
+			p.PE[i] = -5
 			break
 		}
 	}
@@ -151,8 +158,15 @@ func TestMemScheduleCatchesEmptyTransfer(t *testing.T) {
 
 func TestTapeDiagnosticsOnCorruptGraph(t *testing.T) {
 	p := compileFor(t, dsl.SourceSVM, map[string]int{"M": 12}, compiler.StyleCoSMIC)
-	// Breaking topological IDs makes tape compilation itself refuse.
-	p.Graph.Nodes[0].ID = 7
+	// Breaking topological order — an argument that is a later node —
+	// makes tape compilation itself refuse.
+	g := p.Graph
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.Arity > 0 {
+			n.Arg[0] = int32(len(g.Nodes) - 1)
+			break
+		}
+	}
 	ds := Tape(p.Graph)
 	if !ds.HasErrors() {
 		t.Fatalf("corrupt graph compiled a tape cleanly:\n%s", ds)

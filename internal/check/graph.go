@@ -7,75 +7,76 @@ import (
 	"repro/internal/dsl"
 )
 
-// Graph audits the dataflow graph: structural validity (dense topological
-// IDs — which is the acyclicity proof, since every edge then points
-// backward), arg/consumer edge symmetry, exact ASAP levels and heights, no
-// orphan compute nodes, and binding-table completeness against the DSL
-// unit's symbol table.
+// Graph audits the dataflow graph: structural validity (every argument ID
+// lies before its consumer — which is the acyclicity proof, since every edge
+// then points backward), a well-formed consumer table whose edges mirror
+// the arguments, exact ASAP levels and heights, no orphan compute nodes,
+// and binding-table completeness against the DSL unit's symbol table.
 func Graph(g *dfg.Graph) Diagnostics {
 	var ds Diagnostics
 	if err := g.Validate(); err != nil {
 		ds.errorf(LayerDFG, "graph", "%v", err)
 		return ds // IDs unreliable; the remaining checks index by them
 	}
+	nodes := g.Nodes
+	if err := consumerTableErr(g); err != nil {
+		ds.errorf(LayerDFG, "consumers", "%v", err)
+		return ds // the symmetry and height checks index through it
+	}
 
 	// Arg/consumer symmetry: the forward and backward edge sets must
 	// describe the same graph, or level/height and the mappers (which walk
 	// Consumers) silently disagree with evaluation (which walks Args).
-	for _, n := range g.Nodes {
-		for _, a := range n.Args {
-			if !containsNode(a.Consumers, n) {
-				ds.errorf(LayerDFG, nodeLoc(n), "argument %d does not list it as a consumer", a.ID)
+	for i := range nodes {
+		id := int32(i)
+		for _, a := range nodes[i].Args() {
+			if !containsID(g.Consumers(a), id) {
+				ds.errorf(LayerDFG, nodeLoc(g, id), "argument %d does not list it as a consumer", a)
 			}
 		}
-		for _, c := range n.Consumers {
-			if !containsNode(c.Args, n) {
-				ds.errorf(LayerDFG, nodeLoc(n), "consumer %d does not list it as an argument", c.ID)
+		for _, c := range g.Consumers(id) {
+			if !containsID(nodes[c].Args(), id) {
+				ds.errorf(LayerDFG, nodeLoc(g, id), "consumer %d does not list it as an argument", c)
 			}
 		}
 	}
 
 	// Exact level/height invariants (the scheduler's priority order and the
 	// planner's width profile both read these).
-	for _, n := range g.Nodes {
-		lvl := 0
-		for _, a := range n.Args {
-			al := a.Level
-			if !a.Op.IsLeaf() {
+	for i := range nodes {
+		n, id := &nodes[i], int32(i)
+		var lvl int32
+		for _, a := range n.Args() {
+			al := nodes[a].Level
+			if !nodes[a].Op.IsLeaf() {
 				al++
 			}
-			if al > lvl {
-				lvl = al
-			}
+			lvl = max(lvl, al)
 		}
 		if n.Level != lvl {
-			ds.errorf(LayerDFG, nodeLoc(n), "level %d, want %d (ASAP)", n.Level, lvl)
+			ds.errorf(LayerDFG, nodeLoc(g, id), "level %d, want %d (ASAP)", n.Level, lvl)
 		}
-		h := 0
-		for _, c := range n.Consumers {
-			if c.Height+1 > h {
-				h = c.Height + 1
-			}
+		var h int32
+		for _, c := range g.Consumers(id) {
+			h = max(h, nodes[c].Height+1)
 		}
 		if n.Height != h {
-			ds.errorf(LayerDFG, nodeLoc(n), "height %d, want %d", n.Height, h)
+			ds.errorf(LayerDFG, nodeLoc(g, id), "height %d, want %d", n.Height, h)
 		}
 	}
 
 	// Orphan compute nodes: a compute node must feed another node or be a
 	// gradient output; anything else is dead work the mapper will still
 	// schedule onto a PE.
-	output := map[int]bool{}
+	output := make([]bool, len(nodes))
 	for _, outs := range g.Outputs {
 		for _, o := range outs {
-			if o != nil {
-				output[o.ID] = true
-			}
+			output[o] = true
 		}
 	}
-	for _, n := range g.Nodes {
-		if !n.Op.IsLeaf() && len(n.Consumers) == 0 && !output[n.ID] {
-			ds.errorf(LayerDFG, nodeLoc(n), "orphan compute node: no consumers and not an output")
+	for i := range nodes {
+		if id := int32(i); !nodes[i].Op.IsLeaf() && len(g.Consumers(id)) == 0 && !output[i] {
+			ds.errorf(LayerDFG, nodeLoc(g, id), "orphan compute node: no consumers and not an output")
 		}
 	}
 
@@ -119,10 +120,34 @@ func Graph(g *dfg.Graph) Diagnostics {
 	return ds
 }
 
+// consumerTableErr reports a consumer table that cannot be indexed: one
+// offset per node plus one, starting at 0, never decreasing, ending at the
+// ID list's length, with every ID naming a node.
+func consumerTableErr(g *dfg.Graph) error {
+	off, ids := g.ConsumerOff, g.ConsumerIDs
+	if len(off) != len(g.Nodes)+1 {
+		return fmt.Errorf("offset table has %d entries, want %d", len(off), len(g.Nodes)+1)
+	}
+	if off[0] != 0 || int(off[len(off)-1]) != len(ids) {
+		return fmt.Errorf("offsets span [%d,%d), the table holds %d IDs", off[0], off[len(off)-1], len(ids))
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return fmt.Errorf("offset %d decreases", i)
+		}
+	}
+	for k, c := range ids {
+		if c < 0 || int(c) >= len(g.Nodes) {
+			return fmt.Errorf("entry %d names node %d of %d", k, c, len(g.Nodes))
+		}
+	}
+	return nil
+}
+
 // checkLeafTables audits the leaf tables of one symbol kind against the
-// unit: table length matches the symbol extent, and every non-nil leaf
-// carries its own (Var, Index) identity.
-func checkLeafTables(ds *Diagnostics, g *dfg.Graph, kind dsl.VarKind, tables map[string][]*dfg.Node) {
+// unit: table length matches the symbol extent, and every present leaf
+// carries its own (symbol, Index) identity.
+func checkLeafTables(ds *Diagnostics, g *dfg.Graph, kind dsl.VarKind, tables map[string][]int32) {
 	leafOp := dfg.OpData
 	if kind == dsl.KindModel {
 		leafOp = dfg.OpModel
@@ -140,24 +165,28 @@ func checkLeafTables(ds *Diagnostics, g *dfg.Graph, kind dsl.VarKind, tables map
 			ds.errorf(LayerDFG, loc, "table has %d entries, symbol has %d elements", len(leaves), sym.Size())
 			continue
 		}
-		for i, leaf := range leaves {
-			if leaf == nil {
+		for i, id := range leaves {
+			if id < 0 {
 				continue
 			}
-			if leaf.Op != leafOp || leaf.Var != sym.Name || leaf.Index != i {
-				ds.errorf(LayerDFG, loc, "entry %d is %s %s[%d]", i, leaf.Op, leaf.Var, leaf.Index)
+			if int(id) >= len(g.Nodes) {
+				ds.errorf(LayerDFG, loc, "entry %d is node %d of %d", i, id, len(g.Nodes))
+				continue
+			}
+			if leaf := &g.Nodes[id]; leaf.Op != leafOp || g.Var(id) != sym.Name || int(leaf.Index) != i {
+				ds.errorf(LayerDFG, loc, "entry %d is %s %s[%d]", i, leaf.Op, g.Var(id), leaf.Index)
 			}
 		}
 	}
 }
 
-func containsNode(ns []*dfg.Node, want *dfg.Node) bool {
-	for _, n := range ns {
-		if n == want {
+func containsID(ids []int32, want int32) bool {
+	for _, id := range ids {
+		if id == want {
 			return true
 		}
 	}
 	return false
 }
 
-func nodeLoc(n *dfg.Node) string { return fmt.Sprintf("node %d (%s)", n.ID, n.Op) }
+func nodeLoc(g *dfg.Graph, id int32) string { return fmt.Sprintf("node %d (%s)", id, g.Nodes[id].Op) }

@@ -23,17 +23,17 @@ func Schedule(p *compiler.Program) Diagnostics {
 
 	// Placement: every node the schedule touches must live on a real PE.
 	peOK := func(pe int) bool { return pe >= 0 && pe < p.NPE }
-	for _, n := range g.Nodes {
-		pe := p.PE[n.ID]
+	for i := range g.Nodes {
+		pe := p.PE[i]
 		switch {
-		case n.Op.IsLeaf():
+		case g.Nodes[i].Op.IsLeaf():
 			// Constants are immediates (-1); referenced data/model leaves
 			// must be pinned somewhere the memory interface can reach.
 			if pe != -1 && !peOK(pe) {
-				ds.errorf(LayerSchedule, nodeLoc(n), "placed on PE %d of %d", pe, p.NPE)
+				ds.errorf(LayerSchedule, nodeLoc(g, int32(i)), "placed on PE %d of %d", pe, p.NPE)
 			}
 		case !peOK(pe):
-			ds.errorf(LayerSchedule, nodeLoc(n), "compute node on PE %d of %d", pe, p.NPE)
+			ds.errorf(LayerSchedule, nodeLoc(g, int32(i)), "compute node on PE %d of %d", pe, p.NPE)
 		}
 	}
 
@@ -84,11 +84,8 @@ func Schedule(p *compiler.Program) Diagnostics {
 	}
 	for name, outs := range g.Outputs {
 		for i, o := range outs {
-			if o == nil {
-				continue
-			}
-			if accum[o.ID] != 1 {
-				ds.errorf(LayerSchedule, fmt.Sprintf("output %s[%d]", name, i), "accumulated %d times", accum[o.ID])
+			if accum[int(o)] != 1 {
+				ds.errorf(LayerSchedule, fmt.Sprintf("output %s[%d]", name, i), "accumulated %d times", accum[int(o)])
 			}
 		}
 	}
@@ -107,9 +104,9 @@ func Schedule(p *compiler.Program) Diagnostics {
 			perPE[p.PE[id]]++
 		}
 	}
-	for _, n := range g.Nodes {
-		if !n.Op.IsLeaf() && peOK(p.PE[n.ID]) {
-			perPE[p.PE[n.ID]]++
+	for i := range g.Nodes {
+		if !g.Nodes[i].Op.IsLeaf() && peOK(p.PE[i]) {
+			perPE[p.PE[i]]++
 		}
 	}
 	total := 0

@@ -116,13 +116,13 @@ func TestDataPlacementFollowsMemoryLayout(t *testing.T) {
 	}
 	// Leaf identity: the k-th streamed word is x[k] for k<24, then y.
 	for k := 0; k < 24; k++ {
-		n := g.Nodes[p.DataStream[k]]
-		if n.Var != "x" || n.Index != k {
-			t.Errorf("word %d is %s[%d], want x[%d]", k, n.Var, n.Index, k)
+		id := int32(p.DataStream[k])
+		if name, idx := g.Var(id), g.Nodes[id].Index; name != "x" || int(idx) != k {
+			t.Errorf("word %d is %s[%d], want x[%d]", k, name, idx, k)
 		}
 	}
-	if n := g.Nodes[p.DataStream[24]]; n.Var != "y" {
-		t.Errorf("word 24 is %s, want y", n.Var)
+	if name := g.Var(int32(p.DataStream[24])); name != "y" {
+		t.Errorf("word 24 is %s, want y", name)
 	}
 }
 
@@ -137,9 +137,9 @@ func TestCoSMICCoLocatesModelWithData(t *testing.T) {
 	xLeaves := g.DataLeaves["x"]
 	wLeaves := g.ModelLeaves["w"]
 	for i := range wLeaves {
-		if p.PE[wLeaves[i].ID] != p.PE[xLeaves[i].ID] {
+		if p.PE[wLeaves[i]] != p.PE[xLeaves[i]] {
 			t.Errorf("w[%d] on PE %d but x[%d] on PE %d",
-				i, p.PE[wLeaves[i].ID], i, p.PE[xLeaves[i].ID])
+				i, p.PE[wLeaves[i]], i, p.PE[xLeaves[i]])
 		}
 	}
 }
@@ -197,8 +197,8 @@ func TestGradAccumCoversEveryOutput(t *testing.T) {
 	}
 	for _, outs := range g.Outputs {
 		for _, o := range outs {
-			if seen[o.ID] != 1 {
-				t.Errorf("output node %d accumulated %d times", o.ID, seen[o.ID])
+			if seen[int(o)] != 1 {
+				t.Errorf("output node %d accumulated %d times", o, seen[int(o)])
 			}
 		}
 	}
@@ -312,11 +312,11 @@ func TestValidateCatchesCrossPEDependencyViolation(t *testing.T) {
 	}
 	found := false
 	for j, id := range p.IssueOrder {
-		for _, a := range g.Nodes[id].Args {
-			if a.Op.IsLeaf() || p.PE[a.ID] == p.PE[id] {
+		for _, a := range g.Nodes[id].Args() {
+			if g.Nodes[a].Op.IsLeaf() || p.PE[a] == p.PE[id] {
 				continue
 			}
-			i := pos[a.ID]
+			i := pos[int(a)]
 			p.IssueOrder[i], p.IssueOrder[j] = p.IssueOrder[j], p.IssueOrder[i]
 			found = true
 			break

@@ -51,8 +51,7 @@ func (p *Program) DumpSchedule(w io.Writer) error {
 				fmt.Fprintf(w, "    ... %d more\n", len(p.PEOps[l.pe])-showOps)
 				break
 			}
-			n := p.Graph.Nodes[id]
-			fmt.Fprintf(w, "    %3d: %-8s %s\n", k, n.Op, describeArgs(p, n))
+			fmt.Fprintf(w, "    %3d: %-8s %s\n", k, p.Graph.Nodes[id].Op, describeArgs(p, int32(id)))
 		}
 	}
 
@@ -76,25 +75,24 @@ func (p *Program) DumpSchedule(w io.Writer) error {
 }
 
 // describeArgs renders a node's operands with their placements.
-func describeArgs(p *Program, n *dfg.Node) string {
+func describeArgs(p *Program, id int32) string {
+	g := p.Graph
 	s := ""
-	for i, a := range n.Args {
+	for i, a := range g.Nodes[id].Args() {
 		if i > 0 {
 			s += ", "
 		}
-		switch a.Op {
+		switch an := &g.Nodes[a]; an.Op {
 		case dfg.OpConst:
-			s += fmt.Sprintf("#%g", a.Const)
-		case dfg.OpData:
-			s += fmt.Sprintf("%s[%d]@pe%d", a.Var, a.Index, p.PE[a.ID])
-		case dfg.OpModel:
-			s += fmt.Sprintf("%s[%d]@pe%d", a.Var, a.Index, p.PE[a.ID])
+			s += fmt.Sprintf("#%g", an.Const)
+		case dfg.OpData, dfg.OpModel:
+			s += fmt.Sprintf("%s[%d]@pe%d", g.Var(a), an.Index, p.PE[a])
 		default:
 			place := "local"
-			if p.PE[a.ID] != p.PE[n.ID] {
-				place = fmt.Sprintf("pe%d", p.PE[a.ID])
+			if p.PE[a] != p.PE[id] {
+				place = fmt.Sprintf("pe%d", p.PE[a])
 			}
-			s += fmt.Sprintf("t%d@%s", a.ID, place)
+			s += fmt.Sprintf("t%d@%s", a, place)
 		}
 	}
 	return s

@@ -1,62 +1,91 @@
 package compiler
 
-import (
-	"container/heap"
+import "repro/internal/dfg"
 
-	"repro/internal/dfg"
-)
-
-// nodeHeap is a max-heap of ready compute nodes ordered by Height (longest
+// readyHeap is a max-heap of ready compute nodes ordered by Height (longest
 // dependence chain first — the Compiler "prioritizes scheduling operations
 // that have the longest dependence chain"), breaking ties by node ID for
-// determinism.
-type nodeHeap []*dfg.Node
+// determinism. Each entry packs both into one key, Height above the
+// complemented ID, so that the larger key is the node to issue first.
+type readyHeap []uint64
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].Height != h[j].Height {
-		return h[i].Height > h[j].Height
-	}
-	return h[i].ID < h[j].ID
+func readyKey(g *dfg.Graph, id int32) uint64 {
+	return uint64(g.Nodes[id].Height)<<32 | uint64(^uint32(id))
 }
-func (h nodeHeap) Swap(i, j int)         { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)           { *h = append(*h, x.(*dfg.Node)) }
-func (h *nodeHeap) Pop() any             { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
-func (h *nodeHeap) PushNode(n *dfg.Node) { heap.Push(h, n) }
+
+func (h *readyHeap) push(k uint64) {
+	*h = append(*h, k)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent] >= q[i] {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+}
+
+func (h *readyHeap) pop() int32 {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1] > q[c] {
+			c++
+		}
+		if q[i] >= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return int32(^uint32(top))
+}
 
 // priorityOrder returns the compute node IDs in the order both mappers visit
 // them: a topological traversal in priority order, each node after all its
 // compute arguments. The order is a property of the graph — readiness and
 // priority never look at a placement — so it is also every program's
-// IssueOrder.
+// IssueOrder. Keys are unique, so the order does not depend on how the heap
+// breaks ties.
 func priorityOrder(g *dfg.Graph) []int {
-	pending := make([]int, len(g.Nodes))
-	ready := &nodeHeap{}
+	nodes := g.Nodes
+	pending := make([]int32, len(nodes))
+	var ready readyHeap
 	ops := 0
-	for _, n := range g.Nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Op.IsLeaf() {
 			continue
 		}
 		ops++
-		cnt := 0
-		for _, a := range n.Args {
-			if !a.Op.IsLeaf() {
+		var cnt int32
+		for _, a := range n.Args() {
+			if !nodes[a].Op.IsLeaf() {
 				cnt++
 			}
 		}
-		pending[n.ID] = cnt
+		pending[i] = cnt
 		if cnt == 0 {
-			ready.PushNode(n)
+			ready.push(readyKey(g, int32(i)))
 		}
 	}
 	order := make([]int, 0, ops)
-	for ready.Len() > 0 {
-		n := heap.Pop(ready).(*dfg.Node)
-		order = append(order, n.ID)
-		for _, c := range n.Consumers {
-			pending[c.ID]--
-			if pending[c.ID] == 0 {
-				ready.PushNode(c)
+	for len(ready) > 0 {
+		id := ready.pop()
+		order = append(order, int(id))
+		for _, c := range g.Consumers(id) {
+			pending[c]--
+			if pending[c] == 0 {
+				ready.push(readyKey(g, c))
 			}
 		}
 	}
@@ -67,29 +96,32 @@ func priorityOrder(g *dfg.Graph) []int {
 // Training data has already been pinned by placeData; this pass walks the
 // DFG in dependence order and maps each operation to the PE that holds its
 // operands, placing model parameters next to their consumers on the way.
+// load counts the operations mapped to each PE so far.
 func (p *Program) mapCoSMIC() {
+	nodes := p.Graph.Nodes
+	load := make([]int32, p.NPE)
 	rr := 0 // the PE_i round-robin counter of Algorithm 1
 	for _, id := range p.IssueOrder {
-		v := p.Graph.Nodes[id]
+		args := nodes[id].Args()
 		pe := -1
 
 		// Step 3: an operand of type DATA anchors the operation. When
 		// several operands are DATA (e.g. y·xᵢ pairs a scalar label with a
 		// vector element), follow the least-loaded one — anchoring on the
 		// scalar would serialize every instance onto its PE.
-		for _, a := range v.Args {
-			if a.Op == dfg.OpData {
-				cand := p.PE[a.ID]
-				if pe < 0 || len(p.PEOps[cand]) < len(p.PEOps[pe]) {
+		for _, a := range args {
+			if nodes[a].Op == dfg.OpData {
+				cand := p.PE[a]
+				if pe < 0 || load[cand] < load[pe] {
 					pe = cand
 				}
 			}
 		}
 		if pe >= 0 {
 			// Co-locate any unplaced MODEL operand with the operation.
-			for _, a := range v.Args {
-				if a.Op == dfg.OpModel && p.PE[a.ID] < 0 {
-					p.PE[a.ID] = pe
+			for _, a := range args {
+				if nodes[a].Op == dfg.OpModel && p.PE[a] < 0 {
+					p.PE[a] = pe
 				}
 			}
 		}
@@ -100,20 +132,20 @@ func (p *Program) mapCoSMIC() {
 		// neighboring PEs"). Among several placed MODEL operands, follow
 		// the least loaded.
 		if pe < 0 {
-			for _, a := range v.Args {
-				if a.Op == dfg.OpModel && p.PE[a.ID] >= 0 {
-					cand := p.PE[a.ID]
-					if pe < 0 || len(p.PEOps[cand]) < len(p.PEOps[pe]) {
+			for _, a := range args {
+				if nodes[a].Op == dfg.OpModel && p.PE[a] >= 0 {
+					cand := p.PE[a]
+					if pe < 0 || load[cand] < load[pe] {
 						pe = cand
 					}
 				}
 			}
 			if pe < 0 {
-				for _, a := range v.Args {
-					if a.Op == dfg.OpModel {
-						p.PE[a.ID] = rr
+				for _, a := range args {
+					if nodes[a].Op == dfg.OpModel {
+						p.PE[a] = rr
 						rr = (rr + 1) % p.NPE
-						pe = p.PE[a.ID]
+						pe = p.PE[a]
 						break
 					}
 				}
@@ -125,10 +157,10 @@ func (p *Program) mapCoSMIC() {
 		// that operand, and balancing keeps deep reduction trees from
 		// piling every level onto one PE.
 		if pe < 0 {
-			for _, a := range v.Args {
-				if !a.Op.IsLeaf() && p.PE[a.ID] >= 0 {
-					cand := p.PE[a.ID]
-					if pe < 0 || len(p.PEOps[cand]) < len(p.PEOps[pe]) {
+			for _, a := range args {
+				if !nodes[a].Op.IsLeaf() && p.PE[a] >= 0 {
+					cand := p.PE[a]
+					if pe < 0 || load[cand] < load[pe] {
 						pe = cand
 					}
 				}
@@ -141,9 +173,37 @@ func (p *Program) mapCoSMIC() {
 			rr = (rr + 1) % p.NPE
 		}
 
-		p.PE[v.ID] = pe
-		p.PEOps[pe] = append(p.PEOps[pe], v.ID)
+		p.PE[id] = pe
+		load[pe]++
 	}
+	p.fillPEOps(load)
+}
+
+// fillPEOps lists each PE's operations in issue order: load[pe] is the
+// number of operations the mapper put on pe.
+func (p *Program) fillPEOps(load []int32) {
+	p.PEOps = carve(load)
+	for _, id := range p.IssueOrder {
+		pe := p.PE[id]
+		p.PEOps[pe] = append(p.PEOps[pe], id)
+	}
+}
+
+// carve returns one empty list per count, each with room for exactly its
+// count, all cut from one backing array.
+func carve(counts []int32) [][]int {
+	total := 0
+	for _, n := range counts {
+		total += int(n)
+	}
+	backing := make([]int, total)
+	lists := make([][]int, len(counts))
+	off := 0
+	for i, n := range counts {
+		lists[i] = backing[off : off : off+int(n)]
+		off += int(n)
+	}
+	return lists
 }
 
 // tablaTransferPenalty is the greedy scheduler's estimate of one operand
@@ -159,14 +219,17 @@ const tablaTransferPenalty = 4
 // hierarchy (8-PE group buses under one global bus) is what Figure 17
 // charges at UltraScale+ scale.
 func (p *Program) mapTABLA() {
+	nodes := p.Graph.Nodes
+	load := make([]int32, p.NPE)
 	rr := 0
 	for _, id := range p.IssueOrder {
-		v := p.Graph.Nodes[id]
+		args := nodes[id].Args()
 		// Candidate PEs: the operands' homes plus a rotating fallback.
-		cands := make([]int, 0, len(v.Args)+1)
-		for _, a := range v.Args {
-			if a.Op != dfg.OpConst && p.PE[a.ID] >= 0 {
-				cands = append(cands, p.PE[a.ID])
+		var candBuf [4]int
+		cands := candBuf[:0]
+		for _, a := range args {
+			if nodes[a].Op != dfg.OpConst && p.PE[a] >= 0 {
+				cands = append(cands, p.PE[a])
 			}
 		}
 		cands = append(cands, rr)
@@ -174,9 +237,9 @@ func (p *Program) mapTABLA() {
 
 		best, bestScore := -1, 1<<30
 		for _, cand := range cands {
-			score := len(p.PEOps[cand])
-			for _, a := range v.Args {
-				if a.Op != dfg.OpConst && p.PE[a.ID] >= 0 && p.PE[a.ID] != cand {
+			score := int(load[cand])
+			for _, a := range args {
+				if nodes[a].Op != dfg.OpConst && p.PE[a] >= 0 && p.PE[a] != cand {
 					score += tablaTransferPenalty
 				}
 			}
@@ -184,23 +247,24 @@ func (p *Program) mapTABLA() {
 				best, bestScore = cand, score
 			}
 		}
-		p.PE[v.ID] = best
-		p.PEOps[best] = append(p.PEOps[best], v.ID)
-		for _, a := range v.Args {
-			if a.Op == dfg.OpModel && p.PE[a.ID] < 0 {
-				p.PE[a.ID] = best
+		p.PE[id] = best
+		load[best]++
+		for _, a := range args {
+			if nodes[a].Op == dfg.OpModel && p.PE[a] < 0 {
+				p.PE[a] = best
 			}
 		}
 	}
 	// Any model parameter that is never consumed directly still needs a
 	// home for broadcast.
 	for _, leaves := range p.Graph.ModelLeaves {
-		for _, leaf := range leaves {
-			if leaf != nil && p.PE[leaf.ID] < 0 {
-				p.PE[leaf.ID] = 0
+		for _, id := range leaves {
+			if id >= 0 && p.PE[id] < 0 {
+				p.PE[id] = 0
 			}
 		}
 	}
+	p.fillPEOps(load)
 }
 
 // CommunicationCost counts the inter-PE value transfers the mapping implies:
@@ -208,16 +272,18 @@ func (p *Program) mapTABLA() {
 // transfer. The CoSMIC mapper exists to minimize this number; the Figure 17
 // ablation reports it for both styles.
 func (p *Program) CommunicationCost() int {
+	nodes := p.Graph.Nodes
 	cost := 0
-	for _, n := range p.Graph.Nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Op.IsLeaf() {
 			continue
 		}
-		for _, a := range n.Args {
-			if a.Op == dfg.OpConst {
+		for _, a := range n.Args() {
+			if nodes[a].Op == dfg.OpConst {
 				continue
 			}
-			if p.PE[a.ID] != p.PE[n.ID] {
+			if p.PE[a] != p.PE[i] {
 				cost++
 			}
 		}

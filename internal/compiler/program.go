@@ -127,8 +127,10 @@ func (p *Program) Validate() error {
 	if len(p.PE) != len(nodes) {
 		return fmt.Errorf("compiler: placement covers %d of %d nodes", len(p.PE), len(nodes))
 	}
-	// Node IDs are dense, so the bookkeeping below is indexed by ID.
-	scheduled := make([]bool, len(nodes))
+	// Node IDs are dense, so the bookkeeping below is indexed by ID: mark
+	// first records which nodes some PE schedules, then 1 + each node's
+	// index in IssueOrder (0 = not issued).
+	mark := make([]int32, len(nodes))
 	for pe, ops := range p.PEOps {
 		if pe >= p.NPE {
 			return fmt.Errorf("compiler: ops scheduled on PE %d of %d", pe, p.NPE)
@@ -137,27 +139,28 @@ func (p *Program) Validate() error {
 			if id < 0 || id >= len(nodes) {
 				return fmt.Errorf("compiler: PE %d schedules node %d, outside the graph", pe, id)
 			}
-			if scheduled[id] {
+			if mark[id] != 0 {
 				return fmt.Errorf("compiler: node %d scheduled twice", id)
 			}
-			scheduled[id] = true
+			mark[id] = 1
 			if p.PE[id] != pe {
 				return fmt.Errorf("compiler: node %d on PE list %d but placed on %d", id, pe, p.PE[id])
 			}
 		}
 	}
 	numOps := 0
-	for _, n := range nodes {
-		if n.Op.IsLeaf() {
+	for i := range nodes {
+		if nodes[i].Op.IsLeaf() {
 			continue
 		}
 		numOps++
-		if !scheduled[n.ID] {
-			return fmt.Errorf("compiler: compute node %d never scheduled", n.ID)
+		if mark[i] == 0 {
+			return fmt.Errorf("compiler: compute node %d never scheduled", i)
 		}
 	}
 	// IssueOrder must be a permutation of the compute nodes…
-	pos := make([]int, len(nodes)) // 1 + index in IssueOrder; 0 = not issued
+	clear(mark)
+	pos := mark
 	for i, id := range p.IssueOrder {
 		if id < 0 || id >= len(nodes) || nodes[id].Op.IsLeaf() {
 			return fmt.Errorf("compiler: issue order entry %d is not a compute node", id)
@@ -165,7 +168,7 @@ func (p *Program) Validate() error {
 		if pos[id] != 0 {
 			return fmt.Errorf("compiler: node %d issued twice", id)
 		}
-		pos[id] = i + 1
+		pos[id] = int32(i + 1)
 	}
 	if len(p.IssueOrder) != numOps {
 		return fmt.Errorf("compiler: issue order covers %d of %d compute nodes", len(p.IssueOrder), numOps)
@@ -173,13 +176,13 @@ func (p *Program) Validate() error {
 	// …in a topological order: every compute operand — on any PE — is
 	// issued before its consumer (global def-before-use).
 	for i, id := range p.IssueOrder {
-		for _, a := range nodes[id].Args {
-			if a.Op.IsLeaf() {
+		for _, a := range nodes[id].Args() {
+			if nodes[a].Op.IsLeaf() {
 				continue
 			}
-			if pos[a.ID] > i+1 {
+			if int(pos[a]) > i+1 {
 				return fmt.Errorf("compiler: node %d (PE %d) issued before operand %d (PE %d)",
-					id, p.PE[id], a.ID, p.PE[a.ID])
+					id, p.PE[id], a, p.PE[a])
 			}
 		}
 	}
@@ -254,7 +257,6 @@ func (c *Prepared) Compile(plan arch.Plan, style Style) (*Program, error) {
 	for i := range p.PE {
 		p.PE[i] = -1
 	}
-	p.PEOps = make([][]int, p.NPE)
 	p.Interconnect = TreeBus
 	if style == StyleTABLA {
 		p.Interconnect = FlatBus
@@ -306,12 +308,8 @@ func dataStream(g *dfg.Graph) []int {
 	var stream []int
 	for _, name := range u.Order {
 		if leaves, ok := g.DataLeaves[name]; ok {
-			for _, leaf := range leaves {
-				if leaf != nil {
-					stream = append(stream, leaf.ID)
-				} else {
-					stream = append(stream, -1)
-				}
+			for _, id := range leaves {
+				stream = append(stream, int(id))
 			}
 			continue
 		}
@@ -332,9 +330,9 @@ func dataStream(g *dfg.Graph) []int {
 func modelStream(g *dfg.Graph) []int {
 	var stream []int
 	for _, name := range g.Unit.Order {
-		for _, leaf := range g.ModelLeaves[name] {
-			if leaf != nil {
-				stream = append(stream, leaf.ID)
+		for _, id := range g.ModelLeaves[name] {
+			if id >= 0 {
+				stream = append(stream, int(id))
 			}
 		}
 	}
@@ -342,18 +340,22 @@ func modelStream(g *dfg.Graph) []int {
 }
 
 // buildGradAccum assigns each gradient output's local accumulation to the
-// PE that produces it.
+// PE that produces it, carving every PE's list out of one backing array.
 func (p *Program) buildGradAccum() {
-	p.GradAccum = make([][]int, p.NPE)
+	// Constant outputs (e.g. hinge-loss zeros) still need a home for their
+	// running sum; column 0 of row 0 keeps them.
+	home := func(id int32) int { return max(p.PE[id], 0) }
+	count := make([]int32, p.NPE)
 	for _, name := range p.Graph.OutputOrder {
-		for _, out := range p.Graph.Outputs[name] {
-			pe := p.PE[out.ID]
-			if pe < 0 {
-				// Constant outputs (e.g. hinge-loss zeros) still need a
-				// home for their running sum; column 0 of row 0 keeps them.
-				pe = 0
-			}
-			p.GradAccum[pe] = append(p.GradAccum[pe], out.ID)
+		for _, id := range p.Graph.Outputs[name] {
+			count[home(id)]++
+		}
+	}
+	p.GradAccum = carve(count)
+	for _, name := range p.Graph.OutputOrder {
+		for _, id := range p.Graph.Outputs[name] {
+			pe := home(id)
+			p.GradAccum[pe] = append(p.GradAccum[pe], int(id))
 		}
 	}
 }

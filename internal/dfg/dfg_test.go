@@ -154,29 +154,30 @@ func TestEvalNonlinears(t *testing.T) {
 
 func TestLevelsAreMonotone(t *testing.T) {
 	g := mustGraph(t, dsl.SourceBackprop, map[string]int{"IN": 6, "HID": 4, "OUT": 3})
-	for _, n := range g.Nodes {
-		for _, a := range n.Args {
-			if a.Level > n.Level {
-				t.Fatalf("node %d level %d < arg %d level %d", n.ID, n.Level, a.ID, a.Level)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		for _, a := range n.Args() {
+			if g.Nodes[a].Level > n.Level {
+				t.Fatalf("node %d level %d < arg %d level %d", i, n.Level, a, g.Nodes[a].Level)
 			}
 		}
 	}
 	// Heights: every non-sink node's height is 1 + max consumer height.
-	for _, n := range g.Nodes {
-		if len(n.Consumers) == 0 {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		cons := g.Consumers(int32(i))
+		if len(cons) == 0 {
 			if n.Height != 0 {
-				t.Fatalf("sink node %d has height %d", n.ID, n.Height)
+				t.Fatalf("sink node %d has height %d", i, n.Height)
 			}
 			continue
 		}
-		want := 0
-		for _, c := range n.Consumers {
-			if c.Height+1 > want {
-				want = c.Height + 1
-			}
+		var want int32
+		for _, c := range cons {
+			want = max(want, g.Nodes[c].Height+1)
 		}
 		if n.Height != want {
-			t.Fatalf("node %d height %d, want %d", n.ID, n.Height, want)
+			t.Fatalf("node %d height %d, want %d", i, n.Height, want)
 		}
 	}
 }

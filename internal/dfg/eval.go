@@ -18,39 +18,39 @@ type Bindings struct {
 // cycle-level accelerator simulation is checked.
 func (g *Graph) Eval(b Bindings) (map[string][]float64, error) {
 	vals := make([]float64, len(g.Nodes))
-	for _, n := range g.Nodes {
-		v, err := evalNode(n, vals, b)
+	for i := range g.Nodes {
+		v, err := g.evalNode(int32(i), vals, b)
 		if err != nil {
 			return nil, err
 		}
-		vals[n.ID] = v
+		vals[i] = v
 	}
 	out := make(map[string][]float64, len(g.Outputs))
-	for name, nodes := range g.Outputs {
-		vec := make([]float64, len(nodes))
-		for i, n := range nodes {
-			vec[i] = vals[n.ID]
+	for name, ids := range g.Outputs {
+		vec := make([]float64, len(ids))
+		for i, id := range ids {
+			vec[i] = vals[id]
 		}
 		out[name] = vec
 	}
 	return out, nil
 }
 
-func evalNode(n *Node, vals []float64, b Bindings) (float64, error) {
-	arg := func(i int) float64 { return vals[n.Args[i].ID] }
+func (g *Graph) evalNode(id int32, vals []float64, b Bindings) (float64, error) {
+	n := &g.Nodes[id]
+	arg := func(i int) float64 { return vals[n.Arg[i]] }
 	switch n.Op {
 	case OpConst:
 		return n.Const, nil
-	case OpData:
-		vec, ok := b.Data[n.Var]
-		if !ok || n.Index >= len(vec) {
-			return 0, fmt.Errorf("dfg: eval: missing data binding %s[%d]", n.Var, n.Index)
+	case OpData, OpModel:
+		side, vecs := "data", b.Data
+		if n.Op == OpModel {
+			side, vecs = "model", b.Model
 		}
-		return vec[n.Index], nil
-	case OpModel:
-		vec, ok := b.Model[n.Var]
-		if !ok || n.Index >= len(vec) {
-			return 0, fmt.Errorf("dfg: eval: missing model binding %s[%d]", n.Var, n.Index)
+		name := g.Var(id)
+		vec, ok := vecs[name]
+		if !ok || int(n.Index) >= len(vec) {
+			return 0, fmt.Errorf("dfg: eval: missing %s binding %s[%d]", side, name, n.Index)
 		}
 		return vec[n.Index], nil
 	case OpAdd:

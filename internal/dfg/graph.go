@@ -19,7 +19,7 @@ import (
 )
 
 // Op enumerates DFG operation kinds.
-type Op int
+type Op uint8
 
 // DFG operations. OpData/OpModel/OpConst are leaves.
 const (
@@ -79,54 +79,126 @@ func (op Op) IsNonlinear() bool {
 	return false
 }
 
-// Node is a single DFG vertex producing one scalar value.
+// Node is a single DFG vertex producing one scalar value. A node's ID is its
+// index in Graph.Nodes, and its arguments are IDs too, so the node table
+// holds no pointers: it is one allocation the garbage collector never scans.
 type Node struct {
-	ID   int
-	Op   Op
-	Args []*Node
-
 	// Const holds the literal value for OpConst leaves.
 	Const float64
-	// Var and Index identify the symbol element for OpData/OpModel leaves
-	// and for gradient output nodes (via Graph.Outputs).
-	Var   string
-	Index int
-
-	// Consumers lists nodes that use this node's value (filled by the
-	// translator).
-	Consumers []*Node
+	// Arg holds the argument IDs; the first Arity entries are set.
+	Arg [3]int32
+	// Sym and Index identify the symbol element of an OpData/OpModel leaf:
+	// element Index of Graph.Symbols[Sym]. Sym is 0, the empty name, on
+	// every other node.
+	Sym   int32
+	Index int32
 
 	// Level is the node's ASAP depth (leaves at 0). Height is the longest
 	// path from this node to any output, used as scheduling priority (the
 	// Compiler "prioritizes scheduling operations that have the longest
 	// dependence chain").
-	Level  int
-	Height int
+	Level  int32
+	Height int32
+
+	Op    Op
+	Arity uint8
 }
+
+// Args returns the node's argument IDs.
+func (n *Node) Args() []int32 { return n.Arg[:n.Arity] }
 
 // Graph is an elaborated dataflow graph for one worker thread's gradient
 // computation.
 type Graph struct {
 	// Nodes in creation order; creation order is topological (arguments
 	// always precede their consumers).
-	Nodes []*Node
-	// DataLeaves and ModelLeaves index leaf nodes by symbol name, in flat
-	// element order (missing elements are nil if never referenced).
-	DataLeaves  map[string][]*Node
-	ModelLeaves map[string][]*Node
-	// Outputs maps each gradient symbol to its element-producing nodes in
-	// flat element order.
-	Outputs map[string][]*Node
+	Nodes []Node
+	// Symbols interns the leaves' symbol names; Symbols[0] is "".
+	Symbols []string
+	// ConsumerOff and ConsumerIDs list every node's consumers in CSR form:
+	// node i's consumers are ConsumerIDs[ConsumerOff[i]:ConsumerOff[i+1]],
+	// in creation order, once per argument slot that reads node i (x*x
+	// lists its consumer twice). Link fills them.
+	ConsumerOff []int32
+	ConsumerIDs []int32
+	// DataLeaves and ModelLeaves index leaf node IDs by symbol name, in
+	// flat element order (-1 for an element never referenced).
+	DataLeaves  map[string][]int32
+	ModelLeaves map[string][]int32
+	// Outputs maps each gradient symbol to its element-producing node IDs
+	// in flat element order.
+	Outputs map[string][]int32
 	// OutputOrder lists gradient symbol names in declaration order.
 	OutputOrder []string
 	Unit        *dsl.Unit
 }
 
+// Consumers returns the IDs of the nodes that read node id's value.
+func (g *Graph) Consumers(id int32) []int32 {
+	return g.ConsumerIDs[g.ConsumerOff[id]:g.ConsumerOff[id+1]]
+}
+
+// Var returns the symbol name of a leaf node ("" for any other node).
+func (g *Graph) Var(id int32) string {
+	if s := g.Nodes[id].Sym; s > 0 {
+		return g.Symbols[s]
+	}
+	return ""
+}
+
+// Link derives everything the node table implies: the consumer lists, and
+// each node's Level and Height. The translator calls it once; a graph built
+// or edited by hand calls it before use.
+func (g *Graph) Link() {
+	nodes := g.Nodes
+	off := make([]int32, len(nodes)+1)
+	for i := range nodes {
+		for _, a := range nodes[i].Args() {
+			off[a+1]++
+		}
+	}
+	for i := range nodes {
+		off[i+1] += off[i]
+	}
+	ids := make([]int32, off[len(nodes)])
+	next := make([]int32, len(nodes))
+	copy(next, off)
+	for i := range nodes {
+		for _, a := range nodes[i].Args() {
+			ids[next[a]] = int32(i)
+			next[a]++
+		}
+	}
+	g.ConsumerOff, g.ConsumerIDs = off, ids
+
+	// Creation order is topological, so a single forward and a single
+	// backward pass fill in levels and heights.
+	for i := range nodes {
+		n := &nodes[i]
+		var lvl int32
+		for _, a := range n.Args() {
+			al := nodes[a].Level
+			if !nodes[a].Op.IsLeaf() {
+				al++ // a compute arg adds a pipeline step
+			}
+			lvl = max(lvl, al)
+		}
+		n.Level = lvl
+	}
+	for i := len(nodes) - 1; i >= 0; i-- {
+		var h int32
+		for _, c := range ids[off[i]:off[i+1]] {
+			h = max(h, nodes[c].Height+1)
+		}
+		nodes[i].Height = h
+	}
+}
+
 // NumOps returns the number of compute (non-leaf) nodes.
 func (g *Graph) NumOps() int {
 	n := 0
-	for _, nd := range g.Nodes {
-		if !nd.Op.IsLeaf() {
+	for i := range g.Nodes {
+		if !g.Nodes[i].Op.IsLeaf() {
 			n++
 		}
 	}
@@ -136,9 +208,9 @@ func (g *Graph) NumOps() int {
 // OpCensus returns compute-node counts per operation.
 func (g *Graph) OpCensus() map[Op]int {
 	c := map[Op]int{}
-	for _, nd := range g.Nodes {
-		if !nd.Op.IsLeaf() {
-			c[nd.Op]++
+	for i := range g.Nodes {
+		if op := g.Nodes[i].Op; !op.IsLeaf() {
+			c[op]++
 		}
 	}
 	return c
@@ -146,8 +218,8 @@ func (g *Graph) OpCensus() map[Op]int {
 
 // HasNonlinear reports whether any node requires the LUT nonlinear unit.
 func (g *Graph) HasNonlinear() bool {
-	for _, nd := range g.Nodes {
-		if nd.Op.IsNonlinear() {
+	for i := range g.Nodes {
+		if g.Nodes[i].Op.IsNonlinear() {
 			return true
 		}
 	}
@@ -157,13 +229,11 @@ func (g *Graph) HasNonlinear() bool {
 // CriticalPath returns the longest compute-node chain in the graph, the
 // lower bound on single-thread latency.
 func (g *Graph) CriticalPath() int {
-	max := 0
-	for _, nd := range g.Nodes {
-		if nd.Level > max {
-			max = nd.Level
-		}
+	var cp int32
+	for i := range g.Nodes {
+		cp = max(cp, g.Nodes[i].Level)
 	}
-	return max
+	return int(cp)
 }
 
 // WidthProfile returns, per ASAP level, the number of compute nodes at that
@@ -171,9 +241,9 @@ func (g *Graph) CriticalPath() int {
 // single thread can keep busy.
 func (g *Graph) WidthProfile() []int {
 	prof := make([]int, g.CriticalPath()+1)
-	for _, nd := range g.Nodes {
-		if !nd.Op.IsLeaf() {
-			prof[nd.Level]++
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; !n.Op.IsLeaf() {
+			prof[n.Level]++
 		}
 	}
 	return prof
@@ -204,50 +274,23 @@ func (g *Graph) AvgWidth() float64 {
 // one word per referenced data element, model parameter, and live interim
 // value. The Planner uses this as DFG.storage() when bounding thread count.
 func (g *Graph) StorageWords() int {
-	words := 0
-	for _, leaves := range g.DataLeaves {
-		for _, n := range leaves {
-			if n != nil {
-				words++
-			}
-		}
-	}
-	for _, leaves := range g.ModelLeaves {
-		for _, n := range leaves {
-			if n != nil {
-				words++
-			}
-		}
-	}
-	for _, nd := range g.Nodes {
-		if !nd.Op.IsLeaf() {
-			words++
-		}
-	}
-	return words
+	return g.DataWords() + g.ModelWords() + g.NumOps()
 }
 
 // DataWords returns the number of distinct training-data elements the graph
 // reads per input vector.
-func (g *Graph) DataWords() int {
-	n := 0
-	for _, leaves := range g.DataLeaves {
-		for _, leaf := range leaves {
-			if leaf != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (g *Graph) DataWords() int { return countLeaves(g.DataLeaves) }
 
 // ModelWords returns the number of distinct model parameters the graph
 // reads.
-func (g *Graph) ModelWords() int {
+func (g *Graph) ModelWords() int { return countLeaves(g.ModelLeaves) }
+
+// countLeaves counts the referenced elements of a leaf table.
+func countLeaves(tables map[string][]int32) int {
 	n := 0
-	for _, leaves := range g.ModelLeaves {
-		for _, leaf := range leaves {
-			if leaf != nil {
+	for _, leaves := range tables {
+		for _, id := range leaves {
+			if id >= 0 {
 				n++
 			}
 		}
@@ -264,26 +307,32 @@ func (g *Graph) GradientWords() int {
 	return n
 }
 
-// Validate checks structural invariants: IDs are dense and creation order is
-// topological. It returns the first violation found.
+// Validate checks structural invariants: creation order is topological
+// (every argument ID lies before its consumer), leaves take no arguments,
+// symbol IDs are in range, and every output names a node. It returns the
+// first violation found.
 func (g *Graph) Validate() error {
-	for i, nd := range g.Nodes {
-		if nd.ID != i {
-			return fmt.Errorf("dfg: node %d has ID %d", i, nd.ID)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if int(n.Arity) > len(n.Arg) {
+			return fmt.Errorf("dfg: node %d has arity %d", i, n.Arity)
 		}
-		for _, a := range nd.Args {
-			if a.ID >= nd.ID {
-				return fmt.Errorf("dfg: node %d consumes later node %d", nd.ID, a.ID)
+		for _, a := range n.Args() {
+			if a < 0 || int(a) >= i {
+				return fmt.Errorf("dfg: node %d consumes later node %d", i, a)
 			}
 		}
-		if nd.Op.IsLeaf() && len(nd.Args) != 0 {
-			return fmt.Errorf("dfg: leaf node %d has arguments", nd.ID)
+		if n.Op.IsLeaf() && n.Arity != 0 {
+			return fmt.Errorf("dfg: leaf node %d has arguments", i)
+		}
+		if n.Sym < 0 || (n.Sym > 0 && int(n.Sym) >= len(g.Symbols)) {
+			return fmt.Errorf("dfg: node %d has symbol %d of %d", i, n.Sym, len(g.Symbols))
 		}
 	}
 	for name, outs := range g.Outputs {
 		for i, o := range outs {
-			if o == nil {
-				return fmt.Errorf("dfg: output %s[%d] is nil", name, i)
+			if o < 0 || int(o) >= len(g.Nodes) {
+				return fmt.Errorf("dfg: output %s[%d] is node %d of %d", name, i, o, len(g.Nodes))
 			}
 		}
 	}

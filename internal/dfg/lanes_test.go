@@ -22,10 +22,10 @@ func symVecs(names []string, m map[string][]float64) [][]float64 {
 // laneOutputs gathers one lane's gradient outputs from the arena rows.
 func laneOutputs(g *Graph, la *Lanes, lane int) map[string][]float64 {
 	out := map[string][]float64{}
-	for name, nodes := range g.Outputs {
-		vec := make([]float64, len(nodes))
-		for i, n := range nodes {
-			vec[i] = la.Row(n.ID)[lane]
+	for name, ids := range g.Outputs {
+		vec := make([]float64, len(ids))
+		for i, id := range ids {
+			vec[i] = la.Row(int(id))[lane]
 		}
 		out[name] = vec
 	}
@@ -44,9 +44,9 @@ func TestLanesMatchScalarArenaAllOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wSlot int
-	for _, n := range g.Nodes {
-		if n.Op == OpModel {
-			wSlot = n.ID
+	for i := range g.Nodes {
+		if g.Nodes[i].Op == OpModel {
+			wSlot = i
 		}
 	}
 	special := []float64{

@@ -82,29 +82,31 @@ func (g *Graph) CompileTape() (*Tape, error) {
 
 	dataSyms := map[string]*symBinding{}
 	modelSyms := map[string]*symBinding{}
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		switch n.Op {
 		case OpConst:
-			t.template[n.ID] = n.Const
+			t.template[i] = n.Const
 		case OpData, OpModel:
 			syms := dataSyms
 			if n.Op == OpModel {
 				syms = modelSyms
 			}
-			sb := syms[n.Var]
+			name := g.Var(int32(i))
+			sb := syms[name]
 			if sb == nil {
-				sb = &symBinding{name: n.Var}
-				syms[n.Var] = sb
+				sb = &symBinding{name: name}
+				syms[name] = sb
 			}
 			if n.Index < 0 {
-				return nil, fmt.Errorf("dfg: compile: leaf %s has negative index %d", n.Var, n.Index)
+				return nil, fmt.Errorf("dfg: compile: leaf %s has negative index %d", name, n.Index)
 			}
-			sb.loads = append(sb.loads, leafLoad{slot: int32(n.ID), elem: int32(n.Index)})
-			if n.Index+1 > sb.minLen {
-				sb.minLen = n.Index + 1
+			sb.loads = append(sb.loads, leafLoad{slot: int32(i), elem: n.Index})
+			if int(n.Index)+1 > sb.minLen {
+				sb.minLen = int(n.Index) + 1
 			}
 		default:
-			in, err := lowerNode(n)
+			in, err := lowerNode(int32(i), n)
 			if err != nil {
 				return nil, err
 			}
@@ -120,11 +122,7 @@ func (g *Graph) CompileTape() (*Tape, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		nodes := g.Outputs[name]
-		slots := make([]int32, len(nodes))
-		for i, n := range nodes {
-			slots[i] = int32(n.ID)
-		}
+		slots := append([]int32(nil), g.Outputs[name]...)
 		t.outs = append(t.outs, outGather{name: name, slots: slots})
 	}
 	if debugCheck {
@@ -137,8 +135,8 @@ func (g *Graph) CompileTape() (*Tape, error) {
 
 // lowerNode translates one compute node into an instruction, checking op
 // and arity validity.
-func lowerNode(n *Node) (instr, error) {
-	in := instr{op: n.Op, dst: int32(n.ID), a: -1, b: -1, c: -1}
+func lowerNode(id int32, n *Node) (instr, error) {
+	in := instr{op: n.Op, dst: id, a: -1, b: -1, c: -1}
 	var arity int
 	switch n.Op {
 	case OpAdd, OpSub, OpMul, OpDiv, OpGT, OpLT, OpGE, OpLE, OpEQ, OpNE:
@@ -150,15 +148,15 @@ func lowerNode(n *Node) (instr, error) {
 	default:
 		return in, fmt.Errorf("dfg: compile: unsupported op %s", n.Op)
 	}
-	if len(n.Args) != arity {
-		return in, fmt.Errorf("dfg: compile: op %s has %d args, want %d", n.Op, len(n.Args), arity)
+	if int(n.Arity) != arity {
+		return in, fmt.Errorf("dfg: compile: op %s has %d args, want %d", n.Op, n.Arity, arity)
 	}
-	in.a = int32(n.Args[0].ID)
+	in.a = n.Arg[0]
 	if arity > 1 {
-		in.b = int32(n.Args[1].ID)
+		in.b = n.Arg[1]
 	}
 	if arity > 2 {
-		in.c = int32(n.Args[2].ID)
+		in.c = n.Arg[2]
 	}
 	return in, nil
 }

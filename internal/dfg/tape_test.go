@@ -120,36 +120,33 @@ func TestTapeMatchesInterpreterOnBenchmarks(t *testing.T) {
 // select, and every EvalNonlinear case — none of which appear together in
 // any single benchmark program.
 func allOpsGraph() *Graph {
-	g := &Graph{Outputs: map[string][]*Node{}}
-	mk := func(op Op, args ...*Node) *Node {
-		n := &Node{ID: len(g.Nodes), Op: op, Args: args}
+	g := &Graph{Symbols: []string{"", "x", "w"}, Outputs: map[string][]int32{}}
+	mk := func(n Node, args ...int32) int32 {
+		n.Arity = uint8(copy(n.Arg[:], args))
 		g.Nodes = append(g.Nodes, n)
-		return n
+		return int32(len(g.Nodes) - 1)
 	}
-	x0 := mk(OpData)
-	x0.Var, x0.Index = "x", 0
-	x1 := mk(OpData)
-	x1.Var, x1.Index = "x", 1
-	w0 := mk(OpModel)
-	w0.Var, w0.Index = "w", 0
-	half := mk(OpConst)
-	half.Const = 0.5
+	x0 := mk(Node{Op: OpData, Sym: 1, Index: 0})
+	x1 := mk(Node{Op: OpData, Sym: 1, Index: 1})
+	w0 := mk(Node{Op: OpModel, Sym: 2, Index: 0})
+	half := mk(Node{Op: OpConst, Const: 0.5})
 
-	var outs []*Node
-	out := func(n *Node) { outs = append(outs, n) }
+	var outs []int32
+	out := func(id int32) { outs = append(outs, id) }
 	for _, op := range []Op{OpAdd, OpSub, OpMul, OpDiv, OpGT, OpLT, OpGE, OpLE, OpEQ, OpNE} {
-		out(mk(op, x0, x1))
+		out(mk(Node{Op: op}, x0, x1))
 	}
-	out(mk(OpNeg, x0))
-	cond := mk(OpGT, x0, half)
-	out(mk(OpSelect, cond, x1, w0))
+	out(mk(Node{Op: OpNeg}, x0))
+	cond := mk(Node{Op: OpGT}, x0, half)
+	out(mk(Node{Op: OpSelect}, cond, x1, w0))
 	for _, op := range []Op{OpSigmoid, OpGaussian, OpLog, OpExp, OpSqrt, OpTanh, OpRelu, OpAbs, OpSign} {
-		out(mk(op, x0))
+		out(mk(Node{Op: op}, x0))
 	}
 	// A second layer mixing model values through nonlinear results.
-	out(mk(OpMul, outs[len(outs)-1], w0))
+	out(mk(Node{Op: OpMul}, outs[len(outs)-1], w0))
 	g.Outputs["g"] = outs
 	g.OutputOrder = []string{"g"}
+	g.Link()
 	return g
 }
 
@@ -221,19 +218,15 @@ func TestTapeBindingErrors(t *testing.T) {
 // TestTapeRejectsUnknownOp: op validity is a compile-time check, not an
 // evaluation-time one.
 func TestTapeRejectsUnknownOp(t *testing.T) {
-	g := &Graph{Outputs: map[string][]*Node{}}
-	n := &Node{ID: 0, Op: Op(97)}
-	g.Nodes = append(g.Nodes, n)
-	g.Outputs["g"] = []*Node{n}
+	g := &Graph{Nodes: []Node{{Op: Op(97)}}, Outputs: map[string][]int32{"g": {0}}}
 	if _, err := g.CompileTape(); err == nil {
 		t.Error("expected unsupported-op compile error")
 	}
 	// Wrong arity is also a compile error.
-	g2 := &Graph{Outputs: map[string][]*Node{}}
-	c := &Node{ID: 0, Op: OpConst}
-	bad := &Node{ID: 1, Op: OpAdd, Args: []*Node{c}}
-	g2.Nodes = []*Node{c, bad}
-	g2.Outputs["g"] = []*Node{bad}
+	g2 := &Graph{
+		Nodes:   []Node{{Op: OpConst}, {Op: OpAdd, Arity: 1}},
+		Outputs: map[string][]int32{"g": {1}},
+	}
 	if _, err := g2.CompileTape(); err == nil {
 		t.Error("expected arity compile error")
 	}

@@ -56,7 +56,7 @@ func (t *Tape) Check(g *Graph) []string {
 			bad("instr %d: destination slot %d out of range", i, in.dst)
 			continue
 		}
-		n := g.Nodes[in.dst]
+		n := &g.Nodes[in.dst]
 		if n.Op.IsLeaf() {
 			bad("instr %d: destination slot %d is a %s leaf", i, in.dst, n.Op)
 			continue
@@ -69,13 +69,13 @@ func (t *Tape) Check(g *Graph) []string {
 			bad("instr %d: op %s but node %d is %s", i, in.op, in.dst, n.Op)
 		}
 		ops := []int32{in.a, in.b, in.c}
-		for k, a := range n.Args {
-			if k >= len(ops) || ops[k] != int32(a.ID) {
-				bad("instr %d: operand %d is slot %d, node %d wants %d", i, k, ops[k], in.dst, a.ID)
+		for k, a := range n.Args() {
+			if ops[k] != a {
+				bad("instr %d: operand %d is slot %d, node %d wants %d", i, k, ops[k], in.dst, a)
 			}
 		}
 		for k, s := range ops {
-			if k < len(n.Args) {
+			if k < int(n.Arity) {
 				if s < 0 || s >= in.dst {
 					bad("instr %d: operand slot %d not strictly before destination %d", i, s, in.dst)
 				}
@@ -86,14 +86,14 @@ func (t *Tape) Check(g *Graph) []string {
 	}
 
 	// Constants: template holds Const values at const slots, zero elsewhere.
-	for _, n := range g.Nodes {
-		switch {
+	for i := range g.Nodes {
+		switch n := &g.Nodes[i]; {
 		case n.Op == OpConst:
-			if t.template[n.ID] != n.Const {
-				bad("template slot %d holds %g, const node wants %g", n.ID, t.template[n.ID], n.Const)
+			if t.template[i] != n.Const {
+				bad("template slot %d holds %g, const node wants %g", i, t.template[i], n.Const)
 			}
-		case t.template[n.ID] != 0:
-			bad("template slot %d holds %g but node is not a constant", n.ID, t.template[n.ID])
+		case t.template[i] != 0:
+			bad("template slot %d holds %g but node is not a constant", i, t.template[i])
 		}
 	}
 
@@ -111,20 +111,20 @@ func (t *Tape) Check(g *Graph) []string {
 			bad("output %q out of sorted order", o.name)
 		}
 		prev = o.name
-		nodes, ok := g.Outputs[o.name]
+		ids, ok := g.Outputs[o.name]
 		if !ok {
 			bad("tape gathers unknown output %q", o.name)
 			continue
 		}
-		if len(o.slots) != len(nodes) {
-			bad("output %q gathers %d slots, graph has %d elements", o.name, len(o.slots), len(nodes))
+		if len(o.slots) != len(ids) {
+			bad("output %q gathers %d slots, graph has %d elements", o.name, len(o.slots), len(ids))
 			continue
 		}
 		for i, s := range o.slots {
-			if nodes[i] == nil {
+			if ids[i] < 0 {
 				bad("output %s[%d] has no producing node", o.name, i)
-			} else if int(s) != nodes[i].ID {
-				bad("output %s[%d] gathered from slot %d, want node %d", o.name, i, s, nodes[i].ID)
+			} else if s != ids[i] {
+				bad("output %s[%d] gathered from slot %d, want node %d", o.name, i, s, ids[i])
 			}
 		}
 	}
@@ -147,10 +147,10 @@ func (t *Tape) checkBindings(g *Graph, kind Op, syms []symBinding, bad func(stri
 				bad("%s binding %q: load slot %d out of range", side, sb.name, ld.slot)
 				continue
 			}
-			n := g.Nodes[ld.slot]
-			if n.Op != kind || n.Var != sb.name || int32(n.Index) != ld.elem {
+			n := &g.Nodes[ld.slot]
+			if n.Op != kind || g.Var(ld.slot) != sb.name || n.Index != ld.elem {
 				bad("%s binding %q: slot %d loads element %d, node is %s %s[%d]",
-					side, sb.name, ld.slot, ld.elem, n.Op, n.Var, n.Index)
+					side, sb.name, ld.slot, ld.elem, n.Op, g.Var(ld.slot), n.Index)
 			}
 			if int(ld.elem) >= sb.minLen {
 				bad("%s binding %q: element %d not covered by minLen %d", side, sb.name, ld.elem, sb.minLen)
@@ -161,9 +161,9 @@ func (t *Tape) checkBindings(g *Graph, kind Op, syms []symBinding, bad func(stri
 			loaded[ld.slot] = true
 		}
 	}
-	for _, n := range g.Nodes {
-		if n.Op == kind && !loaded[int32(n.ID)] {
-			bad("%s leaf %s[%d] (slot %d) never loaded by any binding", side, n.Var, n.Index, n.ID)
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.Op == kind && !loaded[int32(i)] {
+			bad("%s leaf %s[%d] (slot %d) never loaded by any binding", side, g.Var(int32(i)), n.Index, i)
 		}
 	}
 }

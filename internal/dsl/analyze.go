@@ -22,6 +22,14 @@ var NonlinearFuncs = map[string]bool{
 	"sign":     true,
 }
 
+// MaxElements bounds every symbol's element count and every iterator's trip
+// count: 1<<25 words, cosmicnet.MaxFrameBytes/8, the largest vector one
+// frame can carry. The largest Table 1 symbol at full scale (mnist's first
+// weight layer) has 614,656 elements. Analyze refuses anything larger, so
+// Size and Count never overflow and nothing downstream is asked to allocate
+// more than a frame could ever move.
+const MaxElements = 1 << 25
+
 // Symbol is a resolved DSL variable with concrete extents.
 type Symbol struct {
 	Name string
@@ -33,7 +41,8 @@ type Symbol struct {
 	DeclPos Pos
 }
 
-// Size returns the number of scalar elements of the symbol.
+// Size returns the number of scalar elements of the symbol; Analyze bounds
+// it by MaxElements.
 func (s *Symbol) Size() int {
 	n := 1
 	for _, d := range s.Dims {
@@ -80,6 +89,10 @@ func Analyze(prog *Program, params map[string]int) (*Unit, error) {
 			if hi <= lo {
 				return nil, errorf(d.Pos, "iterator %q has empty range [%d:%d)", d.Name, lo, hi)
 			}
+			// hi > lo, so the unsigned difference is the exact trip count.
+			if uint64(hi)-uint64(lo) > MaxElements {
+				return nil, errorf(d.Pos, "iterator %q range [%d:%d) exceeds %d trips", d.Name, lo, hi, MaxElements)
+			}
 			sym.Lo, sym.Hi = lo, hi
 		} else {
 			for _, dim := range d.Dims {
@@ -92,6 +105,9 @@ func Analyze(prog *Program, params map[string]int) (*Unit, error) {
 				}
 				sym.Dims = append(sym.Dims, n)
 			}
+			if err := checkSize(d.Pos, d.Name, sym.Dims); err != nil {
+				return nil, err
+			}
 		}
 		u.Symbols[d.Name] = sym
 		u.Order = append(u.Order, d.Name)
@@ -102,6 +118,9 @@ func Analyze(prog *Program, params map[string]int) (*Unit, error) {
 	for _, st := range prog.Stmts {
 		sym, ok := u.Symbols[st.Name]
 		if !ok {
+			if _, isParam := params[st.Name]; isParam {
+				return nil, errorf(st.Pos, "cannot assign to dimension parameter %q", st.Name)
+			}
 			// Implicitly declare an interim. Its rank is the number of LHS
 			// subscripts; extents are derived from the subscript iterators.
 			dims, err := u.lhsDims(st)
@@ -161,7 +180,24 @@ func (u *Unit) lhsDims(st *Assign) ([]int, error) {
 		}
 		dims = append(dims, it.Count())
 	}
+	if err := checkSize(st.Pos, st.Name, dims); err != nil {
+		return nil, err
+	}
 	return dims, nil
+}
+
+// checkSize refuses a symbol of more than MaxElements elements. Each extent
+// is positive, and the running product is checked before every multiply, so
+// it cannot overflow.
+func checkSize(pos Pos, name string, dims []int) error {
+	size := 1
+	for _, d := range dims {
+		if d > MaxElements/size {
+			return errorf(pos, "%q has more than %d elements", name, MaxElements)
+		}
+		size *= d
+	}
+	return nil
 }
 
 func collectIterators(e Expr, u *Unit, out map[string]bool) {
@@ -276,6 +312,11 @@ func evalConst(e Expr, params map[string]int) (int, error) {
 	}
 	if v != math.Trunc(v) {
 		return 0, errorf(e.Position(), "dimension expression %s is not an integer", e)
+	}
+	// Beyond 2^53 a float64 no longer holds every integer, and int(v) of a
+	// value past the int range is undefined.
+	if math.Abs(v) > 1<<53 {
+		return 0, errorf(e.Position(), "dimension expression %s is out of range", e)
 	}
 	return int(v), nil
 }

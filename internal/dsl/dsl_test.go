@@ -256,6 +256,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"interim before assign", "g = t + 1; t = 2; aggregator sum;", nil},
 		{"rebind iterator", "iterator i[0:4]; model w[4]; g = sum[i](sum[i](w[i])); aggregator sum;", nil},
 		{"negative dim", "model w[0-3]; g = 1; aggregator sum;", nil},
+		{"assign to param", "M = 3; g = M; aggregator sum;", map[string]int{"M": 8}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cosmicnet"
 	"repro/internal/dsl"
 )
 
@@ -70,5 +71,13 @@ func TestParserAcceptsReasonableNesting(t *testing.T) {
 	src := "gradient g; g = " + strings.Repeat("(", 50) + "--1" + strings.Repeat(")", 50) + ";"
 	if _, err := dsl.Parse(src); err != nil {
 		t.Fatalf("50-deep nesting rejected: %v", err)
+	}
+}
+
+// TestMaxElementsIsOneFrame pins the size bound to what it is derived from:
+// the largest vector of 8-byte words one frame can carry.
+func TestMaxElementsIsOneFrame(t *testing.T) {
+	if dsl.MaxElements != cosmicnet.MaxFrameBytes/8 {
+		t.Errorf("MaxElements = %d, one frame carries %d words", dsl.MaxElements, cosmicnet.MaxFrameBytes/8)
 	}
 }

@@ -24,40 +24,40 @@ func NewEvaluator(f Format) *Evaluator {
 // gradient outputs.
 func (ev *Evaluator) Eval(g *dfg.Graph, b dfg.Bindings) (map[string][]float64, error) {
 	vals := make([]Num, len(g.Nodes))
-	for _, n := range g.Nodes {
-		v, err := ev.evalNode(n, vals, b)
+	for i := range g.Nodes {
+		v, err := ev.evalNode(g, int32(i), vals, b)
 		if err != nil {
 			return nil, err
 		}
-		vals[n.ID] = v
+		vals[i] = v
 	}
 	out := make(map[string][]float64, len(g.Outputs))
-	for name, nodes := range g.Outputs {
-		vec := make([]float64, len(nodes))
-		for i, n := range nodes {
-			vec[i] = ev.F.ToFloat(vals[n.ID])
+	for name, ids := range g.Outputs {
+		vec := make([]float64, len(ids))
+		for i, id := range ids {
+			vec[i] = ev.F.ToFloat(vals[id])
 		}
 		out[name] = vec
 	}
 	return out, nil
 }
 
-func (ev *Evaluator) evalNode(n *dfg.Node, vals []Num, b dfg.Bindings) (Num, error) {
+func (ev *Evaluator) evalNode(g *dfg.Graph, id int32, vals []Num, b dfg.Bindings) (Num, error) {
 	f := ev.F
-	arg := func(i int) Num { return vals[n.Args[i].ID] }
+	n := &g.Nodes[id]
+	arg := func(i int) Num { return vals[n.Arg[i]] }
 	switch n.Op {
 	case dfg.OpConst:
 		return f.FromFloat(n.Const), nil
-	case dfg.OpData:
-		vec, ok := b.Data[n.Var]
-		if !ok || n.Index >= len(vec) {
-			return 0, fmt.Errorf("fixed: missing data binding %s[%d]", n.Var, n.Index)
+	case dfg.OpData, dfg.OpModel:
+		side, vecs := "data", b.Data
+		if n.Op == dfg.OpModel {
+			side, vecs = "model", b.Model
 		}
-		return f.FromFloat(vec[n.Index]), nil
-	case dfg.OpModel:
-		vec, ok := b.Model[n.Var]
-		if !ok || n.Index >= len(vec) {
-			return 0, fmt.Errorf("fixed: missing model binding %s[%d]", n.Var, n.Index)
+		name := g.Var(id)
+		vec, ok := vecs[name]
+		if !ok || int(n.Index) >= len(vec) {
+			return 0, fmt.Errorf("fixed: missing %s binding %s[%d]", side, name, n.Index)
 		}
 		return f.FromFloat(vec[n.Index]), nil
 	case dfg.OpAdd:

@@ -247,9 +247,10 @@ func mappingsOf(points []DesignPoint) int {
 func unschedulable(t *testing.T) *dfg.Graph {
 	t.Helper()
 	g := benchGraph(t, "mnist", 0.01)
-	for _, n := range g.Nodes {
-		if !n.Op.IsLeaf() {
-			n.Args = append(n.Args, n)
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; !n.Op.IsLeaf() && int(n.Arity) < len(n.Arg) {
+			n.Arg[n.Arity] = int32(i)
+			n.Arity++
 			return g
 		}
 	}

@@ -57,14 +57,12 @@ func TestMachineKeepsSignedZeroAndNaNImmediates(t *testing.T) {
 	stream := make([]float64, len(prog.DataStream))
 	for k, id := range prog.DataStream {
 		if id >= 0 {
-			n := g.Nodes[id]
-			stream[k] = data[n.Var][n.Index]
+			stream[k] = data[g.Var(int32(id))][g.Nodes[id].Index]
 		}
 	}
 	words := make([]float64, len(prog.ModelStream))
 	for k, id := range prog.ModelStream {
-		n := g.Nodes[id]
-		words[k] = model[n.Var][n.Index]
+		words[k] = model[g.Var(int32(id))][g.Nodes[id].Index]
 	}
 	if err := mach.LoadVector(stream); err != nil {
 		t.Fatal(err)

@@ -192,31 +192,31 @@ func Encode(prog *compiler.Program) (*Image, error) {
 		modelSlot[id] = modelCount[pe]
 		modelCount[pe]++
 	}
-	for _, n := range g.Nodes {
-		pe := prog.PE[n.ID]
-		if pe < 0 || n.Op.IsLeaf() {
+	for i := range g.Nodes {
+		pe := prog.PE[i]
+		if pe < 0 || g.Nodes[i].Op.IsLeaf() {
 			continue
 		}
-		interimSlot[n.ID] = interimCount[pe]
+		interimSlot[i] = interimCount[pe]
 		interimCount[pe]++
 	}
 
-	operandFor := func(a *dfg.Node, pe int) Operand {
-		switch {
-		case a.Op == dfg.OpConst:
-			return Operand{Class: ClsImm, Index: constOf(a.Const)}
-		case prog.PE[a.ID] != pe:
+	operandFor := func(a int32, pe int) Operand {
+		switch op := g.Nodes[a].Op; {
+		case op == dfg.OpConst:
+			return Operand{Class: ClsImm, Index: constOf(g.Nodes[a].Const)}
+		case prog.PE[a] != pe:
 			// Remote values arrive over a bus port; the routing fields name
 			// the producer PE and its buffer slot, exactly what the
 			// interconnect schedule's transaction carries.
-			slot, cls := busSlotOf(a, dataSlot, modelSlot, interimSlot)
-			return Operand{Class: ClsBus, Index: slot, SrcPE: prog.PE[a.ID], SrcClass: cls}
-		case a.Op == dfg.OpData:
-			return Operand{Class: ClsData, Index: dataSlot[a.ID]}
-		case a.Op == dfg.OpModel:
-			return Operand{Class: ClsModel, Index: modelSlot[a.ID]}
+			slot, cls := busSlotOf(op, a, dataSlot, modelSlot, interimSlot)
+			return Operand{Class: ClsBus, Index: slot, SrcPE: prog.PE[a], SrcClass: cls}
+		case op == dfg.OpData:
+			return Operand{Class: ClsData, Index: dataSlot[a]}
+		case op == dfg.OpModel:
+			return Operand{Class: ClsModel, Index: modelSlot[a]}
 		default:
-			return Operand{Class: ClsInterim, Index: interimSlot[a.ID]}
+			return Operand{Class: ClsInterim, Index: interimSlot[a]}
 		}
 	}
 
@@ -226,7 +226,7 @@ func Encode(prog *compiler.Program) (*Image, error) {
 	nsrcs := 0
 	for pe, ids := range prog.PEOps {
 		for _, id := range ids {
-			nsrcs += len(g.Nodes[id].Args)
+			nsrcs += int(g.Nodes[id].Arity)
 		}
 		nsrcs += len(prog.GradAccum[pe])
 	}
@@ -243,7 +243,7 @@ func Encode(prog *compiler.Program) (*Image, error) {
 		p.PE = pe
 		p.Instructions = make([]Instruction, 0, len(prog.PEOps[pe])+len(prog.GradAccum[pe]))
 		for _, id := range prog.PEOps[pe] {
-			n := g.Nodes[id]
+			n := &g.Nodes[id]
 			var opc Opcode
 			if int(n.Op) < len(opcodeOf) {
 				opc = opcodeOf[n.Op]
@@ -251,8 +251,8 @@ func Encode(prog *compiler.Program) (*Image, error) {
 			if opc == OpcNop {
 				return nil, fmt.Errorf("verilog: no opcode for %s", n.Op)
 			}
-			ins := Instruction{Opc: opc, Srcs: srcs(len(n.Args)), Dst: interimSlot[id]}
-			for k, a := range n.Args {
+			ins := Instruction{Opc: opc, Srcs: srcs(int(n.Arity)), Dst: interimSlot[id]}
+			for k, a := range n.Args() {
 				ins.Srcs[k] = operandFor(a, pe)
 			}
 			p.Instructions = append(p.Instructions, ins)
@@ -262,7 +262,7 @@ func Encode(prog *compiler.Program) (*Image, error) {
 		// per-vector values can be overwritten while the sums persist).
 		for _, id := range prog.GradAccum[pe] {
 			src := srcs(1)
-			src[0] = operandFor(g.Nodes[id], pe)
+			src[0] = operandFor(int32(id), pe)
 			accSlot := interimCount[pe]
 			interimCount[pe]++
 			img.AccSlotOf[id] = accSlot
@@ -285,14 +285,14 @@ func filled(n, v int) []int {
 	return s
 }
 
-func busSlotOf(a *dfg.Node, dataSlot, modelSlot, interimSlot []int) (int, OperandClass) {
-	switch a.Op {
+func busSlotOf(op dfg.Op, a int32, dataSlot, modelSlot, interimSlot []int) (int, OperandClass) {
+	switch op {
 	case dfg.OpData:
-		return dataSlot[a.ID], ClsData
+		return dataSlot[a], ClsData
 	case dfg.OpModel:
-		return modelSlot[a.ID], ClsModel
+		return modelSlot[a], ClsModel
 	default:
-		return interimSlot[a.ID], ClsInterim
+		return interimSlot[a], ClsInterim
 	}
 }
 

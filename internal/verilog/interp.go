@@ -116,23 +116,23 @@ func (m *Machine) Accumulated() (map[string][]float64, error) {
 func (m *Machine) readOutputs(slots []int, accumulated bool) (map[string][]float64, error) {
 	prog := m.img.Prog
 	out := map[string][]float64{}
-	for name, nodes := range prog.Graph.Outputs {
-		vec := make([]float64, len(nodes))
-		for i, n := range nodes {
-			if n.Op == dfg.OpConst && !accumulated {
+	for name, ids := range prog.Graph.Outputs {
+		vec := make([]float64, len(ids))
+		for i, id := range ids {
+			if n := &prog.Graph.Nodes[id]; n.Op == dfg.OpConst && !accumulated {
 				vec[i] = n.Const
 				continue
 			}
-			pe := prog.PE[n.ID]
+			pe := prog.PE[id]
 			if pe < 0 {
 				// Constant outputs are accumulated on PE 0 (see
 				// compiler.buildGradAccum).
 				pe = 0
 			}
-			if n.ID >= len(slots) || slots[n.ID] < 0 {
-				return nil, fmt.Errorf("verilog: no slot for output node %d", n.ID)
+			if int(id) >= len(slots) || slots[id] < 0 {
+				return nil, fmt.Errorf("verilog: no slot for output node %d", id)
 			}
-			slot := slots[n.ID]
+			slot := slots[id]
 			vec[i] = m.interim[pe][slot]
 		}
 		out[name] = vec

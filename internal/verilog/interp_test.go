@@ -19,8 +19,7 @@ func packStream(img *Image, alg ml.Algorithm, s ml.Sample) []float64 {
 		if id < 0 {
 			continue
 		}
-		n := prog.Graph.Nodes[id]
-		stream[k] = bind[n.Var][n.Index]
+		stream[k] = bind[prog.Graph.Var(int32(id))][prog.Graph.Nodes[id].Index]
 	}
 	return stream
 }
@@ -31,8 +30,7 @@ func packBroadcast(img *Image, alg ml.Algorithm, model []float64) []float64 {
 	bind := alg.PackModel(model)
 	words := make([]float64, len(prog.ModelStream))
 	for k, id := range prog.ModelStream {
-		n := prog.Graph.Nodes[id]
-		words[k] = bind[n.Var][n.Index]
+		words[k] = bind[prog.Graph.Var(int32(id))][prog.Graph.Nodes[id].Index]
 	}
 	return words
 }
