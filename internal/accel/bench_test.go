@@ -40,7 +40,7 @@ func plannedProgram(b *testing.B, bm dataset.Benchmark, scale float64) *compiler
 // simulated training vector, and allocations per batch, for a program planned
 // for UltraScale+ as a node's AccelEngine runs it — flat bindings through
 // Run, two vectors on every thread, the averaging aggregator, one Sim kept
-// across batches.
+// across batches — and the size of its lane arenas.
 func BenchmarkRunBatch(b *testing.B) {
 	for _, f := range []struct {
 		name  string
@@ -86,6 +86,7 @@ func BenchmarkRunBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vectors), "ns/vector")
+			b.ReportMetric(float64(sim.LaneArenaBytes())/1024, "arena_kb")
 		})
 	}
 }

@@ -195,20 +195,20 @@ func (s *Sim) Symbols() (model, data []string, err error) {
 type simObs struct {
 	tr *obs.Tracer
 
-	batches, vectors, cycles    *obs.Counter
-	streamCycles, computeCycles *obs.Counter
-	broadcastCycles, aggCycles  *obs.Counter
-	peBusy, peIdle              []*obs.Counter // indexed by PE
-	busKeys                     []int          // the bus segments that carry traffic, ascending
-	busTransfers                []*obs.Counter // parallel to busKeys
-	threadVectors               *obs.Histogram
+	batches, vectors, cycles *obs.Counter
+	peBusy                   []*obs.Counter // indexed by PE
+	busKeys                  []int          // the bus segments that carry traffic, ascending
+	busTransfers             []*obs.Counter // parallel to busKeys
+	threadVectors            *obs.Histogram
 }
 
-// Attach wires the simulator to an observer: per-PE busy/idle cycle
-// counters, per-bus-segment transfer counters, thread-occupancy histogram,
-// reduction-tree (aggregation write-back) latency, and simulated-cycle trace
-// spans for every batch. Attach(nil) detaches; a detached simulator's
-// RunBatch allocates only the BatchResult it returns.
+// Attach wires the simulator to an observer: per-PE busy cycle counters,
+// per-bus-segment transfer counters, a thread-occupancy histogram, and
+// simulated-cycle trace spans for every batch, the reduction tree's
+// (aggregation write-back) among them. The cycles of each phase are
+// attributed exactly by CycleProfile, not counted here. Attach(nil)
+// detaches; a detached simulator's RunBatch allocates only the BatchResult
+// it returns.
 func (s *Sim) Attach(o *obs.Observer) {
 	if o == nil {
 		s.mx = nil
@@ -219,14 +219,9 @@ func (s *Sim) Attach(o *obs.Observer) {
 	mx.batches = reg.Counter("cosmic_sim_batches_total")
 	mx.vectors = reg.Counter("cosmic_sim_vectors_total")
 	mx.cycles = reg.Counter("cosmic_sim_cycles_total")
-	mx.streamCycles = reg.Counter("cosmic_sim_stream_cycles_total")
-	mx.computeCycles = reg.Counter("cosmic_sim_compute_cycles_total")
-	mx.broadcastCycles = reg.Counter("cosmic_sim_broadcast_cycles_total")
-	mx.aggCycles = reg.Counter("cosmic_sim_reduce_cycles_total")
 	for pe := range s.tm.peLoad {
 		id := strconv.Itoa(pe)
 		mx.peBusy = append(mx.peBusy, reg.Counter(obs.Labeled("cosmic_sim_pe_busy_cycles_total", "pe", id)))
-		mx.peIdle = append(mx.peIdle, reg.Counter(obs.Labeled("cosmic_sim_pe_idle_cycles_total", "pe", id)))
 	}
 	for bus, load := range s.tm.busLoad {
 		if load > 0 {
@@ -262,18 +257,10 @@ func (s *Sim) recordBatch(res *BatchResult, maxVecs int) {
 	mx.batches.Inc()
 	mx.vectors.Add(totalVecs)
 	mx.cycles.Add(res.Cycles)
-	mx.streamCycles.Add(res.StreamCycles)
-	mx.computeCycles.Add(res.ComputeCycles)
 	broadcast := s.ModelBroadcastCycles()
 	reduce := s.AggWritebackCycles()
-	mx.broadcastCycles.Add(broadcast)
-	mx.aggCycles.Add(reduce)
 	for pe, load := range s.tm.peLoad {
-		busy := load * int64(maxVecs)
-		mx.peBusy[pe].Add(busy)
-		if idle := res.Cycles - busy; idle > 0 {
-			mx.peIdle[pe].Add(idle)
-		}
+		mx.peBusy[pe].Add(load * int64(maxVecs))
 	}
 	// busLoad counts one thread's per-vector transmissions; every thread
 	// replays the schedule on its own sub-array's segments.
@@ -350,17 +337,27 @@ func (s *Sim) CyclesForRounds(rounds int) int64 {
 	return s.tm.broadcast + int64(s.tm.streamPerVec) + s.tm.startup + int64(rounds-1)*s.Interval()
 }
 
+// LaneArenaBytes returns the size of the lane arenas the batches run on,
+// summed over the host workers' blocks: 0 before the first batch.
+func (s *Sim) LaneArenaBytes() int {
+	n := 0
+	for b := range s.blocks {
+		if la := s.blocks[b].lanes; la != nil {
+			n += la.Bytes()
+		}
+	}
+	return n
+}
+
 // laneBlock is one host worker's share of a batch: a lane arena holding the
 // training state of up to width simulated threads, one per lane. Only that
 // worker touches it until the cross-thread reduction.
 type laneBlock struct {
 	// lanes' model block is each lane's local model: broadcast once per
-	// batch, stepped in place by the gradient block after every vector
-	// under AggAverage.
+	// batch and stepped in place by every vector's evaluation under
+	// AggAverage. Under AggSum its gradient block is each lane's gradient
+	// sum, cleared once per batch.
 	lanes *dfg.Lanes
-	// sums is each lane's gradient sum under AggSum, laid out like the
-	// model block — row r, lane l at sums[r*width+l].
-	sums []float64
 	// threads maps lane → simulated thread. Lanes are ordered by descending
 	// vector count (thread order among equals), so the lanes that still
 	// hold a vector at any step are a prefix.
@@ -599,23 +596,25 @@ func (s *Sim) deal() []laneBlock {
 }
 
 // runBlock runs the block's threads through their vector sequences in
-// lockstep: step k binds every live lane's k-th vector, walks the lane
-// program once, and applies the local update discipline to the live lanes.
+// lockstep: step k binds every live lane's k-th vector and walks the lane
+// program once, which applies the local update discipline to the live
+// lanes — the SGD step θ ← θ − μ·g (Equation 3a) or the gradient sum.
 func (s *Sim) runBlock(b *laneBlock, model [][]float64, parts [][][][]float64,
 	lr float64, agg dsl.AggregatorKind) {
 
 	w := s.width
 	if b.lanes == nil {
 		b.lanes = s.tape.NewLanes(w, s.layout)
-		b.sums = make([]float64, len(s.layout.Grads)*w)
 	}
 	b.err, b.errThread = nil, -1
 	if err := b.lanes.BindModel(model); err != nil {
 		b.err = err
 		return
 	}
+	update := dfg.UpdateStep
 	if agg == dsl.AggSum {
-		clear(b.sums)
+		update = dfg.UpdateSum
+		clear(b.lanes.Grads())
 	}
 
 	n := len(b.threads)
@@ -633,53 +632,7 @@ func (s *Sim) runBlock(b *laneBlock, model [][]float64, parts [][][][]float64,
 				b.err, b.errThread = err, t
 			}
 		}
-		b.lanes.Eval(n)
-		switch agg {
-		case dsl.AggAverage:
-			stepModels(b.lanes.Model(), b.lanes.Grads(), w, n, lr)
-		case dsl.AggSum:
-			sumGradients(b.sums, b.lanes.Grads(), w, n)
-		}
-	}
-}
-
-// stepModels is the local SGD step on lanes [0, n), one in-place pass over
-// the model block: θ ← θ − μ·g (Equation 3a). Eval has left every gradient
-// in the gradient block — a gradient that is itself a model leaf copied
-// there before any model row is rewritten — and the next vector's
-// evaluation reads the stepped rows directly. With every lane live the pass
-// runs over the block end to end.
-func stepModels(model, grads []float64, w, n int, lr float64) {
-	if n == w {
-		grads = grads[:len(model)]
-		for i := range model {
-			model[i] -= lr * grads[i]
-		}
-		return
-	}
-	for r := 0; r < len(model); r += w {
-		m, g := model[r:][:n], grads[r:][:n]
-		for l := range m {
-			m[l] -= lr * g[l]
-		}
-	}
-}
-
-// sumGradients adds the vector's gradients on lanes [0, n) to the lanes'
-// running sums.
-func sumGradients(sums, grads []float64, w, n int) {
-	if n == w {
-		grads = grads[:len(sums)]
-		for i := range sums {
-			sums[i] += grads[i]
-		}
-		return
-	}
-	for r := 0; r < len(sums); r += w {
-		acc, g := sums[r:][:n], grads[r:][:n]
-		for l := range acc {
-			acc[l] += g[l]
-		}
+		b.lanes.Eval(n, update, lr)
 	}
 }
 
@@ -699,7 +652,7 @@ func (s *Sim) reduce(partial, model [][]float64, agg dsl.AggregatorKind) {
 		s.laneOf[t] = nil
 		if pos >= 0 {
 			b := &s.blocks[pos/w]
-			rows := b.sums
+			rows := b.lanes.Grads()
 			if agg == dsl.AggAverage {
 				rows = b.lanes.Model()
 			}

@@ -97,7 +97,7 @@ func BenchmarkTapeEval(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					la.Eval(width)
+					la.Eval(width, dfg.UpdateNone, 0)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/sample")
 			})

@@ -1,6 +1,9 @@
 package dfg
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Lanes is the lane-major (structure-of-arrays) twin of Arena: width
 // independent evaluations of one tape laid side by side, row r of lane l at
@@ -15,23 +18,29 @@ import "math"
 // laid out by a LaneLayout: the model block, the elements of each ModelSpan
 // in turn, and the gradient block, one row per model block row. A model leaf
 // has no row of its own — the lane program reads its element's model block
-// row — so a caller that steps the block in place has updated every leaf,
-// and an element no node reads is carried all the same. A gradient output
-// is computed straight into its gradient block row, or, when it cannot be
-// (a leaf, or a node two rows name), copied there at the end of Eval.
+// row — so an update that steps the block in place has updated every leaf,
+// and an element no node reads is carried all the same.
+//
+// The gradient outputs run last, as the program's update tail: a gradient
+// row whose value is a product nothing else reads (and that reads no model
+// row) is computed inside the update Eval applies, so under UpdateStep it is
+// never stored at all. Every other gradient row falls back to a value row
+// of its own and a per-row update after the tail. The remaining rows —
+// leaves, constants and outputs — are stable; temporaries share rows by
+// liveness, so the arena holds about as many temporary rows as the program
+// ever has live values at once.
 //
 // A Lanes is not safe for concurrent use.
 type Lanes struct {
 	width int
 	vals  []float64
-	// rows maps a slot (node ID) to its row.
+	// rows maps an addressable slot (node ID) to its row, −1 for a
+	// temporary, whose row is reused.
 	rows []int32
 	// words is the model block's row count, and of the gradient block that
 	// follows it; spans lay the model block out.
 	words int
 	spans []ModelSpan
-	// gather lists the gradient block rows Eval copies from another row.
-	gather []rowCopy
 	// model is the tape's model bindings (validated in that order) and
 	// modelSpan the index of each one's span.
 	model     []symBinding
@@ -39,17 +48,36 @@ type Lanes struct {
 	// data is the tape's data bindings with their loads' slots replaced by
 	// rows.
 	data []symBinding
-	prog []laneInstr
+	// prog is the lane program; tail computes the fused gradient rows, and
+	// fallback names the value row of every other gradient row.
+	prog     []laneInstr
+	tail     []laneProduct
+	fallback []rowCopy
 }
+
+// Update is the local training step Lanes.Eval applies to the gradient
+// block's rows (Equation 3a within a thread).
+type Update uint8
+
+const (
+	// UpdateNone leaves each gradient in its gradient block row.
+	UpdateNone Update = iota
+	// UpdateStep steps each model block row by its gradient, θ ← θ − lr·g:
+	// the local SGD of the averaging aggregator.
+	UpdateStep
+	// UpdateSum adds each gradient to its gradient block row, which holds
+	// the lane's running sum: the summing aggregator.
+	UpdateSum
+)
 
 // LaneLayout places a lane arena's model and gradient blocks.
 type LaneLayout struct {
 	// Model lays the model block out, span by span. Nil lays out the tape's
 	// model symbols in ModelSymbols order, each as long as the tape reads.
 	Model []ModelSpan
-	// Grads is, row by row, the slot (node ID) whose value the gradient
-	// block row holds after Eval; it is as long as the model block, or nil
-	// for no gradient block.
+	// Grads is, row by row, the slot (node ID) whose value is the gradient
+	// of the model block row; it is as long as the model block, or nil for
+	// no gradient block.
 	Grads []int
 }
 
@@ -60,7 +88,7 @@ type ModelSpan struct {
 	Words int
 }
 
-// rowCopy copies row from into row to.
+// rowCopy names gradient block row to's value row, from.
 type rowCopy struct{ to, from int32 }
 
 // laneInstr is one lane-program instruction: a tape instruction with its
@@ -71,6 +99,10 @@ type laneInstr struct {
 	dst, a, b, c int32
 	e            int32
 }
+
+// laneProduct is one update-tail instruction: gradient block row r's value
+// is the product of rows a and b.
+type laneProduct struct{ a, b, r int32 }
 
 // Fused product-sums: an OpAdd that is the only reader of one or both of its
 // OpMul operands computes the products itself, and the products' own
@@ -139,28 +171,8 @@ func (t *Tape) NewLanes(width int, layout LaneLayout) *Lanes {
 			la.rows[ld.slot] = int32(first) + ld.elem
 		}
 	}
-	computed := make([]bool, t.nSlots)
-	for _, in := range t.instrs {
-		computed[in.dst] = true
-	}
-	next := int32(2 * la.words)
-	for r, slot := range layout.Grads {
-		if row := int32(la.words + r); computed[slot] && la.rows[slot] < 0 {
-			la.rows[slot] = row
-		} else {
-			la.gather = append(la.gather, rowCopy{to: row, from: int32(slot)}) // a slot until all rows are placed
-		}
-	}
-	for s, r := range la.rows {
-		if r < 0 {
-			la.rows[s] = next
-			next++
-		}
-	}
-	for i := range la.gather {
-		la.gather[i].from = la.rows[la.gather[i].from]
-	}
-	la.vals = make([]float64, int(next)*width)
+	nRows := la.lower(t, layout.Grads)
+	la.vals = make([]float64, nRows*width)
 	for s, c := range t.template {
 		if math.Float64bits(c) != 0 { // −0 too
 			fillRow(la.Row(s), c)
@@ -174,16 +186,27 @@ func (t *Tape) NewLanes(width int, layout LaneLayout) *Lanes {
 		}
 		la.data[i] = symBinding{name: sb.name, minLen: sb.minLen, loads: loads}
 	}
-	la.prog = t.laneProgram(la.rows)
 	return la
 }
 
-// laneProgram lowers the tape's instructions onto rows, fusing every OpMul
-// whose one reader is an OpAdd operand — not a gradient output, not read
-// twice (add(m, m)) — into that add.
-func (t *Tape) laneProgram(rows []int32) []laneInstr {
+// lower builds the lane program, its update tail and fallback rows on the
+// model rows la.rows already holds, gives every other slot its row, and
+// returns the arena's row count.
+//
+// The program fuses every OpMul whose one reader is an OpAdd operand — not
+// an output, not read twice (add(m, m)) — into that add. A gradient row
+// joins the tail when its slot is an unfused OpMul that only this gradient
+// row names, that no instruction reads and that reads no model row: the
+// tail then runs after every read of the model block, and under UpdateStep
+// may rewrite it. Rows are given in three tiers: the model and gradient
+// blocks; then stable rows, in slot order, for the leaves, the constants
+// and every slot an output or a gradient row names (a tail slot's row is
+// its gradient row); then temporaries, by placeTemps. A slot nothing reads
+// or writes — a fused-away product — gets no row.
+func (la *Lanes) lower(t *Tape, grads []int) int {
 	readers := make([]int32, t.nSlots)
-	def := make([]int32, t.nSlots) // slot → the instruction writing it, −1 for a leaf
+	named := make([]int32, t.nSlots) // by outputs
+	def := make([]int32, t.nSlots)   // slot → the instruction writing it, −1 for a leaf
 	for s := range def {
 		def[s] = -1
 	}
@@ -197,61 +220,167 @@ func (t *Tape) laneProgram(rows []int32) []laneInstr {
 	}
 	for _, o := range t.outs {
 		for _, s := range o.slots {
-			readers[s]++
+			named[s]++
 		}
+	}
+	gradNamed := make([]int32, t.nSlots)
+	for _, s := range grads {
+		gradNamed[s]++
 	}
 	// product returns the instruction of the OpMul at slot x that only its
 	// reading add needs, or nil.
 	product := func(x int32) *instr {
-		if readers[x] != 1 || def[x] < 0 || t.instrs[def[x]].op != OpMul {
+		if readers[x] != 1 || named[x] != 0 || gradNamed[x] != 0 || def[x] < 0 || t.instrs[def[x]].op != OpMul {
 			return nil
 		}
 		return &t.instrs[def[x]]
 	}
-	fused := make([]bool, len(t.instrs))
+	skip := make([]bool, len(t.instrs)) // fused into an add, or into the tail
 	for _, in := range t.instrs {
 		if in.op != OpAdd {
 			continue
 		}
 		for _, x := range [...]int32{in.a, in.b} {
-			if p := product(x); p != nil {
-				fused[def[x]] = true
+			if product(x) != nil {
+				skip[def[x]] = true
 			}
 		}
 	}
-	row := func(x int32) int32 {
-		if x < 0 {
-			return -1
+
+	rows, words := la.rows, int32(la.words)
+	isModel := func(x int32) bool { return rows[x] >= 0 && rows[x] < words }
+	for r, slot := range grads {
+		s := int32(slot)
+		if d := def[s]; d >= 0 && readers[s] == 0 && gradNamed[s] == 1 {
+			if in := t.instrs[d]; in.op == OpMul && !isModel(in.a) && !isModel(in.b) {
+				skip[d] = true
+				rows[s] = words + int32(r)
+				la.tail = append(la.tail, laneProduct{a: in.a, b: in.b, r: int32(r)}) // slots until rows are placed
+				continue
+			}
 		}
-		return rows[x]
+		la.fallback = append(la.fallback, rowCopy{to: int32(r), from: s})
 	}
+	next := 2 * words
+	for s := range rows {
+		if rows[s] < 0 && (def[s] < 0 || named[s] > 0 || gradNamed[s] > 0) {
+			rows[s] = next
+			next++
+		}
+	}
+
+	// The program on slots; every remaining slot without a row is a
+	// temporary.
 	prog := make([]laneInstr, 0, len(t.instrs))
 	for i, in := range t.instrs {
-		if fused[i] {
+		if skip[i] {
 			continue
 		}
-		li := laneInstr{op: in.op, dst: row(in.dst), a: row(in.a), b: row(in.b), c: row(in.c), e: -1}
+		li := laneInstr{op: in.op, dst: in.dst, a: in.a, b: in.b, c: in.c, e: -1}
 		if in.op == OpAdd {
 			pa, pb := product(in.a), product(in.b)
 			switch {
 			case pa != nil && pb != nil:
-				li = laneInstr{op: opMulMulAdd, dst: li.dst, a: row(pa.a), b: row(pa.b), c: row(pb.a), e: row(pb.b)}
+				li = laneInstr{op: opMulMulAdd, dst: li.dst, a: pa.a, b: pa.b, c: pb.a, e: pb.b}
 			case pa != nil:
-				li = laneInstr{op: opMulAdd, dst: li.dst, a: row(pa.a), b: row(pa.b), c: li.b, e: -1}
+				li = laneInstr{op: opMulAdd, dst: li.dst, a: pa.a, b: pa.b, c: li.b, e: -1}
 			case pb != nil:
-				li = laneInstr{op: opAddMul, dst: li.dst, a: li.a, b: row(pb.a), c: row(pb.b), e: -1}
+				li = laneInstr{op: opAddMul, dst: li.dst, a: li.a, b: pb.a, c: pb.b, e: -1}
 			}
 		}
 		prog = append(prog, li)
 	}
-	return prog
+	next = placeTemps(prog, la.tail, rows, next)
+	for i := range la.fallback {
+		la.fallback[i].from = rows[la.fallback[i].from]
+	}
+	la.prog = prog
+	return int(next)
 }
 
-// Row returns every lane's value of one slot (slots are node IDs), aliasing
-// the arena: callers read a gradient output's row after Eval. A model
-// leaf's row is its element's model block row.
+// placeTemps gives the temporaries — the slots rows leaves at −1 — rows
+// from next on by a linear scan over the program and then the tail: a
+// value's row is free again after its last read, and a destination never
+// takes the row of an operand that dies at its own instruction. It then
+// resolves every operand of the program and the tail to its row, and
+// returns the arena's row count.
+func placeTemps(prog []laneInstr, tail []laneProduct, rows []int32, next int32) int32 {
+	last := make([]int32, len(rows)) // a temporary's last reading instruction, tail after program
+	for s := range last {
+		last[s] = -1
+	}
+	for i := range prog {
+		for _, x := range [...]int32{prog[i].a, prog[i].b, prog[i].c, prog[i].e} {
+			if x >= 0 && rows[x] < 0 {
+				last[x] = int32(i)
+			}
+		}
+	}
+	for i, tp := range tail {
+		for _, x := range [...]int32{tp.a, tp.b} {
+			if rows[x] < 0 {
+				last[x] = int32(len(prog) + i)
+			}
+		}
+	}
+	temp := make([]int32, len(rows))
+	var free []int32
+	release := func(x int32) {
+		free = append(free, temp[x])
+		last[x] = -2 // released once, however often it is read
+	}
+	for i := range prog {
+		li := &prog[i]
+		if rows[li.dst] < 0 {
+			if k := len(free); k > 0 {
+				temp[li.dst], free = free[k-1], free[:k-1]
+			} else {
+				temp[li.dst] = next
+				next++
+			}
+		}
+		for _, x := range [...]int32{li.a, li.b, li.c, li.e} {
+			if x >= 0 && rows[x] < 0 && last[x] == int32(i) {
+				release(x)
+			}
+		}
+		if rows[li.dst] < 0 && last[li.dst] == -1 { // written, never read
+			release(li.dst)
+		}
+	}
+
+	row := func(x int32) int32 {
+		switch {
+		case x < 0:
+			return -1
+		case rows[x] >= 0:
+			return rows[x]
+		}
+		return temp[x]
+	}
+	for i := range prog {
+		li := &prog[i]
+		li.dst, li.a, li.b, li.c, li.e = row(li.dst), row(li.a), row(li.b), row(li.c), row(li.e)
+	}
+	for i := range tail {
+		tp := &tail[i]
+		tp.a, tp.b = row(tp.a), row(tp.b)
+	}
+	return next
+}
+
+// Row returns every lane's value of one addressable slot (slots are node
+// IDs), aliasing the arena. The addressable slots are the leaves, the
+// constants and every slot an output or a gradient row names: a model
+// leaf's row is its element's model block row, and a gradient that joined
+// the update tail shares its gradient block row, which holds its value
+// after an Eval with UpdateNone. Any other slot is a temporary whose row
+// later values reuse; Row panics for one.
 func (la *Lanes) Row(slot int) []float64 {
 	r := int(la.rows[slot])
+	if r < 0 {
+		panic(fmt.Sprintf("dfg: lane slot %d is a temporary: it has no row of its own", slot))
+	}
 	return la.vals[r*la.width : (r+1)*la.width]
 }
 
@@ -259,9 +388,15 @@ func (la *Lanes) Row(slot int) []float64 {
 // l at [r*width+l], rows in span order.
 func (la *Lanes) Model() []float64 { return la.vals[:la.words*la.width] }
 
-// Grads returns the gradient block, laid out like the model block: after
-// Eval, row r holds the value of the layout's Grads[r] slot as Eval left it.
+// Grads returns the gradient block, laid out like the model block. After
+// an Eval with UpdateNone row r holds the value of the layout's Grads[r]
+// slot; under UpdateSum each Eval adds that value to the row, so a caller
+// that clears the block before its first Eval reads the lanes' running
+// sums. UpdateStep uses it as scratch.
 func (la *Lanes) Grads() []float64 { return la.vals[la.words*la.width : 2*la.words*la.width] }
+
+// Bytes returns the size of the arena's rows.
+func (la *Lanes) Bytes() int { return 8 * len(la.vals) }
 
 // BindModel validates the model as Arena.BindModel does — vecs[i] is span
 // i's vector, a missing symbol a nil one — and broadcasts it into every
@@ -310,14 +445,22 @@ func fillRow(row []float64, v float64) {
 	}
 }
 
-// Eval executes the lane program on lanes [0, n), then fills the gradient
-// block's copied rows. Results stay in the arena (read them with Row and
-// Grads); like Arena.Eval it never allocates and never fails.
+// Eval executes the lane program on lanes [0, n), then its update tail and
+// the fallback rows under the given update. Results stay in the arena (read
+// them with Row, Model and Grads); like Arena.Eval it never allocates and
+// never fails.
 //
 // Each case applies, lane by lane, the expression Arena.Eval applies to its
 // one lane; the operand rows are cut to the destination's length first so
-// the inner loops carry no bounds checks.
-func (la *Lanes) Eval(n int) {
+// the inner loops carry no bounds checks. Both steps write m − float64(lr·g)
+// with g already rounded, and the sum adds float64(a·b): the explicit
+// conversions forbid the compiler from contracting a product with the
+// subtraction or add that follows (the FMSUB the Go spec allows for
+// m -= lr*g on arm64), so every GOARCH updates a lane as one Arena
+// evaluation followed by a separate step or sum would. Under UpdateStep
+// every fallback gradient is copied into its gradient block row before the
+// tail rewrites any model row, since the gradient may be a model leaf.
+func (la *Lanes) Eval(n int, up Update, lr float64) {
 	w, vals := la.width, la.vals
 	row := func(r int32) []float64 { return vals[int(r)*w:][:n] }
 	for i := range la.prog {
@@ -448,7 +591,49 @@ func (la *Lanes) Eval(n int) {
 			}
 		}
 	}
-	for _, g := range la.gather {
-		copy(row(g.to), row(g.from))
+	g := int32(la.words) // the gradient block's first row
+	switch up {
+	case UpdateStep:
+		for _, f := range la.fallback {
+			copy(row(g+f.to), row(f.from))
+		}
+		for i := range la.tail {
+			tp := &la.tail[i]
+			m, a, b := row(tp.r), row(tp.a), row(tp.b)
+			for l := range m {
+				m[l] -= float64(lr * float64(a[l]*b[l]))
+			}
+		}
+		for _, f := range la.fallback {
+			m, d := row(f.to), row(g+f.to)
+			for l := range m {
+				m[l] -= float64(lr * d[l])
+			}
+		}
+	case UpdateSum:
+		for i := range la.tail {
+			tp := &la.tail[i]
+			sum, a, b := row(g+tp.r), row(tp.a), row(tp.b)
+			for l := range sum {
+				sum[l] += float64(a[l] * b[l])
+			}
+		}
+		for _, f := range la.fallback {
+			sum, d := row(g+f.to), row(f.from)
+			for l := range sum {
+				sum[l] += d[l]
+			}
+		}
+	default:
+		for i := range la.tail {
+			tp := &la.tail[i]
+			d, a, b := row(g+tp.r), row(tp.a), row(tp.b)
+			for l := range d {
+				d[l] = a[l] * b[l]
+			}
+		}
+		for _, f := range la.fallback {
+			copy(row(g+f.to), row(f.from))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dsl"
@@ -84,7 +85,7 @@ func TestLanesMatchScalarArenaAllOps(t *testing.T) {
 					}
 					la.Row(wSlot)[l] = c[2]
 				}
-				la.Eval(n)
+				la.Eval(n, UpdateNone, 0)
 				for l := 0; l < n; l++ {
 					c := cases[at+l]
 					b := Bindings{
@@ -141,12 +142,12 @@ func TestLanesMatchArenaOnBenchmarks(t *testing.T) {
 					b.Model = binds[0].Model
 					binds[l] = b
 				}
-				la.Eval(width)
+				la.Eval(width, UpdateNone, 0)
 				idle := laneOutputs(g, la, live)
 				if err := la.BindData(live, symVecs(tape.DataSymbols(), binds[0].Data)); err != nil {
 					t.Fatal(err)
 				}
-				la.Eval(live)
+				la.Eval(live, UpdateNone, 0)
 				for l := 0; l < live; l++ {
 					want, err := arena.EvalBindings(binds[l])
 					if err != nil {
@@ -202,7 +203,7 @@ func TestLanesSteadyStateAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		la.Eval(4)
+		la.Eval(4, UpdateNone, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state bind+eval allocates %v objects per run", allocs)
@@ -290,7 +291,7 @@ func TestLanesFuseProductSums(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	la.Eval(len(lanes))
+	la.Eval(len(lanes), UpdateNone, 0)
 	arena := tape.NewArena()
 	for l, d := range lanes {
 		b := Bindings{Data: d, Model: map[string][]float64{}}
@@ -311,4 +312,266 @@ func TestLanesFuseProductSums(t *testing.T) {
 			t.Errorf("%s = %g, want +0: the product was not rounded before the add", name, v)
 		}
 	}
+}
+
+// laneStepLR is the learning rate the update checks step with: not a power
+// of two, so lr·g rounds.
+const laneStepLR = 0.3
+
+// trainerLayout lays a lane arena out as a trainer does: one model span per
+// model/gradient pair, in pair order, each row stepped by the matching
+// element of the pair's gradient.
+func trainerLayout(t testing.TB, g *Graph) LaneLayout {
+	t.Helper()
+	pairs, err := g.Unit.ModelGradientPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layout LaneLayout
+	for _, pr := range pairs {
+		outs := g.Outputs[pr[1].Name]
+		layout.Model = append(layout.Model, ModelSpan{Name: pr[0].Name, Words: len(outs)})
+		for _, o := range outs {
+			layout.Grads = append(layout.Grads, int(o))
+		}
+	}
+	return layout
+}
+
+// checkLaneUpdates runs a lane arena of the given width and layout under
+// every update for a few steps, each evaluating a shorter prefix of the
+// lanes on fresh data, and requires every lane to hold what a scalar Arena
+// followed by an explicit step holds, bit for bit: its model block (stepped
+// under UpdateStep, the broadcast model otherwise) and its gradient block
+// (the last gradients under UpdateNone, their running sums under
+// UpdateSum). Lanes past the prefix must keep what they held. draw supplies
+// every model and data value.
+func checkLaneUpdates(t testing.TB, tape *Tape, layout LaneLayout, width int, draw func() float64) {
+	t.Helper()
+	words := len(layout.Grads)
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	// bind cuts a flat model block into its spans' vectors, by name.
+	bind := func(block []float64) map[string][]float64 {
+		m := map[string][]float64{}
+		for _, sp := range layout.Model {
+			m[sp.Name], block = block[:sp.Words], block[sp.Words:]
+		}
+		return m
+	}
+	lane := func(rows []float64, l int) []float64 {
+		v := make([]float64, words)
+		for r := range v {
+			v[r] = rows[r*width+l]
+		}
+		return v
+	}
+	for _, up := range []Update{UpdateNone, UpdateStep, UpdateSum} {
+		la := tape.NewLanes(width, layout)
+		broadcast := fill(words)
+		spans, vecs := bind(broadcast), make([][]float64, len(layout.Model))
+		for i, sp := range layout.Model {
+			vecs[i] = spans[sp.Name]
+		}
+		if err := la.BindModel(vecs); err != nil {
+			t.Fatal(err)
+		}
+		clear(la.Grads())
+		models, grads := make([][]float64, width), make([][]float64, width)
+		for l := range models {
+			models[l], grads[l] = append([]float64(nil), broadcast...), make([]float64, words)
+		}
+		arena := tape.NewArena()
+		for step := 0; step < 4; step++ {
+			n := max(1, width-step)
+			for l := 0; l < n; l++ {
+				data := map[string][]float64{}
+				for _, sb := range tape.data {
+					data[sb.name] = fill(sb.minLen)
+				}
+				if err := la.BindData(l, symVecs(tape.DataSymbols(), data)); err != nil {
+					t.Fatal(err)
+				}
+				if err := arena.Bind(Bindings{Data: data, Model: bind(models[l])}); err != nil {
+					t.Fatal(err)
+				}
+				arena.Eval()
+				for r, slot := range layout.Grads {
+					g := arena.vals[slot]
+					switch up {
+					case UpdateNone:
+						grads[l][r] = g
+					case UpdateStep:
+						models[l][r] -= float64(laneStepLR * g)
+					case UpdateSum:
+						grads[l][r] += g
+					}
+				}
+			}
+			la.Eval(n, up, laneStepLR)
+			for l := 0; l < width; l++ {
+				requireRowsBitEqual(t, fmt.Sprintf("update %d step %d lane %d model", up, step, l), models[l], lane(la.Model(), l))
+				if up != UpdateStep {
+					requireRowsBitEqual(t, fmt.Sprintf("update %d step %d lane %d gradients", up, step, l), grads[l], lane(la.Grads(), l))
+				}
+			}
+		}
+	}
+}
+
+// requireRowsBitEqual compares rows bit for bit, except that any two NaNs
+// are equal: Go, like IEEE 754, leaves which operand's payload and sign a
+// NaN result carries unspecified, and the compiler orders a commutative
+// op's operands as it likes — the lane program's fused product-sums already
+// pick other NaNs than Arena when two different NaNs meet.
+func requireRowsBitEqual(t testing.TB, what string, want, got []float64) {
+	t.Helper()
+	for r := range want {
+		if math.Float64bits(want[r]) != math.Float64bits(got[r]) && !(math.IsNaN(want[r]) && math.IsNaN(got[r])) {
+			t.Fatalf("%s row %d: arena + step %v (%#x), lanes %v (%#x)",
+				what, r, want[r], math.Float64bits(want[r]), got[r], math.Float64bits(got[r]))
+		}
+	}
+}
+
+// laneSpecials are the inputs floating point treats specially.
+var laneSpecials = []float64{
+	math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -2.5e-310, math.MaxFloat64, 1, -1,
+}
+
+// specialDraw draws mostly normal values and, one time in six, a special.
+func specialDraw(rng *rand.Rand) func() float64 {
+	return func() float64 {
+		if rng.Intn(6) == 0 {
+			return laneSpecials[rng.Intn(len(laneSpecials))]
+		}
+		return rng.NormFloat64()
+	}
+}
+
+// gradRows builds nodes with mk over the leaves w[0], w[1], x[0] and x[1],
+// and returns the slot of each of w's two gradient rows.
+type gradRows func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32
+
+// fallbackGraph builds a graph of a two-element model w and data x with
+// the gradient rows build makes, and its trainer layout.
+func fallbackGraph(build gradRows) (*Graph, LaneLayout) {
+	g := &Graph{Symbols: []string{"", "x", "w"}, Outputs: map[string][]int32{}}
+	mk := func(n Node, args ...int32) int32 {
+		n.Arity = uint8(copy(n.Arg[:], args))
+		g.Nodes = append(g.Nodes, n)
+		return int32(len(g.Nodes) - 1)
+	}
+	var w, x [2]int32
+	for i := range x {
+		x[i] = mk(Node{Op: OpData, Sym: 1, Index: int32(i)})
+		w[i] = mk(Node{Op: OpModel, Sym: 2, Index: int32(i)})
+	}
+	grads := build(mk, w, x)
+	g.Outputs["g"] = grads[:]
+	g.OutputOrder = []string{"g"}
+	g.Link()
+	return g, LaneLayout{Model: []ModelSpan{{Name: "w", Words: 2}}, Grads: []int{int(grads[0]), int(grads[1])}}
+}
+
+// TestLanesFusedUpdateMatchesArena pins the update tail: on every Table 1
+// program, and on hand-built graphs whose gradient rows must fall back, a
+// lane arena under each update equals a scalar Arena plus an explicit step
+// bit for bit, with NaN, ±0, ±Inf and denormal inputs, at widths 1, 3 and
+// 16. Each hand-built graph also has a row that fuses, so a fallback row
+// reads its gradient while the tail rewrites the model block.
+func TestLanesFusedUpdateMatchesArena(t *testing.T) {
+	type laneCase struct {
+		g      *Graph
+		layout LaneLayout
+		tail   int // the gradient rows that fuse
+	}
+	cases := map[string]laneCase{}
+	for name, u := range benchmarkPrograms(t) {
+		g, err := Translate(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout := trainerLayout(t, g)
+		tail := len(layout.Grads)
+		if name == "svm" {
+			tail = 0 // its gradient is a select
+		}
+		cases[name] = laneCase{g: g, layout: layout, tail: tail}
+	}
+	mul := func(mk func(Node, ...int32) int32, a, b int32) int32 { return mk(Node{Op: OpMul}, a, b) }
+	for name, build := range map[string]gradRows{
+		// w[0]'s gradient is the leaf w[1], read after the tail steps w[1].
+		"model-leaf": func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32 {
+			return [2]int32{w[1], mul(mk, x[0], x[1])}
+		},
+		"read-by-node": func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32 {
+			p := mul(mk, x[0], x[1])
+			return [2]int32{p, mul(mk, p, x[0])}
+		},
+		"two-rows": func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32 {
+			p := mul(mk, x[0], x[1])
+			return [2]int32{p, p}
+		},
+		"reads-model": func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32 {
+			h := mk(Node{Op: OpSigmoid}, mk(Node{Op: OpAdd}, mul(mk, w[0], x[0]), w[1]))
+			return [2]int32{mul(mk, w[1], h), mul(mk, h, x[1])}
+		},
+		"not-mul": func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32 {
+			d := mk(Node{Op: OpSub}, mul(mk, w[0], x[0]), x[1])
+			return [2]int32{mk(Node{Op: OpAdd}, mul(mk, d, x[0]), x[1]), mul(mk, d, x[1])}
+		},
+	} {
+		g, layout := fallbackGraph(build)
+		tail := 1
+		if name == "two-rows" {
+			tail = 0
+		}
+		cases[name] = laneCase{g: g, layout: layout, tail: tail}
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			tape, err := c.g.CompileTape()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{1, 3, 16} {
+				if la := tape.NewLanes(width, c.layout); len(la.tail) != c.tail {
+					t.Fatalf("%d gradient rows fused, want %d", len(la.tail), c.tail)
+				}
+				checkLaneUpdates(t, tape, c.layout, width, specialDraw(rng))
+			}
+		})
+	}
+}
+
+// TestLanesRowRefusesTemporaries: a slot whose row later values reuse has
+// no row to return.
+func TestLanesRowRefusesTemporaries(t *testing.T) {
+	g, layout := fallbackGraph(func(mk func(Node, ...int32) int32, w, x [2]int32) [2]int32 {
+		h := mk(Node{Op: OpSigmoid}, x[0])
+		return [2]int32{mk(Node{Op: OpMul}, h, x[1]), mk(Node{Op: OpMul}, h, x[0])}
+	})
+	tape, err := g.CompileTape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	la := tape.NewLanes(2, layout)
+	for _, slot := range append(g.Outputs["g"], 0, 1, 2, 3) {
+		la.Row(int(slot)) // leaves and gradients are addressable
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "temporary") {
+			t.Errorf("Row of a temporary: panic %q, want one naming a temporary", msg)
+		}
+	}()
+	la.Row(4) // the sigmoid
 }

@@ -221,7 +221,8 @@ func TestAccelEngineSteadyStateAllocs(t *testing.T) {
 // BenchmarkAccelEngine is a node's engine at the `deep` workload's shape:
 // PartialUpdate of 64 mnist@0.05 samples (one node's share of mini-batch
 // 256) on the program the Planner picks for UltraScale+ — 32 threads, two
-// vectors each — with one engine kept across calls.
+// vectors each — with one engine kept across calls, and the size of its
+// simulator's lane arenas.
 func BenchmarkAccelEngine(b *testing.B) {
 	bm, err := dataset.ByName("mnist")
 	if err != nil {
@@ -255,6 +256,7 @@ func BenchmarkAccelEngine(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+	b.ReportMetric(float64(eng.sim.LaneArenaBytes())/1024, "arena_kb")
 }
 
 // TestClusterSteadyStateAllocs pins the data plane end to end: a 4-node,
