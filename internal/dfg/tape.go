@@ -228,8 +228,8 @@ func (a *Arena) BindData(data map[string][]float64) error {
 
 // BindModel resolves and validates the model bindings. Model vectors are
 // bound by reference semantics at copy time: callers that update the bound
-// slices in place (a local SGD step, as in ml.TapeEvaluator) must re-bind
-// before the next evaluation observes the update.
+// slices in place (a local SGD step) must re-bind before the next evaluation
+// observes the update.
 func (a *Arena) BindModel(model map[string][]float64) error {
 	return a.bind(a.tape.model, model, "model")
 }

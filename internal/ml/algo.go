@@ -57,6 +57,29 @@ type Algorithm interface {
 	UnpackGradient(grads map[string][]float64) []float64
 }
 
+// rank1 is implemented by the families whose per-sample gradient is a
+// scalar residual times the features — LinearRegression,
+// LogisticRegression and SVM. residual is the single definition of their
+// math: the gradient is e·x, or all zeros when nonzero is false (SVM outside
+// its margin). The SGD kernels use it to update the model with no gradient
+// vector.
+type rank1 interface {
+	residual(model []float64, s Sample) (e float64, nonzero bool)
+}
+
+// rank1Gradient writes r's gradient at model into grad.
+func rank1Gradient(r rank1, model []float64, s Sample, grad []float64) {
+	e, nonzero := r.residual(model, s)
+	if !nonzero {
+		clear(grad)
+		return
+	}
+	x := s.X[:len(grad)]
+	for i, v := range x {
+		grad[i] = e * v
+	}
+}
+
 // checkLens panics if the model or gradient slices do not match the
 // algorithm geometry; misuse here is a programming error, not an input
 // error.
@@ -71,6 +94,7 @@ func checkLens(a Algorithm, model, grad []float64) {
 
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
+	b = b[:len(a)]
 	s := 0.0
 	for i, v := range a {
 		s += v * b[i]
@@ -80,6 +104,7 @@ func Dot(a, b []float64) float64 {
 
 // AXPY computes y += alpha*x in place.
 func AXPY(alpha float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += alpha * v
 	}

@@ -35,13 +35,16 @@ func (a *LinearRegression) Loss(model []float64, s Sample) float64 {
 	return 0.5 * e * e
 }
 
+// residual returns w·x − y.
+func (a *LinearRegression) residual(model []float64, s Sample) (float64, bool) {
+	checkLens(a, model, nil)
+	return Dot(model, s.X) - s.Y[0], true
+}
+
 // Gradient computes ∂L/∂wᵢ = (w·x − y)·xᵢ.
 func (a *LinearRegression) Gradient(model []float64, s Sample, grad []float64) {
 	checkLens(a, model, grad)
-	e := Dot(model, s.X) - s.Y[0]
-	for i := range grad {
-		grad[i] = e * s.X[i]
-	}
+	rank1Gradient(a, model, s, grad)
 }
 
 // InitModel returns small random weights.
@@ -97,13 +100,16 @@ func (a *LogisticRegression) Loss(model []float64, s Sample) float64 {
 	return -(y*math.Log(p+eps) + (1-y)*math.Log(1-p+eps))
 }
 
+// residual returns σ(w·x) − y.
+func (a *LogisticRegression) residual(model []float64, s Sample) (float64, bool) {
+	checkLens(a, model, nil)
+	return sigmoid(Dot(model, s.X)) - s.Y[0], true
+}
+
 // Gradient computes ∂L/∂wᵢ = (σ(w·x) − y)·xᵢ.
 func (a *LogisticRegression) Gradient(model []float64, s Sample, grad []float64) {
 	checkLens(a, model, grad)
-	e := sigmoid(Dot(model, s.X)) - s.Y[0]
-	for i := range grad {
-		grad[i] = e * s.X[i]
-	}
+	rank1Gradient(a, model, s, grad)
 }
 
 // InitModel returns small random weights.
@@ -156,19 +162,16 @@ func (a *SVM) Loss(model []float64, s Sample) float64 {
 	return math.Max(0, 1-s.Y[0]*Dot(model, s.X))
 }
 
+// residual returns −y, nonzero only inside the margin (y·(w·x) < 1).
+func (a *SVM) residual(model []float64, s Sample) (float64, bool) {
+	checkLens(a, model, nil)
+	return -s.Y[0], s.Y[0]*Dot(model, s.X) < 1
+}
+
 // Gradient computes the hinge subgradient: −y·xᵢ inside the margin, else 0.
 func (a *SVM) Gradient(model []float64, s Sample, grad []float64) {
 	checkLens(a, model, grad)
-	margin := s.Y[0] * Dot(model, s.X)
-	if margin < 1 {
-		for i := range grad {
-			grad[i] = -s.Y[0] * s.X[i]
-		}
-		return
-	}
-	for i := range grad {
-		grad[i] = 0
-	}
+	rank1Gradient(a, model, s, grad)
 }
 
 // InitModel returns small random weights.

@@ -361,3 +361,18 @@ func TestWorkspaceKernelsMatchOracleBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestUnpackModelRoundTrip: PackModel followed by UnpackModel is the
+// identity on the flat layout.
+func TestUnpackModelRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, a := range testAlgorithms() {
+		model := a.InitModel(rng)
+		back := UnpackModel(a, a.PackModel(model))
+		for i := range model {
+			if model[i] != back[i] {
+				t.Fatalf("%s: θ[%d] = %g after round trip, want %g", a.Name(), i, back[i], model[i])
+			}
+		}
+	}
+}

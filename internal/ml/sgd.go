@@ -2,6 +2,7 @@ package ml
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dsl"
 )
@@ -34,6 +35,10 @@ func LocalSGD(a Algorithm, model []float64, samples []Sample, lr float64) []floa
 }
 
 func localSGDInto(local, scratch []float64, a Algorithm, model []float64, samples []Sample, lr float64) {
+	if r, ok := rank1SGD(a, lr); ok {
+		sgdRank1(r, local, nil, model, samples, lr, false)
+		return
+	}
 	copy(local, model)
 	for _, s := range samples {
 		SGDStep(a, local, s, lr, scratch)
@@ -49,10 +54,105 @@ func AccumulateGradients(a Algorithm, model []float64, samples []Sample) []float
 }
 
 func accumulateInto(acc, scratch []float64, a Algorithm, model []float64, samples []Sample) {
+	if r, ok := a.(rank1); ok {
+		accumulateRank1(r, acc, model, samples)
+		return
+	}
 	clear(acc)
 	for _, s := range samples {
 		a.Gradient(model, s, scratch)
 		AXPY(1, scratch, acc)
+	}
+}
+
+// The rank-1 kernels below compute what localSGDInto's and accumulateInto's
+// Gradient + AXPY passes compute, bit for bit, at one dot product and at
+// most one update pass per sample. Each product e·xⱼ that the gradient
+// vector would have stored is rounded (float64(…)) before it is added, so a
+// target that fuses a multiply-add into an FMA computes the same bits.
+
+// rank1SGD returns a's rank-1 form when sgdRank1 reproduces SGDStep: a zero
+// gradient's step adds −lr·(+0), which is −0, the identity, only for a
+// positive finite lr.
+func rank1SGD(a Algorithm, lr float64) (rank1, bool) {
+	r, ok := a.(rank1)
+	return r, ok && lr > 0 && !math.IsInf(lr, 1)
+}
+
+// sgdRank1 is localSGDInto for a rank-1 family. A step is
+// dst = src − lr·(e·x): the first reads model, so nothing is copied, later
+// ones update local in place, and a zero gradient skips its pass. With a
+// non-nil out the partition's result is added into out (written as 0 + v
+// when first, which is clear-then-add's −0 → +0) instead of kept in local,
+// by the last step itself when that step has a pass.
+func sgdRank1(r rank1, local, out, model []float64, samples []Sample, lr float64, first bool) {
+	alpha, src, stepped := -lr, model, false
+	for k, s := range samples {
+		e, nonzero := r.residual(src, s)
+		if !nonzero {
+			continue
+		}
+		x := s.X[:len(src)]
+		if out == nil || k < len(samples)-1 {
+			dst := local[:len(x)]
+			for j, v := range x {
+				dst[j] = src[j] + alpha*float64(e*v)
+			}
+			src, stepped = dst, true
+			continue
+		}
+		dst := out[:len(x)]
+		if first {
+			for j, v := range x {
+				dst[j] = 0 + (src[j] + alpha*float64(e*v))
+			}
+		} else {
+			for j, v := range x {
+				dst[j] += src[j] + alpha*float64(e*v)
+			}
+		}
+		return
+	}
+	switch {
+	case out == nil:
+		if !stepped {
+			copy(local, model)
+		}
+	case first:
+		for j, v := range src {
+			out[j] = 0 + v
+		}
+	default:
+		AXPY(1, src, out)
+	}
+}
+
+// accumulateRank1 is accumulateInto for a rank-1 family: acc += e·x per
+// sample, the first pass writing acc = 0 + e·x in place of a clear. A zero
+// gradient skips its pass: acc starts at +0 and a sum is −0 only when both
+// addends are, so acc never holds −0 and adding +0 leaves it unchanged.
+func accumulateRank1(r rank1, acc, model []float64, samples []Sample) {
+	started := false
+	for _, s := range samples {
+		e, nonzero := r.residual(model, s)
+		if !nonzero {
+			continue
+		}
+		x := s.X[:len(acc)]
+		dst := acc[:len(x)]
+		if started {
+			for j, v := range x {
+				dst[j] += float64(e * v)
+			}
+		} else {
+			for j, v := range x {
+				dst[j] = 0 + float64(e*v)
+			}
+		}
+		started = true
+	}
+	if !started {
+		clear(acc)
 	}
 }
 
@@ -131,10 +231,11 @@ func (ws *Workspace) size(n int) {
 }
 
 // ParallelSGDBatchInto is ParallelSGDBatch computed through ws: the same
-// passes in the same order — each worker partition's result is folded into
-// the aggregate as soon as it is computed, which is the order
-// AggregateModels adds them in — so the result is bitwise equal. model must
-// not be a previous result of the same workspace.
+// operations in the same order — each worker partition's result is folded
+// into the aggregate as soon as it is computed, which is the order
+// AggregateModels adds them in, and by a rank-1 family's last step itself
+// under the averaging aggregator — so the result is bitwise equal. model
+// must not be a previous result of the same workspace.
 func ParallelSGDBatchInto(ws *Workspace, a Algorithm, cfg SGDConfig, model []float64, batch []Sample, workers int) []float64 {
 	if workers <= 0 {
 		panic(fmt.Sprintf("ml: partition into %d parts", workers))
@@ -144,23 +245,28 @@ func ParallelSGDBatchInto(ws *Workspace, a Algorithm, cfg SGDConfig, model []flo
 	if cfg.MiniBatch > 0 {
 		scale /= float64(cfg.MiniBatch)
 	}
+	r, fused := rank1SGD(a, cfg.LearningRate)
+	fused = fused && cfg.Aggregator == dsl.AggAverage
 	if cfg.Aggregator == dsl.AggSum {
 		copy(ws.out, model)
-	} else {
+	} else if !fused {
 		clear(ws.out)
 	}
 	for i := 0; i < workers; i++ {
 		part := batch[i*len(batch)/workers : (i+1)*len(batch)/workers]
-		switch cfg.Aggregator {
-		case dsl.AggAverage:
+		switch {
+		case fused:
+			sgdRank1(r, ws.part, ws.out, model, part, cfg.LearningRate, i == 0)
+		case cfg.Aggregator == dsl.AggAverage:
 			localSGDInto(ws.part, ws.scratch, a, model, part, cfg.LearningRate)
 			AXPY(1, ws.part, ws.out)
-		case dsl.AggSum:
+		case cfg.Aggregator == dsl.AggSum:
 			accumulateInto(ws.part, ws.scratch, a, model, part)
 			AXPY(scale, ws.part, ws.out)
 		}
 	}
-	if cfg.Aggregator == dsl.AggAverage {
+	// ×1 is exact, so one worker's aggregate is already its mean.
+	if cfg.Aggregator == dsl.AggAverage && workers > 1 {
 		Scale(1/float64(workers), ws.out)
 	}
 	return ws.out

@@ -259,6 +259,48 @@ func BenchmarkAccelEngine(b *testing.B) {
 	b.ReportMetric(float64(eng.sim.LaneArenaBytes())/1024, "arena_kb")
 }
 
+// BenchmarkRefEngine times a node's RefEngine partial at the shapes the
+// `wide` and `tiny` benchmark workloads give it: a 65 535-word linear
+// regression on one sample and one thread, and tumor@0.1's logistic
+// regression on 16 samples dealt to two threads.
+func BenchmarkRefEngine(b *testing.B) {
+	shapes := []struct {
+		name             string
+		bench            string
+		wideM            int
+		samples, threads int
+	}{
+		{"wide", "stock", 65535, 1, 1},
+		{"tiny", "tumor", 0, 16, 2},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			bm, err := dataset.ByName(sh.bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			alg := bm.Algorithm(0.1)
+			if sh.wideM > 0 {
+				alg = &ml.LinearRegression{M: sh.wideM}
+			}
+			eng := &RefEngine{Alg: alg, Threads: sh.threads, LR: bm.DefaultLR(alg), Agg: dsl.AggAverage}
+			model := alg.InitModel(rand.New(rand.NewSource(1)))
+			shard := bm.Generate(alg, sh.samples, 7)
+			if _, err := eng.PartialUpdate(model, shard); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.PartialUpdate(model, shard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.samples), "ns/sample")
+		})
+	}
+}
+
 // TestClusterSteadyStateAllocs pins the data plane end to end: a 4-node,
 // 2-group cluster over loopback TCP training a 65 535-word model (sixteen
 // chunk frames per contribution, the last one short) allocates less than

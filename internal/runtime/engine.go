@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/compiler"
-	"repro/internal/dfg"
 	"repro/internal/dsl"
 	"repro/internal/ml"
 	"repro/internal/obs/profile"
@@ -38,17 +37,6 @@ type RefEngine struct {
 	LR      float64
 	Agg     dsl.AggregatorKind
 
-	// Graph, when non-nil, computes gradients with the DFG compiled to an
-	// evaluation tape — the same compiled evaluator the accelerator
-	// simulator's MIMD threads execute — instead of the algorithm's
-	// hand-written Gradient. This is the path for models defined only as
-	// DSL programs.
-	Graph *dfg.Graph
-
-	tapeOnce sync.Once
-	tape     *ml.TapeEvaluator
-	tapeErr  error
-
 	// ws is the memory every partial is computed in and returned from.
 	ws ml.Workspace
 }
@@ -63,41 +51,12 @@ func (e *RefEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float64
 	if threads <= 0 {
 		threads = 1
 	}
-	if e.Graph != nil {
-		return e.tapePartial(model, shard, threads)
-	}
 	switch e.Agg {
 	case dsl.AggAverage:
 		cfg := ml.SGDConfig{LearningRate: e.LR, Aggregator: dsl.AggAverage}
 		return ml.ParallelSGDBatchInto(&e.ws, e.Alg, cfg, model, shard, threads), nil
 	case dsl.AggSum:
 		return ml.AccumulateGradientsInto(&e.ws, e.Alg, model, shard), nil
-	}
-	return nil, fmt.Errorf("runtime: unknown aggregator %v", e.Agg)
-}
-
-// tapePartial mirrors the reference partial computation with the compiled
-// tape evaluator, compiled once per engine.
-func (e *RefEngine) tapePartial(model []float64, shard []ml.Sample, threads int) ([]float64, error) {
-	e.tapeOnce.Do(func() { e.tape, e.tapeErr = ml.NewTapeEvaluator(e.Alg, e.Graph) })
-	if e.tapeErr != nil {
-		return nil, e.tapeErr
-	}
-	switch e.Agg {
-	case dsl.AggAverage:
-		parts := ml.Partition(shard, threads)
-		partials := make([][]float64, len(parts))
-		for i, part := range parts {
-			p, err := e.tape.LocalSGD(model, part, e.LR)
-			if err != nil {
-				return nil, err
-			}
-			partials[i] = p
-		}
-		cfg := ml.SGDConfig{LearningRate: e.LR, Aggregator: dsl.AggAverage}
-		return ml.AggregateModels(cfg, model, partials), nil
-	case dsl.AggSum:
-		return e.tape.AccumulateGradients(model, shard)
 	}
 	return nil, fmt.Errorf("runtime: unknown aggregator %v", e.Agg)
 }

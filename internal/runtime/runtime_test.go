@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/dfg"
 	"repro/internal/dsl"
 	"repro/internal/ml"
 )
@@ -499,54 +498,5 @@ func TestNetworkBytesAccounting(t *testing.T) {
 	}
 	if sent != received {
 		t.Errorf("sent %d != received %d; loopback traffic must balance", sent, received)
-	}
-}
-
-// TestRefEngineTapeMatchesHandwritten: a RefEngine given the algorithm's
-// DFG computes its partial with the compiled evaluation tape, and must
-// agree with the hand-written gradient path for both aggregators.
-func TestRefEngineTapeMatchesHandwritten(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	alg := &ml.MLP{In: 6, Hid: 5, Out: 3}
-	unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := dfg.Translate(unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := alg.InitModel(rng)
-	shard := make([]ml.Sample, 12)
-	for i := range shard {
-		x := make([]float64, alg.FeatureSize())
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		y := make([]float64, alg.OutputSize())
-		for j := range y {
-			y[j] = rng.Float64()
-		}
-		shard[i] = ml.Sample{X: x, Y: y}
-	}
-	for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
-		plain := &RefEngine{Alg: alg, Threads: 2, LR: 0.05, Agg: agg}
-		taped := &RefEngine{Alg: alg, Threads: 2, LR: 0.05, Agg: agg, Graph: g}
-		want, err := plain.PartialUpdate(model, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := taped.PartialUpdate(model, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("agg %v: partial length %d, want %d", agg, len(got), len(want))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("agg %v: partial[%d] = %g via tape, %g via reference", agg, i, got[i], want[i])
-			}
-		}
 	}
 }
