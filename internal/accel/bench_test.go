@@ -2,7 +2,9 @@ package accel_test
 
 import (
 	"math/rand"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/accel"
 	"repro/internal/arch"
@@ -37,10 +39,12 @@ func plannedProgram(b *testing.B, bm dataset.Benchmark, scale float64) *compiler
 }
 
 // BenchmarkRunBatch is the simulator layer's own number: host nanoseconds per
-// simulated training vector, and allocations per batch, for a program planned
-// for UltraScale+ as a node's AccelEngine runs it — flat bindings through
-// Run, two vectors on every thread, the averaging aggregator, one Sim kept
-// across batches — and the size of its lane arenas.
+// simulated training vector, wall and process CPU, and allocations per batch,
+// for a program planned for UltraScale+ — flat bindings through Run, two
+// vectors on every thread, the averaging aggregator, one Sim kept across
+// batches — and the size of its lane arenas. It runs the standalone
+// simulator's default GOMAXPROCS host workers; BenchmarkAccelEngine in
+// internal/runtime is the node's one-worker engine.
 func BenchmarkRunBatch(b *testing.B) {
 	for _, f := range []struct {
 		name  string
@@ -80,15 +84,27 @@ func BenchmarkRunBatch(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			cpu0 := cpuTime()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.Run(partial, model, parts, 0.05, dsl.AggAverage); err != nil {
 					b.Fatal(err)
 				}
 			}
+			cpu := cpuTime() - cpu0
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vectors), "ns/vector")
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N*vectors), "cpu-ns/vector")
 			b.ReportMetric(float64(sim.LaneArenaBytes())/1024, "arena_kb")
 		})
 	}
+}
+
+// cpuTime returns the process's user+system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkAnalyze is the static timing analysis alone — what the Planner

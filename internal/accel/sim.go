@@ -122,11 +122,13 @@ func (s *Sim) compiledTape() (*dfg.Tape, error) {
 }
 
 // SetWorkers sets the number of host goroutines a batch spreads the
-// simulated MIMD threads across: 0 (the default) uses GOMAXPROCS, 1 runs
-// every thread on the caller's goroutine. The partial update is
-// bit-identical for every worker count — threads are functionally
-// independent until the final cross-thread reduction, which always runs in
-// thread order.
+// simulated MIMD threads across, one lane block each: 0 (the default) uses
+// GOMAXPROCS, which suits a simulator that owns the host (cosmic-sim, the
+// designer's validation); 1 runs every thread as one full-width block on the
+// caller's goroutine, which is what a cluster node's AccelEngine does, since
+// its cores are shared with its peers. The partial update is bit-identical
+// for every worker count — threads are functionally independent until the
+// final cross-thread reduction, which always runs in thread order.
 func (s *Sim) SetWorkers(n int) { s.workers = n }
 
 // pairPlan is one model symbol's Equation 3a update: the model symbol, the

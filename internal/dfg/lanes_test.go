@@ -483,9 +483,10 @@ func fallbackGraph(build gradRows) (*Graph, LaneLayout) {
 // TestLanesFusedUpdateMatchesArena pins the update tail: on every Table 1
 // program, and on hand-built graphs whose gradient rows must fall back, a
 // lane arena under each update equals a scalar Arena plus an explicit step
-// bit for bit, with NaN, ±0, ±Inf and denormal inputs, at widths 1, 3 and
-// 16. Each hand-built graph also has a row that fuses, so a fallback row
-// reads its gradient while the tail rewrites the model block.
+// bit for bit, with NaN, ±0, ±Inf and denormal inputs, at widths 1, 3, 16,
+// 32 (a node's AccelEngine at the `deep` workload's plan) and 33 (not a
+// power of two). Each hand-built graph also has a row that fuses, so a
+// fallback row reads its gradient while the tail rewrites the model block.
 func TestLanesFusedUpdateMatchesArena(t *testing.T) {
 	type laneCase struct {
 		g      *Graph
@@ -543,7 +544,7 @@ func TestLanesFusedUpdateMatchesArena(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, width := range []int{1, 3, 16} {
+			for _, width := range []int{1, 3, 16, 32, 33} {
 				if la := tape.NewLanes(width, c.layout); len(la.tail) != c.tail {
 					t.Fatalf("%d gradient rows fused, want %d", len(la.tail), c.tail)
 				}

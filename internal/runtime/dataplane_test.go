@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	goruntime "runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/accel"
 	"repro/internal/arch"
@@ -179,19 +181,58 @@ func TestAccelEngineMatchesRunBatch(t *testing.T) {
 	}
 }
 
+// deepProgram is a node's engine at the `deep` workload's shape: mnist@0.05
+// and the program the Planner picks for it on UltraScale+ at mini-batch 256
+// — 32 threads.
+func deepProgram(tb testing.TB) (dataset.Benchmark, ml.Algorithm, *compiler.Program) {
+	tb.Helper()
+	bm, err := dataset.ByName("mnist")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	alg := bm.Algorithm(0.05)
+	unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := dfg.Translate(unit)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	point, err := planner.Plan(g, arch.UltraScalePlus, planner.Options{MiniBatch: 256, Style: compiler.StyleCoSMIC})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bm, alg, point.Program
+}
+
+// mallocsPerCall is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// which would hide the allocations of a batch's worker goroutines: the
+// integer mean of the mallocs over runs calls of f, after one warm call.
+func mallocsPerCall(runs int, f func()) uint64 {
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
 // TestAccelEngineSteadyStateAllocs: an AccelEngine resolves its symbols once
-// and keeps its bindings, the simulator's lane arenas and the flattened
-// partial from round to round, so a round allocates nothing
-// (testing.AllocsPerRun pins GOMAXPROCS to 1: one host worker, no worker
-// goroutine to start). A reused engine must also return exactly what a
-// fresh one does.
+// and keeps its bindings, the simulator's lane arena and the flattened
+// partial from round to round, and runs its simulated threads as one lane
+// block on the caller's goroutine whatever GOMAXPROCS is, so a round
+// allocates nothing — no batch worker goroutine to start. A reused engine
+// must return exactly what a fresh one does, and what a standalone
+// simulator spreading the threads over four host workers does.
 func TestAccelEngineSteadyStateAllocs(t *testing.T) {
-	alg := &ml.LogisticRegression{M: 37}
-	prog := engineProgram(t, alg, 4)
-	rng := rand.New(rand.NewSource(10))
-	model := alg.InitModel(rng)
-	const samples = 16
-	shards := [][]ml.Sample{randomShard(rng, alg.M, samples), randomShard(rng, alg.M, samples-5)}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
+	bm, alg, prog := deepProgram(t)
+	model := alg.InitModel(rand.New(rand.NewSource(10)))
+	const samples = 64
+	shards := [][]ml.Sample{bm.Generate(alg, samples, 7), bm.Generate(alg, samples-5, 8)}
 	for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
 		eng := &AccelEngine{Alg: alg, Prog: prog, LR: 0.05, Agg: agg}
 		for _, shard := range shards {
@@ -206,43 +247,54 @@ func TestAccelEngineSteadyStateAllocs(t *testing.T) {
 			if !bitsEqual(got, want) {
 				t.Errorf("%v: a reused engine's partial differs from a fresh engine's", agg)
 			}
+			if want := splitSimPartial(t, eng, model, shard); !bitsEqual(got, want) {
+				t.Errorf("%v: the engine's partial differs from a 4-worker simulator's", agg)
+			}
 		}
-		allocs := testing.AllocsPerRun(20, func() {
+		allocs := mallocsPerCall(20, func() {
 			if _, err := eng.PartialUpdate(model, shards[0]); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%v: PartialUpdate allocates %.0f per call, want 0", agg, allocs)
+			t.Errorf("%v: PartialUpdate allocates %d per call at GOMAXPROCS 4, want 0", agg, allocs)
 		}
 	}
+}
+
+// splitSimPartial is the flat partial eng's program computes on a standalone
+// simulator that spreads the shard's threads over four host workers.
+func splitSimPartial(t *testing.T, eng *AccelEngine, model []float64, shard []ml.Sample) []float64 {
+	t.Helper()
+	sim := accel.New(eng.Prog)
+	sim.SetWorkers(4)
+	parts := make([][]map[string][]float64, eng.Prog.Plan.Threads)
+	for th, part := range ml.Partition(shard, len(parts)) {
+		for _, s := range part {
+			parts[th] = append(parts[th], eng.Alg.PackSample(s))
+		}
+	}
+	res, err := sim.RunBatch(eng.Alg.PackModel(model), parts, eng.LR, eng.Agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Agg == dsl.AggAverage {
+		return ml.UnpackModel(eng.Alg, res.Partial)
+	}
+	return eng.Alg.UnpackGradient(res.Partial)
 }
 
 // BenchmarkAccelEngine is a node's engine at the `deep` workload's shape:
 // PartialUpdate of 64 mnist@0.05 samples (one node's share of mini-batch
 // 256) on the program the Planner picks for UltraScale+ — 32 threads, two
-// vectors each — with one engine kept across calls, and the size of its
-// simulator's lane arenas.
+// vectors each — with one engine kept across calls. Besides wall time per
+// sample it reports the process CPU time per sample (a split across host
+// goroutines can cut the one and raise the other) and the size of its
+// simulator's lane arena.
 func BenchmarkAccelEngine(b *testing.B) {
-	bm, err := dataset.ByName("mnist")
-	if err != nil {
-		b.Fatal(err)
-	}
-	alg := bm.Algorithm(0.05)
-	unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := dfg.Translate(unit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	point, err := planner.Plan(g, arch.UltraScalePlus, planner.Options{MiniBatch: 256, Style: compiler.StyleCoSMIC})
-	if err != nil {
-		b.Fatal(err)
-	}
+	bm, alg, prog := deepProgram(b)
 	const samples = 64
-	eng := &AccelEngine{Alg: alg, Prog: point.Program, LR: 0.05, Agg: dsl.AggAverage}
+	eng := &AccelEngine{Alg: alg, Prog: prog, LR: 0.05, Agg: dsl.AggAverage}
 	model := alg.InitModel(rand.New(rand.NewSource(1)))
 	shard := bm.Generate(alg, samples, 7)
 	if _, err := eng.PartialUpdate(model, shard); err != nil {
@@ -250,13 +302,25 @@ func BenchmarkAccelEngine(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0 := cpuTime()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.PartialUpdate(model, shard); err != nil {
 			b.Fatal(err)
 		}
 	}
+	cpu := cpuTime() - cpu0
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+	b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N*samples), "cpu-ns/sample")
 	b.ReportMetric(float64(eng.sim.LaneArenaBytes())/1024, "arena_kb")
+}
+
+// cpuTime returns the process's user+system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkRefEngine times a node's RefEngine partial at the shapes the

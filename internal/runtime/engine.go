@@ -62,7 +62,10 @@ func (e *RefEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float64
 }
 
 // AccelEngine computes partials on the cycle-level simulator of the
-// compiled accelerator, and tracks the cycles consumed.
+// compiled accelerator, and tracks the cycles consumed. The simulator runs
+// with one host worker: all of the program's MIMD threads are one lane block
+// evaluated on the goroutine that calls PartialUpdate, with no goroutine per
+// batch.
 type AccelEngine struct {
 	Alg  ml.Algorithm
 	Prog *compiler.Program
@@ -166,6 +169,12 @@ func (e *AccelEngine) PartialUpdate(model []float64, shard []ml.Sample) ([]float
 	e.simMu.Lock()
 	if e.sim == nil {
 		e.sim = accel.New(e.Prog)
+		// One host worker: the simulated threads run as one full-width lane
+		// block on this, the node's drive goroutine. The node's cores are
+		// already shared with its peers; splitting the block costs a
+		// goroutine per batch and ~1.5x the CPU for a few percent of wall
+		// time, and the partial is bit-identical either way.
+		e.sim.SetWorkers(1)
 	}
 	sim := e.sim
 	e.simMu.Unlock()
