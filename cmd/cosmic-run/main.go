@@ -53,6 +53,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", 0, "bound each aggregation round (0 = wait forever; required by -min-quorum, which defaults it to 2s)")
 	minQuorum := flag.Int("min-quorum", 0, "fold a timed-out round once at least this many members arrived instead of failing the run (0 = fail-fast)")
 	flag.Parse()
+	policy := cosmic.RoundPolicy{RoundTimeout: *roundTimeout, MinQuorum: *minQuorum, ChunkWords: *chunkWords}
 
 	if *listen != "" {
 		opts := deploy.MasterOptions{
@@ -80,10 +81,9 @@ func main() {
 			Benchmark: *benchName, Scale: *scale,
 			Samples: *samples / *nodes, Seed: *seed,
 			MiniBatch: *batch, Rounds: *rounds, Threads: *threads,
-			Average:      true,
-			ChunkWords:   *chunkWords,
-			RoundTimeout: *roundTimeout, MinQuorum: *minQuorum,
-			Simulate: *useSim,
+			Average:     true,
+			RoundPolicy: policy,
+			Simulate:    *useSim,
 		}, opts, *tracePath, *profilePath)
 		return
 	}
@@ -129,13 +129,8 @@ func main() {
 		LearningRate: bench.DefaultLR(alg),
 		Average:      true,
 		Rounds:       *rounds,
-		ChunkWords:   *chunkWords,
-		RoundTimeout: *roundTimeout,
-		MinQuorum:    *minQuorum,
+		RoundPolicy:  policy,
 		Obs:          o,
-	}
-	if cfg.MinQuorum > 0 && cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = 2 * time.Second
 	}
 	if *useSim {
 		prog, err := cosmic.Compile(alg.DSLSource(), alg.DSLParams(), cosmic.UltraScalePlus,

@@ -64,21 +64,10 @@ type Spec struct {
 	LearningRate float64 `json:"learning_rate"`
 	Average      bool    `json:"average"`
 
-	// RoundTimeout bounds each aggregation round at every Sigma
-	// (nanoseconds on the wire; 0 = wait forever). MinQuorum, when > 0,
-	// turns a round timeout into exclude-and-continue: the Sigma folds the
-	// round with the members that arrived (at least MinQuorum of them,
-	// its own contribution included) and marks the absentees suspect until
-	// they speak again. The Director distributes both, so every Sigma in
-	// the hierarchy applies the same policy.
-	RoundTimeout time.Duration `json:"round_timeout,omitempty"`
-	MinQuorum    int           `json:"min_quorum,omitempty"`
-
-	// ChunkWords is the cluster-wide streaming-chunk boundary in vector
-	// elements (0 = the runtime default; must be a power of two). Every
-	// node must agree on it — fixed boundaries are what keep the
-	// aggregation deterministic — so the Director distributes it.
-	ChunkWords int `json:"chunk_words,omitempty"`
+	// RoundPolicy (round_timeout, min_quorum, chunk_words on the wire) is
+	// the round contract every Sigma must share, so the Director
+	// distributes it; Validate resolves it.
+	runtime.RoundPolicy
 
 	// Simulate routes every node's gradient computation through the
 	// cycle-level accelerator simulator (each worker compiles the
@@ -115,18 +104,20 @@ func (s *Spec) Validate() error {
 	if s.MiniBatch <= 0 {
 		s.MiniBatch = s.Nodes * 64
 	}
-	if !runtime.ValidChunkWords(s.ChunkWords) {
-		return fmt.Errorf("deploy: chunk_words %d is not a power of two", s.ChunkWords)
+	// runtime.Launch's rule: every node takes at least one sample a round,
+	// and the master's LR/MiniBatch scale sees the batch actually trained.
+	if s.MiniBatch < s.Nodes {
+		s.MiniBatch = s.Nodes
 	}
-	if s.MinQuorum < 0 {
-		return fmt.Errorf("deploy: min_quorum %d", s.MinQuorum)
-	}
-	if s.MinQuorum > 0 && s.RoundTimeout <= 0 {
-		// Quorum mode is meaningless without a bounded round.
-		s.RoundTimeout = 2 * time.Second
-	}
-	if _, err := dataset.ByName(s.Benchmark); err != nil {
+	if err := s.RoundPolicy.Resolve(); err != nil {
 		return err
+	}
+	bench, err := dataset.ByName(s.Benchmark)
+	if err != nil {
+		return err
+	}
+	if s.LearningRate == 0 {
+		s.LearningRate = bench.DefaultLR(bench.Algorithm(s.Scale))
 	}
 	return nil
 }
@@ -147,7 +138,6 @@ type workerConfig struct {
 	UpstreamAddr string   `json:"upstream_addr"`
 	MemberIDs    []uint32 `json:"member_ids,omitempty"`
 	Spec         Spec     `json:"spec"`
-	LR           float64  `json:"lr"`
 	// MasterUnixUS is the Director's clock (Unix micros) at config-send
 	// time. The worker derives its clock skew from it so cosmic-trace can
 	// align per-node trace timelines; the one-way control-plane latency is
@@ -329,15 +319,8 @@ func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect
 		return nil, err
 	}
 	alg := bench.Algorithm(cfg.Spec.Scale)
-	lr := cfg.LR
-	if lr == 0 {
-		lr = bench.DefaultLR(alg)
-	}
 	shard := bench.Generate(alg, cfg.Spec.Samples, cfg.Spec.Seed+int64(cfg.NodeID))
-	perNode := cfg.Spec.MiniBatch / cfg.Spec.Nodes
-	if perNode < 1 {
-		perNode = 1
-	}
+	perNode := cfg.Spec.MiniBatch / cfg.Spec.Nodes // >= 1: Validate keeps MiniBatch >= Nodes >= 1
 	var engine runtime.Engine
 	if cfg.Spec.Simulate {
 		build, err := core.BuildProgram(alg.DSLSource(), alg.DSLParams(), arch.UltraScalePlus, core.BuildOptions{
@@ -346,9 +329,9 @@ func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect
 		if err != nil {
 			return nil, fmt.Errorf("deploy: compiling simulator program: %w", err)
 		}
-		engine = &runtime.AccelEngine{Alg: alg, Prog: build.Program, LR: lr, Agg: cfg.Spec.agg()}
+		engine = &runtime.AccelEngine{Alg: alg, Prog: build.Program, LR: cfg.Spec.LearningRate, Agg: cfg.Spec.agg()}
 	} else {
-		engine = &runtime.RefEngine{Alg: alg, Threads: cfg.Spec.Threads, LR: lr, Agg: cfg.Spec.agg()}
+		engine = &runtime.RefEngine{Alg: alg, Threads: cfg.Spec.Threads, LR: cfg.Spec.LearningRate, Agg: cfg.Spec.agg()}
 	}
 	return runtime.StartNode(runtime.NodeConfig{
 		ID:            cfg.NodeID,
@@ -356,14 +339,10 @@ func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect
 		Group:         cfg.Group,
 		UpstreamAddr:  cfg.UpstreamAddr,
 		MemberIDs:     cfg.MemberIDs,
-		ChunkWords:    cfg.Spec.ChunkWords,
+		RoundPolicy:   cfg.Spec.RoundPolicy,
 		Engine:        engine,
 		ModelSize:     alg.ModelSize(),
-		Agg:           cfg.Spec.agg(),
-		LR:            lr,
 		ShardBatch:    perNode,
-		RoundTimeout:  cfg.Spec.RoundTimeout,
-		MinQuorum:     cfg.Spec.MinQuorum,
 		Reconnect:     reconnect,
 		ReconnectWait: reconnectWait,
 		Obs:           o,
@@ -404,8 +383,6 @@ type MasterOptions struct {
 	// across the cluster's wire frames.
 	TraceIDBase uint64
 	Logger      *slog.Logger
-	// DiagDir is where the master's round-failure flight dumps land.
-	DiagDir string
 	// Retention bounds the Director's in-memory TSDB: every scrape tick
 	// folds the federated snapshot into compressed chunks, and chunks older
 	// than Retention are evicted (0 = the tsdb default of 15m). The store
@@ -437,15 +414,11 @@ func RunMaster(controlAddr string, spec Spec, opts MasterOptions) (*Result, erro
 
 	bench, _ := dataset.ByName(spec.Benchmark)
 	alg := bench.Algorithm(spec.Scale)
-	lr := spec.LearningRate
-	if lr == 0 {
-		lr = bench.DefaultLR(alg)
-	}
 
 	// The master node itself (group 0's Sigma + top-level combiner).
 	masterCfg := workerConfig{
 		NodeID: 0, Role: int(runtime.RoleMasterSigma), Group: 0,
-		MemberIDs: topo.MasterMemberIDs(), Spec: spec, LR: lr,
+		MemberIDs: topo.MasterMemberIDs(), Spec: spec,
 	}
 	master, err := buildNode(masterCfg, opts.Obs, opts.Logger, false, 0)
 	if err != nil {
@@ -540,7 +513,7 @@ func RunMaster(controlAddr string, spec Spec, opts MasterOptions) (*Result, erro
 		cfg := workerConfig{
 			NodeID: uint32(g), Role: int(runtime.RoleGroupSigma), Group: g,
 			UpstreamAddr: master.Addr(), MemberIDs: topo.MemberIDs(g),
-			Spec: spec, LR: lr,
+			Spec: spec,
 		}
 		w.cfg = cfg
 		if err := sendConfig(w.conn, cfg); err != nil {
@@ -559,7 +532,7 @@ func RunMaster(controlAddr string, spec Spec, opts MasterOptions) (*Result, erro
 		group := topo.GroupOf[id]
 		cfg := workerConfig{
 			NodeID: uint32(id), Role: int(runtime.RoleDelta), Group: group,
-			UpstreamAddr: sigmaAddr[group], Spec: spec, LR: lr,
+			UpstreamAddr: sigmaAddr[group], Spec: spec,
 		}
 		w.cfg = cfg
 		if err := sendConfig(w.conn, cfg); err != nil {
@@ -717,14 +690,10 @@ func RunMaster(controlAddr string, spec Spec, opts MasterOptions) (*Result, erro
 	res.InitialLoss = ml.MeanLoss(alg, model, full)
 
 	trained, stats, err := master.DriveTraining(runtime.DriveConfig{
-		Groups:       spec.Groups,
-		ModelSize:    alg.ModelSize(),
-		Agg:          spec.agg(),
-		LR:           lr,
-		MiniBatch:    spec.MiniBatch,
-		RoundTimeout: spec.RoundTimeout,
-		MinQuorum:    spec.MinQuorum,
-		TraceIDBase:  opts.TraceIDBase,
+		Agg:         spec.agg(),
+		LR:          spec.LearningRate,
+		MiniBatch:   spec.MiniBatch,
+		TraceIDBase: opts.TraceIDBase,
 	}, model, spec.Rounds)
 	if err != nil {
 		return nil, err
@@ -762,9 +731,9 @@ type WorkerOptions struct {
 	OnNode func(n *runtime.Node)
 	// ChunkWords, when non-zero, is the streaming-chunk boundary this
 	// worker insists on. The boundary is cluster-wide (fixed boundaries are
-	// what keep the ordered fold deterministic), so a Director whose spec
-	// resolves to a different value is rejected instead of silently
-	// diverging.
+	// what keep the ordered fold deterministic), so a Director whose
+	// resolved policy uses a different value is rejected instead of
+	// silently diverging.
 	ChunkWords int
 	// HTTPAddr is the worker's debug HTTP listener address, advertised in
 	// MsgStats replies so the Director's /cluster roster (and cosmic-prof)
@@ -825,14 +794,14 @@ func RunWorker(controlAddr string, opts WorkerOptions) error {
 		// worker's clock runs ahead of the Director's.
 		opts.Obs.Tracer().SetClockSkew(time.Now().UnixMicro() - cfg.MasterUnixUS)
 	}
-	if opts.ChunkWords != 0 {
-		want, got := opts.ChunkWords, cfg.Spec.ChunkWords
-		if got == 0 {
-			got = runtime.ChunkSize
-		}
-		if want != got {
-			return fmt.Errorf("deploy: worker wants chunk-words %d but the Director's spec uses %d", want, got)
-		}
+	// Validate leaves the Director's already-validated spec as it is; a
+	// config that did not come from Validate is rejected or resolved here,
+	// before buildNode divides by Nodes or the chunk boundary is compared.
+	if err := cfg.Spec.Validate(); err != nil {
+		return fmt.Errorf("deploy: Director's spec: %w", err)
+	}
+	if want, got := opts.ChunkWords, cfg.Spec.ChunkWords; want != 0 && want != got {
+		return fmt.Errorf("deploy: worker wants chunk-words %d but the Director's spec uses %d", want, got)
 	}
 	node, err := buildNode(cfg, opts.Obs, opts.Logger, opts.Reconnect, opts.ReconnectWait)
 	if err != nil {

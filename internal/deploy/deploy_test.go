@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/cosmicnet"
 	"repro/internal/obs"
+	"repro/internal/runtime"
 )
 
 // TestMasterWorkersEndToEnd runs the full Director handshake and a training
@@ -110,8 +112,57 @@ func TestSpecValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if good.Groups != 1 || good.Samples == 0 || good.Rounds == 0 || good.MiniBatch == 0 {
+	if good.Groups != 1 || good.Samples == 0 || good.Rounds == 0 || good.MiniBatch == 0 || good.LearningRate == 0 {
 		t.Errorf("defaults not filled: %+v", good)
+	}
+	if good.ChunkWords != runtime.ChunkSize {
+		t.Errorf("chunk_words resolved to %d, want %d", good.ChunkWords, runtime.ChunkSize)
+	}
+	// runtime.Launch's per-node batch rule: every node trains at least one
+	// sample a round, so the system-wide batch rises to the node count.
+	small := Spec{Nodes: 4, MiniBatch: 2, Benchmark: "face"}
+	if err := small.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if small.MiniBatch != 4 {
+		t.Errorf("mini_batch 2 on 4 nodes resolved to %d, want 4", small.MiniBatch)
+	}
+	quorum := Spec{Nodes: 4, Benchmark: "face"}
+	quorum.MinQuorum = 2
+	if err := quorum.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if quorum.RoundTimeout != 2*time.Second {
+		t.Errorf("min_quorum 2 with no timeout resolved to %v, want 2s", quorum.RoundTimeout)
+	}
+}
+
+// TestSpecWireShape pins the Spec's JSON, the payload of the Director's
+// MsgConfig: a fully set spec marshals to exactly these bytes and decodes
+// back to itself. The round policy is an embedded runtime struct, so this
+// guards its field names, order and tags.
+func TestSpecWireShape(t *testing.T) {
+	spec := Spec{
+		Nodes: 6, Groups: 2,
+		Benchmark: "tumor", Scale: 0.02, Samples: 100, Seed: 3,
+		MiniBatch: 64, Rounds: 5, Threads: 2, LearningRate: 0.1, Average: true,
+		RoundPolicy: runtime.RoundPolicy{RoundTimeout: 250 * time.Millisecond, MinQuorum: 2, ChunkWords: 64},
+		Simulate:    true,
+	}
+	const want = `{"nodes":6,"groups":2,"benchmark":"tumor","scale":0.02,"samples":100,"seed":3,"mini_batch":64,"rounds":5,"threads":2,"learning_rate":0.1,"average":true,"round_timeout":250000000,"min_quorum":2,"chunk_words":64,"simulate":true}`
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != want {
+		t.Fatalf("spec marshals to\n%s\nwant\n%s", blob, want)
+	}
+	var back Spec
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != spec {
+		t.Fatalf("round trip gave %+v, want %+v", back, spec)
 	}
 }
 

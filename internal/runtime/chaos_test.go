@@ -235,28 +235,40 @@ partition 5->1 at 100ms heal 500ms
 
 // TestChaosDeadDeltaQuorumSurvives: Delta 5's data never arrives — the
 // permanently dead member. Its Sigma folds every round on the surviving
-// quorum, keeps the member marked suspect, and the run completes.
+// quorum, keeps the member marked suspect, and the run completes. With no
+// RoundTimeout the quorum's resolved default bounds the round; without one
+// the first round would wait for the dead member forever.
 func TestChaosDeadDeltaQuorumSurvives(t *testing.T) {
 	const nodes, groups, rounds = 6, 2, 6
-	alg, shards := chaosWorkload(nodes)
-	o := obs.New()
-	nw := chaosFabric(t, "seed 31\nlink 5->1 drop 1 data-only\n")
-	opts := chaosOptions(nodes, groups, alg, shards, nw)
-	opts.RoundTimeout = 200 * time.Millisecond
-	opts.MinQuorum = 2
-	opts.Obs = o
-	got, _ := trainUnderChaos(t, opts, rounds)
-	reg := o.Registry()
-	if excluded := metricSum(reg, "cosmic_round_excluded_total"); excluded < float64(rounds-1) {
-		t.Fatalf("cosmic_round_excluded_total = %g, want >= %d (every round folds without the dead member)", excluded, rounds-1)
-	}
-	if v := metricSum(reg, `cosmic_node_suspect{node="1",peer="5"}`); v != 1 {
-		t.Fatalf("sigma 1's suspect gauge for member 5 = %g, want 1", v)
-	}
-	initial := meanLoss(alg, make([]float64, alg.ModelSize()), shards)
-	final := meanLoss(alg, got, shards)
-	if final >= initial {
-		t.Fatalf("loss %g after training, %g before", final, initial)
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+	}{
+		{"timeout-200ms", 200 * time.Millisecond},
+		{"timeout-unset", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alg, shards := chaosWorkload(nodes)
+			o := obs.New()
+			nw := chaosFabric(t, "seed 31\nlink 5->1 drop 1 data-only\n")
+			opts := chaosOptions(nodes, groups, alg, shards, nw)
+			opts.RoundTimeout = tc.timeout
+			opts.MinQuorum = 2
+			opts.Obs = o
+			got, _ := trainUnderChaos(t, opts, rounds)
+			reg := o.Registry()
+			if excluded := metricSum(reg, "cosmic_round_excluded_total"); excluded < float64(rounds-1) {
+				t.Fatalf("cosmic_round_excluded_total = %g, want >= %d (every round folds without the dead member)", excluded, rounds-1)
+			}
+			if v := metricSum(reg, `cosmic_node_suspect{node="1",peer="5"}`); v != 1 {
+				t.Fatalf("sigma 1's suspect gauge for member 5 = %g, want 1", v)
+			}
+			initial := meanLoss(alg, make([]float64, alg.ModelSize()), shards)
+			final := meanLoss(alg, got, shards)
+			if final >= initial {
+				t.Fatalf("loss %g after training, %g before", final, initial)
+			}
+		})
 	}
 }
 

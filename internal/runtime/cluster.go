@@ -29,12 +29,11 @@ type ClusterOptions struct {
 	// MiniBatch is the system-wide mini-batch size; each node consumes
 	// MiniBatch/Nodes samples per round.
 	MiniBatch int
-	// RoundTimeout bounds each aggregation round (0 = forever).
-	RoundTimeout time.Duration
-	// MinQuorum, when > 0, makes every Sigma (master included) fold a
-	// timed-out round with the members that arrived instead of failing —
-	// see NodeConfig.MinQuorum. A node death then costs rounds, not the run.
-	MinQuorum int
+	// RoundPolicy is shared by every node; Launch resolves it. With
+	// MinQuorum > 0 every Sigma (master included) folds a timed-out round
+	// with the members that arrived, so a node death costs rounds, not the
+	// run.
+	RoundPolicy
 	// Reconnect makes worker nodes redial their upstream (with backoff
 	// bounded by ReconnectWait) when the connection drops mid-run.
 	Reconnect     bool
@@ -42,10 +41,6 @@ type ClusterOptions struct {
 	// Transports, when non-nil, supplies each node's Transport (nil entries
 	// fall back to cosmicnet.TCP). The chaos fabric plugs in here.
 	Transports func(nodeID int) cosmicnet.Transport
-	// ChunkWords is the fixed streaming-chunk boundary in vector elements
-	// (0 = the default; must be a power of two).
-	ChunkWords int
-	Logf       func(format string, args ...any)
 	// Obs, when non-nil, is shared by every node: per-node frame and
 	// fan-in counters, ring depth gauges, and per-round spans land in it.
 	Obs *obs.Observer
@@ -59,10 +54,6 @@ type ClusterOptions struct {
 	// TraceIDBase, when nonzero, enables distributed trace propagation
 	// (round seq → trace ID TraceIDBase+seq on the wire).
 	TraceIDBase uint64
-	// FlightSize bounds each node's flight recorder (0 = default 256);
-	// DiagDir is where round-failure diagnostic bundles land.
-	FlightSize int
-	DiagDir    string
 }
 
 // Cluster is a running scale-out system.
@@ -101,6 +92,9 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.RoundPolicy.Resolve(); err != nil {
+		return nil, err
+	}
 	if opts.MiniBatch < opts.Nodes {
 		opts.MiniBatch = opts.Nodes
 	}
@@ -113,17 +107,10 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 			Group:         topo.GroupOf[id],
 			Engine:        opts.Engines(id),
 			ModelSize:     opts.ModelSize,
-			Agg:           opts.Agg,
-			LR:            opts.LR,
 			ShardBatch:    perNode,
-			RoundTimeout:  opts.RoundTimeout,
-			ChunkWords:    opts.ChunkWords,
-			Logf:          opts.Logf,
+			RoundPolicy:   opts.RoundPolicy,
 			Obs:           opts.Obs,
 			Logger:        opts.Logger,
-			FlightSize:    opts.FlightSize,
-			DiagDir:       opts.DiagDir,
-			MinQuorum:     opts.MinQuorum,
 			Reconnect:     opts.Reconnect,
 			ReconnectWait: opts.ReconnectWait,
 		}
@@ -210,16 +197,12 @@ func (c *Cluster) Train(model []float64, rounds int) ([]float64, TrainStats, err
 		fail = nil
 	}
 	final, stats, err := c.master.DriveTraining(DriveConfig{
-		Groups:       c.topo.Groups,
-		ModelSize:    c.opts.ModelSize,
-		Agg:          c.opts.Agg,
-		LR:           c.opts.LR,
-		MiniBatch:    c.opts.MiniBatch,
-		RoundTimeout: c.opts.RoundTimeout,
-		MinQuorum:    c.opts.MinQuorum,
-		Fail:         fail,
-		TraceIDBase:  c.opts.TraceIDBase,
-		Diagnostics:  c.DumpDiagnostics,
+		Agg:         c.opts.Agg,
+		LR:          c.opts.LR,
+		MiniBatch:   c.opts.MiniBatch,
+		Fail:        fail,
+		TraceIDBase: c.opts.TraceIDBase,
+		Diagnostics: c.DumpDiagnostics,
 	}, model, rounds)
 	stats.NetworkSentBytes, stats.NetworkReceivedBytes = c.NetworkBytes()
 	return final, stats, err
@@ -229,15 +212,11 @@ func (c *Cluster) Train(model []float64, rounds int) ([]float64, TrainStats, err
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // DumpDiagnostics writes every node's flight recorder into one fresh
-// directory under DiagDir (OS temp dir when unset) and returns its path —
+// directory under the OS temp directory ($TMPDIR) and returns its path —
 // the bundle a round failure points the operator at. Best-effort: nodes
 // whose dump fails are skipped so a sick node cannot block the bundle.
 func (c *Cluster) DumpDiagnostics(reason string) string {
-	base := c.opts.DiagDir
-	if base == "" {
-		base = os.TempDir()
-	}
-	dir, err := os.MkdirTemp(base, "cosmic-diag-*")
+	dir, err := os.MkdirTemp("", "cosmic-diag-*")
 	if err != nil {
 		return "(diagnostics unavailable: " + err.Error() + ")"
 	}

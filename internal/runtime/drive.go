@@ -11,22 +11,17 @@ import (
 
 // DriveConfig parameterizes the master Sigma's training loop, independent
 // of whether the other nodes are goroutines in this process (Cluster) or
-// remote processes (package deploy).
+// remote processes (package deploy). It carries only what the master node
+// does not already know: the model size and the round policy come from the
+// master's own NodeConfig.
 type DriveConfig struct {
-	// Groups is the number of aggregation groups.
-	Groups    int
-	ModelSize int
-	Agg       dsl.AggregatorKind
-	LR        float64
+	// Agg and LR are the update rule the master applies to each folded
+	// chunk.
+	Agg dsl.AggregatorKind
+	LR  float64
 	// MiniBatch is the system-wide samples per round (for the summing
 	// aggregator's update scale).
 	MiniBatch int
-	// RoundTimeout bounds each round's aggregation waits (0 = forever).
-	RoundTimeout time.Duration
-	// MinQuorum, when > 0, folds a timed-out round with the members that
-	// arrived (at least MinQuorum of them) instead of failing the run; see
-	// NodeConfig.MinQuorum.
-	MinQuorum int
 	// Fail, when non-nil, aborts a round when a node failure arrives.
 	Fail <-chan error
 	// TraceIDBase, when nonzero, turns on distributed trace propagation:
@@ -61,8 +56,8 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 	if m.cfg.Role != RoleMasterSigma {
 		return nil, TrainStats{}, fmt.Errorf("runtime: DriveTraining on a %v node", m.cfg.Role)
 	}
-	if len(model) != cfg.ModelSize {
-		return nil, TrainStats{}, fmt.Errorf("runtime: model length %d, want %d", len(model), cfg.ModelSize)
+	if len(model) != m.cfg.ModelSize {
+		return nil, TrainStats{}, fmt.Errorf("runtime: model length %d, want %d", len(model), m.cfg.ModelSize)
 	}
 	cur := append([]float64(nil), model...)
 	stats := TrainStats{Rounds: rounds}
@@ -84,14 +79,14 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 		}
 		roundSp := tr.Begin("runtime", "round", m.obs.threadID())
 		m.agg.Reset(uint32(seq))
-		excludedRound := m.preExcludeSuspects(uint32(seq), cfg.MinQuorum)
+		excludedRound := m.preExcludeSuspects(uint32(seq), m.cfg.MinQuorum)
 		// Apply-on-complete: the moment chunk idx has every member's
 		// contribution, the update rule of the stack (Equations 2 and 3b)
 		// lands on that span of the model. No member can complete a chunk
 		// before the master's own local push below, and the broadcast is
 		// done by then, so cur is never mutated while a send reads it.
 		m.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
-			out := cur[idx*m.chunkWords : idx*m.chunkWords+len(span)]
+			out := cur[idx*m.cfg.ChunkWords : idx*m.cfg.ChunkWords+len(span)]
 			switch cfg.Agg {
 			case dsl.AggAverage:
 				for j, v := range span {
@@ -125,7 +120,7 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 		// Wait for every chunk of the model to finish folding (the update
 		// rule has then already been applied chunk by chunk).
 		sp = tr.Begin("runtime", "aggregate-wait", m.obs.threadID())
-		ok, err := m.agg.WaitComplete(cfg.RoundTimeout, cfg.Fail)
+		ok, err := m.agg.WaitComplete(m.cfg.RoundTimeout, cfg.Fail)
 		sp.End()
 		if err != nil {
 			dump := diag("node-failed")
@@ -133,7 +128,7 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 				err, m.lastSeenSummary(), dump)
 		}
 		if !ok {
-			if m.quorumFold(uint32(seq), cfg.MinQuorum, cfg.RoundTimeout) {
+			if m.quorumFold(uint32(seq), m.cfg.MinQuorum, m.cfg.RoundTimeout) {
 				excludedRound = true
 			} else {
 				lastSeen := m.lastSeenSummary()

@@ -15,10 +15,61 @@ import (
 	"time"
 
 	"repro/internal/cosmicnet"
-	"repro/internal/dsl"
 	"repro/internal/ml"
 	"repro/internal/obs"
 )
+
+// RoundPolicy is the round contract every Sigma of a cluster must share:
+// how long a round may wait for its members, whether a timed-out round folds
+// on a quorum, and the chunk boundary partials stream and fold at. It is
+// declared once, here, and embedded in every cluster config (NodeConfig,
+// ClusterOptions, deploy.Spec, cosmic.ClusterConfig). The JSON tags are the
+// Director's wire names, so a deploy.Spec carries it in MsgConfig as is.
+type RoundPolicy struct {
+	// RoundTimeout bounds how long a Sigma waits for its members'
+	// contributions each round (0 = forever; nanoseconds on the wire). With
+	// a timeout, a dead member fails the round instead of wedging the
+	// cluster.
+	RoundTimeout time.Duration `json:"round_timeout,omitempty"`
+	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
+	// instead of failing, the Sigma folds the round with the contributions
+	// that arrived — as long as at least MinQuorum members (its own
+	// contribution included) are present — and marks the absentees suspect.
+	// Suspects are pre-excluded from later rounds until they speak again
+	// (a fresh hello or data from a newer round), so one dead member costs
+	// one RoundTimeout, not one per round. 0 keeps fail-fast behavior.
+	MinQuorum int `json:"min_quorum,omitempty"`
+	// ChunkWords is the fixed chunk boundary in vector elements — the unit
+	// partials stream, fold, and forward at. 0 selects the default
+	// (ChunkSize); other values must be powers of two. Fixed boundaries are
+	// what keep the ordered fold deterministic, so every node must agree.
+	ChunkWords int `json:"chunk_words,omitempty"`
+}
+
+// quorumRoundTimeout bounds a quorum-mode round that names no timeout:
+// without a bound a dead member never times out, so the quorum fold never
+// runs and the round waits forever.
+const quorumRoundTimeout = 2 * time.Second
+
+// Resolve validates the policy and fills its defaults in place: ChunkWords
+// 0 becomes ChunkSize, and a quorum with no RoundTimeout gets
+// quorumRoundTimeout. StartNode, Launch and deploy.Spec.Validate all call
+// it, so every entry point applies the same rules.
+func (p *RoundPolicy) Resolve() error {
+	if p.ChunkWords < 0 || bits.OnesCount(uint(p.ChunkWords)) > 1 {
+		return fmt.Errorf("runtime: ChunkWords %d is not a power of two", p.ChunkWords)
+	}
+	if p.ChunkWords == 0 {
+		p.ChunkWords = ChunkSize
+	}
+	if p.MinQuorum < 0 {
+		return fmt.Errorf("runtime: MinQuorum %d is negative", p.MinQuorum)
+	}
+	if p.MinQuorum > 0 && p.RoundTimeout <= 0 {
+		p.RoundTimeout = quorumRoundTimeout
+	}
+	return nil
+}
 
 // NodeConfig configures one node of the scale-out system.
 type NodeConfig struct {
@@ -34,31 +85,16 @@ type NodeConfig struct {
 	// only; required). The sorted order of the IDs fixes the fold order,
 	// which is what makes aggregation bit-deterministic.
 	MemberIDs []uint32
-	// ChunkWords is the fixed chunk boundary in vector elements — the unit
-	// partials stream, fold, and forward at. 0 selects the default
-	// (ChunkSize); other values must be powers of two.
-	ChunkWords int
+	// RoundPolicy is the cluster-wide round contract; StartNode resolves
+	// it.
+	RoundPolicy
 	// Engine computes partial updates.
 	Engine Engine
 	// ModelSize is the flat parameter-vector length.
 	ModelSize int
-	Agg       dsl.AggregatorKind
-	LR        float64
 	// ShardBatch is how many local samples the node consumes per
 	// mini-batch round.
 	ShardBatch int
-	// RoundTimeout bounds how long a Sigma waits for its members'
-	// contributions each round (0 = forever). With a timeout, a dead
-	// member fails the round instead of wedging the cluster.
-	RoundTimeout time.Duration
-	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
-	// instead of failing, the Sigma folds the round with the contributions
-	// that arrived — as long as at least MinQuorum members (its own
-	// contribution included) are present — and marks the absentees suspect.
-	// Suspects are pre-excluded from later rounds until they speak again
-	// (a fresh hello or data from a newer round), so one dead member costs
-	// one RoundTimeout, not one per round. 0 keeps fail-fast behavior.
-	MinQuorum int
 	// Reconnect makes a non-master node redial its upstream with bounded
 	// exponential backoff when the connection drops mid-run, re-announcing
 	// itself with a hello, instead of failing. ReconnectWait bounds the
@@ -68,40 +104,22 @@ type NodeConfig struct {
 	// Transport opens this node's listener and upstream connection. nil
 	// selects cosmicnet.TCP; the chaos fabric substitutes its own.
 	Transport cosmicnet.Transport
-	// Logf, when set, receives diagnostic output.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives structured diagnostics (failures,
 	// timeouts, straggler warnings) with node/role/group attributes
-	// attached; nil discards them (Logf still fires).
+	// attached; nil discards them.
 	Logger *slog.Logger
 	// Obs, when non-nil, records per-frame counters, aggregation fan-in,
 	// ring depth, and per-round spans for this node. nil disables all of it.
 	Obs *obs.Observer
-	// FlightSize bounds the node's flight recorder (last-N wire events
-	// kept for post-mortem dumps); 0 means the default of 256.
-	FlightSize int
-	// DiagDir is where round-failure diagnostic dumps land; empty means
-	// the OS temp directory.
-	DiagDir string
-}
-
-func (c *NodeConfig) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
-
-// ValidChunkWords reports whether w is an acceptable ChunkWords setting:
-// zero (default) or a power of two.
-func ValidChunkWords(w int) bool {
-	return w == 0 || (w > 0 && bits.OnesCount(uint(w)) == 1)
 }
 
 // aggWorkers is the Sigma's Aggregation Pool size; ringCapacity bounds the
-// circular buffer feeding it.
+// circular buffer feeding it; flightSize bounds each node's flight recorder
+// (the last-N wire events kept for post-mortem dumps).
 const (
 	aggWorkers   = 4
 	ringCapacity = 64
+	flightSize   = 256
 )
 
 // discardLogger drops records; the default when no Logger is configured.
@@ -114,8 +132,6 @@ type Node struct {
 	transport cosmicnet.Transport
 	obs       *nodeObs
 	logger    *slog.Logger
-	// chunkWords is the resolved fixed chunk boundary.
-	chunkWords int
 	// flight is the node's bounded forensic ring of wire events; always on
 	// (it is alloc-free), dumped when a round fails.
 	flight *obs.FlightRecorder
@@ -192,7 +208,6 @@ func (n *Node) fail(err error) {
 	}
 	n.errOnce.Do(func() {
 		n.err = err
-		n.cfg.logf("node %d failed: %v", n.cfg.ID, err)
 		n.logger.Error("node failed", "round", n.lastSeq.Load(), "err", err)
 		n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: "node-failed", Seq: n.lastSeq.Load()})
 	})
@@ -274,15 +289,12 @@ func (n *Node) DumpFlight(dir string) (string, error) {
 }
 
 // dumpDiagnostics is the node's own round-failure bundle: a fresh directory
-// under DiagDir holding this node's flight dump. Best-effort — on error it
-// returns a placeholder path so the caller's error message stays useful.
+// under the OS temp directory ($TMPDIR) holding this node's flight dump.
+// Best-effort — on error it returns a placeholder path so the caller's error
+// message stays useful.
 func (n *Node) dumpDiagnostics(reason string) string {
 	n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: reason, Seq: n.lastSeq.Load()})
-	base := n.cfg.DiagDir
-	if base == "" {
-		base = os.TempDir()
-	}
-	dir, err := os.MkdirTemp(base, "cosmic-diag-*")
+	dir, err := os.MkdirTemp("", "cosmic-diag-*")
 	if err != nil {
 		return "(diagnostics unavailable: " + err.Error() + ")"
 	}
@@ -314,16 +326,10 @@ func (n *Node) lastSeenSummary() string {
 // StartNode launches a node over its shard. Sigma roles open a listener and
 // start the aggregation pool; Delta roles only dial upstream (from Run).
 func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
-	if cfg.FlightSize <= 0 {
-		cfg.FlightSize = 256
+	if err := cfg.RoundPolicy.Resolve(); err != nil {
+		return nil, err
 	}
-	if !ValidChunkWords(cfg.ChunkWords) {
-		return nil, fmt.Errorf("runtime: ChunkWords %d is not a power of two", cfg.ChunkWords)
-	}
-	if cfg.ChunkWords == 0 {
-		cfg.ChunkWords = ChunkSize
-	}
-	n := &Node{cfg: cfg, data: shard, stopped: make(chan struct{}), chunkWords: cfg.ChunkWords}
+	n := &Node{cfg: cfg, data: shard, stopped: make(chan struct{})}
 	n.transport = cfg.Transport
 	if n.transport == nil {
 		n.transport = cosmicnet.TCP
@@ -331,7 +337,7 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 	n.closeCh = make(chan struct{})
 	n.suspects = make(map[uint32]uint32)
 	n.obs = newNodeObs(cfg.Obs, cfg.ID, cfg.Role)
-	n.flight = obs.NewFlightRecorder(cfg.FlightSize)
+	n.flight = obs.NewFlightRecorder(flightSize)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = discardLogger
@@ -424,7 +430,6 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 		})
 		switch f.Type {
 		case cosmicnet.MsgHello:
-			n.cfg.logf("node %d: member %d connected (%s)", n.cfg.ID, f.From, f.Text)
 			if n.obs != nil {
 				n.obs.recvFrame(n.obs.framesHello, len(f.Payload))
 			}
@@ -512,8 +517,8 @@ func (n *Node) pushLocalChunks(seq uint32, vec []float64, weight float64) error 
 		}
 		return nil
 	}
-	for off := 0; off < len(vec); off += n.chunkWords {
-		end := off + n.chunkWords
+	for off := 0; off < len(vec); off += n.cfg.ChunkWords {
+		end := off + n.cfg.ChunkWords
 		if end > len(vec) {
 			end = len(vec)
 		}
@@ -808,7 +813,7 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 				Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
 				Weight: weight, Payload: span, TraceID: traceID,
 				ChunkIndex: uint32(idx), ChunkCount: count,
-				ChunkOffset: uint32(idx * n.chunkWords),
+				ChunkOffset: uint32(idx * n.cfg.ChunkWords),
 			}); err != nil {
 				n.fail(err)
 			}
@@ -865,7 +870,7 @@ func (n *Node) handleModel(f *cosmicnet.Frame) error {
 // streamUpstream sends vec as a stream of fixed-boundary chunk frames. The
 // payloads alias vec — nothing is copied.
 func (n *Node) streamUpstream(typ cosmicnet.MsgType, seq uint32, weight float64, vec []float64, traceID uint64) error {
-	count := uint32(ChunksFor(len(vec), n.chunkWords))
+	count := uint32(ChunksFor(len(vec), n.cfg.ChunkWords))
 	if len(vec) == 0 {
 		return n.sendUpstream(&cosmicnet.Frame{
 			Type: typ, Seq: seq, From: n.cfg.ID, Weight: weight,
@@ -873,8 +878,8 @@ func (n *Node) streamUpstream(typ cosmicnet.MsgType, seq uint32, weight float64,
 		})
 	}
 	idx := uint32(0)
-	for off := 0; off < len(vec); off += n.chunkWords {
-		end := off + n.chunkWords
+	for off := 0; off < len(vec); off += n.cfg.ChunkWords {
+		end := off + n.cfg.ChunkWords
 		if end > len(vec) {
 			end = len(vec)
 		}
@@ -962,7 +967,6 @@ func (n *Node) broadcastDownstream(f *cosmicnet.Frame) {
 			c.SetWriteDeadline(time.Time{})
 		}
 		if err != nil {
-			n.cfg.logf("node %d: downstream send: %v", n.cfg.ID, err)
 			n.logger.Warn("downstream send failed", "round", out.Seq, "err", err)
 			// A member connection that cannot be written to is dead: prune
 			// it so later broadcasts stop burning a send on it. A rejoining

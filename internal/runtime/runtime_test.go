@@ -423,12 +423,12 @@ func TestRoundTimeoutSurfacesDeadNode(t *testing.T) {
 		Engines: func(int) Engine {
 			return &RefEngine{Alg: alg, Threads: 1, LR: 0.01, Agg: dsl.AggAverage}
 		},
-		Shards:       func(id int) []ml.Sample { return shards[id] },
-		ModelSize:    alg.ModelSize(),
-		Agg:          dsl.AggAverage,
-		LR:           0.01,
-		MiniBatch:    8,
-		RoundTimeout: 400 * time.Millisecond,
+		Shards:      func(id int) []ml.Sample { return shards[id] },
+		ModelSize:   alg.ModelSize(),
+		Agg:         dsl.AggAverage,
+		LR:          0.01,
+		MiniBatch:   8,
+		RoundPolicy: RoundPolicy{RoundTimeout: 400 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

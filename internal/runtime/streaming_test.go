@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"context"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"sync"
@@ -196,12 +198,12 @@ func TestTrainingBitwiseAcrossChunkBoundaries(t *testing.T) {
 							rng:   rand.New(rand.NewSource(delaySeed + int64(id))),
 						}
 					},
-					Shards:     func(id int) []ml.Sample { return shards[id] },
-					ModelSize:  alg.ModelSize(),
-					Agg:        dsl.AggAverage,
-					LR:         0.01,
-					MiniBatch:  nodes * 4,
-					ChunkWords: chunkWords,
+					Shards:      func(id int) []ml.Sample { return shards[id] },
+					ModelSize:   alg.ModelSize(),
+					Agg:         dsl.AggAverage,
+					LR:          0.01,
+					MiniBatch:   nodes * 4,
+					RoundPolicy: RoundPolicy{ChunkWords: chunkWords},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -254,14 +256,11 @@ func TestSigmaRejectsUnchunkedFrames(t *testing.T) {
 		t.Run(typ.String(), func(t *testing.T) {
 			failed := make(chan struct{}, 1)
 			node, err := StartNode(NodeConfig{
-				Role: RoleMasterSigma, MemberIDs: []uint32{0, 7}, ModelSize: words, ChunkWords: words,
+				Role: RoleMasterSigma, MemberIDs: []uint32{0, 7}, ModelSize: words,
+				RoundPolicy: RoundPolicy{ChunkWords: words},
 				// fail() logs after recording the error, so a receive from
 				// failed orders the test's Err() read after that write.
-				Logf: func(format string, args ...any) {
-					if strings.Contains(format, "failed") {
-						failed <- struct{}{}
-					}
-				},
+				Logger: slog.New(signalHandler{msg: "node failed", ch: failed}),
 			}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -296,27 +295,74 @@ func TestSigmaRejectsUnchunkedFrames(t *testing.T) {
 	}
 }
 
-// TestChunkWordsValidation pins the power-of-two rule shared by every
-// config surface.
+// TestChunkWordsValidation pins RoundPolicy.Resolve, the one place the
+// round-policy rules live: ChunkWords is zero (the default) or a power of
+// two, MinQuorum is not negative, and a quorum without a timeout gets one.
 func TestChunkWordsValidation(t *testing.T) {
-	for _, w := range []int{0, 1, 2, 64, 4096, 1 << 20} {
-		if !ValidChunkWords(w) {
-			t.Errorf("ValidChunkWords(%d) = false", w)
-		}
+	cases := []struct {
+		in   RoundPolicy
+		want RoundPolicy // the resolved policy; ignored when ok is false
+		ok   bool
+	}{
+		{RoundPolicy{ChunkWords: 0}, RoundPolicy{ChunkWords: ChunkSize}, true},
+		{RoundPolicy{ChunkWords: 1}, RoundPolicy{ChunkWords: 1}, true},
+		{RoundPolicy{ChunkWords: 2}, RoundPolicy{ChunkWords: 2}, true},
+		{RoundPolicy{ChunkWords: 64}, RoundPolicy{ChunkWords: 64}, true},
+		{RoundPolicy{ChunkWords: 4096}, RoundPolicy{ChunkWords: 4096}, true},
+		{RoundPolicy{ChunkWords: 1 << 20}, RoundPolicy{ChunkWords: 1 << 20}, true},
+		{RoundPolicy{ChunkWords: -1}, RoundPolicy{}, false},
+		{RoundPolicy{ChunkWords: -64}, RoundPolicy{}, false},
+		{RoundPolicy{ChunkWords: 3}, RoundPolicy{}, false},
+		{RoundPolicy{ChunkWords: 63}, RoundPolicy{}, false},
+		{RoundPolicy{ChunkWords: 100}, RoundPolicy{}, false},
+		{RoundPolicy{ChunkWords: 4095}, RoundPolicy{}, false},
+		{RoundPolicy{MinQuorum: -1}, RoundPolicy{}, false},
+		{RoundPolicy{MinQuorum: 2}, RoundPolicy{RoundTimeout: 2 * time.Second, MinQuorum: 2, ChunkWords: ChunkSize}, true},
+		{RoundPolicy{RoundTimeout: time.Second}, RoundPolicy{RoundTimeout: time.Second, ChunkWords: ChunkSize}, true},
+		{RoundPolicy{RoundTimeout: 250 * time.Millisecond, MinQuorum: 2}, RoundPolicy{RoundTimeout: 250 * time.Millisecond, MinQuorum: 2, ChunkWords: ChunkSize}, true},
 	}
-	for _, w := range []int{-1, -64, 3, 63, 100, 4095} {
-		if ValidChunkWords(w) {
-			t.Errorf("ValidChunkWords(%d) = true", w)
+	for _, tc := range cases {
+		got := tc.in
+		err := got.Resolve()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%+v: Resolve() = %v", tc.in, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%+v: Resolve() accepted it as %+v", tc.in, got)
+		case tc.ok && got != tc.want:
+			t.Errorf("%+v resolved to %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
 	_, err := Launch(ClusterOptions{
 		Nodes: 2, Groups: 1,
-		Engines:    func(int) Engine { return &RefEngine{Alg: &ml.LinearRegression{M: 4}, Threads: 1} },
-		Shards:     func(int) []ml.Sample { return nil },
-		ModelSize:  4,
-		ChunkWords: 100,
+		Engines:     func(int) Engine { return &RefEngine{Alg: &ml.LinearRegression{M: 4}, Threads: 1} },
+		Shards:      func(int) []ml.Sample { return nil },
+		ModelSize:   4,
+		RoundPolicy: RoundPolicy{ChunkWords: 100},
 	})
 	if err == nil {
 		t.Fatal("non-power-of-two ChunkWords accepted")
 	}
 }
+
+// signalHandler is a slog.Handler that signals ch (without blocking) on
+// every record whose message is msg, and drops everything else.
+type signalHandler struct {
+	msg string
+	ch  chan struct{}
+}
+
+func (h signalHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h signalHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		select {
+		case h.ch <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+func (h signalHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h signalHandler) WithGroup(string) slog.Handler      { return h }

@@ -46,8 +46,8 @@ func tracedCluster(t *testing.T, nodes int, base uint64, engines func(id int) En
 			observers[id] = o
 			return o
 		},
-		TraceIDBase:  base,
-		RoundTimeout: 10 * time.Second,
+		TraceIDBase: base,
+		RoundPolicy: RoundPolicy{RoundTimeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,10 @@ type CycleProfileData = profile.Raw
 // Algorithm re-exports the trainable-algorithm interface.
 type Algorithm = ml.Algorithm
 
+// RoundPolicy re-exports the cluster's round contract (RoundTimeout,
+// MinQuorum, ChunkWords); Train resolves its defaults.
+type RoundPolicy = runtime.RoundPolicy
+
 // Sample re-exports the training-sample type.
 type Sample = ml.Sample
 
@@ -56,18 +60,10 @@ type ClusterConfig struct {
 	Prog *Program
 	// Rounds is the number of mini-batch aggregation rounds to run.
 	Rounds int
-	// ChunkWords is the streaming-chunk boundary in vector elements (0 =
-	// the runtime default; must be a power of two). Partials and group
-	// aggregates travel the wire as sub-vector chunk frames cut on this
-	// boundary and fold on arrival.
-	ChunkWords int
-	// RoundTimeout bounds each aggregation round (0 = wait forever).
-	RoundTimeout time.Duration
-	// MinQuorum, when > 0, turns a round timeout into exclude-and-continue:
-	// every Sigma folds the timed-out round with the members that arrived
-	// (at least MinQuorum of them, its own contribution included) and keeps
-	// training, instead of failing the run. Requires RoundTimeout.
-	MinQuorum int
+	// RoundPolicy is the round contract every Sigma shares: the round
+	// timeout, the exclude-and-continue quorum, and the streaming-chunk
+	// boundary partials and group aggregates travel the wire at.
+	RoundPolicy
 	// Obs, when non-nil, records per-node frame counters, aggregation
 	// fan-in, ring depth gauges, and per-round spans across the cluster.
 	Obs *Observer
@@ -144,18 +140,16 @@ func Train(alg Algorithm, data []Sample, model []float64, cfg ClusterConfig) (Tr
 	}
 
 	cluster, err := runtime.Launch(runtime.ClusterOptions{
-		Nodes:        cfg.Nodes,
-		Groups:       cfg.Groups,
-		Engines:      func(id int) runtime.Engine { return engines[id] },
-		Shards:       func(id int) []ml.Sample { return shards[id] },
-		ModelSize:    alg.ModelSize(),
-		Agg:          agg,
-		LR:           cfg.LearningRate,
-		MiniBatch:    cfg.MiniBatch,
-		ChunkWords:   cfg.ChunkWords,
-		RoundTimeout: cfg.RoundTimeout,
-		MinQuorum:    cfg.MinQuorum,
-		Obs:          cfg.Obs,
+		Nodes:       cfg.Nodes,
+		Groups:      cfg.Groups,
+		Engines:     func(id int) runtime.Engine { return engines[id] },
+		Shards:      func(id int) []ml.Sample { return shards[id] },
+		ModelSize:   alg.ModelSize(),
+		Agg:         agg,
+		LR:          cfg.LearningRate,
+		MiniBatch:   cfg.MiniBatch,
+		RoundPolicy: cfg.RoundPolicy,
+		Obs:         cfg.Obs,
 	})
 	if err != nil {
 		return TrainResult{}, err
