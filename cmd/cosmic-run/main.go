@@ -53,6 +53,9 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", 0, "bound each aggregation round (0 = wait forever; required by -min-quorum, which defaults it to 2s)")
 	minQuorum := flag.Int("min-quorum", 0, "fold a timed-out round once at least this many members arrived instead of failing the run (0 = fail-fast)")
 	flag.Parse()
+	if !(*scale > 0 && *scale <= 1) {
+		fatal(fmt.Errorf("-scale %g outside (0, 1]", *scale))
+	}
 	policy := cosmic.RoundPolicy{RoundTimeout: *roundTimeout, MinQuorum: *minQuorum, ChunkWords: *chunkWords}
 
 	if *listen != "" {

@@ -89,8 +89,11 @@ func (s *Spec) Validate() error {
 	if s.Groups > s.Nodes {
 		return fmt.Errorf("deploy: %d groups for %d nodes", s.Groups, s.Nodes)
 	}
-	if s.Scale <= 0 || s.Scale > 1 {
+	if s.Scale == 0 {
 		s.Scale = 0.02
+	}
+	if !(s.Scale > 0 && s.Scale <= 1) {
+		return fmt.Errorf("deploy: scale %g outside (0, 1]", s.Scale)
 	}
 	if s.Samples <= 0 {
 		s.Samples = 512

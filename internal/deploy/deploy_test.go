@@ -3,6 +3,7 @@ package deploy
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -102,6 +103,12 @@ func TestSpecValidation(t *testing.T) {
 		{Nodes: 0, Benchmark: "face"},
 		{Nodes: 2, Groups: 5, Benchmark: "face"},
 		{Nodes: 2, Benchmark: "no-such-benchmark"},
+		// Scale 0 means unset; anything else outside (0, 1] is an error,
+		// not a silent 0.02.
+		{Nodes: 2, Benchmark: "face", Scale: -0.5},
+		{Nodes: 2, Benchmark: "face", Scale: 1.5},
+		{Nodes: 2, Benchmark: "face", Scale: math.NaN()},
+		{Nodes: 2, Benchmark: "face", Scale: math.Inf(1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -114,6 +121,13 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if good.Groups != 1 || good.Samples == 0 || good.Rounds == 0 || good.MiniBatch == 0 || good.LearningRate == 0 {
 		t.Errorf("defaults not filled: %+v", good)
+	}
+	if good.Scale != 0.02 {
+		t.Errorf("unset scale resolved to %g, want 0.02", good.Scale)
+	}
+	full := Spec{Nodes: 2, Benchmark: "face", Scale: 1}
+	if err := full.Validate(); err != nil || full.Scale != 1 {
+		t.Errorf("scale 1 resolved to %g (%v), want 1", full.Scale, err)
 	}
 	if good.ChunkWords != runtime.ChunkSize {
 		t.Errorf("chunk_words resolved to %d, want %d", good.ChunkWords, runtime.ChunkSize)

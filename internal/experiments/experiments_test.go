@@ -321,3 +321,26 @@ func TestValidationTight(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationsShape: each design choice beats its baseline, and the
+// 3-group hierarchy halves the bytes the master sends (it feeds 4 peers
+// instead of 8).
+func TestAblationsShape(t *testing.T) {
+	a, err := measureAblations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.treeInterval > a.flatInterval {
+		t.Errorf("tree-bus interval %d above flat-bus %d", a.treeInterval, a.flatInterval)
+	}
+	if a.cosmicTransfers > a.tablaTransfers {
+		t.Errorf("CoSMIC mapping moves %d transfers, TABLA %d", a.cosmicTransfers, a.tablaTransfers)
+	}
+	if a.multiPerVector >= a.singlePerVector {
+		t.Errorf("8 threads cost %.1f cycles/vector, 1 thread %.1f", a.multiPerVector, a.singlePerVector)
+	}
+	if r := float64(a.flatMasterBytes) / float64(a.hierMasterBytes); r < 1.95 || r > 2.05 {
+		t.Errorf("master bytes flat %d / 3-group %d = %.3f, want 2 ± 0.05",
+			a.flatMasterBytes, a.hierMasterBytes, r)
+	}
+}

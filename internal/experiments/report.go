@@ -93,7 +93,7 @@ func IDs() []string {
 		"table1", "table2", "table3",
 		"fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"convergence", "validation",
+		"convergence", "validation", "ablations",
 	}
 }
 
@@ -132,6 +132,8 @@ func (r *Runner) Run(id string) (Report, error) {
 		return Convergence()
 	case "validation":
 		return Validation(r.pl)
+	case "ablations":
+		return Ablations()
 	}
 	return Report{}, fmt.Errorf("experiments: unknown experiment %q (want one of %v)", id, IDs())
 }
