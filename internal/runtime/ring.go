@@ -150,6 +150,11 @@ func (cb *CircularBuffer) Len() int {
 // member's contribution and fires the OnComplete callback right then, which
 // is what lets a Sigma forward chunk i upstream with no whole-vector
 // barrier.
+//
+// The sum is never cleared as a whole: a chunk's first fold of a round
+// writes its span, later folds add to it, and a chunk that completes with
+// nothing folded (every member excluded) is cleared at completion. A span
+// is therefore defined only once its chunk has completed.
 type AggregationBuffer struct {
 	sum []float64
 	// chunkWords is the fixed chunk boundary; states has one entry per
@@ -163,7 +168,9 @@ type AggregationBuffer struct {
 	ids     []uint32
 	// seqWord gates adds to the current round: once Reset has armed it, a
 	// chunk whose Seq differs is stale traffic from an earlier round (an
-	// excluded member catching up late) and is dropped silently.
+	// excluded member catching up late) and is dropped silently. Add checks
+	// it again under the chunk lock and under wmu, because Reset can arm the
+	// next round between an Add's first check and its fold.
 	seqWord atomic.Uint64
 	// excluded flags member ranks dropped from the current round's fold
 	// (quorum mode). An excluded rank's chunks are discarded, so the folded
@@ -198,6 +205,9 @@ type chunkAgg struct {
 	next    int
 	weight  float64
 	started bool
+	// written records that this round has folded into the chunk's span:
+	// the first fold writes the span, every later one adds.
+	written bool
 	// completed records that this index fired its completion, so an
 	// exclusion sweep cannot complete an already-complete chunk twice.
 	completed bool
@@ -282,7 +292,7 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	if c.Offset < 0 || c.Offset+len(c.Data) > len(ab.sum) {
 		return fmt.Errorf("runtime: chunk [%d,%d) outside buffer of %d", c.Offset, c.Offset+len(c.Data), len(ab.sum))
 	}
-	if w := ab.seqWord.Load(); w&seqArmed != 0 && uint32(w) != c.Seq {
+	if ab.stale(c.Seq) {
 		return nil
 	}
 	idx := 0
@@ -307,9 +317,9 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	chunkWeight := 0.0
 
 	st.mu.Lock()
-	if ab.excluded[r].Load() {
-		// Checked under the chunk lock: an exclusion sweep that already
-		// passed this state must not see this member's data fold afterward.
+	if ab.excluded[r].Load() || ab.stale(c.Seq) {
+		// Checked under the chunk lock: an exclusion sweep or a Reset that
+		// already passed this state must not see this chunk fold afterward.
 		st.mu.Unlock()
 		return nil
 	}
@@ -332,9 +342,7 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 		st.pending = append(st.pending, parkedChunk{rank: r, weight: c.Weight, last: c.Last, data: data})
 		st.mu.Unlock()
 	default: // in order: fold, then advance past parked and excluded ranks
-		for i, v := range c.Data {
-			span[i] += v
-		}
+		st.fold(span, c.Data)
 		st.next++
 		st.weight += c.Weight
 		if c.Last {
@@ -353,6 +361,12 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	}
 
 	ab.wmu.Lock()
+	if ab.stale(c.Seq) {
+		// Reset armed the next round after this chunk folded and has zeroed
+		// the counters this chunk would have moved.
+		ab.wmu.Unlock()
+		return nil
+	}
 	ab.weight += lastWeight
 	ab.got[r]++
 	if startedNow {
@@ -369,10 +383,34 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	return nil
 }
 
+// stale reports whether Reset has armed a round other than seq.
+func (ab *AggregationBuffer) stale(seq uint32) bool {
+	w := ab.seqWord.Load()
+	return w&seqArmed != 0 && uint32(w) != seq
+}
+
+// fold folds one contribution into span, which is data's length: the
+// chunk's first fold of the round writes 0 + v (so −0 lands as +0, as if
+// added to a cleared span), every later fold adds. Call with st.mu held.
+func (st *chunkAgg) fold(span, data []float64) {
+	span = span[:len(data)]
+	if !st.written {
+		st.written = true
+		for i, v := range data {
+			span[i] = 0 + v
+		}
+		return
+	}
+	for i, v := range data {
+		span[i] += v
+	}
+}
+
 // advanceLocked advances st.next past excluded ranks (discarding any parked
 // chunks they delivered) and folds parked chunks as their ranks come up,
 // reporting the weight of the contributions that finished and whether the
-// chunk index just completed. Call with st.mu held.
+// chunk index just completed. A chunk that completes with nothing folded
+// has its span cleared. Call with st.mu held.
 func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWeight float64, completeNow bool, chunkWeight float64) {
 	for st.next < ab.members {
 		if ab.excluded[st.next].Load() {
@@ -394,9 +432,7 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWe
 				continue
 			}
 			p := st.pending[i]
-			for j, v := range p.data {
-				span[j] += v
-			}
+			st.fold(span, p.data)
 			cosmicnet.PutPayload(p.data)
 			st.next++
 			st.weight += p.weight
@@ -413,6 +449,9 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWe
 		}
 	}
 	if st.next >= ab.members && !st.completed {
+		if !st.written {
+			clear(span)
+		}
 		st.completed = true
 		completeNow = true
 		chunkWeight = st.weight
@@ -552,20 +591,12 @@ func ChunksFor(n, words int) int {
 	return (n + words - 1) / words
 }
 
-// Sum returns the raw accumulated sum and total weight.
-func (ab *AggregationBuffer) Sum() ([]float64, float64) {
-	ab.wmu.Lock()
-	w := ab.weight
-	ab.wmu.Unlock()
-	out := make([]float64, len(ab.sum))
-	copy(out, ab.sum)
-	return out, w
-}
-
-// Reset clears the buffer for mini-batch seq, recycling any parked chunks
-// and lifting exclusions. It also arms the stale-round filter: from here on
-// chunks carrying a different sequence number — a timed-out member's late
-// traffic — are dropped instead of folded.
+// Reset readies the buffer for mini-batch seq, recycling any parked chunks
+// and lifting exclusions. The sum itself is left as it is: each chunk's
+// first fold of the new round overwrites its span. It also arms the
+// stale-round filter: from here on chunks carrying a different sequence
+// number — a timed-out member's late traffic — are dropped instead of
+// folded.
 func (ab *AggregationBuffer) Reset(seq uint32) {
 	ab.seqWord.Store(seqArmed | uint64(seq))
 	ab.wmu.Lock()
@@ -582,15 +613,12 @@ func (ab *AggregationBuffer) Reset(seq uint32) {
 	for i := range ab.states {
 		st := &ab.states[i]
 		st.mu.Lock()
-		st.next, st.weight, st.started, st.completed = 0, 0, false, false
+		st.next, st.weight, st.started, st.completed, st.written = 0, 0, false, false, false
 		for _, p := range st.pending {
 			cosmicnet.PutPayload(p.data)
 		}
 		st.pending = st.pending[:0]
 		st.mu.Unlock()
-	}
-	for i := range ab.sum {
-		ab.sum[i] = 0
 	}
 	ab.pipeline.Set(0)
 }
