@@ -14,9 +14,9 @@
 //	cosmic-prof -top cycles.pb.gz                         # report a local file
 //	cosmic-prof -o merged.pb.gz node1.pb.gz node2.pb.gz   # merge local files
 //
-// -cluster asks the Director's /cluster roster for every worker's
-// http_addr (workers advertise the address passed to cosmic-node -http),
-// so one flag profiles the whole cluster. Positional arguments are local
+// -cluster asks the Director's /cluster roster for every node's http_addr
+// (each node, the Director included, advertises the address its -http
+// listener bound), so one flag profiles the whole cluster. Positional arguments are local
 // .pb.gz files to include in the merge; they keep the node labels they
 // already carry.
 package main

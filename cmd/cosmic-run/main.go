@@ -22,7 +22,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/deploy"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 )
 
 func main() {
@@ -43,7 +42,7 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a Prometheus text exposition here")
 	cycleProfPath := flag.String("cycleprofile", "", "with -simulate: write the cluster's merged per-node cycle pprof profile here (.pb.gz)")
 	profilePath := flag.String("profile", "", "write a wall-time pprof profile of the run's trace spans here (.pb.gz)")
-	httpAddr := flag.String("http", "", "multi-process mode: serve the Director's federated /metrics, /cluster roster, /query, /dash, and /alerts on this address")
+	httpAddr := flag.String("http", "", "multi-process mode: serve the Director's federated /metrics, /cluster roster, /healthz, /query, /dash, /alerts, and /debug/pprof/ on this address")
 	stragglerK := flag.Float64("straggler-k", 2, "flag a node straggling when its round latency exceeds k×cluster-p50")
 	stragglerM := flag.Int("straggler-m", 3, "consecutive slow scrapes before a node is flagged")
 	scrapeInterval := flag.Duration("scrape-interval", 250*time.Millisecond, "multi-process mode: how often the Director scrapes worker stats and folds them into the TSDB")
@@ -60,24 +59,16 @@ func main() {
 
 	if *listen != "" {
 		opts := deploy.MasterOptions{
+			Telemetry: deploy.Telemetry{HTTPAddr: *httpAddr, ScrapeInterval: *scrapeInterval, Retention: *retention},
+			OnHTTP: func(a string) {
+				fmt.Printf("director:  serving /metrics, /cluster, /healthz, /query, /dash, /alerts, and /debug/pprof/ on %s\n", a)
+			},
 			StragglerK: *stragglerK,
 			StragglerM: *stragglerM,
-			Retention:  *retention,
 			Logger:     slog.New(slog.NewTextHandler(os.Stderr, nil)),
 		}
-		if *alertsFile != "" {
-			rules, err := tsdb.LoadRulesFile(*alertsFile)
-			if err != nil {
-				fatal(err)
-			}
-			opts.AlertRules = rules
-		}
-		if *httpAddr != "" {
-			opts.HTTPAddr = *httpAddr
-			opts.ScrapeInterval = *scrapeInterval
-			opts.OnHTTP = func(a string) {
-				fmt.Printf("director:  serving /metrics, /cluster, /query, /dash, and /alerts on %s\n", a)
-			}
+		if err := opts.LoadAlertRules(*alertsFile); err != nil {
+			fatal(err)
 		}
 		runDistributed(*listen, deploy.Spec{
 			Nodes: *nodes, Groups: *groups,
@@ -198,10 +189,9 @@ func main() {
 }
 
 // runDistributed hosts the System Director and the master Sigma, waiting
-// for external cosmic-node worker processes to join. With opts.HTTPAddr set
-// the Director scrapes every worker's metrics over the control plane, folds
-// them into its TSDB, serves /metrics, /cluster, /query, /dash, and
-// /alerts, and flags stragglers.
+// for external cosmic-node worker processes to join. The Director scrapes
+// every worker's metrics over the control plane into its TSDB, runs the
+// alert rules, flags stragglers, and serves it all on opts.HTTPAddr.
 func runDistributed(addr string, spec deploy.Spec, opts deploy.MasterOptions, tracePath, profilePath string) {
 	fmt.Printf("master:    listening on %s; waiting for %d cosmic-node workers to join\n",
 		addr, spec.Nodes-1)

@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -210,108 +209,6 @@ func serveStats(conn *cosmicnet.Conn, node *runtime.Node, o *obs.Observer, httpA
 	}
 }
 
-// scrapeWorker round-trips one MsgStats request on a worker's control
-// connection, bounded by a deadline so a wedged worker cannot stall the
-// Director's scrape loop.
-func scrapeWorker(conn *cosmicnet.Conn, seq uint32) (NodeStats, error) {
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	defer conn.SetDeadline(time.Time{})
-	if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgStats, Seq: seq}); err != nil {
-		return NodeStats{}, err
-	}
-	f, err := conn.Recv()
-	if err != nil {
-		return NodeStats{}, err
-	}
-	if f.Type != cosmicnet.MsgStats {
-		return NodeStats{}, fmt.Errorf("deploy: stats reply was %v", f.Type)
-	}
-	var st NodeStats
-	if err := json.Unmarshal([]byte(f.Text), &st); err != nil {
-		return NodeStats{}, err
-	}
-	return st, nil
-}
-
-// clusterView is the Director's live roster — the last stats scraped from
-// every node, when each last answered, how many scrapes of it have failed,
-// and the current straggler flags — served as /cluster.
-type clusterView struct {
-	mu         sync.Mutex
-	nodes      map[uint32]NodeStats
-	seen       map[uint32]time.Time
-	scrapeErrs map[uint32]int64
-	stragglers []string
-}
-
-func newClusterView() *clusterView {
-	return &clusterView{
-		nodes:      make(map[uint32]NodeStats),
-		seen:       make(map[uint32]time.Time),
-		scrapeErrs: make(map[uint32]int64),
-	}
-}
-
-func (cv *clusterView) update(st NodeStats) {
-	cv.mu.Lock()
-	cv.nodes[st.ID] = st
-	cv.seen[st.ID] = time.Now()
-	cv.mu.Unlock()
-}
-
-// scrapeError counts one failed scrape of a node.
-func (cv *clusterView) scrapeError(id uint32) {
-	cv.mu.Lock()
-	cv.scrapeErrs[id]++
-	cv.mu.Unlock()
-}
-
-func (cv *clusterView) setStragglers(s []string) {
-	cv.mu.Lock()
-	cv.stragglers = append(cv.stragglers[:0], s...)
-	cv.mu.Unlock()
-}
-
-// rosterNode is one /cluster entry: the node's last stats plus how stale
-// they are and how many scrapes of the node have failed.
-type rosterNode struct {
-	NodeStats
-	// StalenessSeconds is how long ago the node last answered a scrape.
-	StalenessSeconds float64 `json:"staleness_seconds"`
-	ScrapeErrors     int64   `json:"scrape_errors,omitempty"`
-}
-
-// handler serves the roster as JSON, node IDs ascending. The per-node
-// exposition is stripped — raw metrics are /metrics' job.
-func (cv *clusterView) handler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		now := time.Now()
-		cv.mu.Lock()
-		ids := make([]int, 0, len(cv.nodes))
-		for id := range cv.nodes {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		nodes := make([]rosterNode, 0, len(ids))
-		for _, id := range ids {
-			st := cv.nodes[uint32(id)]
-			st.Exposition = ""
-			nodes = append(nodes, rosterNode{
-				NodeStats:        st,
-				StalenessSeconds: now.Sub(cv.seen[uint32(id)]).Seconds(),
-				ScrapeErrors:     cv.scrapeErrs[uint32(id)],
-			})
-		}
-		doc := map[string]any{
-			"nodes":      nodes,
-			"stragglers": append([]string(nil), cv.stragglers...),
-		}
-		cv.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(doc) //nolint:errcheck // best-effort HTTP write
-	}
-}
-
 // buildNode constructs the local node for a config: engine, shard, and the
 // runtime Node. o, when non-nil, receives the node's telemetry; logger,
 // when non-nil, its structured diagnostics. reconnect/reconnectWait are the
@@ -361,22 +258,16 @@ type Result struct {
 	FinalLoss   float64
 }
 
-// MasterOptions tunes the System Director's observability: metrics
-// federation over the control plane, the /metrics and /cluster HTTP
-// endpoints, straggler detection, and distributed tracing. The zero value
-// runs with all of it off.
+// MasterOptions tunes the System Director's observability: its telemetry
+// plane, straggler detection, and distributed tracing. The zero value
+// serves no HTTP; the Director scrapes its workers regardless.
 type MasterOptions struct {
 	// Obs observes the master node itself; its registry is also the local
 	// half of the federated /metrics.
 	Obs *obs.Observer
-	// HTTPAddr, when set, serves the Director's federated /metrics and the
-	// /cluster roster for the duration of the run.
-	HTTPAddr string
+	Telemetry
 	// OnHTTP, when set, receives the bound HTTP address once listening.
 	OnHTTP func(addr string)
-	// ScrapeInterval is how often the Director scrapes every worker's stats
-	// over the control plane (0 disables scraping and straggler detection).
-	ScrapeInterval time.Duration
 	// StragglerK and StragglerM tune the detector: a node flags after M
 	// consecutive scrapes with round latency over K×cluster-p50 (0 = the
 	// defaults of 2 and 3).
@@ -386,15 +277,44 @@ type MasterOptions struct {
 	// across the cluster's wire frames.
 	TraceIDBase uint64
 	Logger      *slog.Logger
-	// Retention bounds the Director's in-memory TSDB: every scrape tick
-	// folds the federated snapshot into compressed chunks, and chunks older
-	// than Retention are evicted (0 = the tsdb default of 15m). The store
-	// answers /query and feeds /dash.
-	Retention time.Duration
-	// AlertRules are evaluated against the TSDB every scrape tick, on top
-	// of tsdb.DefaultClusterRules. Firing alerts surface on /alerts, the
-	// cosmic_alert_firing gauge, the log, and the master's flight recorder.
-	AlertRules []tsdb.Rule
+}
+
+// slot is one admitted worker; the rejoin acceptor can replace its conn.
+type slot struct {
+	mu   sync.Mutex
+	conn *cosmicnet.Conn
+	cfg  workerConfig
+	dead bool
+}
+
+// director is one run of the System Director; RunMaster drives it through
+// its phases.
+type director struct {
+	spec    Spec
+	opts    MasterOptions
+	topo    runtime.Topology
+	control net.Listener
+	master  *runtime.Node
+	workers []*slot
+	plane   *plane
+	fed     *obs.Federation
+	mon     *runtime.Monitor
+	seq     uint32
+
+	// mu guards the /cluster roster (indexed by node ID) and stragglers.
+	mu         sync.Mutex
+	roster     []rosterNode
+	stragglers []string
+}
+
+// rosterNode is one /cluster entry: the node's last stats but for the
+// exposition, how stale they are, and how many scrapes of it failed.
+type rosterNode struct {
+	NodeStats
+	StalenessSeconds float64 `json:"staleness_seconds"`
+	ScrapeErrors     int64   `json:"scrape_errors,omitempty"`
+	seen             time.Time
+	errs             *obs.Counter // cosmic_cluster_scrape_errors_total
 }
 
 // RunMaster listens on controlAddr, admits spec.Nodes-1 workers, assigns
@@ -408,340 +328,322 @@ func RunMaster(controlAddr string, spec Spec, opts MasterOptions) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-
-	control, err := net.Listen("tcp", controlAddr)
-	if err != nil {
+	// /metrics federates the master's own registry with every worker's.
+	reg := opts.Obs.Registry()
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	d := &director{
+		spec: spec, opts: opts, topo: topo,
+		fed:    obs.NewFederation(reg),
+		mon:    runtime.NewMonitor(reg, opts.StragglerK, opts.StragglerM, opts.Logger),
+		roster: make([]rosterNode, spec.Nodes),
+	}
+	for id := 1; id < spec.Nodes; id++ {
+		d.roster[id].errs = reg.Counter(obs.Labeled("cosmic_cluster_scrape_errors_total", "node", strconv.Itoa(id)))
+	}
+	rules := append(tsdb.DefaultClusterRules(), opts.AlertRules...)
+	if d.plane, err = newPlane(opts.Telemetry, reg, d.fed.Handler(), rules, opts.Logger); err != nil {
 		return nil, err
 	}
-	defer control.Close()
-
-	bench, _ := dataset.ByName(spec.Benchmark)
-	alg := bench.Algorithm(spec.Scale)
-
+	defer d.plane.close()
+	d.plane.mux.HandleFunc("/cluster", d.serveRoster)
+	if opts.OnHTTP != nil && d.plane.addr != "" {
+		opts.OnHTTP(d.plane.addr)
+	}
+	if d.control, err = net.Listen("tcp", controlAddr); err != nil {
+		return nil, err
+	}
+	defer d.control.Close()
 	// The master node itself (group 0's Sigma + top-level combiner).
-	masterCfg := workerConfig{
+	if d.master, err = buildNode(workerConfig{
 		NodeID: 0, Role: int(runtime.RoleMasterSigma), Group: 0,
 		MemberIDs: topo.MasterMemberIDs(), Spec: spec,
+	}, opts.Obs, opts.Logger, false, 0); err != nil {
+		return nil, err
 	}
-	master, err := buildNode(masterCfg, opts.Obs, opts.Logger, false, 0)
+	defer d.master.Close()
+	d.plane.attach(d.master)
+
+	if err := d.admit(); err != nil {
+		return nil, err
+	}
+	if err := d.configure(); err != nil {
+		return nil, err
+	}
+	if spec.MinQuorum > 0 {
+		go d.acceptRejoins() // exits when the deferred control.Close fires
+	}
+	d.master.WaitMembers()
+	d.plane.start(d.scrape)
+	res, err := d.train()
 	if err != nil {
 		return nil, err
 	}
-	defer master.Close()
+	d.shutdown()
+	return res, nil
+}
 
-	// The Director's federated registry: the master's own metrics locally,
-	// every worker's scraped exposition as a source.
-	localReg := obs.NewRegistry()
-	if opts.Obs != nil {
-		localReg = opts.Obs.Registry()
-	}
-	fed := obs.NewFederation(localReg)
-	mon := runtime.NewMonitor(localReg, opts.StragglerK, opts.StragglerM, opts.Logger)
-	view := newClusterView()
-	// The Director's TSDB: every scrape tick folds the federated snapshot
-	// into compressed chunks (raw samples for Retention, minute-averaged
-	// tier beyond that), and the alert rules run against it.
-	store := tsdb.NewStore(tsdb.Options{Retention: opts.Retention, Downsample: time.Minute})
-	eval, err := tsdb.NewEvaluator(
-		append(tsdb.DefaultClusterRules(), opts.AlertRules...),
-		localReg, opts.Logger, master.Flight())
+// join accepts one control connection and reads its MsgHello; a conn that
+// sends anything else, or nothing for a few seconds, is dropped (nil).
+func (d *director) join() (*cosmicnet.Conn, error) {
+	raw, err := d.control.Accept()
 	if err != nil {
 		return nil, err
 	}
-	if opts.HTTPAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", fed.Handler())
-		mux.HandleFunc("/cluster", view.handler())
-		mux.Handle("/query", store.QueryHandler())
-		mux.Handle("/dash", tsdb.DashHandler())
-		mux.Handle("/alerts", eval.Handler())
-		// The master node advertises the Director's address in the roster,
-		// so cosmic-prof expects its cycle profile here like any worker's.
-		cycles := obs.NewProfileSource()
-		if ae, ok := master.Engine().(*runtime.AccelEngine); ok {
-			cycles.Set(ae.CycleProfile)
-		}
-		mux.Handle(obs.CycleProfilePath, cycles.Handler())
-		httpLn, err := net.Listen("tcp", opts.HTTPAddr)
-		if err != nil {
-			return nil, err
-		}
-		if opts.OnHTTP != nil {
-			opts.OnHTTP(httpLn.Addr().String())
-		}
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(httpLn) //nolint:errcheck // closed on return
-		defer srv.Close()
+	conn := &cosmicnet.Conn{Conn: raw}
+	conn.SetDeadline(time.Now().Add(3 * time.Second))
+	f, err := conn.Recv()
+	conn.SetDeadline(time.Time{})
+	if err != nil || f.Type != cosmicnet.MsgHello {
+		conn.Close()
+		return nil, nil
 	}
+	return conn, nil
+}
 
-	// Phase 0: admit every worker's join connection. A slot's conn can be
-	// replaced mid-run by the rejoin acceptor (quorum mode), so access goes
-	// through the mutex once training starts.
-	type joined struct {
-		mu   sync.Mutex
-		conn *cosmicnet.Conn
-		cfg  workerConfig
-		dead bool
-	}
-	workers := make([]*joined, 0, spec.Nodes-1)
-	for len(workers) < spec.Nodes-1 {
-		raw, err := control.Accept()
-		if err != nil {
-			return nil, err
-		}
-		conn := &cosmicnet.Conn{Conn: raw}
-		f, err := conn.Recv()
-		if err != nil || f.Type != cosmicnet.MsgHello {
-			conn.Close()
-			continue
-		}
-		workers = append(workers, &joined{conn: conn})
-	}
-
-	sendConfig := func(conn *cosmicnet.Conn, cfg workerConfig) error {
-		cfg.MasterUnixUS = time.Now().UnixMicro()
-		blob, err := json.Marshal(cfg)
+// admit admits every worker's join connection.
+func (d *director) admit() error {
+	for len(d.workers) < d.spec.Nodes-1 {
+		conn, err := d.join()
 		if err != nil {
 			return err
 		}
-		return conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgConfig, Text: string(blob)})
-	}
-
-	// Phase 1: configure group Sigmas (workers 0..Groups-2 become node IDs
-	// 1..Groups-1) and collect their data-plane listener addresses.
-	sigmaAddr := make([]string, spec.Groups)
-	sigmaAddr[0] = master.Addr()
-	for g := 1; g < spec.Groups; g++ {
-		w := workers[g-1]
-		cfg := workerConfig{
-			NodeID: uint32(g), Role: int(runtime.RoleGroupSigma), Group: g,
-			UpstreamAddr: master.Addr(), MemberIDs: topo.MemberIDs(g),
-			Spec: spec,
+		if conn != nil {
+			d.workers = append(d.workers, &slot{conn: conn}) // worker i holds node ID i+1
 		}
-		w.cfg = cfg
-		if err := sendConfig(w.conn, cfg); err != nil {
-			return nil, err
+	}
+	return nil
+}
+
+// sendConfig sends a MsgConfig stamped with the Director's clock.
+func sendConfig(conn *cosmicnet.Conn, cfg workerConfig) error {
+	cfg.MasterUnixUS = time.Now().UnixMicro()
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		return err
+	}
+	return conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgConfig, Text: string(blob)})
+}
+
+// configure assigns every admitted worker its role: first the group Sigmas
+// (workers 0..Groups-2 become node IDs 1..Groups-1), whose acks carry their
+// data-plane listener addresses, then the Deltas, pointed at those.
+func (d *director) configure() error {
+	sigmaAddr := make([]string, d.spec.Groups)
+	sigmaAddr[0] = d.master.Addr()
+	for g := 1; g < d.spec.Groups; g++ {
+		w := d.workers[g-1]
+		w.cfg = workerConfig{
+			NodeID: uint32(g), Role: int(runtime.RoleGroupSigma), Group: g,
+			UpstreamAddr: d.master.Addr(), MemberIDs: d.topo.MemberIDs(g),
+			Spec: d.spec,
+		}
+		if err := sendConfig(w.conn, w.cfg); err != nil {
+			return err
 		}
 		ack, err := w.conn.Recv()
 		if err != nil || ack.Type != cosmicnet.MsgAck {
-			return nil, fmt.Errorf("deploy: sigma %d did not ack: %v", g, err)
+			return fmt.Errorf("deploy: sigma %d did not ack: %v", g, err)
 		}
 		sigmaAddr[g] = ack.Text
 	}
-
-	// Phase 2: configure Deltas.
-	for id := spec.Groups; id < spec.Nodes; id++ {
-		w := workers[id-1]
-		group := topo.GroupOf[id]
-		cfg := workerConfig{
+	for id := d.spec.Groups; id < d.spec.Nodes; id++ {
+		w := d.workers[id-1]
+		group := d.topo.GroupOf[id]
+		w.cfg = workerConfig{
 			NodeID: uint32(id), Role: int(runtime.RoleDelta), Group: group,
-			UpstreamAddr: sigmaAddr[group], Spec: spec,
+			UpstreamAddr: sigmaAddr[group], Spec: d.spec,
 		}
-		w.cfg = cfg
-		if err := sendConfig(w.conn, cfg); err != nil {
-			return nil, err
+		if err := sendConfig(w.conn, w.cfg); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// Rejoin acceptor (quorum mode): a restarted worker process dials the
-	// control port and sends MsgHello exactly like a fresh join; hand it the
-	// config of a dead Delta slot so it can redial its Sigma and resume.
-	// Sigma rejoin is not supported — a Sigma's listener address is baked
-	// into its Deltas' configs, so a dead Sigma strands its group. The
-	// goroutine exits when the deferred control.Close() fires.
-	if spec.MinQuorum > 0 {
-		go func() {
-			for {
-				raw, err := control.Accept()
-				if err != nil {
-					return
-				}
-				conn := &cosmicnet.Conn{Conn: raw}
-				conn.SetDeadline(time.Now().Add(3 * time.Second))
-				f, err := conn.Recv()
-				conn.SetDeadline(time.Time{})
-				if err != nil || f.Type != cosmicnet.MsgHello {
-					conn.Close()
-					continue
-				}
-				var slot *joined
-				for _, w := range workers {
-					w.mu.Lock()
-					ok := w.dead && runtime.Role(w.cfg.Role) == runtime.RoleDelta
-					w.mu.Unlock()
-					if ok {
-						slot = w
-						break
-					}
-				}
-				if slot == nil {
-					conn.Close()
-					continue
-				}
-				slot.mu.Lock()
-				cfg := slot.cfg
-				slot.mu.Unlock()
-				if err := sendConfig(conn, cfg); err != nil {
-					conn.Close()
-					continue
-				}
-				slot.mu.Lock()
-				slot.conn = conn
-				slot.dead = false
-				slot.mu.Unlock()
-				if opts.Logger != nil {
-					opts.Logger.Info("worker rejoined", "node", cfg.NodeID)
-				}
+// acceptRejoins runs in quorum mode until the control listener closes: a
+// restarted worker process dials the control port and sends MsgHello
+// exactly like a fresh join, and gets the config of a dead Delta slot so it
+// can redial its Sigma and resume. Sigma rejoin is not supported — a
+// Sigma's listener address is baked into its Deltas' configs, so a dead
+// Sigma strands its group.
+func (d *director) acceptRejoins() {
+	for {
+		conn, err := d.join()
+		if err != nil {
+			return
+		}
+		if conn != nil && !d.rejoin(conn) {
+			conn.Close()
+		}
+	}
+}
+
+// rejoin hands conn the config of the first dead Delta slot, reporting
+// whether a slot took it.
+func (d *director) rejoin(conn *cosmicnet.Conn) bool {
+	for _, w := range d.workers {
+		w.mu.Lock()
+		ok := w.dead && runtime.Role(w.cfg.Role) == runtime.RoleDelta && sendConfig(conn, w.cfg) == nil
+		if ok {
+			w.conn, w.dead = conn, false
+		}
+		w.mu.Unlock()
+		if ok {
+			if d.opts.Logger != nil {
+				d.opts.Logger.Info("worker rejoined", "node", w.cfg.NodeID)
 			}
-		}()
-	}
-
-	// Wait for the data plane to assemble, then train.
-	master.WaitMembers()
-
-	// Metrics federation: the control connections are idle during training,
-	// so the Director periodically round-trips a MsgStats on each one,
-	// merges every worker's exposition into /metrics, and feeds the round
-	// latencies to the straggler detector. The scrape goroutine is this
-	// side's only reader/writer on those connections until it is stopped.
-	var scrapeWG sync.WaitGroup
-	var stopScrape chan struct{}
-	stopScrapers := func() {
-		if stopScrape != nil {
-			close(stopScrape)
-			scrapeWG.Wait()
-			stopScrape = nil
+			return true
 		}
 	}
-	defer stopScrapers()
-	if opts.ScrapeInterval > 0 {
-		stopScrape = make(chan struct{})
-		scrapeWG.Add(1)
-		// Pre-resolve one scrape-error counter per worker (worker i holds
-		// node ID i+1) so the loop never touches the registry lock.
-		scrapeErrs := make([]*obs.Counter, len(workers))
-		for wi := range workers {
-			scrapeErrs[wi] = localReg.Counter(obs.Labeled(
-				"cosmic_cluster_scrape_errors_total", "node", strconv.Itoa(wi+1)))
+	return false
+}
+
+// scrape is the Director's tick: a MsgStats round trip on each worker's
+// otherwise idle control connection feeds the roster, the federation and
+// the straggler detector, and the federated snapshot goes to the TSDB.
+func (d *director) scrape() []obs.Sample {
+	d.seq++
+	// stats[id] is node id's reply this tick, nil when its scrape failed.
+	stats := make([]*NodeStats, len(d.roster))
+	mst := statsFor(d.master, nil, d.plane.addr) // its metrics are the federation's local half
+	stats[0] = &mst
+	for wi, w := range d.workers {
+		st, err := d.scrapeSlot(w)
+		if err != nil {
+			continue
 		}
-		go func() {
-			defer scrapeWG.Done()
-			ticker := time.NewTicker(opts.ScrapeInterval)
-			defer ticker.Stop()
-			var seq uint32
-			for {
-				select {
-				case <-stopScrape:
-					return
-				case <-ticker.C:
-				}
-				seq++
-				lat := make(map[string]float64)
-				mst := statsFor(master, opts.Obs, opts.HTTPAddr)
-				view.update(mst)
-				if mst.LastRoundSeconds > 0 {
-					lat[strconv.Itoa(int(mst.ID))] = mst.LastRoundSeconds
-				}
-				for wi, w := range workers {
-					w.mu.Lock()
-					conn, alive := w.conn, !w.dead
-					w.mu.Unlock()
-					if !alive {
-						view.scrapeError(uint32(wi + 1))
-						scrapeErrs[wi].Inc()
-						continue
-					}
-					st, err := scrapeWorker(conn, seq)
-					if err != nil {
-						view.scrapeError(uint32(wi + 1))
-						scrapeErrs[wi].Inc()
-						// In quorum mode a hard connection error (not a slow
-						// reply) frees the slot for the rejoin acceptor.
-						if ne, ok := err.(net.Error); spec.MinQuorum > 0 && (!ok || !ne.Timeout()) {
-							w.mu.Lock()
-							if !w.dead && w.conn == conn {
-								w.dead = true
-								conn.Close()
-							}
-							w.mu.Unlock()
-						}
-						continue
-					}
-					view.update(st)
-					if st.Exposition != "" {
-						if samples, err := obs.ParseExposition(st.Exposition); err == nil {
-							fed.Update(fmt.Sprintf("node-%d", st.ID), samples)
-						}
-					}
-					if st.LastRoundSeconds > 0 {
-						lat[strconv.Itoa(int(st.ID))] = st.LastRoundSeconds
-					}
-				}
-				view.setStragglers(mon.Observe(lat))
-				// Fold the whole federated snapshot into the TSDB at this
-				// tick's timestamp, then run the alert rules against it.
-				nowMS := time.Now().UnixMilli()
-				store.AppendSet(nowMS, fed.Snapshot())
-				eval.Eval(store, nowMS)
+		stats[wi+1] = &st
+		if st.Exposition != "" {
+			if samples, err := obs.ParseExposition(st.Exposition); err == nil {
+				d.fed.Update(fmt.Sprintf("node-%d", st.ID), samples)
 			}
-		}()
+		}
 	}
+	lat := make(map[string]float64)
+	for id, st := range stats {
+		if st != nil && st.LastRoundSeconds > 0 {
+			lat[strconv.Itoa(id)] = st.LastRoundSeconds
+		}
+	}
+	stragglers := d.mon.Observe(lat)
+	now := time.Now()
+	d.mu.Lock()
+	for id, st := range stats {
+		if st == nil {
+			d.roster[id].errs.Inc()
+			continue
+		}
+		st.Exposition = ""
+		d.roster[id].NodeStats, d.roster[id].seen = *st, now
+	}
+	d.stragglers = stragglers
+	d.mu.Unlock()
+	return d.fed.Snapshot()
+}
 
-	model := alg.InitModel(rand.New(rand.NewSource(spec.Seed)))
-	res := &Result{}
-	full := bench.Generate(alg, spec.Samples, spec.Seed) // master's view of the loss
-	res.InitialLoss = ml.MeanLoss(alg, model, full)
+// serveRoster serves /cluster: every node that has answered a scrape, and
+// the straggler flags.
+func (d *director) serveRoster(w http.ResponseWriter, r *http.Request) {
+	now := time.Now()
+	d.mu.Lock()
+	nodes := make([]rosterNode, 0, len(d.roster))
+	for _, n := range d.roster {
+		if !n.seen.IsZero() {
+			n.StalenessSeconds, n.ScrapeErrors = now.Sub(n.seen).Seconds(), n.errs.Value()
+			nodes = append(nodes, n)
+		}
+	}
+	doc := map[string]any{"nodes": nodes, "stragglers": d.stragglers} // never mutated once set
+	d.mu.Unlock()
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(doc) //nolint:errcheck // best-effort HTTP write
+}
 
-	trained, stats, err := master.DriveTraining(runtime.DriveConfig{
-		Agg:         spec.agg(),
-		LR:          spec.LearningRate,
-		MiniBatch:   spec.MiniBatch,
-		TraceIDBase: opts.TraceIDBase,
-	}, model, spec.Rounds)
+// scrapeSlot round-trips one MsgStats on a worker's control connection,
+// bounded by a deadline so a wedged worker cannot stall the tick. In quorum
+// mode any error but a slow reply frees the slot for the rejoin acceptor.
+func (d *director) scrapeSlot(w *slot) (st NodeStats, err error) {
+	w.mu.Lock()
+	conn, dead := w.conn, w.dead
+	w.mu.Unlock()
+	if dead {
+		return st, fmt.Errorf("deploy: node %d is awaiting rejoin", w.cfg.NodeID)
+	}
+	defer func() {
+		if ne, ok := err.(net.Error); err != nil && d.spec.MinQuorum > 0 && (!ok || !ne.Timeout()) {
+			w.mu.Lock()
+			if !w.dead && w.conn == conn {
+				w.dead = true
+				conn.Close()
+			}
+			w.mu.Unlock()
+		}
+	}()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	defer conn.SetDeadline(time.Time{})
+	if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgStats, Seq: d.seq}); err != nil {
+		return st, err
+	}
+	f, err := conn.Recv()
+	if err != nil {
+		return st, err
+	}
+	if f.Type != cosmicnet.MsgStats {
+		return st, fmt.Errorf("deploy: stats reply was %v", f.Type)
+	}
+	return st, json.Unmarshal([]byte(f.Text), &st)
+}
+
+// train drives the run; losses are on the master's view of the data.
+func (d *director) train() (*Result, error) {
+	bench, _ := dataset.ByName(d.spec.Benchmark)
+	alg := bench.Algorithm(d.spec.Scale)
+	model := alg.InitModel(rand.New(rand.NewSource(d.spec.Seed)))
+	full := bench.Generate(alg, d.spec.Samples, d.spec.Seed)
+	initial := ml.MeanLoss(alg, model, full)
+	trained, stats, err := d.master.DriveTraining(runtime.DriveConfig{
+		Agg:         d.spec.agg(),
+		LR:          d.spec.LearningRate,
+		MiniBatch:   d.spec.MiniBatch,
+		TraceIDBase: d.opts.TraceIDBase,
+	}, model, d.spec.Rounds)
 	if err != nil {
 		return nil, err
 	}
-	master.SendDone()
-	// Quiesce the scrape loop before tearing down the control connections
-	// it shares.
-	stopScrapers()
-	res.Model = trained
-	res.Stats = stats
-	res.Stats.NetworkSentBytes, res.Stats.NetworkReceivedBytes = master.NetworkBytes()
-	res.FinalLoss = ml.MeanLoss(alg, trained, full)
+	d.master.SendDone()
+	stats.NetworkSentBytes, stats.NetworkReceivedBytes = d.master.NetworkBytes()
+	return &Result{Model: trained, Stats: stats, InitialLoss: initial, FinalLoss: ml.MeanLoss(alg, trained, full)}, nil
+}
 
-	// Give the workers a moment to read the Done before the control
-	// connections drop.
-	for _, w := range workers {
+// shutdown stops the tick, which shares the control connections, then
+// closes each after a moment for its worker to read the Done.
+func (d *director) shutdown() {
+	d.plane.close()
+	for _, w := range d.workers {
 		w.mu.Lock()
 		w.conn.SetDeadline(time.Now().Add(2 * time.Second))
 		w.conn.Close()
 		w.mu.Unlock()
 	}
-	return res, nil
 }
 
 // WorkerOptions attaches observability and the local redial policy to a
 // worker process; the zero value runs a bare worker.
 type WorkerOptions struct {
 	// Obs receives the node's telemetry; its exposition also rides MsgStats
-	// replies so the Director can federate it.
+	// replies so the Director can federate it, and the plane samples it.
 	Obs *obs.Observer
 	// Logger receives the node's structured diagnostics.
 	Logger *slog.Logger
-	// OnNode, when set, receives the running node once configured — the
-	// hook cmd/cosmic-node uses to wire its /healthz probe.
-	OnNode func(n *runtime.Node)
 	// ChunkWords, when non-zero, is the streaming-chunk boundary this
 	// worker insists on. The boundary is cluster-wide (fixed boundaries are
 	// what keep the ordered fold deterministic), so a Director whose
 	// resolved policy uses a different value is rejected instead of
 	// silently diverging.
 	ChunkWords int
-	// HTTPAddr is the worker's debug HTTP listener address, advertised in
-	// MsgStats replies so the Director's /cluster roster (and cosmic-prof)
-	// can find this node's profiling endpoints.
-	HTTPAddr string
+	Telemetry
 	// Reconnect makes this worker's node redial its upstream Sigma (with
 	// backoff, bounded by ReconnectWait; 0 = 30s) when the data-plane
 	// connection drops mid-run, instead of exiting. Pair it with a quorum
@@ -768,11 +670,19 @@ func dialControl(addr string) (*cosmicnet.Conn, error) {
 	}
 }
 
-// RunWorker joins the master at controlAddr, receives its assignment, and
-// runs its node loop until training completes. After configuration the
-// worker answers the Director's MsgStats scrapes on the control connection
-// while the node loop runs on the data plane.
+// RunWorker starts the worker's telemetry plane, joins the master at
+// controlAddr, receives its assignment, and runs its node loop until
+// training completes. After configuration the worker answers the
+// Director's MsgStats scrapes on the control connection while the node
+// loop runs on the data plane.
 func RunWorker(controlAddr string, opts WorkerOptions) error {
+	reg := opts.Obs.Registry()
+	p, err := newPlane(opts.Telemetry, reg, reg.Handler(), opts.AlertRules, opts.Logger)
+	if err != nil {
+		return err
+	}
+	defer p.close()
+	p.start(reg.Snapshot)
 	conn, err := dialControl(controlAddr)
 	if err != nil {
 		return err
@@ -811,9 +721,7 @@ func RunWorker(controlAddr string, opts WorkerOptions) error {
 		return err
 	}
 	defer node.Close()
-	if opts.OnNode != nil {
-		opts.OnNode(node)
-	}
+	p.attach(node)
 	if runtime.Role(cfg.Role) == runtime.RoleGroupSigma {
 		// Report the data-plane listener so the Director can point this
 		// group's Deltas at it.
@@ -823,6 +731,6 @@ func RunWorker(controlAddr string, opts WorkerOptions) error {
 	}
 	// The control connection is now idle on this side; serve the Director's
 	// stats scrapes until it closes.
-	go serveStats(conn, node, opts.Obs, opts.HTTPAddr)
+	go serveStats(conn, node, opts.Obs, p.addr)
 	return node.Run()
 }

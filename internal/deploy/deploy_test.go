@@ -1,8 +1,10 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/cosmicnet"
 	"repro/internal/obs"
+	"repro/internal/obs/tsdb"
 	"repro/internal/runtime"
 )
 
@@ -219,7 +222,8 @@ func TestMasterIgnoresGarbageJoin(t *testing.T) {
 
 // TestMasterFederatesWorkerMetrics: the Director scrapes workers over the
 // control plane during training and serves their metrics, its own, and the
-// cluster roster over HTTP.
+// cluster roster over HTTP. Every node, the Director included, serves the
+// same telemetry plane, and the roster advertises the addresses they bound.
 func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	spec := Spec{
 		Nodes: 3, Groups: 1,
@@ -233,7 +237,8 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := RunWorker(addr, WorkerOptions{Obs: obs.New()}); err != nil {
+			err := RunWorker(addr, WorkerOptions{Obs: obs.New(), Telemetry: Telemetry{HTTPAddr: "127.0.0.1:0"}})
+			if err != nil {
 				t.Error(err)
 			}
 		}()
@@ -245,11 +250,10 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	go func() {
 		var err error
 		res, err = RunMaster(addr, spec, MasterOptions{
-			Obs:            obs.New(),
-			HTTPAddr:       "127.0.0.1:0",
-			OnHTTP:         func(a string) { httpAddr <- a },
-			ScrapeInterval: 2 * time.Millisecond,
-			TraceIDBase:    1 << 32,
+			Obs:         obs.New(),
+			Telemetry:   Telemetry{HTTPAddr: "127.0.0.1:0", ScrapeInterval: 2 * time.Millisecond},
+			OnHTTP:      func(a string) { httpAddr <- a },
+			TraceIDBase: 1 << 32,
 		})
 		masterDone <- err
 	}()
@@ -288,6 +292,7 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 			t.Errorf("/cluster missing %s:\n%s", want, roster)
 		}
 	}
+	checkPlanes(t, base, roster)
 
 	if err := <-masterDone; err != nil {
 		t.Fatal(err)
@@ -296,6 +301,220 @@ func TestMasterFederatesWorkerMetrics(t *testing.T) {
 	if res.FinalLoss >= res.InitialLoss {
 		t.Errorf("loss %g -> %g", res.InitialLoss, res.FinalLoss)
 	}
+}
+
+// checkPlanes asserts that the Director at base serves the node endpoints
+// cosmic-prof and probes use, and that every http_addr in its roster is a
+// bound address whose /healthz answers.
+func checkPlanes(t *testing.T, base, roster string) {
+	t.Helper()
+	status := func(url string) int {
+		resp, err := http.Get(url)
+		if err != nil {
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{"/healthz", "/debug/pprof/"} {
+		if code := status(base + path); code != http.StatusOK {
+			t.Errorf("Director GET %s = %d, want 200", path, code)
+		}
+	}
+	var doc struct {
+		Nodes []NodeStats `json:"nodes"`
+	}
+	if err := json.Unmarshal([]byte(roster), &doc); err != nil {
+		t.Fatalf("/cluster: %v", err)
+	}
+	for _, n := range doc.Nodes {
+		_, port, err := net.SplitHostPort(n.HTTPAddr)
+		if err != nil || port == "0" {
+			t.Errorf("node %d advertises http_addr %q, want a bound address", n.ID, n.HTTPAddr)
+			continue
+		}
+		if code := status("http://" + n.HTTPAddr + "/healthz"); code != http.StatusOK {
+			t.Errorf("node %d: GET %s/healthz = %d, want 200", n.ID, n.HTTPAddr, code)
+		}
+	}
+}
+
+// TestRejoinWithoutTelemetry: with no HTTP address and no scrape interval
+// set, the Director still notices a Delta whose control connection died and
+// hands its slot to a fresh worker; the rounds it missed fold on quorum.
+func TestRejoinWithoutTelemetry(t *testing.T) {
+	spec := Spec{
+		Nodes: 3, Groups: 1,
+		Benchmark: "face", Scale: 0.02, Samples: 120, Seed: 11,
+		MiniBatch: 60, Rounds: 20000, Average: true,
+		RoundPolicy: runtime.RoundPolicy{RoundTimeout: 100 * time.Millisecond, MinQuorum: 2},
+	}
+	addr := freeAddr(t)
+	var res *Result
+	masterDone := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = RunMaster(addr, spec, MasterOptions{})
+		masterDone <- err
+	}()
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- RunWorker(addr, WorkerOptions{}) }()
+
+	// A Delta that joins like any worker, then loses its control connection
+	// and its node a few rounds in.
+	conn, err := dialControl(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(&cosmicnet.Frame{Type: cosmicnet.MsgHello}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg workerConfig
+	if err := json.Unmarshal([]byte(f.Text), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	node, err := buildNode(cfg, nil, nil, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveStats(conn, node, nil, "")
+	go node.Run() //nolint:errcheck // the node is closed mid-run on purpose
+	for deadline := time.Now().Add(10 * time.Second); node.Health().LastSeq < 20; {
+		if time.Now().After(deadline) {
+			t.Fatal("the Delta never reached round 20")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn.Close()
+	node.Close()
+
+	// A fresh worker takes the slot. The Director refuses it until its tick
+	// has seen the dead connection, so retry.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		err := RunWorker(addr, WorkerOptions{})
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no replacement worker rejoined: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := <-masterDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-workerDone; err != nil {
+		t.Error(err)
+	}
+	if res.Stats.Rounds != spec.Rounds || res.Stats.ExcludedRounds == 0 {
+		t.Errorf("rounds = %d, excluded = %d; want %d rounds, some excluded",
+			res.Stats.Rounds, res.Stats.ExcludedRounds, spec.Rounds)
+	}
+}
+
+// TestWorkerTelemetry: a worker's plane honours its telemetry settings on
+// their own. Alert rules run and log without an HTTP address, and an HTTP
+// address that cannot be bound fails RunWorker before it says hello.
+func TestWorkerTelemetry(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	alive := []tsdb.Rule{{Name: "worker-alive", Expr: "cosmic_go_goroutines", Op: ">", Value: 0}}
+	for _, tc := range []struct {
+		name      string
+		telemetry Telemetry
+		wantHello bool   // whether the worker must reach the Director
+		wantLog   string // a line the worker must log while it waits for its config
+	}{
+		{"alerts without http", Telemetry{ScrapeInterval: 2 * time.Millisecond, AlertRules: alive}, true, `msg="alert firing" alert=worker-alive`},
+		{"unbindable http", Telemetry{HTTPAddr: busy.Addr().String()}, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A Director that admits the worker and never configures it.
+			director, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer director.Close()
+			hello := make(chan *cosmicnet.Conn, 1)
+			go func() {
+				defer close(hello)
+				raw, err := director.Accept()
+				if err != nil {
+					return
+				}
+				conn := &cosmicnet.Conn{Conn: raw}
+				if f, err := conn.Recv(); err == nil && f.Type == cosmicnet.MsgHello {
+					hello <- conn
+				}
+			}()
+			var logs syncBuffer
+			errc := make(chan error, 1)
+			go func() {
+				errc <- RunWorker(director.Addr().String(), WorkerOptions{
+					Obs: obs.New(), Logger: slog.New(slog.NewTextHandler(&logs, nil)), Telemetry: tc.telemetry,
+				})
+			}()
+			if !tc.wantHello {
+				select {
+				case err := <-errc:
+					if err == nil {
+						t.Fatal("RunWorker succeeded")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("RunWorker neither failed nor returned")
+				}
+				director.Close()
+				if conn := <-hello; conn != nil {
+					conn.Close()
+					t.Error("worker said hello")
+				}
+				return
+			}
+			var conn *cosmicnet.Conn
+			select {
+			case conn = <-hello:
+			case err := <-errc:
+				t.Fatalf("RunWorker returned before joining: %v", err)
+			}
+			if conn == nil {
+				t.Fatal("worker never said hello")
+			}
+			for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs.String(), tc.wantLog); {
+				if time.Now().After(deadline) {
+					t.Errorf("worker never logged %s:\n%s", tc.wantLog, logs.String())
+					break
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			conn.Close()
+			<-errc
+		})
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for a logger and a reader at once.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func freeAddr(t *testing.T) string {

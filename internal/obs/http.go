@@ -21,11 +21,11 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // NewHTTPMux builds the live-telemetry mux a long-running process exposes:
-// /metrics from the registry plus the net/http/pprof profiling endpoints
-// under /debug/pprof/.
-func NewHTTPMux(r *Registry) *http.ServeMux {
+// metrics (a registry's or a federation's Handler) as /metrics plus the
+// net/http/pprof profiling endpoints under /debug/pprof/.
+func NewHTTPMux(metrics http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
+	mux.Handle("/metrics", metrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -35,8 +35,8 @@ func NewHTTPMux(r *Registry) *http.ServeMux {
 }
 
 // NewNodeMux is NewHTTPMux plus the node's /healthz endpoint.
-func NewNodeMux(r *Registry, h *Health) *http.ServeMux {
-	mux := NewHTTPMux(r)
+func NewNodeMux(metrics http.Handler, h *Health) *http.ServeMux {
+	mux := NewHTTPMux(metrics)
 	mux.Handle("/healthz", h.Handler())
 	return mux
 }

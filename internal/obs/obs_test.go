@@ -239,7 +239,7 @@ func TestQuantile(t *testing.T) {
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served_total").Add(2)
-	srv := httptest.NewServer(NewHTTPMux(r))
+	srv := httptest.NewServer(NewHTTPMux(r.Handler()))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")

@@ -259,12 +259,12 @@ func (n *Node) LastRoundSeconds() float64 {
 func (n *Node) noteRound(seq uint32, d time.Duration) {
 	n.lastSeq.Store(seq)
 	n.lastRoundNanos.Store(int64(d))
-	n.obs.roundDone(seq, d)
+	n.obs.roundDone(d)
 }
 
 // Flight returns the node's flight recorder, so deployment-level machinery
-// (the worker's alert evaluator) can mark alert transitions alongside the
-// node's own wire events.
+// (the telemetry plane's alert evaluator) can mark alert transitions
+// alongside the node's own wire events.
 func (n *Node) Flight() *obs.FlightRecorder { return n.flight }
 
 // DumpFlight writes the node's flight-recorder contents to a file named

@@ -41,13 +41,6 @@ type nodeObs struct {
 	// roundSeconds is the master's per-round wall-time distribution.
 	roundSeconds *obs.Histogram
 
-	// roundSeq, roundTx, and roundRx are the stepwise per-round samples the
-	// TSDB scrape loop turns into time series: the round sequence number and
-	// the payload words this node moved during the round just completed
-	// (derived by differencing the cumulative counters at round boundaries).
-	roundSeq, roundTx, roundRx *obs.Gauge
-	prevTxWords, prevRxWords   int64
-
 	// excludedRounds counts rounds this Sigma folded without a full member
 	// set (quorum mode). reg and node back the per-peer suspect gauges,
 	// which are resolved lazily — the peer set only matters under faults.
@@ -79,9 +72,6 @@ func newNodeObs(o *obs.Observer, id uint32, role Role) *nodeObs {
 		rounds:         reg.Counter(obs.Labeled("cosmic_node_rounds_total", "node", node)),
 		lastRoundSeconds: reg.Gauge(
 			obs.Labeled("cosmic_node_last_round_seconds", "node", node)),
-		roundSeq:       reg.Gauge(obs.Labeled("cosmic_node_round_seq", "node", node)),
-		roundTx:        reg.Gauge(obs.Labeled("cosmic_node_round_tx_words", "node", node)),
-		roundRx:        reg.Gauge(obs.Labeled("cosmic_node_round_rx_words", "node", node)),
 		excludedRounds: reg.Counter(obs.Labeled("cosmic_round_excluded_total", "node", node)),
 		reg:            reg,
 		node:           node,
@@ -138,21 +128,14 @@ func (no *nodeObs) chunkFolded(last bool) {
 }
 
 // roundDone records one completed round at this node: the cumulative round
-// counter and latency, plus the stepwise gauges (sequence number and the
-// words moved within just this round). Rounds complete on a single
-// goroutine per node, so the prev counters need no synchronization.
-func (no *nodeObs) roundDone(seq uint32, d time.Duration) {
+// counter and latency.
+func (no *nodeObs) roundDone(d time.Duration) {
 	if no == nil {
 		return
 	}
 	no.rounds.Inc()
 	no.lastRoundSeconds.Set(d.Seconds())
 	no.roundSeconds.Observe(d.Seconds())
-	no.roundSeq.Set(float64(seq))
-	tx, rx := no.txWords.Value(), no.rxWords.Value()
-	no.roundTx.Set(float64(tx - no.prevTxWords))
-	no.roundRx.Set(float64(rx - no.prevRxWords))
-	no.prevTxWords, no.prevRxWords = tx, rx
 }
 
 // roundExcluded counts one round folded on a quorum instead of the full
