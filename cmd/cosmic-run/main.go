@@ -210,7 +210,7 @@ func runDistributed(addr string, spec deploy.Spec, opts deploy.MasterOptions, tr
 	fmt.Printf("trained:   %d rounds, loss %.5f -> %.5f (%.1f%% reduction)\n",
 		res.Stats.Rounds, res.InitialLoss, res.FinalLoss,
 		100*(1-res.FinalLoss/res.InitialLoss))
-	fmt.Printf("rounds:    p50 %v, p95 %v, max %v; network %.2f MB sent\n",
+	fmt.Printf("rounds:    p50 %v, p95 %v, max %v; master network %.2f MB sent\n",
 		res.Stats.RoundP50, res.Stats.RoundP95, res.Stats.RoundMax,
 		float64(res.Stats.NetworkSentBytes)/1e6)
 	if res.Stats.ExcludedRounds > 0 {

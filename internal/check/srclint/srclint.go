@@ -51,6 +51,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Severity classifies a diagnostic: errors are definite convention
@@ -134,25 +135,36 @@ func SelectPasses(names string) ([]Pass, error) {
 // Per-package parse errors become "parse" diagnostics — the run continues
 // over the remaining files and directories, so one broken package cannot
 // mask findings elsewhere. The returned diagnostics are in the stable
-// (file, line, col, pass, message) order. One file set and source importer
-// serve the whole run, so the standard library is loaded once, not once
-// per directory.
+// (file, line, col, pass, message) order.
 func LintDirs(dirs []string, passes []Pass) []Diagnostic {
+	shared.Lock()
+	defer shared.Unlock()
+	if shared.fset == nil {
+		shared.fset = token.NewFileSet()
+		shared.imp = importer.ForCompiler(shared.fset, "source", nil)
+	}
 	var out []Diagnostic
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
 	for _, dir := range dirs {
-		out = append(out, lintDir(fset, imp, dir, passes)...)
+		out = append(out, lintDir(shared.fset, shared.imp, dir, passes)...)
 	}
 	Sort(out)
 	return out
 }
 
+// shared is the one file set and source importer every lint in the process
+// uses, so the standard library is type-checked once per process, not once
+// per directory or call. The source importer is not safe for concurrent
+// use; the mutex guards both.
+var shared struct {
+	sync.Mutex
+	fset *token.FileSet
+	imp  types.Importer
+}
+
 // LintDir parses every Go file in dir (tests included), groups files by
 // package clause, type-checks best-effort, and runs the passes.
 func LintDir(dir string, passes []Pass) []Diagnostic {
-	fset := token.NewFileSet()
-	return lintDir(fset, importer.ForCompiler(fset, "source", nil), dir, passes)
+	return LintDirs([]string{dir}, passes)
 }
 
 func lintDir(fset *token.FileSet, imp types.Importer, dir string, passes []Pass) []Diagnostic {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,6 +152,45 @@ func emit(m map[string]int) {
 	}
 	if finds == 0 {
 		t.Errorf("analysis did not continue past the broken package: %+v", ds)
+	}
+}
+
+// TestLintDirConcurrent: every lint in a process shares one file set and
+// source importer, so concurrent calls must serialize on them and each
+// return what a lone call does.
+func TestLintDirConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	src := `package p
+
+import "fmt"
+
+func emit(m map[string]int) {
+	for k := range m {
+		fmt.Println(k)
+	}
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := LintDir(dir, Passes())
+	if len(want) == 0 {
+		t.Fatal("no findings to compare")
+	}
+	got := make([][]Diagnostic, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = LintDir(dir, Passes())
+		}(i)
+	}
+	wg.Wait()
+	for i, ds := range got {
+		if !reflect.DeepEqual(ds, want) {
+			t.Errorf("call %d: %+v, want %+v", i, ds, want)
+		}
 	}
 }
 

@@ -252,7 +252,10 @@ func buildNode(cfg workerConfig, o *obs.Observer, logger *slog.Logger, reconnect
 
 // Result reports a distributed run from the master's side.
 type Result struct {
-	Model       []float64
+	Model []float64
+	// Stats are the master's: its NetworkSentBytes and NetworkReceivedBytes
+	// count only the frames the master node itself moved, not the cluster's
+	// (the Director does not see the workers' sockets).
 	Stats       runtime.TrainStats
 	InitialLoss float64
 	FinalLoss   float64

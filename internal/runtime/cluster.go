@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"log/slog"
-	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/cosmicnet"
@@ -59,7 +57,6 @@ type ClusterOptions struct {
 // Cluster is a running scale-out system.
 type Cluster struct {
 	opts   ClusterOptions
-	topo   Topology
 	master *Node
 	nodes  []*Node
 	runErr chan error
@@ -73,9 +70,10 @@ type TrainStats struct {
 	RoundDurations []time.Duration
 	// RoundP50/P95/Max summarize RoundDurations (nearest-rank percentiles).
 	RoundP50, RoundP95, RoundMax time.Duration
-	// NetworkSentBytes/NetworkReceivedBytes sum the frame bytes every node
-	// moved during the run — each transfer counted once sent and once
-	// received, as a switch port would see it.
+	// NetworkSentBytes/NetworkReceivedBytes are the frame bytes moved during
+	// the run. Cluster.Train sums every node's, each transfer counted once
+	// sent and once received, as a switch port would see it; a deploy
+	// Result holds only the master node's.
 	NetworkSentBytes, NetworkReceivedBytes int64
 	// ExcludedRounds counts the master's rounds folded without a full
 	// member set (quorum mode only).
@@ -100,7 +98,7 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	}
 	perNode := opts.MiniBatch / opts.Nodes
 
-	c := &Cluster{opts: opts, topo: topo, runErr: make(chan error, opts.Nodes)}
+	c := &Cluster{opts: opts, runErr: make(chan error, opts.Nodes)}
 	baseCfg := func(id int) NodeConfig {
 		cfg := NodeConfig{
 			ID:            uint32(id),
@@ -172,9 +170,6 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// Topology returns the Director's assignment.
-func (c *Cluster) Topology() Topology { return c.topo }
-
 // NetworkBytes sums the frame bytes every node moved — each transfer is
 // counted twice (once sent, once received), as a switch port would see it.
 func (c *Cluster) NetworkBytes() (sent, received int64) {
@@ -202,7 +197,7 @@ func (c *Cluster) Train(model []float64, rounds int) ([]float64, TrainStats, err
 		MiniBatch:   c.opts.MiniBatch,
 		Fail:        fail,
 		TraceIDBase: c.opts.TraceIDBase,
-		Diagnostics: c.DumpDiagnostics,
+		Diagnostics: func(reason string) string { return dumpDiagnostics(reason, c.nodes...) },
 	}, model, rounds)
 	stats.NetworkSentBytes, stats.NetworkReceivedBytes = c.NetworkBytes()
 	return final, stats, err
@@ -211,39 +206,10 @@ func (c *Cluster) Train(model []float64, rounds int) ([]float64, TrainStats, err
 // Nodes returns every node of the cluster, master first.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// DumpDiagnostics writes every node's flight recorder into one fresh
-// directory under the OS temp directory ($TMPDIR) and returns its path —
-// the bundle a round failure points the operator at. Best-effort: nodes
-// whose dump fails are skipped so a sick node cannot block the bundle.
-func (c *Cluster) DumpDiagnostics(reason string) string {
-	dir, err := os.MkdirTemp("", "cosmic-diag-*")
-	if err != nil {
-		return "(diagnostics unavailable: " + err.Error() + ")"
-	}
-	for _, n := range c.nodes {
-		n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: reason, Seq: n.lastSeq.Load()})
-		_, _ = n.DumpFlight(dir)
-	}
-	return dir
-}
-
-// ScrapeLatencies returns each node's most recent round wall time in seconds
-// keyed by node ID — the straggler detector's input for in-process clusters.
-// Nodes that have not finished a round yet are omitted.
-func (c *Cluster) ScrapeLatencies() map[string]float64 {
-	out := make(map[string]float64, len(c.nodes))
-	for _, n := range c.nodes {
-		if v := n.LastRoundSeconds(); v > 0 {
-			out[strconv.Itoa(int(n.cfg.ID))] = v
-		}
-	}
-	return out
-}
-
 // Shutdown sends MsgDone down the hierarchy and waits for the worker nodes
 // to exit.
 func (c *Cluster) Shutdown() error {
-	c.master.forwardDone()
+	c.master.SendDone()
 	var firstErr error
 	for i := 0; i < len(c.nodes)-1; i++ {
 		if err := <-c.runErr; err != nil && firstErr == nil {

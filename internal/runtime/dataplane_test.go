@@ -368,9 +368,10 @@ func BenchmarkRefEngine(b *testing.B) {
 // TestClusterSteadyStateAllocs pins the data plane end to end: a 4-node,
 // 2-group cluster over loopback TCP training a 65 535-word model (sixteen
 // chunk frames per contribution, the last one short) allocates less than
-// 64 KB per round once warm — against ~7.7 MB when every partial, model
-// frame and decoded payload was a fresh buffer. Nothing on the path draws on
-// a sync.Pool, so the bound holds under the race detector too.
+// 64 KB in at most 16 mallocs per round once warm — against ~7.7 MB when
+// every partial, model frame and decoded payload was a fresh buffer.
+// Nothing on the path draws on a sync.Pool, so the bounds hold under the
+// race detector too.
 func TestClusterSteadyStateAllocs(t *testing.T) {
 	const nodes, groups, words, rounds = 4, 2, 65535, 40
 	alg := &ml.LinearRegression{M: words}
@@ -409,9 +410,15 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	}
 	// Train copies the model once per call; that is set-up, not a round.
 	perRound := (float64(after.TotalAlloc-before.TotalAlloc) - 8*words) / rounds
-	t.Logf("%.1f KB allocated per round", perRound/1024)
+	mallocs := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("%.1f KB in %.1f mallocs allocated per round", perRound/1024, mallocs)
 	if perRound > 64<<10 {
 		t.Errorf("steady-state round allocates %.1f KB, want < 64 KB", perRound/1024)
+	}
+	// An untraced round builds no span arguments and installs no
+	// completion callback.
+	if mallocs > 16 {
+		t.Errorf("steady-state round makes %.1f mallocs, want <= 16", mallocs)
 	}
 }
 

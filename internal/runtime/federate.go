@@ -12,8 +12,8 @@ import (
 // cosmic_cluster_straggler{node=...} gauge flips to 1 while a node is over
 // the detector's bar, and flag transitions emit structured log warnings.
 // The System Director runs one Monitor over whatever latency source fits the
-// deployment — Cluster.ScrapeLatencies in process, MsgStats scrapes over the
-// control plane.
+// deployment — each node's Health().LastRoundSeconds in process, MsgStats
+// scrapes over the control plane.
 type Monitor struct {
 	reg     *obs.Registry
 	det     *obs.StragglerDetector

@@ -136,10 +136,12 @@ type Node struct {
 	// (it is alloc-free), dumped when a round fails.
 	flight *obs.FlightRecorder
 	// spanCtr mints this node's wire span IDs; lastSeq and lastRoundNanos
-	// feed /healthz and the director's straggler detector.
+	// feed /healthz and the director's straggler detector. roundTrace is a
+	// Sigma's current round trace ID, which its forwarded chunks carry.
 	spanCtr        atomic.Uint64
 	lastSeq        atomic.Uint32
 	lastRoundNanos atomic.Int64
+	roundTrace     atomic.Uint64
 	data           []ml.Sample
 	// cursor is the node's position in its data shard; batch is the reused
 	// slice the round's samples are gathered into.
@@ -249,12 +251,6 @@ func (n *Node) Health() NodeHealth {
 	return h
 }
 
-// LastRoundSeconds returns the node's most recent round wall time (0 before
-// the first completed round).
-func (n *Node) LastRoundSeconds() float64 {
-	return time.Duration(n.lastRoundNanos.Load()).Seconds()
-}
-
 // noteRound records a completed round for health and straggler reporting.
 func (n *Node) noteRound(seq uint32, d time.Duration) {
 	n.lastSeq.Store(seq)
@@ -288,18 +284,20 @@ func (n *Node) DumpFlight(dir string) (string, error) {
 	return path, f.Close()
 }
 
-// dumpDiagnostics is the node's own round-failure bundle: a fresh directory
-// under the OS temp directory ($TMPDIR) holding this node's flight dump.
-// Best-effort — on error it returns a placeholder path so the caller's error
-// message stays useful.
-func (n *Node) dumpDiagnostics(reason string) string {
-	n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: reason, Seq: n.lastSeq.Load()})
+// dumpDiagnostics is the round-failure bundle: it marks reason in each
+// node's flight recorder and dumps them all into one fresh directory under
+// the OS temp directory ($TMPDIR), returning its path. Best-effort: nodes
+// whose dump fails are skipped so a sick node cannot block the bundle, and
+// a directory that cannot be made yields a placeholder path so the caller's
+// error message stays useful.
+func dumpDiagnostics(reason string, nodes ...*Node) string {
 	dir, err := os.MkdirTemp("", "cosmic-diag-*")
 	if err != nil {
 		return "(diagnostics unavailable: " + err.Error() + ")"
 	}
-	if _, err := n.DumpFlight(dir); err != nil {
-		return "(diagnostics unavailable: " + err.Error() + ")"
+	for _, n := range nodes {
+		n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: reason, Seq: n.lastSeq.Load()})
+		_, _ = n.DumpFlight(dir)
 	}
 	return dir
 }
@@ -355,6 +353,9 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 		}
 		n.ln = ln
 		n.ring = NewCircularBuffer(ringCapacity)
+		if cfg.Role == RoleGroupSigma {
+			n.agg.SetOnComplete(n.forwardChunk)
+		}
 		if cfg.Obs != nil {
 			n.ring.SetDepthGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_node_ring_depth", "node", strconv.Itoa(int(cfg.ID)))))
@@ -450,8 +451,7 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 					ctr, name = n.obs.framesGroupAgg, "recv-group-aggregate"
 				}
 				n.obs.recvFrame(ctr, len(f.Payload))
-				sp := n.obs.tracer().Begin("runtime", name, n.obs.threadID())
-				sp.EndArgs(traceArgs(f, obs.ArgFlowIn))
+				n.obs.endSpan(n.obs.tracer().Begin("runtime", name, n.obs.threadID()), f, obs.ArgFlowIn)
 			}
 			if !f.Chunked() {
 				// Every sender streams chunk frames; a whole-vector frame is
@@ -506,30 +506,35 @@ func (n *Node) computePartial(model []float64) ([]float64, error) {
 	return n.cfg.Engine.PartialUpdate(model, batch)
 }
 
+// eachChunk cuts vec at the node's fixed chunk boundary and calls emit on
+// every chunk in order, stopping at its first error. The chunks alias vec;
+// an empty vector is one empty chunk.
+func (n *Node) eachChunk(vec []float64, emit func(idx, off int, chunk []float64) error) error {
+	if len(vec) == 0 {
+		return emit(0, 0, nil)
+	}
+	for idx, off := 0, 0; off < len(vec); idx, off = idx+1, off+n.cfg.ChunkWords {
+		if err := emit(idx, off, vec[off:min(off+n.cfg.ChunkWords, len(vec))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // pushLocalChunks feeds the node's own partial into its aggregation
 // pipeline: fixed-boundary subslices of the vector go straight onto the
 // ring, no copy and no chunk-slice allocation (the local-contribution
 // fast path).
-func (n *Node) pushLocalChunks(seq uint32, vec []float64, weight float64) error {
-	if len(vec) == 0 {
-		if !n.ring.Push(Chunk{Seq: seq, From: n.cfg.ID, Weight: weight, Last: true}) {
-			return fmt.Errorf("node %d: ring closed mid-batch", n.cfg.ID)
-		}
-		return nil
-	}
-	for off := 0; off < len(vec); off += n.cfg.ChunkWords {
-		end := off + n.cfg.ChunkWords
-		if end > len(vec) {
-			end = len(vec)
-		}
+func (n *Node) pushLocalChunks(seq uint32, vec []float64) error {
+	return n.eachChunk(vec, func(_, off int, chunk []float64) error {
 		if !n.ring.Push(Chunk{
 			Seq: seq, From: n.cfg.ID, Offset: off,
-			Data: vec[off:end], Weight: weight, Last: end == len(vec),
+			Data: chunk, Weight: 1, Last: off+len(chunk) == len(vec),
 		}) {
 			return fmt.Errorf("node %d: ring closed mid-batch", n.cfg.ID)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // NetworkBytes sums the frame bytes this node moved over its upstream and
@@ -600,8 +605,8 @@ func (n *Node) clearSuspect(id, seq uint32, hello bool) {
 // dead member costs one RoundTimeout total, not one per round — but only
 // while enough members remain for a quorum; otherwise the round waits for
 // the suspects like any other member. Reports whether anyone was excluded.
-func (n *Node) preExcludeSuspects(seq uint32, minQuorum int) bool {
-	if minQuorum <= 0 {
+func (n *Node) preExcludeSuspects(seq uint32) bool {
+	if n.cfg.MinQuorum <= 0 {
 		return false
 	}
 	n.suspectMu.Lock()
@@ -616,7 +621,7 @@ func (n *Node) preExcludeSuspects(seq uint32, minQuorum int) bool {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Count survivors against the fold set the buffer actually waits on
 	// (for the master that includes one aggregate per other group's Sigma).
-	if len(n.cfg.MemberIDs)-len(ids) < minQuorum {
+	if len(n.cfg.MemberIDs)-len(ids) < n.cfg.MinQuorum {
 		return false
 	}
 	if n.agg.Exclude(ids) == 0 {
@@ -630,12 +635,12 @@ func (n *Node) preExcludeSuspects(seq uint32, minQuorum int) bool {
 // quorumFold rescues a timed-out round: if a quorum of members delivered
 // full contributions, the absentees are excluded (completing the fold with
 // what arrived) and marked suspect. Reports whether the round was saved.
-func (n *Node) quorumFold(seq uint32, minQuorum int, rewait time.Duration) bool {
-	if minQuorum <= 0 {
+func (n *Node) quorumFold(seq uint32) bool {
+	if n.cfg.MinQuorum <= 0 {
 		return false
 	}
 	present, _, missing := n.agg.QuorumStatus()
-	if len(missing) == 0 || len(present) < minQuorum {
+	if len(missing) == 0 || len(present) < n.cfg.MinQuorum {
 		return false
 	}
 	for _, id := range missing {
@@ -649,7 +654,7 @@ func (n *Node) quorumFold(seq uint32, minQuorum int, rewait time.Duration) bool 
 		"present", len(present), "excluded", missing)
 	// Exclusion completes every chunk that was only waiting on the missing
 	// members; the short re-wait covers completion callbacks in flight.
-	ok, err := n.agg.WaitComplete(rewait, nil)
+	ok, err := n.agg.WaitComplete(n.cfg.RoundTimeout, nil)
 	return err == nil && ok
 }
 
@@ -769,7 +774,7 @@ func (n *Node) Run() error {
 				return err
 			}
 		case cosmicnet.MsgDone:
-			n.forwardDone()
+			n.SendDone()
 			return nil
 		default:
 			n.logger.Warn("ignoring unexpected frame", "type", f.Type.String(), "from", f.From, "seq", f.Seq)
@@ -779,138 +784,172 @@ func (n *Node) Run() error {
 
 // handleModel processes one mini-batch round for a Delta or group Sigma.
 func (n *Node) handleModel(f *cosmicnet.Frame) error {
-	tr := n.obs.tracer()
-	roundStart := time.Now()
 	switch n.cfg.Role {
 	case RoleDelta:
-		sp := tr.Begin("runtime", "delta-compute", n.obs.threadID())
+		roundStart := time.Now()
+		sp := n.obs.tracer().Begin("runtime", "delta-compute", n.obs.threadID())
 		partial, err := n.computePartial(f.Payload)
-		sp.EndArgs(traceArgs(f, obs.ArgFlowIn))
+		n.obs.endSpan(sp, f, obs.ArgFlowIn)
 		if err != nil {
 			return err
 		}
 		n.obs.sent(len(partial))
 		n.noteRound(f.Seq, time.Since(roundStart))
-		return n.streamUpstream(cosmicnet.MsgPartial, f.Seq, 1, partial, f.TraceID)
-
+		return n.streamUpstream(f.Seq, partial, f.TraceID)
 	case RoleGroupSigma:
-		round := tr.Begin("runtime", "sigma-round", n.obs.threadID())
-		// New round: clear the aggregation state before any member can
-		// respond to the forwarded model. Reset arms the stale-round filter
-		// on f.Seq, so an excluded member's late chunks fold into nothing.
-		n.agg.Reset(f.Seq)
-		seq, traceID := f.Seq, f.TraceID
-		excludedRound := n.preExcludeSuspects(seq, n.cfg.MinQuorum)
-		// Fold-on-arrival forwarding: the moment chunk idx has every
-		// member's contribution, ship it upstream — the master starts
-		// folding this group's early chunks while later ones are still
-		// crossing the group's own links. The callback runs on
-		// aggregation workers; sendUpstream serializes the writes.
-		count := uint32(n.agg.ChunkCount())
-		n.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
-			n.obs.sent(len(span))
-			if err := n.sendUpstream(&cosmicnet.Frame{
-				Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
-				Weight: weight, Payload: span, TraceID: traceID,
-				ChunkIndex: uint32(idx), ChunkCount: count,
-				ChunkOffset: uint32(idx * n.cfg.ChunkWords),
-			}); err != nil {
-				n.fail(err)
-			}
-		})
-		n.broadcastDownstream(f)
-		// The Sigma computes its own partial too; its contribution takes
-		// the same chunked path as remote ones.
-		sp := tr.Begin("runtime", "sigma-compute", n.obs.threadID())
-		partial, err := n.computePartial(f.Payload)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if err := n.pushLocalChunks(seq, partial, 1); err != nil {
-			return err
-		}
-		// Wait until every chunk has every member (each one has then already
-		// been forwarded).
-		sp = tr.Begin("runtime", "sigma-aggregate-wait", n.obs.threadID())
-		ok, err := n.agg.WaitComplete(n.cfg.RoundTimeout, nil)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			switch {
-			case n.quorumFold(seq, n.cfg.MinQuorum, n.cfg.RoundTimeout):
-				excludedRound = true
-			case n.cfg.MinQuorum > 0:
-				// Below quorum the group sits the round out: the master folds
-				// without this Sigma, which lives to serve the next round.
-				// Dying here would strand the group's Deltas for good.
-				n.logger.Warn("round below quorum; group sits it out", "round", seq)
-				return nil
-			default:
-				lastSeen := n.lastSeenSummary()
-				dump := n.dumpDiagnostics("round-timeout")
-				n.logger.Error("round timed out waiting for group members",
-					"round", seq, "last_seen", lastSeen, "diagnostics", dump)
-				return fmt.Errorf("node %d: round %d timed out waiting for group members (last seen: %s; flight dump: %s)",
-					n.cfg.ID, seq, lastSeen, dump)
-			}
-		}
-		if excludedRound {
-			n.obs.roundExcluded()
-		}
-		n.noteRound(seq, time.Since(roundStart))
-		round.EndArgs(traceArgs(f, obs.ArgFlowIn))
-		return nil // every chunk already forwarded on completion
+		_, _, err := n.sigmaRound(f, nil, nil)
+		return err // every chunk already forwarded on completion
 	}
 	return fmt.Errorf("node %d: role %v cannot handle model frames via Run", n.cfg.ID, n.cfg.Role)
 }
 
-// streamUpstream sends vec as a stream of fixed-boundary chunk frames. The
-// payloads alias vec — nothing is copied.
-func (n *Node) streamUpstream(typ cosmicnet.MsgType, seq uint32, weight float64, vec []float64, traceID uint64) error {
-	count := uint32(ChunksFor(len(vec), n.cfg.ChunkWords))
-	if len(vec) == 0 {
-		return n.sendUpstream(&cosmicnet.Frame{
-			Type: typ, Seq: seq, From: n.cfg.ID, Weight: weight,
-			TraceID: traceID, ChunkIndex: 0, ChunkCount: 1,
-		})
+// sigmaSpans names one Sigma role's round spans and what its timeout
+// message says the round waited for.
+type sigmaSpans struct{ round, compute, wait, awaited string }
+
+var (
+	masterSpans = sigmaSpans{"round", "master-compute", "aggregate-wait", "contributions"}
+	groupSpans  = sigmaSpans{"sigma-round", "sigma-compute", "sigma-aggregate-wait", "group members"}
+)
+
+// sigmaRound runs one round at a Sigma, the master or a group Sigma, for
+// the model frame f: arm the aggregation buffer, forward the model to every
+// member, compute the Sigma's own partial and push it down the same chunked
+// path as remote ones, and wait until every chunk has every member. What a
+// completed chunk does is the role's completion callback, installed once
+// (by StartNode for a group Sigma, by DriveTraining for the master). A
+// timed-out round folds on a quorum when it can. Otherwise a group Sigma
+// under MinQuorum sits the round out (0 duration, no error), and any other
+// failure returns an error naming diag's bundle (nil diag dumps this
+// node's own flight recorder). It returns the round's wall time and
+// whether members were excluded from its fold.
+func (n *Node) sigmaRound(f *cosmicnet.Frame, fail <-chan error, diag func(reason string) string) (time.Duration, bool, error) {
+	start := time.Now()
+	names := groupSpans
+	if n.cfg.Role == RoleMasterSigma {
+		names = masterSpans
 	}
-	idx := uint32(0)
-	for off := 0; off < len(vec); off += n.cfg.ChunkWords {
-		end := off + n.cfg.ChunkWords
-		if end > len(vec) {
-			end = len(vec)
+	diagnose := func(reason string) string {
+		if diag != nil {
+			return diag(reason)
 		}
-		if err := n.sendUpstream(&cosmicnet.Frame{
-			Type: typ, Seq: seq, From: n.cfg.ID, Weight: weight,
-			Payload: vec[off:end], TraceID: traceID,
-			ChunkIndex: idx, ChunkCount: count, ChunkOffset: uint32(off),
-		}); err != nil {
-			return err
-		}
-		idx++
+		return dumpDiagnostics(reason, n)
 	}
-	return nil
+	tr, tid := n.obs.tracer(), n.obs.threadID()
+	round := tr.Begin("runtime", names.round, tid)
+	// New round: clear the aggregation state before any member can respond
+	// to the forwarded model. Reset arms the stale-round filter on f.Seq, so
+	// an excluded member's late chunks fold into nothing.
+	n.agg.Reset(f.Seq)
+	n.roundTrace.Store(f.TraceID)
+	excluded := n.preExcludeSuspects(f.Seq)
+	// Hierarchical model broadcast: one frame to each direct child (group
+	// Sigmas forward to their Deltas).
+	sp := tr.Begin("runtime", "broadcast", tid)
+	n.broadcastDownstream(f)
+	n.obs.endSpan(sp, f, "")
+	sp = tr.Begin("runtime", names.compute, tid)
+	partial, err := n.computePartial(f.Payload)
+	sp.End()
+	if err != nil {
+		return 0, false, err
+	}
+	if err := n.pushLocalChunks(f.Seq, partial); err != nil {
+		return 0, false, err
+	}
+	// Wait until every chunk has every member; each one has then already
+	// been applied or forwarded by the completion callback.
+	sp = tr.Begin("runtime", names.wait, tid)
+	ok, err := n.agg.WaitComplete(n.cfg.RoundTimeout, fail)
+	sp.End()
+	if err != nil {
+		dump := diagnose("node-failed")
+		return 0, false, fmt.Errorf("runtime: node failed mid-round: %w (last seen: %s; flight dump: %s)",
+			err, n.lastSeenSummary(), dump)
+	}
+	if !ok {
+		switch {
+		case n.quorumFold(f.Seq):
+			excluded = true
+		case n.cfg.Role == RoleGroupSigma && n.cfg.MinQuorum > 0:
+			// Below quorum the group sits the round out: the master folds
+			// without this Sigma, which lives to serve the next round.
+			// Dying here would strand the group's Deltas for good.
+			n.logger.Warn("round below quorum; group sits it out", "round", f.Seq)
+			return 0, false, nil
+		default:
+			lastSeen := n.lastSeenSummary()
+			dump := diagnose("round-timeout")
+			n.logger.Error("round timed out waiting for "+names.awaited,
+				"round", f.Seq, "last_seen", lastSeen, "diagnostics", dump)
+			who := "runtime"
+			if n.cfg.Role == RoleGroupSigma {
+				who = fmt.Sprintf("node %d", n.cfg.ID)
+			}
+			return 0, false, fmt.Errorf("%s: round %d timed out waiting for %s (last seen: %s; flight dump: %s)",
+				who, f.Seq, names.awaited, lastSeen, dump)
+		}
+	}
+	if excluded {
+		n.obs.roundExcluded()
+	}
+	d := time.Since(start)
+	n.noteRound(f.Seq, d)
+	n.obs.endSpan(round, f, obs.ArgFlowIn)
+	return d, excluded, nil
 }
 
-// sendUpstream stamps the frame with a fresh wire span ID when it belongs to
-// a trace, emits the matching send span (its ArgFlowOut is what the trace
-// merger joins to the receiver's ArgFlowIn), records the flight event, and
-// writes the frame upstream. Concurrent senders (per-chunk completion
-// callbacks run on aggregation workers) are serialized.
-func (n *Node) sendUpstream(f *cosmicnet.Frame) error {
+// forwardChunk is a group Sigma's completion callback (fold-on-arrival
+// forwarding): the moment chunk idx has every member's contribution, it
+// ships upstream, so the master starts folding this group's early chunks
+// while later ones are still crossing the group's own links. It runs on
+// aggregation workers; sendUpstream serializes the writes.
+func (n *Node) forwardChunk(idx int, span []float64, weight float64) {
+	n.obs.sent(len(span))
+	if err := n.sendUpstream(&cosmicnet.Frame{
+		Type: cosmicnet.MsgGroupAggregate, Seq: n.agg.round(), From: n.cfg.ID,
+		Weight: weight, Payload: span, TraceID: n.roundTrace.Load(),
+		ChunkIndex: uint32(idx), ChunkCount: uint32(n.agg.ChunkCount()),
+		ChunkOffset: uint32(idx * n.cfg.ChunkWords),
+	}); err != nil {
+		n.fail(err)
+	}
+}
+
+// streamUpstream sends a Delta's partial as a stream of fixed-boundary
+// chunk frames. The payloads alias vec — nothing is copied.
+func (n *Node) streamUpstream(seq uint32, vec []float64, traceID uint64) error {
+	count := uint32(ChunksFor(len(vec), n.cfg.ChunkWords))
+	return n.eachChunk(vec, func(idx, off int, chunk []float64) error {
+		return n.sendUpstream(&cosmicnet.Frame{
+			Type: cosmicnet.MsgPartial, Seq: seq, From: n.cfg.ID, Weight: 1,
+			Payload: chunk, TraceID: traceID,
+			ChunkIndex: uint32(idx), ChunkCount: count, ChunkOffset: uint32(off),
+		})
+	})
+}
+
+// traceSend stamps an outbound frame with a fresh wire span ID when it
+// belongs to a trace, emits the matching send span (its ArgFlowOut is what
+// the trace merger joins to the receiver's ArgFlowIn), and records the
+// flight event.
+func (n *Node) traceSend(f *cosmicnet.Frame) {
 	if f.TraceID != 0 {
 		f.SpanID = n.nextSpanID()
 	}
-	if n.obs != nil {
-		sp := n.obs.tracer().Begin("runtime", "send-"+f.Type.String(), n.obs.threadID())
-		sp.EndArgs(traceArgs(f, obs.ArgFlowOut))
+	if tr := n.obs.tracer(); tr != nil {
+		tr.Begin("runtime", "send-"+f.Type.String(), n.obs.threadID()).EndArgs(traceArgs(f, obs.ArgFlowOut))
 	}
 	n.flight.Record(obs.FlightEvent{
 		Dir: obs.FlightSend, Type: f.Type.String(), Seq: f.Seq, Bytes: len(f.Payload) * 8,
 	})
+}
+
+// sendUpstream traces the frame and writes it upstream. Concurrent senders
+// (per-chunk completion callbacks run on aggregation workers) are
+// serialized.
+func (n *Node) sendUpstream(f *cosmicnet.Frame) error {
+	n.traceSend(f)
 	n.sendMu.Lock()
 	defer n.sendMu.Unlock()
 	n.upMu.Lock()
@@ -949,16 +988,7 @@ func (n *Node) broadcastDownstream(f *cosmicnet.Frame) {
 	}
 	for _, c := range conns {
 		out := *f
-		if out.TraceID != 0 {
-			out.SpanID = n.nextSpanID()
-		}
-		if n.obs != nil {
-			sp := n.obs.tracer().Begin("runtime", "send-"+out.Type.String(), n.obs.threadID())
-			sp.EndArgs(traceArgs(&out, obs.ArgFlowOut))
-		}
-		n.flight.Record(obs.FlightEvent{
-			Dir: obs.FlightSend, Type: out.Type.String(), Seq: out.Seq, Bytes: len(out.Payload) * 8,
-		})
+		n.traceSend(&out)
 		if sendBudget > 0 {
 			c.SetWriteDeadline(time.Now().Add(sendBudget))
 		}
@@ -994,7 +1024,8 @@ func (n *Node) pruneDownstream(dead *cosmicnet.Conn) {
 	dead.Close()
 }
 
-func (n *Node) forwardDone() {
+// SendDone broadcasts the shutdown message down the hierarchy.
+func (n *Node) SendDone() {
 	n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: "done"})
 	n.broadcastDownstream(&cosmicnet.Frame{Type: cosmicnet.MsgDone, From: n.cfg.ID})
 }

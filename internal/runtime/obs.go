@@ -157,15 +157,23 @@ func (no *nodeObs) suspect(peer uint32, v float64) {
 		"node", no.node, "peer", strconv.Itoa(int(peer)))).Set(v)
 }
 
+// endSpan closes sp with f's trace arguments, built only when the node
+// traces.
+func (no *nodeObs) endSpan(sp obs.Span, f *cosmicnet.Frame, flowKey string) {
+	if no.tracer() != nil {
+		sp.EndArgs(traceArgs(f, flowKey))
+	}
+}
+
 // traceArgs builds the span arguments that let the merger draw flow arrows:
 // the frame's trace ID plus its span ID under flowKey (obs.ArgFlowOut on
-// send spans, obs.ArgFlowIn on receive spans).
+// send spans, obs.ArgFlowIn on receive spans, "" for no arrow).
 func traceArgs(f *cosmicnet.Frame, flowKey string) map[string]any {
 	args := map[string]any{"seq": f.Seq}
 	if f.TraceID != 0 {
 		args[obs.ArgTraceID] = obs.IDString(f.TraceID)
 	}
-	if f.SpanID != 0 {
+	if f.SpanID != 0 && flowKey != "" {
 		args[flowKey] = obs.IDString(f.SpanID)
 	}
 	if f.Chunked() {

@@ -383,6 +383,9 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	return nil
 }
 
+// round returns the sequence number Reset last armed.
+func (ab *AggregationBuffer) round() uint32 { return uint32(ab.seqWord.Load()) }
+
 // stale reports whether Reset has armed a round other than seq.
 func (ab *AggregationBuffer) stale(seq uint32) bool {
 	w := ab.seqWord.Load()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -194,7 +195,13 @@ func TestMonitorFlagsInjectedStraggler(t *testing.T) {
 		if model, _, err = cl.Train(model, 1); err != nil {
 			t.Fatal(err)
 		}
-		flagged = mon.Observe(cl.ScrapeLatencies())
+		latencies := map[string]float64{}
+		for _, n := range cl.Nodes() {
+			if h := n.Health(); h.LastRoundSeconds > 0 {
+				latencies[strconv.Itoa(int(h.ID))] = h.LastRoundSeconds
+			}
+		}
+		flagged = mon.Observe(latencies)
 	}
 	if err := cl.Shutdown(); err != nil {
 		t.Fatal(err)
