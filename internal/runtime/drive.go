@@ -68,7 +68,7 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 	// on that span of the model. No member can complete a chunk before the
 	// master's own local push, and the broadcast is done by then, so cur is
 	// never mutated while a send reads it.
-	m.agg.SetOnComplete(func(idx int, span []float64, weight float64) {
+	m.agg.SetOnComplete(func(idx int, _ uint32, span []float64, weight float64) {
 		out := cur[idx*m.cfg.ChunkWords : idx*m.cfg.ChunkWords+len(span)]
 		switch cfg.Agg {
 		case dsl.AggAverage:

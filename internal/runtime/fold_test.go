@@ -96,7 +96,7 @@ func FuzzAggregationFold(f *testing.F) {
 			ab.Reset(round)
 			spans := make([][]float64, chunks)
 			weights := make([]float64, chunks)
-			ab.SetOnComplete(func(idx int, span []float64, weight float64) {
+			ab.SetOnComplete(func(idx int, _ uint32, span []float64, weight float64) {
 				spans[idx] = append([]float64(nil), span...)
 				weights[idx] = weight
 			})

@@ -263,33 +263,12 @@ func (n *Node) noteRound(seq uint32, d time.Duration) {
 // alongside the node's own wire events.
 func (n *Node) Flight() *obs.FlightRecorder { return n.flight }
 
-// DumpFlight writes the node's flight-recorder contents to a file named
-// node-<id>.flight in dir (created if needed) and returns its path.
-func (n *Node) DumpFlight(dir string) (string, error) {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("node-%d.flight", n.cfg.ID))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if _, err := n.flight.Dump(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
 // dumpDiagnostics is the round-failure bundle: it marks reason in each
 // node's flight recorder and dumps them all into one fresh directory under
-// the OS temp directory ($TMPDIR), returning its path. Best-effort: nodes
-// whose dump fails are skipped so a sick node cannot block the bundle, and
-// a directory that cannot be made yields a placeholder path so the caller's
-// error message stays useful.
+// the OS temp directory ($TMPDIR), one node-<id>.flight file per node,
+// returning its path. Best-effort: nodes whose dump fails are skipped so a
+// sick node cannot block the bundle, and a directory that cannot be made
+// yields a placeholder path so the caller's error message stays useful.
 func dumpDiagnostics(reason string, nodes ...*Node) string {
 	dir, err := os.MkdirTemp("", "cosmic-diag-*")
 	if err != nil {
@@ -297,7 +276,12 @@ func dumpDiagnostics(reason string, nodes ...*Node) string {
 	}
 	for _, n := range nodes {
 		n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: reason, Seq: n.lastSeq.Load()})
-		_, _ = n.DumpFlight(dir)
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("node-%d.flight", n.cfg.ID)))
+		if err != nil {
+			continue
+		}
+		_, _ = n.flight.Dump(f)
+		f.Close()
 	}
 	return dir
 }
@@ -904,11 +888,18 @@ func (n *Node) sigmaRound(f *cosmicnet.Frame, fail <-chan error, diag func(reaso
 // ships upstream, so the master starts folding this group's early chunks
 // while later ones are still crossing the group's own links. It runs on
 // aggregation workers; sendUpstream serializes the writes.
-func (n *Node) forwardChunk(idx int, span []float64, weight float64) {
+func (n *Node) forwardChunk(idx int, seq uint32, span []float64, weight float64) {
+	// Reset(seq+1) can land between a late member completing a chunk of a
+	// round the group sat out and this callback: the master has moved on, so
+	// drop it. Load the trace ID first, as sigmaRound stores it after Reset.
+	traceID := n.roundTrace.Load()
+	if n.agg.stale(seq) {
+		return
+	}
 	n.obs.sent(len(span))
 	if err := n.sendUpstream(&cosmicnet.Frame{
-		Type: cosmicnet.MsgGroupAggregate, Seq: n.agg.round(), From: n.cfg.ID,
-		Weight: weight, Payload: span, TraceID: n.roundTrace.Load(),
+		Type: cosmicnet.MsgGroupAggregate, Seq: seq, From: n.cfg.ID,
+		Weight: weight, Payload: span, TraceID: traceID,
 		ChunkIndex: uint32(idx), ChunkCount: uint32(n.agg.ChunkCount()),
 		ChunkOffset: uint32(idx * n.cfg.ChunkWords),
 	}); err != nil {

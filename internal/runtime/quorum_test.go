@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cosmicnet"
 )
 
 // waitCompleteGuarded runs WaitComplete under a generous real-time
@@ -332,4 +334,83 @@ func equalIDs(got, want []uint32) bool {
 		}
 	}
 	return true
+}
+
+// TestLateChunkCannotForwardIntoNextRound pins a group Sigma's forwarding
+// after a round it sat out: a late member completes a chunk of round k just
+// as the next model arrives, so Reset(k+1) lands between the completion and
+// the forwarding callback. No frame may reach the master stamped k+1 but
+// round k+1's own aggregate.
+func TestLateChunkCannotForwardIntoNextRound(t *testing.T) {
+	const words, k = 8, 5
+	ln, err := cosmicnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	g, err := StartNode(NodeConfig{
+		ID: 1, Role: RoleGroupSigma, MemberIDs: []uint32{1, 2}, ModelSize: words,
+		RoundPolicy: RoundPolicy{ChunkWords: words}, UpstreamAddr: ln.Addr().String(),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.connectUpstream(); err != nil {
+		t.Fatal(err)
+	}
+	master, err := ln.AcceptConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	if f, err := master.Recv(); err != nil || f.Type != cosmicnet.MsgHello {
+		t.Fatalf("want the Sigma's hello, got %v, %v", f, err)
+	}
+	fill := func(v float64) []float64 {
+		d := make([]float64, words)
+		for i := range d {
+			d[i] = v
+		}
+		return d
+	}
+	add := func(seq, from uint32, v float64) {
+		t.Helper()
+		if err := g.agg.Add(Chunk{Seq: seq, From: from, Data: fill(v), Weight: 1, Last: true}); err != nil {
+			t.Fatalf("round %d, member %d: %v", seq, from, err)
+		}
+	}
+
+	// Round k: the Sigma's own partial is in and member 2 is late.
+	g.agg.Reset(k)
+	add(k, 1, 1)
+	g.agg.SetOnComplete(func(idx int, seq uint32, span []float64, weight float64) {
+		g.agg.Reset(seq + 1) // model k+1 arrives mid-completion
+		g.forwardChunk(idx, seq, span, weight)
+	})
+	add(k, 2, 1e6)
+	g.agg.SetOnComplete(g.forwardChunk)
+	// Round k+1 proper.
+	add(k+1, 1, 2)
+	add(k+1, 2, 3)
+
+	master.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		f, err := master.Recv()
+		if err != nil {
+			t.Fatalf("no round %d aggregate: %v", k+1, err)
+		}
+		if f.Seq != k+1 {
+			continue // a round-k frame is the master's stale filter to drop
+		}
+		if f.Weight != 2 {
+			t.Errorf("round %d aggregate weight %v, want 2", k+1, f.Weight)
+		}
+		for i, v := range f.Payload {
+			if v != 5 {
+				t.Fatalf("round %d aggregate word %d = %v, want 5 (round %d's sum leaked)", k+1, i, v, k)
+			}
+		}
+		return
+	}
 }

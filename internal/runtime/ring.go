@@ -178,8 +178,9 @@ type AggregationBuffer struct {
 	excluded []atomic.Bool
 	// onComplete, when set, runs when a chunk index has every member's
 	// contribution folded, before WaitComplete can observe the completion.
-	// span aliases the buffer's accumulated sum for that chunk.
-	onComplete func(idx int, span []float64, weight float64)
+	// seq is the round the chunk completed in; span aliases the buffer's
+	// accumulated sum for that chunk.
+	onComplete func(idx int, seq uint32, span []float64, weight float64)
 	// pipeline, when set, tracks chunk indexes started but not complete.
 	pipeline *obs.Gauge
 
@@ -257,10 +258,11 @@ func NewAggregationBuffer(n, chunkWords int, members []uint32) (*AggregationBuff
 }
 
 // SetOnComplete installs the per-chunk completion callback. It runs on an
-// aggregation worker with no buffer locks held; span aliases the buffer's
-// sum and must not be retained past the round. Call before the round's
-// first Add.
-func (ab *AggregationBuffer) SetOnComplete(fn func(idx int, span []float64, weight float64)) {
+// aggregation worker with no buffer locks held, so Reset may already have
+// armed the next round when it runs: seq is the round the chunk completed
+// in, not necessarily the one armed now. span aliases the buffer's sum and
+// must not be retained past the round. Call before the round's first Add.
+func (ab *AggregationBuffer) SetOnComplete(fn func(idx int, seq uint32, span []float64, weight float64)) {
 	ab.onComplete = fn
 }
 
@@ -357,7 +359,7 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	// The callback fires before the completion counter moves, so a
 	// WaitComplete return implies every per-chunk callback has finished.
 	if completeNow && ab.onComplete != nil {
-		ab.onComplete(idx, span, chunkWeight)
+		ab.onComplete(idx, c.Seq, span, chunkWeight)
 	}
 
 	ab.wmu.Lock()
@@ -382,9 +384,6 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	ab.done.Broadcast()
 	return nil
 }
-
-// round returns the sequence number Reset last armed.
-func (ab *AggregationBuffer) round() uint32 { return uint32(ab.seqWord.Load()) }
 
 // stale reports whether Reset has armed a round other than seq.
 func (ab *AggregationBuffer) stale(seq uint32) bool {
@@ -483,6 +482,7 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 	if newly == 0 {
 		return 0
 	}
+	seq := uint32(ab.seqWord.Load()) // Exclude runs inside the armed round
 	lastWeight := 0.0
 	startedNow, completed := 0, 0
 	for idx := range ab.states {
@@ -499,7 +499,7 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 		if completeNow {
 			completed++
 			if ab.onComplete != nil {
-				ab.onComplete(idx, span, chunkWeight)
+				ab.onComplete(idx, seq, span, chunkWeight)
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 	run := func(shuffleSeed int64) []float64 {
 		ab := newTestBuffer(t, n, words, members)
 		completed := make(map[int]float64)
-		ab.SetOnComplete(func(idx int, span []float64, weight float64) {
+		ab.SetOnComplete(func(idx int, _ uint32, span []float64, weight float64) {
 			if _, dup := completed[idx]; dup {
 				t.Errorf("chunk %d completed twice", idx)
 			}
