@@ -9,7 +9,21 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/dsl"
 	"repro/internal/ml"
+	"repro/internal/vec"
 )
+
+// eachKernel runs f on the kernels in use and, where those are the AVX
+// ones, again as subtest "portable" on their Go loops, so neither
+// implementation can rot.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	f(t)
+	if vec.Accelerated() {
+		t.Run("portable", func(t *testing.T) {
+			defer vec.SetAccelerated(false)()
+			f(t)
+		})
+	}
+}
 
 // oracleRunBatch is RunBatch's functional contract written the slow, obvious
 // way: every simulated thread runs alone on its own scalar dfg.Arena over its
@@ -116,50 +130,52 @@ func TestRunBatchUnevenPartitions(t *testing.T) {
 	for th, n := range []int{3, 0, 1, 5, 0, 0, 2, 1, 4, 0, 1} {
 		ragged[th*3%threads] = n
 	}
-	rng := rand.New(rand.NewSource(21))
-	for _, alg := range []ml.Algorithm{
-		&ml.LinearRegression{M: 10},
-		&ml.LogisticRegression{M: 9},
-		&ml.SVM{M: 11},
-		&ml.MLP{In: 6, Hid: 4, Out: 3},
-		&ml.CF{NU: 4, NV: 5, K: 2},
-	} {
-		t.Run(alg.Name(), func(t *testing.T) {
-			prog := compileOn(t, arch.UltraScalePlus, alg, threads, 1, compiler.StyleCoSMIC)
-			model := alg.PackModel(alg.InitModel(rng))
-			batch := randomBatch(alg, 64, rng)
-			shapes := map[string][][]map[string][]float64{
-				"partition-16": packParts(alg, batch[:16], threads),
-				"partition-37": packParts(alg, batch[:37], threads),
-				"partition-64": packParts(alg, batch, threads),
-				"one-vector":   packParts(alg, batch[:1], threads),
-				"empty":        packParts(alg, nil, threads),
-				"ragged":       dealCounts(alg, batch, ragged),
-			}
-			sim := New(prog)
-			for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
-				for name, parts := range shapes {
-					want, err := oracleRunBatch(t, prog, model, parts, 0.05, agg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{1, 2, 3, 0} {
-						sim.SetWorkers(workers)
-						got, err := sim.RunBatch(model, parts, 0.05, agg)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, alg := range []ml.Algorithm{
+			&ml.LinearRegression{M: 10},
+			&ml.LogisticRegression{M: 9},
+			&ml.SVM{M: 11},
+			&ml.MLP{In: 6, Hid: 4, Out: 3},
+			&ml.CF{NU: 4, NV: 5, K: 2},
+		} {
+			t.Run(alg.Name(), func(t *testing.T) {
+				prog := compileOn(t, arch.UltraScalePlus, alg, threads, 1, compiler.StyleCoSMIC)
+				model := alg.PackModel(alg.InitModel(rng))
+				batch := randomBatch(alg, 64, rng)
+				shapes := map[string][][]map[string][]float64{
+					"partition-16": packParts(alg, batch[:16], threads),
+					"partition-37": packParts(alg, batch[:37], threads),
+					"partition-64": packParts(alg, batch, threads),
+					"one-vector":   packParts(alg, batch[:1], threads),
+					"empty":        packParts(alg, nil, threads),
+					"ragged":       dealCounts(alg, batch, ragged),
+				}
+				sim := New(prog)
+				for _, agg := range []dsl.AggregatorKind{dsl.AggAverage, dsl.AggSum} {
+					for name, parts := range shapes {
+						want, err := oracleRunBatch(t, prog, model, parts, 0.05, agg)
 						if err != nil {
-							t.Fatalf("%s agg %v workers %d: %v", name, agg, workers, err)
+							t.Fatal(err)
 						}
-						requirePartialBitEqual(t, want, got.Partial)
-						for th, p := range parts {
-							if got.ThreadVectors[th] != len(p) {
-								t.Fatalf("%s: ThreadVectors[%d] = %d, want %d", name, th, got.ThreadVectors[th], len(p))
+						for _, workers := range []int{1, 2, 3, 0} {
+							sim.SetWorkers(workers)
+							got, err := sim.RunBatch(model, parts, 0.05, agg)
+							if err != nil {
+								t.Fatalf("%s agg %v workers %d: %v", name, agg, workers, err)
+							}
+							requirePartialBitEqual(t, want, got.Partial)
+							for th, p := range parts {
+								if got.ThreadVectors[th] != len(p) {
+									t.Fatalf("%s: ThreadVectors[%d] = %d, want %d", name, th, got.ThreadVectors[th], len(p))
+								}
 							}
 						}
 					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
 // TestRunBatchLowestThreadErrorWins: when several threads hit a bad binding

@@ -37,6 +37,7 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/dsl"
 	"repro/internal/obs"
+	"repro/internal/vec"
 )
 
 // Sim simulates one accelerator chip configured by a compiled program.
@@ -645,13 +646,21 @@ func (s *Sim) runBlock(b *laneBlock, model [][]float64, parts [][][][]float64,
 // count; its gradient sum under AggSum, where a thread with no lane holds a
 // zero sum (leaving it out changes no bit, because a sum that starts at +0
 // is never −0).
+//
+// When every thread has a lane and thread t sits in lane t of the blocks in
+// turn — every thread with as many vectors as the next, a node's
+// AccelEngine at the `deep` and `stack` workloads' shapes — a word's
+// threads are its row's lanes, block after block, and vec.AddLanes adds
+// them in that order. Any other layout (idle threads, or lanes sorted by
+// vector count) takes the scalar loop.
 func (s *Sim) reduce(partial, model [][]float64, agg dsl.AggregatorKind) {
 	if agg != dsl.AggAverage && agg != dsl.AggSum {
 		return
 	}
-	w := s.width
+	w, inOrder := s.width, true
 	for t, pos := range s.pos {
 		s.laneOf[t] = nil
+		inOrder = inOrder && pos == t
 		if pos >= 0 {
 			b := &s.blocks[pos/w]
 			rows := b.lanes.Grads()
@@ -661,52 +670,65 @@ func (s *Sim) reduce(partial, model [][]float64, agg dsl.AggregatorKind) {
 			s.laneOf[t] = rows[pos%w:]
 		}
 	}
-	scale := 1.0
-	if agg == dsl.AggAverage {
-		scale = float64(s.threads)
-	}
 	for i := range s.pairs {
 		out, row := partial[i], s.pairs[i].row
-		var idle []float64
+		switch {
+		case inOrder:
+			clear(out)
+			for t := 0; t < s.threads; t += w {
+				vec.AddLanes(out, s.laneOf[t][row*w:], w, min(w, s.threads-t))
+			}
+		case agg == dsl.AggAverage:
+			s.reduceScalar(out, row, model[i])
+		default:
+			s.reduceScalar(out, row, nil)
+		}
 		if agg == dsl.AggAverage {
-			idle = model[i]
+			vec.AverageInto(out, out, float64(s.threads))
 		}
-		// Four words at a time: each still adds the threads in ascending
-		// order into its own accumulator, and the four chains overlap.
-		e := 0
-		for ; e+4 <= len(out); e += 4 {
-			at := (row + e) * w
-			var a0, a1, a2, a3 float64
-			for _, lane := range s.laneOf {
-				switch {
-				case lane != nil:
-					v := lane[at : at+3*w+1]
-					a0 += v[0]
-					a1 += v[w]
-					a2 += v[2*w]
-					a3 += v[3*w]
-				case idle != nil:
-					v := idle[e : e+4]
-					a0 += v[0]
-					a1 += v[1]
-					a2 += v[2]
-					a3 += v[3]
-				}
+	}
+}
+
+// reduceScalar writes into out the sums of the words from the given row on,
+// thread by thread in ascending order; a thread with no lane adds idle's
+// word, or nothing when idle is nil.
+func (s *Sim) reduceScalar(out []float64, row int, idle []float64) {
+	w := s.width
+	// Four words at a time: each still adds the threads in ascending order
+	// into its own accumulator, and the four chains overlap.
+	e := 0
+	for ; e+4 <= len(out); e += 4 {
+		at := (row + e) * w
+		var a0, a1, a2, a3 float64
+		for _, lane := range s.laneOf {
+			switch {
+			case lane != nil:
+				v := lane[at : at+3*w+1]
+				a0 += v[0]
+				a1 += v[w]
+				a2 += v[2*w]
+				a3 += v[3*w]
+			case idle != nil:
+				v := idle[e : e+4]
+				a0 += v[0]
+				a1 += v[1]
+				a2 += v[2]
+				a3 += v[3]
 			}
-			out[e], out[e+1], out[e+2], out[e+3] = a0/scale, a1/scale, a2/scale, a3/scale
 		}
-		for ; e < len(out); e++ {
-			at, acc := (row+e)*w, 0.0
-			for _, lane := range s.laneOf {
-				switch {
-				case lane != nil:
-					acc += lane[at]
-				case idle != nil:
-					acc += idle[e]
-				}
+		out[e], out[e+1], out[e+2], out[e+3] = a0, a1, a2, a3
+	}
+	for ; e < len(out); e++ {
+		at, acc := (row+e)*w, 0.0
+		for _, lane := range s.laneOf {
+			switch {
+			case lane != nil:
+				acc += lane[at]
+			case idle != nil:
+				acc += idle[e]
 			}
-			out[e] = acc / scale
 		}
+		out[e] = acc
 	}
 }
 

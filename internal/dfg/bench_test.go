@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dfg"
 	"repro/internal/dsl"
+	"repro/internal/vec"
 )
 
 // BenchmarkTranslate is the Translator's own number: DSL unit → graph for
@@ -102,5 +103,104 @@ func BenchmarkTapeEval(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/sample")
 			})
 		}
+	}
+}
+
+// BenchmarkLanesEval is a node's lane arena at the `deep` workload's shape
+// — mnist@0.05 in the trainer layout, 32 lanes, one SGD step per Eval —
+// timed in the three parts the simulator runs it in: eval (the lane
+// program and its update tail, in ns per program instruction or tail row
+// over all 32 lanes), bind (BindModel's broadcast, ns per model word) and
+// reduce (the cross-thread sum and average Sim.reduce applies to the model
+// block, ns per model word). Each runs on the kernels in use and, where
+// those are the AVX ones, on their portable Go loops.
+func BenchmarkLanesEval(b *testing.B) {
+	const width = 32
+	bm, err := dataset.ByName("mnist")
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg := bm.Algorithm(0.05)
+	unit, err := dsl.ParseAndAnalyze(alg.DSLSource(), alg.DSLParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := dfg.Translate(unit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tape, err := g.CompileTape()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs, err := unit.ModelGradientPairs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := alg.PackModel(alg.InitModel(rand.New(rand.NewSource(1))))
+	var layout dfg.LaneLayout
+	var vecs [][]float64
+	for _, pr := range pairs {
+		outs := g.Outputs[pr[1].Name]
+		layout.Model = append(layout.Model, dfg.ModelSpan{Name: pr[0].Name, Words: len(outs)})
+		for _, o := range outs {
+			layout.Grads = append(layout.Grads, int(o))
+		}
+		vecs = append(vecs, model[pr[0].Name])
+	}
+	words := len(layout.Grads)
+	la := tape.NewLanes(width, layout)
+	instrs := dfg.LaneInstrs(la)
+	samples := bm.Generate(alg, width, 7)
+	for l := 0; l < width; l++ {
+		data := alg.PackSample(samples[l])
+		dv := make([][]float64, 0, len(tape.DataSymbols()))
+		for _, name := range tape.DataSymbols() {
+			dv = append(dv, data[name])
+		}
+		if err := la.BindData(l, dv); err != nil {
+			b.Fatal(err)
+		}
+	}
+	partial := make([]float64, words)
+
+	impls := []string{"portable"}
+	if vec.Accelerated() {
+		impls = []string{"avx", "portable"}
+	}
+	for _, impl := range impls {
+		b.Run("eval/"+impl, func(b *testing.B) {
+			defer vec.SetAccelerated(impl == "avx")()
+			if err := la.BindModel(vecs); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				la.Eval(width, dfg.UpdateStep, 1e-9)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/sample")
+		})
+		b.Run("bind/"+impl, func(b *testing.B) {
+			defer vec.SetAccelerated(impl == "avx")()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := la.BindModel(vecs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+		})
+		b.Run("reduce/"+impl, func(b *testing.B) {
+			defer vec.SetAccelerated(impl == "avx")()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(partial)
+				vec.AddLanes(partial, la.Model(), width, width)
+				vec.AverageInto(partial, partial, width)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+		})
 	}
 }

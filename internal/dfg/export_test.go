@@ -1,5 +1,7 @@
 package dfg
 
+import "repro/internal/vec"
+
 // CheckWork exposes the translator's size bound to the external tests.
 var CheckWork = checkWork
 
@@ -8,7 +10,38 @@ var CheckWork = checkWork
 // those the temporaries.
 func LaneShape(la *Lanes) (instrs, tail, fallback, rows, temps int) {
 	rows = len(la.vals) / la.width
-	return len(la.prog), len(la.tail), len(la.fallback), rows, len(laneTemps(la))
+	return len(laneProgram(la)), len(la.tail), len(la.fallback), rows, len(laneTemps(la))
+}
+
+// LaneInstrs returns how many instructions an Eval runs: the lane program's
+// and its update tail's.
+func LaneInstrs(la *Lanes) int { return len(laneProgram(la)) + len(la.tail) }
+
+// laneProgram returns the lane program one instruction per tape
+// instruction (or fused product-sum), its packed runs turned back into
+// laneInstrs on rows.
+func laneProgram(la *Lanes) []laneInstr {
+	ops := map[vec.Op]Op{}
+	for op, p := range packedOps {
+		ops[p.op] = op
+	}
+	w := int32(la.width)
+	var prog []laneInstr
+	for _, li := range la.prog {
+		if li.op != opKernels {
+			prog = append(prog, li)
+			continue
+		}
+		for _, in := range la.kern[li.a:li.b] {
+			op := ops[in.Op]
+			rows, offs := [4]int32{-1, -1, -1, -1}, [...]int32{in.A, in.B, in.C, in.E}
+			for i := 0; i < packedOps[op].args; i++ {
+				rows[i] = offs[i] / w
+			}
+			prog = append(prog, laneInstr{op: op, dst: in.D / w, a: rows[0], b: rows[1], c: rows[2], e: rows[3]})
+		}
+	}
+	return prog
 }
 
 // laneTemps returns the rows that hold temporaries: the program's rows that
@@ -19,7 +52,7 @@ func laneTemps(la *Lanes) map[int32]bool {
 		stable[r] = true
 	}
 	temps := map[int32]bool{}
-	for _, in := range la.prog {
+	for _, in := range laneProgram(la) {
 		for _, r := range [...]int32{in.dst, in.a, in.b, in.c, in.e} {
 			if r >= int32(2*la.words) && !stable[r] {
 				temps[r] = true
@@ -40,11 +73,11 @@ func LanePeakLive(la *Lanes) int {
 		write int32
 	}
 	var seq []access
-	for _, in := range la.prog {
+	for _, in := range laneProgram(la) {
 		seq = append(seq, access{reads: []int32{in.a, in.b, in.c, in.e}, write: in.dst})
 	}
 	for _, tp := range la.tail {
-		seq = append(seq, access{reads: []int32{tp.a, tp.b}, write: -1})
+		seq = append(seq, access{reads: []int32{tp.A / int32(la.width), tp.B / int32(la.width)}, write: -1})
 	}
 	// delta[i] counts values born at i minus values that died before i.
 	delta := make([]int, len(seq)+1)

@@ -3,6 +3,8 @@ package dfg
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/vec"
 )
 
 // Lanes is the lane-major (structure-of-arrays) twin of Arena: width
@@ -48,10 +50,13 @@ type Lanes struct {
 	// data is the tape's data bindings with their loads' slots replaced by
 	// rows.
 	data []symBinding
-	// prog is the lane program; tail computes the fused gradient rows, and
-	// fallback names the value row of every other gradient row.
+	// prog is the lane program: its arithmetic runs as packed instructions
+	// in kern, each maximal run of them behind one opKernels instruction.
+	// tail computes the fused gradient rows, and fallback names the value
+	// row of every other gradient row.
 	prog     []laneInstr
-	tail     []laneProduct
+	kern     []vec.Instr
+	tail     []vec.Product
 	fallback []rowCopy
 }
 
@@ -92,8 +97,8 @@ type ModelSpan struct {
 type rowCopy struct{ to, from int32 }
 
 // laneInstr is one lane-program instruction: a tape instruction with its
-// operands resolved to rows, or a fused product-sum whose fourth operand is
-// e.
+// operands resolved to rows, a fused product-sum whose fourth operand is e,
+// or an opKernels that runs the packed instructions kern[a:b].
 type laneInstr struct {
 	op           Op
 	dst, a, b, c int32
@@ -113,7 +118,18 @@ const (
 	opMulAdd    Op = OpSign + 1 + iota // d = float64(a*b) + c
 	opAddMul                           // d = a + float64(b*c)
 	opMulMulAdd                        // d = float64(a*b) + float64(c*e)
+	opKernels                          // a run of packed instructions
 )
+
+// packedOps maps the lane program's arithmetic to the packed instructions
+// that run it, with the number of operands each reads.
+var packedOps = map[Op]struct {
+	op   vec.Op
+	args int
+}{
+	OpAdd: {vec.Add, 2}, OpSub: {vec.Sub, 2}, OpMul: {vec.Mul, 2},
+	opMulAdd: {vec.MulAdd, 3}, opAddMul: {vec.AddMul, 3}, opMulMulAdd: {vec.MulMulAdd, 4},
+}
 
 // ModelSymbols returns the names of the model symbols the tape reads, in
 // binding order: the default model block layout.
@@ -175,7 +191,7 @@ func (t *Tape) NewLanes(width int, layout LaneLayout) *Lanes {
 	la.vals = make([]float64, nRows*width)
 	for s, c := range t.template {
 		if math.Float64bits(c) != 0 { // −0 too
-			fillRow(la.Row(s), c)
+			vec.Broadcast(la.Row(s), t.template[s:s+1], width)
 		}
 	}
 	la.data = make([]symBinding, len(t.data))
@@ -190,8 +206,8 @@ func (t *Tape) NewLanes(width int, layout LaneLayout) *Lanes {
 }
 
 // lower builds the lane program, its update tail and fallback rows on the
-// model rows la.rows already holds, gives every other slot its row, and
-// returns the arena's row count.
+// model rows la.rows already holds, gives every other slot its row, packs
+// the program's arithmetic and the tail, and returns the arena's row count.
 //
 // The program fuses every OpMul whose one reader is an OpAdd operand — not
 // an output, not read twice (add(m, m)) — into that add. A gradient row
@@ -236,6 +252,7 @@ func (la *Lanes) lower(t *Tape, grads []int) int {
 		return &t.instrs[def[x]]
 	}
 	skip := make([]bool, len(t.instrs)) // fused into an add, or into the tail
+	var tail []laneProduct
 	for _, in := range t.instrs {
 		if in.op != OpAdd {
 			continue
@@ -255,7 +272,7 @@ func (la *Lanes) lower(t *Tape, grads []int) int {
 			if in := t.instrs[d]; in.op == OpMul && !isModel(in.a) && !isModel(in.b) {
 				skip[d] = true
 				rows[s] = words + int32(r)
-				la.tail = append(la.tail, laneProduct{a: in.a, b: in.b, r: int32(r)}) // slots until rows are placed
+				tail = append(tail, laneProduct{a: in.a, b: in.b, r: int32(r)}) // slots until rows are placed
 				continue
 			}
 		}
@@ -290,12 +307,53 @@ func (la *Lanes) lower(t *Tape, grads []int) int {
 		}
 		prog = append(prog, li)
 	}
-	next = placeTemps(prog, la.tail, rows, next)
+	next = placeTemps(prog, tail, rows, next)
 	for i := range la.fallback {
 		la.fallback[i].from = rows[la.fallback[i].from]
 	}
-	la.prog = prog
+	la.pack(prog, tail, next)
 	return int(next)
+}
+
+// pack puts the program's arithmetic and the update tail on the packed
+// kernels: each maximal run of arithmetic becomes one opKernels instruction
+// over its packed twins in la.kern, and each tail row a vec.Product, their
+// rows turned into offsets. The kernels index the arena unchecked, so pack
+// panics unless every row they name lies inside its rows; Eval then keeps
+// every call within the width.
+func (la *Lanes) pack(prog []laneInstr, tail []laneProduct, rows int32) {
+	if int64(rows)*int64(la.width) > math.MaxInt32 {
+		panic("dfg: lane arena too large for its row offsets")
+	}
+	off := func(r int32) int32 {
+		if r < 0 || r >= rows {
+			panic(fmt.Sprintf("dfg: lane row %d outside the arena's %d rows", r, rows))
+		}
+		return r * int32(la.width)
+	}
+	for _, li := range prog {
+		p, ok := packedOps[li.op]
+		if !ok {
+			la.prog = append(la.prog, li)
+			continue
+		}
+		if k := len(la.prog) - 1; k < 0 || la.prog[k].op != opKernels {
+			la.prog = append(la.prog, laneInstr{op: opKernels, a: int32(len(la.kern))})
+		}
+		in := vec.Instr{Op: p.op, D: off(li.dst), A: off(li.a), B: off(li.b)}
+		if p.args > 2 {
+			in.C = off(li.c)
+		}
+		if p.args > 3 {
+			in.E = off(li.e)
+		}
+		la.kern = append(la.kern, in)
+		la.prog[len(la.prog)-1].b = int32(len(la.kern))
+	}
+	for _, tp := range tail {
+		off(tp.r + int32(la.words)) // the gradient block row Sum and Prod write
+		la.tail = append(la.tail, vec.Product{M: off(tp.r), A: off(tp.a), B: off(tp.b)})
+	}
 }
 
 // placeTemps gives the temporaries — the slots rows leaves at −1 — rows
@@ -409,13 +467,11 @@ func (la *Lanes) BindModel(vecs [][]float64) error {
 	}
 	w, first := la.width, 0
 	for i, sp := range la.spans {
-		vec := vecs[i]
-		if len(vec) > sp.Words {
-			vec = vec[:sp.Words]
+		v := vecs[i]
+		if len(v) > sp.Words {
+			v = v[:sp.Words]
 		}
-		for e, v := range vec {
-			fillRow(la.vals[(first+e)*w:][:w], v)
-		}
+		vec.Broadcast(la.vals[first*w:], v, w)
 		first += sp.Words
 	}
 	return nil
@@ -439,64 +495,38 @@ func (la *Lanes) BindData(lane int, vecs [][]float64) error {
 	return nil
 }
 
-func fillRow(row []float64, v float64) {
-	for l := range row {
-		row[l] = v
-	}
-}
-
 // Eval executes the lane program on lanes [0, n), then its update tail and
 // the fallback rows under the given update. Results stay in the arena (read
 // them with Row, Model and Grads); like Arena.Eval it never allocates and
-// never fails.
+// never fails. It panics if n is outside [0, width].
 //
 // Each case applies, lane by lane, the expression Arena.Eval applies to its
 // one lane; the operand rows are cut to the destination's length first so
-// the inner loops carry no bounds checks. Both steps write m − float64(lr·g)
-// with g already rounded, and the sum adds float64(a·b): the explicit
-// conversions forbid the compiler from contracting a product with the
-// subtraction or add that follows (the FMSUB the Go spec allows for
-// m -= lr*g on arm64), so every GOARCH updates a lane as one Arena
-// evaluation followed by a separate step or sum would. Under UpdateStep
-// every fallback gradient is copied into its gradient block row before the
-// tail rewrites any model row, since the gradient may be a model leaf.
+// the inner loops carry no bounds checks. The arithmetic — add, subtract,
+// multiply, the fused product-sums — and the tail run on package vec's
+// kernels, one call per run of instructions: they compute the same
+// expressions to the bit. Both steps write m − float64(lr·g) with g already
+// rounded, and the sum adds float64(a·b): the explicit conversions forbid
+// the compiler from contracting a product with the subtraction or add that
+// follows (the FMSUB the Go spec allows for m -= lr*g on arm64), so every
+// GOARCH updates a lane as one Arena evaluation followed by a separate step
+// or sum would. Under UpdateStep every fallback gradient is copied into its
+// gradient block row before the tail rewrites any model row, since the
+// gradient may be a model leaf.
 func (la *Lanes) Eval(n int, up Update, lr float64) {
+	if n < 0 || n > la.width {
+		panic(fmt.Sprintf("dfg: %d lanes of a %d-lane arena", n, la.width))
+	}
 	w, vals := la.width, la.vals
 	row := func(r int32) []float64 { return vals[int(r)*w:][:n] }
 	for i := range la.prog {
 		in := &la.prog[i]
+		if in.op == opKernels {
+			vec.Run(vals, la.kern[in.a:in.b], n)
+			continue
+		}
 		d, a := row(in.dst), row(in.a)
 		switch in.op {
-		case opMulMulAdd:
-			b, c, e := row(in.b), row(in.c), row(in.e)
-			for l := range d {
-				d[l] = float64(a[l]*b[l]) + float64(c[l]*e[l])
-			}
-		case opMulAdd:
-			b, c := row(in.b), row(in.c)
-			for l := range d {
-				d[l] = float64(a[l]*b[l]) + c[l]
-			}
-		case opAddMul:
-			b, c := row(in.b), row(in.c)
-			for l := range d {
-				d[l] = a[l] + float64(b[l]*c[l])
-			}
-		case OpAdd:
-			b := row(in.b)
-			for l := range d {
-				d[l] = a[l] + b[l]
-			}
-		case OpSub:
-			b := row(in.b)
-			for l := range d {
-				d[l] = a[l] - b[l]
-			}
-		case OpMul:
-			b := row(in.b)
-			for l := range d {
-				d[l] = a[l] * b[l]
-			}
 		case OpDiv:
 			b := row(in.b)
 			for l := range d {
@@ -597,13 +627,7 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 		for _, f := range la.fallback {
 			copy(row(g+f.to), row(f.from))
 		}
-		for i := range la.tail {
-			tp := &la.tail[i]
-			m, a, b := row(tp.r), row(tp.a), row(tp.b)
-			for l := range m {
-				m[l] -= float64(lr * float64(a[l]*b[l]))
-			}
-		}
+		vec.Step(vals, la.tail, n, lr)
 		for _, f := range la.fallback {
 			m, d := row(f.to), row(g+f.to)
 			for l := range m {
@@ -611,13 +635,7 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 			}
 		}
 	case UpdateSum:
-		for i := range la.tail {
-			tp := &la.tail[i]
-			sum, a, b := row(g+tp.r), row(tp.a), row(tp.b)
-			for l := range sum {
-				sum[l] += float64(a[l] * b[l])
-			}
-		}
+		vec.Sum(vals, la.tail, int(g)*w, n)
 		for _, f := range la.fallback {
 			sum, d := row(g+f.to), row(f.from)
 			for l := range sum {
@@ -625,13 +643,7 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 			}
 		}
 	default:
-		for i := range la.tail {
-			tp := &la.tail[i]
-			d, a, b := row(g+tp.r), row(tp.a), row(tp.b)
-			for l := range d {
-				d[l] = a[l] * b[l]
-			}
-		}
+		vec.Prod(vals, la.tail, int(g)*w, n)
 		for _, f := range la.fallback {
 			copy(row(g+f.to), row(f.from))
 		}

@@ -8,7 +8,21 @@ import (
 	"testing"
 
 	"repro/internal/dsl"
+	"repro/internal/vec"
 )
+
+// eachKernel runs f on the kernels in use and, where those are the AVX
+// ones, again as subtest "portable" on their Go loops, so neither
+// implementation can rot.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	f(t)
+	if vec.Accelerated() {
+		t.Run("portable", func(t *testing.T) {
+			defer vec.SetAccelerated(false)()
+			f(t)
+		})
+	}
+}
 
 // symVecs resolves a binding map in a lane arena's binding order (a
 // missing symbol is a nil vector).
@@ -67,46 +81,48 @@ func TestLanesMatchScalarArenaAllOps(t *testing.T) {
 		cases = append(cases, [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
 	}
 
-	arena := tape.NewArena()
-	for _, width := range []int{1, 3, 16, 32} {
-		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
-			la := tape.NewLanes(width, LaneLayout{})
-			for at := 0; at < len(cases); at += width {
-				n := min(width, len(cases)-at)
-				// The broadcast gives every lane one model; each lane then
-				// gets its own through the leaf's row, its model block row.
-				if err := la.BindModel(symVecs(tape.ModelSymbols(), map[string][]float64{"w": {7}})); err != nil {
-					t.Fatal(err)
-				}
-				for l := 0; l < n; l++ {
-					c := cases[at+l]
-					if err := la.BindData(l, symVecs(tape.DataSymbols(), map[string][]float64{"x": {c[0], c[1]}})); err != nil {
+	eachKernel(t, func(t *testing.T) {
+		arena := tape.NewArena()
+		for _, width := range []int{1, 3, 16, 32} {
+			t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+				la := tape.NewLanes(width, LaneLayout{})
+				for at := 0; at < len(cases); at += width {
+					n := min(width, len(cases)-at)
+					// The broadcast gives every lane one model; each lane then
+					// gets its own through the leaf's row, its model block row.
+					if err := la.BindModel(symVecs(tape.ModelSymbols(), map[string][]float64{"w": {7}})); err != nil {
 						t.Fatal(err)
 					}
-					la.Row(wSlot)[l] = c[2]
+					for l := 0; l < n; l++ {
+						c := cases[at+l]
+						if err := la.BindData(l, symVecs(tape.DataSymbols(), map[string][]float64{"x": {c[0], c[1]}})); err != nil {
+							t.Fatal(err)
+						}
+						la.Row(wSlot)[l] = c[2]
+					}
+					la.Eval(n, UpdateNone, 0)
+					for l := 0; l < n; l++ {
+						c := cases[at+l]
+						b := Bindings{
+							Data:  map[string][]float64{"x": {c[0], c[1]}},
+							Model: map[string][]float64{"w": {c[2]}},
+						}
+						got := laneOutputs(g, la, l)
+						want, err := arena.EvalBindings(b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireBitEqual(t, want, got)
+						want, err = g.Eval(b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireBitEqual(t, want, got)
+					}
 				}
-				la.Eval(n, UpdateNone, 0)
-				for l := 0; l < n; l++ {
-					c := cases[at+l]
-					b := Bindings{
-						Data:  map[string][]float64{"x": {c[0], c[1]}},
-						Model: map[string][]float64{"w": {c[2]}},
-					}
-					got := laneOutputs(g, la, l)
-					want, err := arena.EvalBindings(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireBitEqual(t, want, got)
-					want, err = g.Eval(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireBitEqual(t, want, got)
-				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
 // TestLanesMatchArenaOnBenchmarks runs every DSL benchmark program with a
@@ -252,8 +268,9 @@ func TestLanesFuseProductSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	la := tape.NewLanes(3, LaneLayout{})
+	prog := laneProgram(la)
 	ops := map[Op]int{}
-	for _, in := range la.prog {
+	for _, in := range prog {
 		ops[in.op]++
 	}
 	want := map[Op]int{
@@ -268,8 +285,8 @@ func TestLanesFuseProductSums(t *testing.T) {
 			t.Errorf("lane program has %d %v, want %d (all: %v)", ops[op], op, n, ops)
 		}
 	}
-	if len(la.prog) != tape.NumInstrs()-4 {
-		t.Errorf("lane program has %d instructions, tape %d: want 4 products fused away", len(la.prog), tape.NumInstrs())
+	if len(prog) != tape.NumInstrs()-4 {
+		t.Errorf("lane program has %d instructions, tape %d: want 4 products fused away", len(prog), tape.NumInstrs())
 	}
 
 	hi, lo := 1+math.Ldexp(1, -30), 1-math.Ldexp(1, -30)
@@ -537,21 +554,23 @@ func TestLanesFusedUpdateMatchesArena(t *testing.T) {
 		cases[name] = laneCase{g: g, layout: layout, tail: tail}
 	}
 
-	rng := rand.New(rand.NewSource(47))
-	for name, c := range cases {
-		t.Run(name, func(t *testing.T) {
-			tape, err := c.g.CompileTape()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, width := range []int{1, 3, 16, 32, 33} {
-				if la := tape.NewLanes(width, c.layout); len(la.tail) != c.tail {
-					t.Fatalf("%d gradient rows fused, want %d", len(la.tail), c.tail)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		for name, c := range cases {
+			t.Run(name, func(t *testing.T) {
+				tape, err := c.g.CompileTape()
+				if err != nil {
+					t.Fatal(err)
 				}
-				checkLaneUpdates(t, tape, c.layout, width, specialDraw(rng))
-			}
-		})
-	}
+				for _, width := range []int{1, 3, 16, 32, 33} {
+					if la := tape.NewLanes(width, c.layout); len(la.tail) != c.tail {
+						t.Fatalf("%d gradient rows fused, want %d", len(la.tail), c.tail)
+					}
+					checkLaneUpdates(t, tape, c.layout, width, specialDraw(rng))
+				}
+			})
+		}
+	})
 }
 
 // TestLanesRowRefusesTemporaries: a slot whose row later values reuse has

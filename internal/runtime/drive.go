@@ -2,10 +2,10 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cosmicnet"
 	"repro/internal/dsl"
+	"repro/internal/vec"
 )
 
 // DriveConfig parameterizes the master Sigma's training loop, independent
@@ -72,7 +72,7 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 		out := cur[idx*m.cfg.ChunkWords : idx*m.cfg.ChunkWords+len(span)]
 		switch cfg.Agg {
 		case dsl.AggAverage:
-			averageInto(out, span, weight)
+			vec.AverageInto(out, span, weight)
 		case dsl.AggSum:
 			for j, v := range span {
 				out[j] -= scale * v
@@ -93,25 +93,4 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 	}
 	stats.RoundP50, stats.RoundP95, stats.RoundMax = summarizeRounds(stats.RoundDurations)
 	return cur, stats, nil
-}
-
-// averageInto writes span / weight into out, which is span's length. A
-// weight that is a power of two in the normal range has an exact
-// reciprocal, and v times it rounds the same real number v / weight does,
-// so that weight is applied as a multiply: the same bits for every v,
-// signed zeros, denormals, infinities and NaN included. Any other weight
-// (a quorum round's 3, say) divides.
-func averageInto(out, span []float64, weight float64) {
-	out = out[:len(span)]
-	const expMask, fracMask = 0x7ff << 52, 1<<52 - 1
-	if b := math.Float64bits(weight); b&fracMask == 0 && b&expMask != 0 && b&expMask != expMask {
-		inv := 1 / weight
-		for j, v := range span {
-			out[j] = v * inv
-		}
-		return
-	}
-	for j, v := range span {
-		out[j] = v / weight
-	}
 }

@@ -237,24 +237,3 @@ func TestStaleChunkCannotCrossReset(t *testing.T) {
 		}
 	}
 }
-
-// TestAverageIntoMatchesDivision pins the average apply to v / weight bit
-// for bit: the power-of-two weights take the reciprocal multiply, the
-// others divide.
-func TestAverageIntoMatchesDivision(t *testing.T) {
-	vals := append([]float64(nil), edgeFloats...)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 4096; i++ {
-		vals = append(vals, math.Float64frombits(rng.Uint64()))
-	}
-	out := make([]float64, len(vals))
-	for _, w := range []float64{1, 2, 3, 4, 5, 8} {
-		averageInto(out, vals, w)
-		for i, v := range vals {
-			if want := v / w; math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("weight %g: %v (%#x) averaged to %#x, want %#x",
-					w, v, math.Float64bits(v), math.Float64bits(out[i]), math.Float64bits(want))
-			}
-		}
-	}
-}

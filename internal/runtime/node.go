@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,8 +166,10 @@ type Node struct {
 	ring *CircularBuffer
 	agg  *AggregationBuffer
 	// downstream are the member connections a Sigma forwards models to.
-	// Dead ones are pruned on send failure; downSentBase/downRecvBase carry
-	// the pruned connections' byte counters.
+	// The slice is copy-on-write: acceptLoop and pruneDownstream publish a
+	// new one, so a reader may keep the one it read under the lock. Dead
+	// ones are pruned on send failure; downSentBase/downRecvBase carry the
+	// pruned connections' byte counters.
 	downstream                 []*cosmicnet.Conn
 	downstreamMu               sync.Mutex
 	downSentBase, downRecvBase int64
@@ -391,7 +394,7 @@ func (n *Node) acceptLoop() {
 			return // listener closed
 		}
 		n.downstreamMu.Lock()
-		n.downstream = append(n.downstream, conn)
+		n.downstream = append(slices.Clip(n.downstream), conn)
 		n.downstreamMu.Unlock()
 		n.wg.Add(1)
 		go n.readLoop(conn)
@@ -964,7 +967,7 @@ func (n *Node) sendUpstream(f *cosmicnet.Frame) error {
 // merged trace), so the frame is copied per connection.
 func (n *Node) broadcastDownstream(f *cosmicnet.Frame) {
 	n.downstreamMu.Lock()
-	conns := append([]*cosmicnet.Conn(nil), n.downstream...)
+	conns := n.downstream
 	n.downstreamMu.Unlock()
 	// In quorum mode the sends are bounded: the broadcast walks the members
 	// serially, so one flooded socket (a pre-excluded member that fell
@@ -1001,15 +1004,10 @@ func (n *Node) broadcastDownstream(f *cosmicnet.Frame) {
 // counters into the node totals.
 func (n *Node) pruneDownstream(dead *cosmicnet.Conn) {
 	n.downstreamMu.Lock()
-	for i, c := range n.downstream {
-		if c == dead {
-			n.downSentBase += c.BytesSent()
-			n.downRecvBase += c.BytesReceived()
-			n.downstream[i] = n.downstream[len(n.downstream)-1]
-			n.downstream[len(n.downstream)-1] = nil
-			n.downstream = n.downstream[:len(n.downstream)-1]
-			break
-		}
+	if i := slices.Index(n.downstream, dead); i >= 0 {
+		n.downSentBase += dead.BytesSent()
+		n.downRecvBase += dead.BytesReceived()
+		n.downstream = slices.Delete(slices.Clone(n.downstream), i, i+1)
 	}
 	n.downstreamMu.Unlock()
 	dead.Close()

@@ -540,34 +540,48 @@ func (ab *AggregationBuffer) QuorumStatus() (present, excluded, missing []uint32
 // delivers. It reports (true, nil) on completion, (false, nil) on timeout,
 // and (false, err) on node failure. A zero timeout waits forever.
 func (ab *AggregationBuffer) WaitComplete(timeout time.Duration, fail <-chan error) (bool, error) {
+	if timeout <= 0 && fail == nil {
+		// Nothing to watch (a group Sigma's round): no watcher goroutine,
+		// so the wait allocates nothing.
+		ab.wmu.Lock()
+		defer ab.wmu.Unlock()
+		for ab.complete < len(ab.states) {
+			ab.done.Wait()
+		}
+		return true, nil
+	}
+	return ab.waitWatched(timeout, fail)
+}
+
+// waitWatched is WaitComplete with a timeout or a fail channel: a watcher
+// goroutine wakes the wait when either fires.
+func (ab *AggregationBuffer) waitWatched(timeout time.Duration, fail <-chan error) (bool, error) {
 	target := len(ab.states)
 	var timedOut, failed bool
 	var failErr error
 	stop := make(chan struct{})
 	defer close(stop)
-	if timeout > 0 || fail != nil {
-		var timeC <-chan time.Time
-		if timeout > 0 {
-			timer := time.NewTimer(timeout)
-			defer timer.Stop()
-			timeC = timer.C
-		}
-		go func() {
-			select {
-			case <-timeC:
-				ab.wmu.Lock()
-				timedOut = true
-				ab.wmu.Unlock()
-				ab.done.Broadcast()
-			case err := <-fail:
-				ab.wmu.Lock()
-				failed, failErr = true, err
-				ab.wmu.Unlock()
-				ab.done.Broadcast()
-			case <-stop:
-			}
-		}()
+	var timeC <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		timeC = timer.C
 	}
+	go func() {
+		select {
+		case <-timeC:
+			ab.wmu.Lock()
+			timedOut = true
+			ab.wmu.Unlock()
+			ab.done.Broadcast()
+		case err := <-fail:
+			ab.wmu.Lock()
+			failed, failErr = true, err
+			ab.wmu.Unlock()
+			ab.done.Broadcast()
+		case <-stop:
+		}
+	}()
 	ab.wmu.Lock()
 	defer ab.wmu.Unlock()
 	for ab.complete < target {

@@ -1,0 +1,242 @@
+// Package vec holds the packed float64 kernels of the simulated node: the
+// lane program's arithmetic, its update tail, the model broadcast and the
+// cross-thread reduce, each a loop over contiguous floats. On amd64 CPUs
+// with AVX they run four lanes per instruction in assembly; everywhere else
+// they are the Go loops in this file.
+//
+// No bit moves between the two. A packed VMULPD, VADDPD or VSUBPD rounds
+// each element exactly as the scalar MULSD, ADDSD or SUBSD the Go compiler
+// emits for the same expression; no product is ever contracted with the add
+// or subtract that follows it (no FMA, in either implementation); every
+// kernel applies its operands in the Go expression's order; and both run
+// under the MXCSR the Go runtime keeps (round to nearest, no flush to zero).
+// Only a NaN's payload may differ, where two NaNs meet, as it may between
+// Go builds: IEEE 754 leaves that choice open.
+//
+// The kernels that take offsets into an arena (Run, Step, Sum and Prod)
+// trust them: every row they name must lie inside the arena for the lanes
+// they run. The caller checks that once, when it builds the program, and on
+// every call that n stays within the rows' width.
+package vec
+
+import "math"
+
+// Op is a packed instruction's arithmetic.
+type Op int32
+
+// The packed instructions. A product is rounded before the add that reads
+// it, as its own instruction would be.
+const (
+	Add       Op = iota // d = a + b
+	Sub                 // d = a − b
+	Mul                 // d = a · b
+	MulAdd              // d = a·b + c
+	AddMul              // d = a + b·c
+	MulMulAdd           // d = a·b + c·e
+)
+
+// Instr is one packed instruction. Its operands are offsets into the arena,
+// each the first of the lanes' consecutive floats; the ones its op does not
+// read are ignored.
+type Instr struct {
+	Op            Op
+	D, A, B, C, E int32
+}
+
+// Product is one row of an update tail: the product of the rows at A and B
+// steps or lands in the row at M (plus a shift).
+type Product struct{ M, A, B int32 }
+
+// avx selects the assembly kernels; it is false on a CPU or OS without AVX
+// and on every other GOARCH.
+var avx = haveAVX
+
+// Accelerated reports whether the AVX kernels are in use.
+func Accelerated() bool { return avx }
+
+// SetAccelerated turns the AVX kernels on or off, so a test can run both
+// implementations, and returns a func that restores the previous choice.
+// Turning them on has no effect where they cannot run. It must not race
+// with a kernel call.
+func SetAccelerated(on bool) (restore func()) {
+	prev := avx
+	avx = on && haveAVX
+	return func() { avx = prev }
+}
+
+// Run executes prog in order on lanes [0, n) of vals.
+func Run(vals []float64, prog []Instr, n int) {
+	if avx {
+		runAVX(vals, prog, n)
+		return
+	}
+	runGo(vals, prog, n)
+}
+
+// Step applies the SGD step m ← m − lr·(a·b) of every tail row to lanes
+// [0, n).
+func Step(vals []float64, tail []Product, n int, lr float64) {
+	if avx {
+		stepAVX(vals, tail, n, lr)
+		return
+	}
+	stepGo(vals, tail, n, lr)
+}
+
+// Sum adds every tail row's product a·b to the row shift floats past M, in
+// lanes [0, n).
+func Sum(vals []float64, tail []Product, shift, n int) {
+	if avx {
+		sumAVX(vals, tail, shift, n)
+		return
+	}
+	sumGo(vals, tail, shift, n)
+}
+
+// Prod writes every tail row's product a·b to the row shift floats past M,
+// in lanes [0, n).
+func Prod(vals []float64, tail []Product, shift, n int) {
+	if avx {
+		prodAVX(vals, tail, shift, n)
+		return
+	}
+	prodGo(vals, tail, shift, n)
+}
+
+// Broadcast fills row e of dst, the w floats from e·w, with src[e], for
+// every element of src.
+func Broadcast(dst, src []float64, w int) {
+	if w < 0 || len(src)*w > len(dst) {
+		panic("vec: broadcast rows outside the destination")
+	}
+	if avx {
+		broadcastAVX(dst, src, w)
+		return
+	}
+	broadcastGo(dst, src, w)
+}
+
+// AddLanes adds to each acc[e] the first count floats of row e of rows, the
+// stride floats from e·stride, one at a time in ascending order: acc[e] +
+// rows[e·stride] + rows[e·stride+1] + … with each add rounded, as a scalar
+// loop adds them.
+func AddLanes(acc, rows []float64, stride, count int) {
+	if count < 0 || count > stride || len(acc) > 0 && (len(acc)-1)*stride+count > len(rows) {
+		panic("vec: lane rows outside the source")
+	}
+	if avx {
+		addLanesAVX(acc, rows, stride, count)
+		return
+	}
+	addLanesGo(acc, rows, stride, count)
+}
+
+// AverageInto writes span / weight into out, which is span's length. A weight
+// that is a power of two in the normal range has an exact reciprocal, and v
+// times it rounds the same real number v / weight does, so that weight is
+// applied as a multiply: the same bits for every v, signed zeros,
+// denormals, infinities and NaN included. Any other weight divides.
+func AverageInto(out, span []float64, weight float64) {
+	out = out[:len(span)]
+	const expMask, fracMask = 0x7ff << 52, 1<<52 - 1
+	if b := math.Float64bits(weight); b&fracMask == 0 && b&expMask != 0 && b&expMask != expMask {
+		inv := 1 / weight
+		for j, v := range span {
+			out[j] = v * inv
+		}
+		return
+	}
+	for j, v := range span {
+		out[j] = v / weight
+	}
+}
+
+// The portable kernels. The explicit float64 conversions round each
+// product before the add or subtract that reads it, and forbid the
+// compiler from contracting the pair into an FMA on any GOARCH.
+
+func runGo(vals []float64, prog []Instr, n int) {
+	row := func(off int32) []float64 { return vals[off:][:n] }
+	for i := range prog {
+		in := &prog[i]
+		d, a, b := row(in.D), row(in.A), row(in.B)
+		switch in.Op {
+		case Add:
+			for l := range d {
+				d[l] = a[l] + b[l]
+			}
+		case Sub:
+			for l := range d {
+				d[l] = a[l] - b[l]
+			}
+		case Mul:
+			for l := range d {
+				d[l] = a[l] * b[l]
+			}
+		case MulAdd:
+			c := row(in.C)
+			for l := range d {
+				d[l] = float64(a[l]*b[l]) + c[l]
+			}
+		case AddMul:
+			c := row(in.C)
+			for l := range d {
+				d[l] = a[l] + float64(b[l]*c[l])
+			}
+		case MulMulAdd:
+			c, e := row(in.C), row(in.E)
+			for l := range d {
+				d[l] = float64(a[l]*b[l]) + float64(c[l]*e[l])
+			}
+		}
+	}
+}
+
+func stepGo(vals []float64, tail []Product, n int, lr float64) {
+	for i := range tail {
+		p := &tail[i]
+		m, a, b := vals[p.M:][:n], vals[p.A:][:n], vals[p.B:][:n]
+		for l := range m {
+			m[l] -= float64(lr * float64(a[l]*b[l]))
+		}
+	}
+}
+
+func sumGo(vals []float64, tail []Product, shift, n int) {
+	for i := range tail {
+		p := &tail[i]
+		s, a, b := vals[int(p.M)+shift:][:n], vals[p.A:][:n], vals[p.B:][:n]
+		for l := range s {
+			s[l] += float64(a[l] * b[l])
+		}
+	}
+}
+
+func prodGo(vals []float64, tail []Product, shift, n int) {
+	for i := range tail {
+		p := &tail[i]
+		d, a, b := vals[int(p.M)+shift:][:n], vals[p.A:][:n], vals[p.B:][:n]
+		for l := range d {
+			d[l] = a[l] * b[l]
+		}
+	}
+}
+
+func broadcastGo(dst, src []float64, w int) {
+	for e, v := range src {
+		row := dst[e*w:][:w]
+		for l := range row {
+			row[l] = v
+		}
+	}
+}
+
+func addLanesGo(acc, rows []float64, stride, count int) {
+	for e := range acc {
+		s := acc[e]
+		for _, v := range rows[e*stride:][:count] {
+			s += v
+		}
+		acc[e] = s
+	}
+}

@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package vec
+
+// haveAVX is false: the AVX kernels exist on amd64 only, and avx never
+// selects the stubs below.
+const haveAVX = false
+
+func runAVX(vals []float64, prog []Instr, n int)                { panic("vec: no AVX kernels") }
+func stepAVX(vals []float64, tail []Product, n int, lr float64) { panic("vec: no AVX kernels") }
+func sumAVX(vals []float64, tail []Product, shift, n int)       { panic("vec: no AVX kernels") }
+func prodAVX(vals []float64, tail []Product, shift, n int)      { panic("vec: no AVX kernels") }
+func broadcastAVX(dst, src []float64, w int)                    { panic("vec: no AVX kernels") }
+func addLanesAVX(acc, rows []float64, stride, count int)        { panic("vec: no AVX kernels") }
