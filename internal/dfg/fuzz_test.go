@@ -73,7 +73,7 @@ func FuzzTranslate(f *testing.F) {
 // over so that fused product-sums and tail products are common.
 var laneFuzzOps = []Op{
 	OpMul, OpMul, OpMul, OpAdd, OpAdd, OpSub, OpDiv, OpNeg, OpGT, OpLE, OpEQ,
-	OpSelect, OpSigmoid, OpExp, OpSqrt, OpRelu, OpSign,
+	OpSelect, OpSigmoid, OpGaussian, OpExp, OpLog, OpSqrt, OpTanh, OpRelu, OpSign,
 }
 
 // laneFuzzGraph builds a random DAG from fuzz bytes: model symbols w and v
@@ -111,7 +111,7 @@ func laneFuzzGraph(b []byte) (*Graph, LaneLayout, int) {
 		switch op {
 		case OpSelect:
 			arity = 3
-		case OpNeg, OpSigmoid, OpExp, OpSqrt, OpRelu, OpSign:
+		case OpNeg, OpSigmoid, OpGaussian, OpExp, OpLog, OpSqrt, OpTanh, OpRelu, OpSign:
 			arity = 1
 		}
 		var args [3]int32

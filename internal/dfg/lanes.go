@@ -504,8 +504,8 @@ func (la *Lanes) BindData(lane int, vecs [][]float64) error {
 // one lane; the operand rows are cut to the destination's length first so
 // the inner loops carry no bounds checks. The arithmetic — add, subtract,
 // multiply, the fused product-sums — and the tail run on package vec's
-// kernels, one call per run of instructions: they compute the same
-// expressions to the bit. Both steps write m − float64(lr·g) with g already
+// kernels, one call per run of instructions, and sigmoid, Gaussian and exp
+// one call per row: they compute the same expressions to the bit. Both steps write m − float64(lr·g) with g already
 // rounded, and the sum adds float64(a·b): the explicit conversions forbid
 // the compiler from contracting a product with the subtraction or add that
 // follows (the FMSUB the Go spec allows for m -= lr*g on arm64), so every
@@ -576,22 +576,15 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 				}
 			}
 		case OpSigmoid:
-			for l := range d {
-				d[l] = 1 / (1 + math.Exp(-a[l]))
-			}
+			vec.Sigmoid(d, a)
 		case OpGaussian:
-			for l := range d {
-				x := a[l]
-				d[l] = math.Exp(-(x * x)) // as EvalNonlinear
-			}
+			vec.NegSquareExp(d, a) // −(x·x), as EvalNonlinear
 		case OpLog:
 			for l := range d {
 				d[l] = math.Log(a[l])
 			}
 		case OpExp:
-			for l := range d {
-				d[l] = math.Exp(a[l])
-			}
+			vec.Exp(d, a)
 		case OpSqrt:
 			for l := range d {
 				d[l] = math.Sqrt(a[l])

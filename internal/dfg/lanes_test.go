@@ -69,6 +69,12 @@ func TestLanesMatchScalarArenaAllOps(t *testing.T) {
 		math.Inf(1), math.Inf(-1), math.NaN(),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.5e-310,
 		math.MaxFloat64, -math.MaxFloat64, 1e300, 1e-300,
+		// The edges of math.Exp's branches, which the packed exp kernels
+		// leave to math.Exp: overflow above 709.78…, k = 1024 from 709.44…,
+		// denormal results below −708.39… and zero below −745.13…; the
+		// Gaussian reaches the last two from ±26.6… and 27.3….
+		7.09782712893384e+02, 709.5, -708.3964185322641, -708.4, -745.1332191019411, -745.2,
+		26.6157, -27.2972,
 	}
 	var cases [][3]float64 // {x0, x1, w0}
 	for i, a := range special {

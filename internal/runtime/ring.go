@@ -186,11 +186,16 @@ type AggregationBuffer struct {
 
 	weight float64
 	wmu    sync.Mutex
-	done   *sync.Cond
 	// complete counts finished chunk indexes; inflight the
 	// started-but-incomplete ones.
 	complete int
 	inflight int
+	// allDone holds a token from the moment complete reaches every chunk
+	// index until WaitComplete takes it or Reset drains it; timer bounds a
+	// timed wait. Both live as long as the buffer, so a wait allocates
+	// nothing and starts no goroutine.
+	allDone chan struct{}
+	timer   *time.Timer
 	// got counts accepted chunks per member rank this round; a member is
 	// present once it has contributed every chunk index.
 	got []int
@@ -252,8 +257,10 @@ func NewAggregationBuffer(n, chunkWords int, members []uint32) (*AggregationBuff
 		ids:        sorted,
 		excluded:   make([]atomic.Bool, len(sorted)),
 		got:        make([]int, len(sorted)),
+		allDone:    make(chan struct{}, 1),
+		timer:      time.NewTimer(time.Hour),
 	}
-	ab.done = sync.NewCond(&ab.wmu)
+	stopTimer(ab.timer)
 	return ab, nil
 }
 
@@ -377,11 +384,11 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 	if completeNow {
 		ab.complete++
 		ab.inflight--
+		ab.signalLocked(1)
 	}
 	depth := ab.inflight
 	ab.wmu.Unlock()
 	ab.pipeline.Set(float64(depth))
-	ab.done.Broadcast()
 	return nil
 }
 
@@ -508,10 +515,10 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 	ab.inflight += startedNow
 	ab.complete += completed
 	ab.inflight -= completed
+	ab.signalLocked(completed)
 	depth := ab.inflight
 	ab.wmu.Unlock()
 	ab.pipeline.Set(float64(depth))
-	ab.done.Broadcast()
 	return newly
 }
 
@@ -535,68 +542,66 @@ func (ab *AggregationBuffer) QuorumStatus() (present, excluded, missing []uint32
 	return present, excluded, missing
 }
 
+// signalLocked leaves the completion token for WaitComplete when the
+// latest n completions were the ones that finished the round. The caller
+// holds wmu.
+func (ab *AggregationBuffer) signalLocked(n int) {
+	if target := len(ab.states); n > 0 && ab.complete >= target && ab.complete-n < target {
+		select {
+		case ab.allDone <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+}
+
 // WaitComplete blocks until every chunk index has all members folded (and
 // every OnComplete callback has returned), the timeout elapses, or fail
 // delivers. It reports (true, nil) on completion, (false, nil) on timeout,
-// and (false, err) on node failure. A zero timeout waits forever.
+// and (false, err) on node failure; a round that completes wins over a
+// timeout or failure that fires with it. A zero timeout waits forever. One
+// goroutine waits at a time; the wait allocates nothing.
 func (ab *AggregationBuffer) WaitComplete(timeout time.Duration, fail <-chan error) (bool, error) {
-	if timeout <= 0 && fail == nil {
-		// Nothing to watch (a group Sigma's round): no watcher goroutine,
-		// so the wait allocates nothing.
-		ab.wmu.Lock()
-		defer ab.wmu.Unlock()
-		for ab.complete < len(ab.states) {
-			ab.done.Wait()
-		}
+	if ab.completed() {
 		return true, nil
 	}
-	return ab.waitWatched(timeout, fail)
-}
-
-// waitWatched is WaitComplete with a timeout or a fail channel: a watcher
-// goroutine wakes the wait when either fires.
-func (ab *AggregationBuffer) waitWatched(timeout time.Duration, fail <-chan error) (bool, error) {
-	target := len(ab.states)
-	var timedOut, failed bool
-	var failErr error
-	stop := make(chan struct{})
-	defer close(stop)
 	var timeC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeC = timer.C
+		ab.timer.Reset(timeout)
+		defer stopTimer(ab.timer)
+		timeC = ab.timer.C
 	}
-	go func() {
-		select {
-		case <-timeC:
-			ab.wmu.Lock()
-			timedOut = true
-			ab.wmu.Unlock()
-			ab.done.Broadcast()
-		case err := <-fail:
-			ab.wmu.Lock()
-			failed, failErr = true, err
-			ab.wmu.Unlock()
-			ab.done.Broadcast()
-		case <-stop:
+	select {
+	case <-ab.allDone:
+		return true, nil
+	case <-timeC:
+		return ab.completed(), nil
+	case err := <-fail:
+		switch {
+		case ab.completed():
+			return true, nil
+		case err != nil:
+			return false, err
 		}
-	}()
+		return false, fmt.Errorf("runtime: node exited mid-round")
+	}
+}
+
+// completed reports whether every chunk index has completed this round.
+func (ab *AggregationBuffer) completed() bool {
 	ab.wmu.Lock()
 	defer ab.wmu.Unlock()
-	for ab.complete < target {
-		if failed {
-			if failErr != nil {
-				return false, failErr
-			}
-			return false, fmt.Errorf("runtime: node exited mid-round")
+	return ab.complete >= len(ab.states)
+}
+
+// stopTimer stops t and drains a fire it has not delivered, so the next
+// Reset starts it clean under either timer-channel semantics.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
-		if timedOut {
-			return false, nil
-		}
-		ab.done.Wait()
 	}
-	return true, nil
 }
 
 // ChunksFor returns how many chunks a vector of length n splits into at a
@@ -620,6 +625,10 @@ func (ab *AggregationBuffer) Reset(seq uint32) {
 	ab.weight = 0
 	ab.complete = 0
 	ab.inflight = 0
+	select {
+	case <-ab.allDone: // the last round's token, if its wait never took it
+	default:
+	}
 	for r := range ab.got {
 		ab.got[r] = 0
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -474,6 +475,55 @@ func TestWaitCompleteTimeoutSemantics(t *testing.T) {
 	// Zero timeout means wait forever (here: already satisfied).
 	if ok, err := ab.WaitComplete(0, nil); !ok || err != nil {
 		t.Errorf("zero-timeout wait failed on satisfied condition: (%v, %v)", ok, err)
+	}
+}
+
+// TestWaitCompleteTimeoutRearms: the buffer's one timer serves every wait,
+// so a wait that timed out leaves no stale fire to cut the next one short,
+// and Reset drains a completion no wait took.
+func TestWaitCompleteTimeoutRearms(t *testing.T) {
+	ab := newTestBuffer(t, 16, 16, []uint32{0})
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if ok, err := ab.WaitComplete(30*time.Millisecond, nil); ok || err != nil {
+			t.Fatalf("wait %d on an empty buffer = (%v, %v), want (false, nil)", i, ok, err)
+		}
+		if d := time.Since(start); d < 25*time.Millisecond {
+			t.Fatalf("wait %d returned after %v of a 30ms timeout", i, d)
+		}
+	}
+	// Round 1 completes with no wait; round 2 must not see its completion.
+	ab.Reset(1)
+	if err := ab.Add(Chunk{Seq: 1, Data: make([]float64, 16), Weight: 1, Last: true}); err != nil {
+		t.Fatal(err)
+	}
+	ab.Reset(2)
+	if ok, err := ab.WaitComplete(30*time.Millisecond, nil); ok || err != nil {
+		t.Fatalf("wait after Reset = (%v, %v), want (false, nil)", ok, err)
+	}
+}
+
+// TestWaitCompleteFail: an error on the fail channel fails the wait with
+// that error, a closed channel fails it as a node exit, and a round already
+// complete wins over either.
+func TestWaitCompleteFail(t *testing.T) {
+	ab := newTestBuffer(t, 16, 16, []uint32{0})
+	fail := make(chan error, 1)
+	boom := errors.New("boom")
+	fail <- boom
+	if ok, err := ab.WaitComplete(time.Second, fail); ok || !errors.Is(err, boom) {
+		t.Errorf("wait with a failed node = (%v, %v), want (false, %v)", ok, err, boom)
+	}
+	closed := make(chan error)
+	close(closed)
+	if ok, err := ab.WaitComplete(0, closed); ok || err == nil {
+		t.Errorf("wait with an exited node = (%v, %v), want an error", ok, err)
+	}
+	if err := ab.Add(Chunk{Data: make([]float64, 16), Weight: 1, Last: true}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ab.WaitComplete(0, closed); !ok || err != nil {
+		t.Errorf("wait on a complete round with an exited node = (%v, %v), want (true, nil)", ok, err)
 	}
 }
 

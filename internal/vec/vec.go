@@ -1,17 +1,19 @@
 // Package vec holds the packed float64 kernels of the simulated node: the
-// lane program's arithmetic, its update tail, the model broadcast and the
-// cross-thread reduce, each a loop over contiguous floats. On amd64 CPUs
-// with AVX they run four lanes per instruction in assembly; everywhere else
-// they are the Go loops in this file.
+// lane program's arithmetic, its exp-based nonlinears, its update tail, the
+// model broadcast and the cross-thread reduce, each a loop over contiguous
+// floats. On amd64 CPUs with AVX they run four lanes per instruction in
+// assembly; everywhere else they are the Go loops in this file.
 //
-// No bit moves between the two. A packed VMULPD, VADDPD or VSUBPD rounds
-// each element exactly as the scalar MULSD, ADDSD or SUBSD the Go compiler
-// emits for the same expression; no product is ever contracted with the add
-// or subtract that follows it (no FMA, in either implementation); every
-// kernel applies its operands in the Go expression's order; and both run
-// under the MXCSR the Go runtime keeps (round to nearest, no flush to zero).
-// Only a NaN's payload may differ, where two NaNs meet, as it may between
-// Go builds: IEEE 754 leaves that choice open.
+// No bit moves between the two. A packed VMULPD, VADDPD, VSUBPD or VDIVPD
+// rounds each element exactly as the scalar MULSD, ADDSD, SUBSD or DIVSD
+// the Go compiler emits for the same expression; no product is ever
+// contracted with the add or subtract that follows it (no FMA, in either
+// implementation), except inside Exp, Sigmoid and NegSquareExp, which
+// contract exactly where math.Exp does on the same CPU; every kernel applies
+// its operands in the Go expression's order; and both run under the MXCSR
+// the Go runtime keeps (round to nearest, no flush to zero). Only a NaN's
+// payload may differ, where two NaNs meet, as it may between Go builds:
+// IEEE 754 leaves that choice open.
 //
 // The kernels that take offsets into an arena (Run, Step, Sum and Prod)
 // trust them: every row they name must lie inside the arena for the lanes
@@ -101,6 +103,64 @@ func Prod(vals []float64, tail []Product, shift, n int) {
 		return
 	}
 	prodGo(vals, tail, shift, n)
+}
+
+// expForm is the function an exp kernel applies to each lane.
+type expForm int
+
+const (
+	formExp          expForm = iota // e^x
+	formSigmoid                     // 1 / (1 + e^−x)
+	formNegSquareExp                // e^−(x·x)
+)
+
+// expFMA selects the exp kernels' FMA branch. It is math.Exp's choice on
+// this CPU, so the kernels return math.Exp's bits; a test may flip it to
+// check the other branch.
+var expFMA = haveFMA
+
+// Exp writes math.Exp(src[l]) to dst[l] for every lane of src. dst may be
+// src but must not otherwise overlap it.
+func Exp(dst, src []float64) { expRow(dst, src, formExp) }
+
+// Sigmoid writes 1 / (1 + math.Exp(−src[l])) to dst[l] for every lane of
+// src. dst may be src but must not otherwise overlap it.
+func Sigmoid(dst, src []float64) { expRow(dst, src, formSigmoid) }
+
+// NegSquareExp writes the Gaussian math.Exp(−(src[l]·src[l])) to dst[l]
+// for every lane of src. dst may be src but must not otherwise overlap it.
+func NegSquareExp(dst, src []float64) { expRow(dst, src, formNegSquareExp) }
+
+func expRow(dst, src []float64, form expForm) {
+	dst = dst[:len(src)]
+	if !avx {
+		expGo(dst, src, form)
+		return
+	}
+	n := len(src) &^ 3
+	expGroups(dst[:n], src[:n], form)
+	if n < len(src) {
+		// The last one to three lanes run as one group, padded with zeros.
+		var in, out [4]float64
+		copy(in[:], src[n:])
+		expGroups(out[:], in[:], form)
+		copy(dst[n:], out[:])
+	}
+}
+
+// expGroups runs the packed kernel over lanes in groups of four. Each lane
+// the kernel leaves unwritten, outside its domain, gets the Go loop's
+// scalar math.Exp, so its bits are math.Exp's by definition.
+func expGroups(dst, src []float64, form expForm) {
+	for i := 0; i < len(src); {
+		done, out := expAVX(dst[i:], src[i:], form, expFMA)
+		i += done
+		for l := i - 4; out != 0; l, out = l+1, out>>1 {
+			if out&1 != 0 {
+				expGo(dst[l:l+1], src[l:l+1], form)
+			}
+		}
+	}
 }
 
 // Broadcast fills row e of dst, the w floats from e·w, with src[e], for
@@ -218,6 +278,24 @@ func prodGo(vals []float64, tail []Product, shift, n int) {
 		d, a, b := vals[int(p.M)+shift:][:n], vals[p.A:][:n], vals[p.B:][:n]
 		for l := range d {
 			d[l] = a[l] * b[l]
+		}
+	}
+}
+
+func expGo(dst, src []float64, form expForm) {
+	dst = dst[:len(src)]
+	switch form {
+	case formExp:
+		for l, x := range src {
+			dst[l] = math.Exp(x)
+		}
+	case formSigmoid:
+		for l, x := range src {
+			dst[l] = 1 / (1 + math.Exp(-x))
+		}
+	default:
+		for l, x := range src {
+			dst[l] = math.Exp(-(x * x))
 		}
 	}
 }

@@ -16,6 +16,13 @@ var haveAVX = func() bool {
 	return xcr0&6 == 6
 }()
 
+// haveFMA reports whether the CPU has FMA besides AVX: math.Exp's own test
+// for its FMA branch (useFMA in the math package).
+var haveFMA = func() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return haveAVX && ecx&(1<<12) != 0
+}()
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -36,3 +43,6 @@ func broadcastAVX(dst, src []float64, w int)
 
 //go:noescape
 func addLanesAVX(acc, rows []float64, stride, count int)
+
+//go:noescape
+func expAVX(dst, src []float64, form expForm, fma bool) (done, out int)

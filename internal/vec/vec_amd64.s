@@ -585,3 +585,196 @@ single_store:
 add_done:
 	VZEROUPPER
 	RET
+
+// The exp kernels port both branches of math.Exp's amd64 assembly
+// (archExp, after Shibata's SLEEF method) to four lanes per instruction,
+// each scalar operation to its packed twin with the same operand order
+// and rounding: k = round(x·log2e) by the MXCSR, r = (x − k·ln2U − k·ln2L) /
+// 16, the degree-8 Taylor polynomial, four squarings (2 + r)·r, and the
+// exponent insert 2^k. The FMA branch contracts exactly the products archExp
+// contracts on a CPU with AVX and FMA, the other none. A lane whose biased
+// exponent k + 1023 leaves (0, 0x7ff) — a non-finite input converts to the
+// integer indefinite, a negative k — is outside the packed domain: archExp
+// takes its overflow or denormal branch there, and the caller recomputes the
+// lane with math.Exp.
+
+// expc holds each constant four times, one 32-byte vector apiece, so the
+// kernels read them as memory operands.
+#define EXPC(off, v) \
+	DATA expc<>+(off)(SB)/8, v; \
+	DATA expc<>+(off+8)(SB)/8, v; \
+	DATA expc<>+(off+16)(SB)/8, v; \
+	DATA expc<>+(off+24)(SB)/8, v
+
+#define LOG2E 0
+#define LN2U 32
+#define LN2L 64
+#define SIXTEENTH 96
+#define C8 128
+#define C7 160
+#define C6 192
+#define C5 224
+#define C4 256
+#define C3 288
+#define HALF 320
+#define ONE 352
+#define TWO 384
+#define SIGN 416
+#define BIAS 448 // 1023 in four int32 lanes
+#define EMAX 464 // 0x7fe in four int32 lanes
+
+EXPC(LOG2E, $1.4426950408889634073599246810018920)
+EXPC(LN2U, $0.69314718055966295651160180568695068359375)
+EXPC(LN2L, $0.28235290563031577122588448175013436025525412068e-12)
+EXPC(SIXTEENTH, $0.0625)
+EXPC(C8, $2.4801587301587301587e-5)
+EXPC(C7, $1.9841269841269841270e-4)
+EXPC(C6, $1.3888888888888888889e-3)
+EXPC(C5, $8.3333333333333333333e-3)
+EXPC(C4, $4.1666666666666666667e-2)
+EXPC(C3, $1.6666666666666666667e-1)
+EXPC(HALF, $0.5)
+EXPC(ONE, $1.0)
+EXPC(TWO, $2.0)
+EXPC(SIGN, $0x8000000000000000)
+DATA expc<>+(BIAS)(SB)/8, $0x000003ff000003ff
+DATA expc<>+(BIAS+8)(SB)/8, $0x000003ff000003ff
+DATA expc<>+(EMAX)(SB)/8, $0x000007fe000007fe
+DATA expc<>+(EMAX+8)(SB)/8, $0x000007fe000007fe
+GLOBL expc<>(SB), RODATA|NOPTR, $480
+
+// func expAVX(dst, src []float64, form expForm, fma bool) (done, out int)
+//
+// Runs the lanes of src, a multiple of four, in groups of four: each group
+// reads src and writes dst, so the two may be the same row. It returns
+// after the last group, or after the first group with lanes outside the
+// packed domain: done is the lanes run, and out has bit l set for each lane
+// l of the last group that the kernel left unwritten.
+//
+// DI dst, SI src, CX the lanes, BX the lane, DX the form, R8 the branch;
+// Y0 the argument and then the result, Y1 k, X3 k + 1023, X6 the lanes in
+// the domain (AX its bits), X15 zero.
+TEXT ·expAVX(SB), NOSPLIT, $0-80
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    src_len+32(FP), CX
+	MOVQ    form+48(FP), DX
+	MOVBLZX fma+56(FP), R8
+	XORQ    BX, BX
+	XORQ    AX, AX
+	VXORPD  X15, X15, X15
+	TESTQ   CX, CX
+	JZ      exp_done
+
+	PCALIGN $32
+exp_group:
+	VMOVUPD (SI)(BX*8), Y0
+	CMPQ    DX, $1
+	JLT     exp_arg
+	JEQ     exp_neg
+	VMULPD  Y0, Y0, Y0 // Gaussian: −(x·x)
+exp_neg:
+	VXORPD expc<>+SIGN(SB), Y0, Y0
+
+exp_arg:
+	VMULPD     expc<>+LOG2E(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2
+	VCVTDQ2PD  X2, Y1
+	VPADDD     expc<>+BIAS(SB), X2, X3
+	VPCMPGTD   X15, X3, X4             // k + 1023 > 0
+	VPCMPGTD   expc<>+EMAX(SB), X3, X5 // k + 1023 > 0x7fe
+	VPANDN     X4, X5, X6
+	VMOVMSKPS  X6, AX
+	TESTQ      R8, R8
+	JNZ        exp_fma
+
+	VMULPD expc<>+LN2U(SB), Y1, Y2
+	VSUBPD Y2, Y0, Y0
+	VMULPD expc<>+LN2L(SB), Y1, Y2
+	VSUBPD Y2, Y0, Y0
+	VMULPD expc<>+SIXTEENTH(SB), Y0, Y0
+	VMULPD expc<>+C8(SB), Y0, Y2
+	VADDPD expc<>+C7(SB), Y2, Y2
+	VMULPD Y0, Y2, Y2
+	VADDPD expc<>+C6(SB), Y2, Y2
+	VMULPD Y0, Y2, Y2
+	VADDPD expc<>+C5(SB), Y2, Y2
+	VMULPD Y0, Y2, Y2
+	VADDPD expc<>+C4(SB), Y2, Y2
+	VMULPD Y0, Y2, Y2
+	VADDPD expc<>+C3(SB), Y2, Y2
+	VMULPD Y0, Y2, Y2
+	VADDPD expc<>+HALF(SB), Y2, Y2
+	VMULPD Y0, Y2, Y2
+	VADDPD expc<>+ONE(SB), Y2, Y2
+	VMULPD Y2, Y0, Y0
+	VADDPD expc<>+TWO(SB), Y0, Y2
+	VMULPD Y2, Y0, Y0
+	VADDPD expc<>+TWO(SB), Y0, Y2
+	VMULPD Y2, Y0, Y0
+	VADDPD expc<>+TWO(SB), Y0, Y2
+	VMULPD Y2, Y0, Y0
+	VADDPD expc<>+TWO(SB), Y0, Y2
+	VMULPD Y2, Y0, Y0
+	VADDPD expc<>+ONE(SB), Y0, Y0
+	JMP    exp_insert
+
+exp_fma:
+	VFNMADD231PD expc<>+LN2U(SB), Y1, Y0
+	VFNMADD231PD expc<>+LN2L(SB), Y1, Y0
+	VMULPD       expc<>+SIXTEENTH(SB), Y0, Y0
+	VMOVUPD      expc<>+C8(SB), Y2
+	VFMADD213PD  expc<>+C7(SB), Y0, Y2
+	VFMADD213PD  expc<>+C6(SB), Y0, Y2
+	VFMADD213PD  expc<>+C5(SB), Y0, Y2
+	VFMADD213PD  expc<>+C4(SB), Y0, Y2
+	VFMADD213PD  expc<>+C3(SB), Y0, Y2
+	VFMADD213PD  expc<>+HALF(SB), Y0, Y2
+	VFMADD213PD  expc<>+ONE(SB), Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       expc<>+TWO(SB), Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       expc<>+TWO(SB), Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       expc<>+TWO(SB), Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       expc<>+TWO(SB), Y0, Y2
+	VFMADD213PD  expc<>+ONE(SB), Y2, Y0
+
+exp_insert:
+	// 2^k: k + 1023 into each lane's exponent field, from 128-bit halves.
+	VPSLLD      $20, X3, X3
+	VPUNPCKLDQ  X3, X15, X4
+	VPUNPCKHDQ  X3, X15, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VMULPD      Y4, Y0, Y0
+	CMPQ        DX, $1
+	JNE         exp_store
+	VADDPD      expc<>+ONE(SB), Y0, Y0 // sigmoid: 1 / (1 + e)
+	VMOVUPD     expc<>+ONE(SB), Y2
+	VDIVPD      Y0, Y2, Y0
+
+exp_store:
+	CMPQ    AX, $15
+	JNE     exp_partial
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, CX
+	JLT     exp_group
+	XORQ    AX, AX
+	JMP     exp_done
+
+exp_partial:
+	// Write the lanes in the domain only; the caller recomputes the rest.
+	VPUNPCKLDQ  X6, X6, X4
+	VPUNPCKHDQ  X6, X6, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VMASKMOVPD  Y0, Y4, (DI)(BX*8)
+	ADDQ        $4, BX
+	XORQ        $15, AX
+
+exp_done:
+	MOVQ BX, done+64(FP)
+	MOVQ AX, out+72(FP)
+	VZEROUPPER
+	RET

@@ -33,7 +33,43 @@ learning_rate = 0.1;
 // and +0 apart and gives a NaN constant its own entry, so the encoded
 // program computes what the graph computes, bit for bit.
 func TestMachineKeepsSignedZeroAndNaNImmediates(t *testing.T) {
-	u, err := dsl.ParseAndAnalyze(signedZeroNaNSource, map[string]int{"M": 2})
+	got, want := runMachineAndGraph(t, signedZeroNaNSource,
+		map[string][]float64{"x": {0.5, -2}, "y": {1}}, map[string][]float64{"w": {3, 0.25}})
+	requireNaNBitsEqual(t, got, want, "g", "h")
+}
+
+// gaussianSource applies the Gaussian to a product that passes a NaN input
+// through with its sign.
+const gaussianSource = `
+model_input x[M];
+model_output y;
+model w[M];
+gradient g[M];
+iterator i[0:M];
+
+g[i] = gaussian(x[i]*w[i]);
+
+aggregator average;
+minibatch 1;
+learning_rate = 0.1;
+`
+
+// TestMachineGaussianKeepsNaNSign: the machine's Gaussian is exp(−(x·x)),
+// as Graph.Eval's is, so a NaN input of either sign comes out with the
+// graph's bits; (−x)·x would take the sign from whichever operand the
+// multiply returns.
+func TestMachineGaussianKeepsNaNSign(t *testing.T) {
+	negNaN := math.Float64frombits(0xfff8000000000001)
+	got, want := runMachineAndGraph(t, gaussianSource,
+		map[string][]float64{"x": {negNaN, math.NaN()}, "y": {1}}, map[string][]float64{"w": {1, 1}})
+	requireNaNBitsEqual(t, got, want, "g")
+}
+
+// runMachineAndGraph compiles src at M = 2, runs the encoded program on the
+// machine over one vector and evaluates the graph on the same bindings.
+func runMachineAndGraph(t *testing.T, src string, data, model map[string][]float64) (got, want map[string][]float64) {
+	t.Helper()
+	u, err := dsl.ParseAndAnalyze(src, map[string]int{"M": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +87,6 @@ func TestMachineKeepsSignedZeroAndNaNImmediates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data := map[string][]float64{"x": {0.5, -2}, "y": {1}}
-	model := map[string][]float64{"w": {3, 0.25}}
 	mach := NewMachine(img)
 	stream := make([]float64, len(prog.DataStream))
 	for k, id := range prog.DataStream {
@@ -73,21 +107,27 @@ func TestMachineKeepsSignedZeroAndNaNImmediates(t *testing.T) {
 	if err := mach.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := mach.Gradient()
-	if err != nil {
+	if got, err = mach.Gradient(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := g.Eval(dfg.Bindings{Data: data, Model: model})
-	if err != nil {
+	if want, err = g.Eval(dfg.Bindings{Data: data, Model: model}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"g", "h"} {
+	return got, want
+}
+
+// requireNaNBitsEqual requires every element of the named gradients to be a
+// NaN in the graph and the same bits from the machine.
+func requireNaNBitsEqual(t *testing.T, got, want map[string][]float64, names ...string) {
+	t.Helper()
+	for _, name := range names {
 		for i, wv := range want[name] {
 			if !math.IsNaN(wv) {
 				t.Fatalf("%s[%d] = %g from the graph; the program should produce NaN", name, i, wv)
 			}
 			if math.Float64bits(got[name][i]) != math.Float64bits(wv) {
-				t.Errorf("%s[%d] = %g from the machine, %g from the graph", name, i, got[name][i], wv)
+				t.Errorf("%s[%d] = %#x from the machine, %#x from the graph",
+					name, i, math.Float64bits(got[name][i]), math.Float64bits(wv))
 			}
 		}
 	}

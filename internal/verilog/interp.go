@@ -217,7 +217,8 @@ func evalOpcode(opc Opcode, s []float64, interim []float64, dst int) (float64, e
 	case OpcSigmoid:
 		return 1 / (1 + math.Exp(-a(0))), nil
 	case OpcGaussian:
-		return math.Exp(-a(0) * a(0)), nil
+		x := a(0)
+		return math.Exp(-(x * x)), nil // as Graph.Eval: a NaN's sign is not the multiply's choice
 	case OpcLog:
 		return math.Log(a(0)), nil
 	case OpcExp:
