@@ -4,55 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
-
-// archExp is a Go transcription of math.Exp's amd64 assembly on one of its
-// two branches, for an input whose biased exponent k + 1023 lies in
-// (0, 0x7ff); ok is false for any other input. The FMA branch fuses with
-// math.FMA exactly where the assembly does; the other rounds every product.
-func archExp(x float64, fma bool) (e float64, ok bool) {
-	const (
-		log2e = 1.4426950408889634073599246810018920
-		ln2u  = 0.69314718055966295651160180568695068359375
-		ln2l  = 0.28235290563031577122588448175013436025525412068e-12
-	)
-	k := math.RoundToEven(x * log2e) // CVTSD2SL under the MXCSR
-	if !(k > -1023 && k < 1024) {
-		return 0, false
-	}
-	coef := []float64{
-		1.9841269841269841270e-4, 1.3888888888888888889e-3, 8.3333333333333333333e-3,
-		4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1.0,
-	}
-	r, p := x, 2.4801587301587301587e-5
-	if fma {
-		r = math.FMA(-k, ln2u, r)
-		r = math.FMA(-k, ln2l, r)
-		r *= 0.0625
-		for _, c := range coef {
-			p = math.FMA(p, r, c)
-		}
-		r *= p
-		for i := 0; i < 3; i++ {
-			r *= 2 + r
-		}
-		r = math.FMA(2+r, r, 1)
-	} else {
-		r -= float64(k * ln2u)
-		r -= float64(k * ln2l)
-		r *= 0.0625
-		for _, c := range coef {
-			p = float64(p*r) + c
-		}
-		r *= p
-		for i := 0; i < 4; i++ {
-			r *= 2 + r
-		}
-		r++
-	}
-	return r * math.Float64frombits(uint64(k+1023)<<52), true
-}
 
 // expInputs returns the inputs TestExpMatchesMath runs: the specials, the
 // edges of math.Exp's branches (overflow above 709.78… and, on amd64, from
@@ -82,60 +38,40 @@ func expInputs() []float64 {
 }
 
 // kernelForms are the three exp kernels with the scalar expression each
-// computes lane by lane and the argument it hands to exp.
+// computes lane by lane.
 var kernelForms = []struct {
 	name   string
 	kernel func(dst, src []float64)
 	scalar func(x float64) float64
-	arg    func(x float64) float64
-	after  func(e float64) float64
 }{
-	{"exp", Exp, math.Exp,
-		func(x float64) float64 { return x }, func(e float64) float64 { return e }},
-	{"sigmoid", Sigmoid, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
-		func(x float64) float64 { return -x }, func(e float64) float64 { return 1 / (1 + e) }},
-	{"gaussian", NegSquareExp, func(x float64) float64 { return math.Exp(-(x * x)) },
-		func(x float64) float64 { return -(x * x) }, func(e float64) float64 { return e }},
+	{"exp", Exp, math.Exp},
+	{"sigmoid", Sigmoid, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+	{"gaussian", NegSquareExp, func(x float64) float64 { return math.Exp(-(x * x)) }},
 }
 
-// TestExpMatchesMath runs every exp kernel — the AVX kernel on both of
-// archExp's branches and the Go loop — on rows of 0 … 37 lanes cut from
-// expInputs. On math.Exp's own branch the result must be math.Exp's bits,
-// lane for lane; on the other branch, archExp's transcription of it for
-// the lanes inside the packed domain and math.Exp for the rest. The
-// transcription itself is pinned to math.Exp on math's branch.
+// TestExpMatchesMath runs every exp kernel — the Go loop and, where
+// math.Exp takes the FMA branch it ports, the AVX kernel — on rows of
+// 0 … 37 lanes cut from expInputs. Every lane must be the scalar
+// expression's bits over math.Exp, and lanes past the row stay untouched.
 func TestExpMatchesMath(t *testing.T) {
+	if haveExp {
+		t.Log("exp kernels: packed")
+	} else {
+		t.Log("exp kernels: portable")
+		// With no GODEBUG cpu setting, math.Exp takes its FMA branch on a
+		// CPU with AVX and FMA, so the kernel failed its probe.
+		if haveFMA && !strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+			t.Fatal("the AVX exp kernel disagrees with math.Exp on its probe inputs")
+		}
+	}
 	xs := expInputs()
-	for _, x := range xs {
-		if e, ok := archExp(x, haveFMA); ok && math.Float64bits(e) != math.Float64bits(math.Exp(x)) {
-			t.Fatalf("archExp(%v, fma=%v) = %v, math.Exp %v", x, haveFMA, e, math.Exp(x))
+	for _, on := range []bool{false, true} {
+		if on && !haveExp {
+			continue
 		}
-	}
-	type impl struct {
-		name     string
-		avx, fma bool
-	}
-	impls := []impl{{name: "portable"}}
-	if haveAVX {
-		impls = append(impls, impl{"avx", true, false})
-		if haveFMA {
-			impls = append(impls, impl{"avx+fma", true, true})
-		}
-	}
-	for _, im := range impls {
-		restore := SetAccelerated(im.avx)
-		prevFMA := expFMA
-		expFMA = im.fma
+		restore := SetAccelerated(on)
 		for _, f := range kernelForms {
-			want := func(x float64) float64 {
-				if !im.avx || im.fma == haveFMA {
-					return f.scalar(x)
-				}
-				if e, ok := archExp(f.arg(x), im.fma); ok {
-					return f.after(e)
-				}
-				return f.scalar(x)
-			}
+			name := fmt.Sprintf("%s accelerated=%v", f.name, on)
 			dst := make([]float64, 40)
 			for start := 0; start < len(xs); {
 				for n := 0; n <= 37 && start < len(xs); n++ {
@@ -145,15 +81,15 @@ func TestExpMatchesMath(t *testing.T) {
 					}
 					f.kernel(dst, src)
 					for l, x := range src {
-						if w := want(x); math.Float64bits(dst[l]) != math.Float64bits(w) {
-							t.Fatalf("%s %s: lane %d of %d: %v (%#x) gave %v (%#x), want %v (%#x)",
-								im.name, f.name, l, len(src), x, math.Float64bits(x),
+						if w := f.scalar(x); math.Float64bits(dst[l]) != math.Float64bits(w) {
+							t.Fatalf("%s: lane %d of %d: %v (%#x) gave %v (%#x), want %v (%#x)",
+								name, l, len(src), x, math.Float64bits(x),
 								dst[l], math.Float64bits(dst[l]), w, math.Float64bits(w))
 						}
 					}
 					for l := len(src); l < len(dst); l++ {
 						if dst[l] != 12345 {
-							t.Fatalf("%s %s: %d lanes wrote lane %d", im.name, f.name, len(src), l)
+							t.Fatalf("%s: %d lanes wrote lane %d", name, len(src), l)
 						}
 					}
 					start += len(src)
@@ -163,13 +99,36 @@ func TestExpMatchesMath(t *testing.T) {
 			row := append([]float64(nil), xs[:37]...)
 			f.kernel(row, row)
 			for l, x := range xs[:37] {
-				if w := want(x); math.Float64bits(row[l]) != math.Float64bits(w) {
-					t.Fatalf("%s %s in place: lane %d: %v gave %v, want %v", im.name, f.name, l, x, row[l], w)
+				if w := f.scalar(x); math.Float64bits(row[l]) != math.Float64bits(w) {
+					t.Fatalf("%s in place: lane %d: %v gave %v, want %v", name, l, x, row[l], w)
 				}
 			}
 		}
-		expFMA = prevFMA
 		restore()
+	}
+}
+
+// TestExpFollowsMathBranch reruns TestExpMatchesMath with math.Exp forced
+// onto its plain branch by GODEBUG, on a CPU where the AVX kernel is in use
+// by default. The probe must then leave the kernel off, and every lane
+// must still be math.Exp's.
+func TestExpFollowsMathBranch(t *testing.T) {
+	if !haveExp {
+		t.Skip("the AVX exp kernel is not in use on this CPU")
+	}
+	if testing.Short() {
+		t.Skip("runs the test binary again")
+	}
+	for _, godebug := range []string{"cpu.fma=off", "cpu.avx=off"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestExpMatchesMath$", "-test.v")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
+		if !strings.Contains(string(out), "exp kernels: portable") {
+			t.Fatalf("GODEBUG=%s: the AVX exp kernel stayed on\n%s", godebug, out)
+		}
 	}
 }
 
@@ -182,7 +141,7 @@ func BenchmarkExp(b *testing.B) {
 		src[i] = rng.NormFloat64() * 4
 	}
 	for _, on := range []bool{true, false} {
-		if on && !haveAVX {
+		if on && !haveExp {
 			continue
 		}
 		name := "portable"

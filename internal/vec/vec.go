@@ -8,12 +8,13 @@
 // rounds each element exactly as the scalar MULSD, ADDSD, SUBSD or DIVSD
 // the Go compiler emits for the same expression; no product is ever
 // contracted with the add or subtract that follows it (no FMA, in either
-// implementation), except inside Exp, Sigmoid and NegSquareExp, which
-// contract exactly where math.Exp does on the same CPU; every kernel applies
-// its operands in the Go expression's order; and both run under the MXCSR
-// the Go runtime keeps (round to nearest, no flush to zero). Only a NaN's
-// payload may differ, where two NaNs meet, as it may between Go builds:
-// IEEE 754 leaves that choice open.
+// implementation), except inside Exp, Sigmoid and NegSquareExp, which run
+// packed only where math.Exp takes its FMA branch and contract exactly where
+// that branch does; every kernel applies its operands in the Go
+// expression's order; and both run under the MXCSR the Go runtime keeps
+// (round to nearest, no flush to zero). Only a NaN's payload may differ,
+// where two NaNs meet, as it may between Go builds: IEEE 754 leaves that
+// choice open.
 //
 // The kernels that take offsets into an arena (Run, Step, Sum and Prod)
 // trust them: every row they name must lie inside the arena for the lanes
@@ -114,11 +115,6 @@ const (
 	formNegSquareExp                // e^−(x·x)
 )
 
-// expFMA selects the exp kernels' FMA branch. It is math.Exp's choice on
-// this CPU, so the kernels return math.Exp's bits; a test may flip it to
-// check the other branch.
-var expFMA = haveFMA
-
 // Exp writes math.Exp(src[l]) to dst[l] for every lane of src. dst may be
 // src but must not otherwise overlap it.
 func Exp(dst, src []float64) { expRow(dst, src, formExp) }
@@ -131,9 +127,11 @@ func Sigmoid(dst, src []float64) { expRow(dst, src, formSigmoid) }
 // for every lane of src. dst may be src but must not otherwise overlap it.
 func NegSquareExp(dst, src []float64) { expRow(dst, src, formNegSquareExp) }
 
+// expRow runs the AVX kernel only where it returns math.Exp's bits
+// (haveExp); everywhere else, the Go loop over math.Exp.
 func expRow(dst, src []float64, form expForm) {
 	dst = dst[:len(src)]
-	if !avx {
+	if !avx || !haveExp {
 		expGo(dst, src, form)
 		return
 	}
@@ -153,7 +151,7 @@ func expRow(dst, src []float64, form expForm) {
 // scalar math.Exp, so its bits are math.Exp's by definition.
 func expGroups(dst, src []float64, form expForm) {
 	for i := 0; i < len(src); {
-		done, out := expAVX(dst[i:], src[i:], form, expFMA)
+		done, out := expAVX(dst[i:], src[i:], form)
 		i += done
 		for l := i - 4; out != 0; l, out = l+1, out>>1 {
 			if out&1 != 0 {

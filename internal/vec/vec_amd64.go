@@ -1,5 +1,7 @@
 package vec
 
+import "math"
+
 // haveAVX reports whether the CPU has AVX and the OS saves the YMM
 // registers across context switches: CPUID.1:ECX.OSXSAVE and .AVX, and
 // XCR0's SSE and AVX state bits.
@@ -16,11 +18,30 @@ var haveAVX = func() bool {
 	return xcr0&6 == 6
 }()
 
-// haveFMA reports whether the CPU has FMA besides AVX: math.Exp's own test
-// for its FMA branch (useFMA in the math package).
+// haveFMA reports whether the CPU has FMA besides AVX (CPUID.1:ECX.FMA),
+// which the exp kernel needs.
 var haveFMA = func() bool {
 	_, _, ecx, _ := cpuid(1, 0)
 	return haveAVX && ecx&(1<<12) != 0
+}()
+
+// haveExp reports whether expAVX returns math.Exp's bits here: the kernel
+// ports math.Exp's FMA branch, which math takes by internal/cpu's flags,
+// and GODEBUG's cpu.fma=off or cpu.avx=off overrides those. So the choice
+// is read from math.Exp itself: on each probe input its two branches differ
+// in the last bit, and the kernel must give math.Exp's bits on all four.
+var haveExp = haveFMA && func() bool {
+	probe := [4]float64{0.375, 2.375, -2.375, 3.625}
+	var got [4]float64
+	if done, out := expAVX(got[:], probe[:], formExp); done != 4 || out != 0 {
+		return false
+	}
+	for l, x := range probe {
+		if math.Float64bits(got[l]) != math.Float64bits(math.Exp(x)) {
+			return false
+		}
+	}
+	return true
 }()
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -45,4 +66,4 @@ func broadcastAVX(dst, src []float64, w int)
 func addLanesAVX(acc, rows []float64, stride, count int)
 
 //go:noescape
-func expAVX(dst, src []float64, form expForm, fma bool) (done, out int)
+func expAVX(dst, src []float64, form expForm) (done, out int)

@@ -586,17 +586,17 @@ add_done:
 	VZEROUPPER
 	RET
 
-// The exp kernels port both branches of math.Exp's amd64 assembly
-// (archExp, after Shibata's SLEEF method) to four lanes per instruction,
-// each scalar operation to its packed twin with the same operand order
-// and rounding: k = round(x·log2e) by the MXCSR, r = (x − k·ln2U − k·ln2L) /
-// 16, the degree-8 Taylor polynomial, four squarings (2 + r)·r, and the
-// exponent insert 2^k. The FMA branch contracts exactly the products archExp
-// contracts on a CPU with AVX and FMA, the other none. A lane whose biased
-// exponent k + 1023 leaves (0, 0x7ff) — a non-finite input converts to the
-// integer indefinite, a negative k — is outside the packed domain: archExp
-// takes its overflow or denormal branch there, and the caller recomputes the
-// lane with math.Exp.
+// The exp kernels port the FMA branch of math.Exp's amd64 assembly
+// (archExp, after Shibata's SLEEF method), the branch math.Exp takes on a
+// CPU with AVX and FMA, to four lanes per instruction, each scalar
+// operation to its packed twin with the same operand order and rounding:
+// k = round(x·log2e) by the MXCSR, r = (x − k·ln2U − k·ln2L) / 16, the
+// degree-8 Taylor polynomial, four squarings (2 + r)·r, and the exponent
+// insert 2^k, contracting exactly the products archExp contracts. A lane
+// whose biased exponent k + 1023 leaves (0, 0x7ff) — a non-finite input
+// converts to the integer indefinite, a negative k — is outside the packed
+// domain: archExp takes its overflow or denormal branch there, and the
+// caller recomputes the lane with math.Exp.
 
 // expc holds each constant four times, one 32-byte vector apiece, so the
 // kernels read them as memory operands.
@@ -643,7 +643,7 @@ DATA expc<>+(EMAX)(SB)/8, $0x000007fe000007fe
 DATA expc<>+(EMAX+8)(SB)/8, $0x000007fe000007fe
 GLOBL expc<>(SB), RODATA|NOPTR, $480
 
-// func expAVX(dst, src []float64, form expForm, fma bool) (done, out int)
+// func expAVX(dst, src []float64, form expForm) (done, out int)
 //
 // Runs the lanes of src, a multiple of four, in groups of four: each group
 // reads src and writes dst, so the two may be the same row. It returns
@@ -651,15 +651,14 @@ GLOBL expc<>(SB), RODATA|NOPTR, $480
 // packed domain: done is the lanes run, and out has bit l set for each lane
 // l of the last group that the kernel left unwritten.
 //
-// DI dst, SI src, CX the lanes, BX the lane, DX the form, R8 the branch;
+// DI dst, SI src, CX the lanes, BX the lane, DX the form;
 // Y0 the argument and then the result, Y1 k, X3 k + 1023, X6 the lanes in
 // the domain (AX its bits), X15 zero.
-TEXT ·expAVX(SB), NOSPLIT, $0-80
+TEXT ·expAVX(SB), NOSPLIT, $0-72
 	MOVQ    dst_base+0(FP), DI
 	MOVQ    src_base+24(FP), SI
 	MOVQ    src_len+32(FP), CX
 	MOVQ    form+48(FP), DX
-	MOVBLZX fma+56(FP), R8
 	XORQ    BX, BX
 	XORQ    AX, AX
 	VXORPD  X15, X15, X15
@@ -677,49 +676,14 @@ exp_neg:
 	VXORPD expc<>+SIGN(SB), Y0, Y0
 
 exp_arg:
-	VMULPD     expc<>+LOG2E(SB), Y0, Y1
-	VCVTPD2DQY Y1, X2
-	VCVTDQ2PD  X2, Y1
-	VPADDD     expc<>+BIAS(SB), X2, X3
-	VPCMPGTD   X15, X3, X4             // k + 1023 > 0
-	VPCMPGTD   expc<>+EMAX(SB), X3, X5 // k + 1023 > 0x7fe
-	VPANDN     X4, X5, X6
-	VMOVMSKPS  X6, AX
-	TESTQ      R8, R8
-	JNZ        exp_fma
-
-	VMULPD expc<>+LN2U(SB), Y1, Y2
-	VSUBPD Y2, Y0, Y0
-	VMULPD expc<>+LN2L(SB), Y1, Y2
-	VSUBPD Y2, Y0, Y0
-	VMULPD expc<>+SIXTEENTH(SB), Y0, Y0
-	VMULPD expc<>+C8(SB), Y0, Y2
-	VADDPD expc<>+C7(SB), Y2, Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD expc<>+C6(SB), Y2, Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD expc<>+C5(SB), Y2, Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD expc<>+C4(SB), Y2, Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD expc<>+C3(SB), Y2, Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD expc<>+HALF(SB), Y2, Y2
-	VMULPD Y0, Y2, Y2
-	VADDPD expc<>+ONE(SB), Y2, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD expc<>+TWO(SB), Y0, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD expc<>+TWO(SB), Y0, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD expc<>+TWO(SB), Y0, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD expc<>+TWO(SB), Y0, Y2
-	VMULPD Y2, Y0, Y0
-	VADDPD expc<>+ONE(SB), Y0, Y0
-	JMP    exp_insert
-
-exp_fma:
+	VMULPD       expc<>+LOG2E(SB), Y0, Y1
+	VCVTPD2DQY   Y1, X2
+	VCVTDQ2PD    X2, Y1
+	VPADDD       expc<>+BIAS(SB), X2, X3
+	VPCMPGTD     X15, X3, X4             // k + 1023 > 0
+	VPCMPGTD     expc<>+EMAX(SB), X3, X5 // k + 1023 > 0x7fe
+	VPANDN       X4, X5, X6
+	VMOVMSKPS    X6, AX
 	VFNMADD231PD expc<>+LN2U(SB), Y1, Y0
 	VFNMADD231PD expc<>+LN2L(SB), Y1, Y0
 	VMULPD       expc<>+SIXTEENTH(SB), Y0, Y0
@@ -741,7 +705,6 @@ exp_fma:
 	VADDPD       expc<>+TWO(SB), Y0, Y2
 	VFMADD213PD  expc<>+ONE(SB), Y2, Y0
 
-exp_insert:
 	// 2^k: k + 1023 into each lane's exponent field, from 128-bit halves.
 	VPSLLD      $20, X3, X3
 	VPUNPCKLDQ  X3, X15, X4
@@ -774,7 +737,7 @@ exp_partial:
 	XORQ        $15, AX
 
 exp_done:
-	MOVQ BX, done+64(FP)
-	MOVQ AX, out+72(FP)
+	MOVQ BX, done+56(FP)
+	MOVQ AX, out+64(FP)
 	VZEROUPPER
 	RET

@@ -2,9 +2,9 @@
 
 package vec
 
-// haveAVX and haveFMA are false: the AVX kernels exist on amd64 only, and
-// avx never selects the stubs below.
-const haveAVX, haveFMA = false, false
+// haveAVX, haveFMA and haveExp are false: the AVX kernels exist on amd64
+// only, and avx never selects the stubs below.
+const haveAVX, haveFMA, haveExp = false, false, false
 
 func runAVX(vals []float64, prog []Instr, n int)                { panic("vec: no AVX kernels") }
 func stepAVX(vals []float64, tail []Product, n int, lr float64) { panic("vec: no AVX kernels") }
@@ -12,6 +12,4 @@ func sumAVX(vals []float64, tail []Product, shift, n int)       { panic("vec: no
 func prodAVX(vals []float64, tail []Product, shift, n int)      { panic("vec: no AVX kernels") }
 func broadcastAVX(dst, src []float64, w int)                    { panic("vec: no AVX kernels") }
 func addLanesAVX(acc, rows []float64, stride, count int)        { panic("vec: no AVX kernels") }
-func expAVX(dst, src []float64, form expForm, fma bool) (done, out int) {
-	panic("vec: no AVX kernels")
-}
+func expAVX(dst, src []float64, form expForm) (done, out int)   { panic("vec: no AVX kernels") }
