@@ -42,14 +42,15 @@ func plannedProgram(b *testing.B, bm dataset.Benchmark, scale float64) *compiler
 // simulated training vector, wall and process CPU, and allocations per batch,
 // for a program planned for UltraScale+ — flat bindings through Run, two
 // vectors on every thread, the averaging aggregator, one Sim kept across
-// batches — and the size of its lane arenas. It runs the standalone
-// simulator's default GOMAXPROCS host workers; BenchmarkAccelEngine in
-// internal/runtime is the node's one-worker engine.
+// batches — and the size of its lane arenas. tumor and stock spend most of
+// it binding data, face on select and its unit gradient rows. It runs the
+// standalone simulator's default GOMAXPROCS host workers;
+// BenchmarkAccelEngine in internal/runtime is the node's one-worker engine.
 func BenchmarkRunBatch(b *testing.B) {
 	for _, f := range []struct {
 		name  string
 		scale float64
-	}{{"mnist", 0.05}, {"tumor", 0.1}, {"movielens", 0.1}} {
+	}{{"mnist", 0.05}, {"tumor", 0.1}, {"stock", 0.1}, {"face", 0.1}, {"movielens", 0.1}} {
 		b.Run(f.name, func(b *testing.B) {
 			bm, err := dataset.ByName(f.name)
 			if err != nil {

@@ -271,6 +271,25 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunBatchRetainsNoVectors: the lanes' per-step vectors alias the
+// caller's, so none is left behind when a batch returns.
+func TestRunBatchRetainsNoVectors(t *testing.T) {
+	sim, model, parts := obsTestSim(t)
+	for _, workers := range []int{1, 2} {
+		sim.SetWorkers(workers)
+		if _, err := sim.RunBatch(model, parts, 0.05, dsl.AggAverage); err != nil {
+			t.Fatal(err)
+		}
+		for b := range sim.blocks {
+			for l, v := range sim.blocks[b].step {
+				if v != nil {
+					t.Errorf("workers %d: block %d lane %d still holds a vector", workers, b, l)
+				}
+			}
+		}
+	}
+}
+
 // TestRunBatchGradientAliasesModel: a gradient output may be another model
 // symbol's leaf, and a model symbol may have no leaf at all. The local step
 // must read every gradient before it rewrites any leaf, and must carry the

@@ -202,14 +202,13 @@ type simObs struct {
 	peBusy                   []*obs.Counter // indexed by PE
 	busKeys                  []int          // the bus segments that carry traffic, ascending
 	busTransfers             []*obs.Counter // parallel to busKeys
-	threadVectors            *obs.Histogram
 }
 
 // Attach wires the simulator to an observer: per-PE busy cycle counters,
-// per-bus-segment transfer counters, a thread-occupancy histogram, and
-// simulated-cycle trace spans for every batch, the reduction tree's
-// (aggregation write-back) among them. The cycles of each phase are
-// attributed exactly by CycleProfile, not counted here. Attach(nil)
+// per-bus-segment transfer counters, and simulated-cycle trace spans for
+// every batch, the reduction tree's (aggregation write-back) among them.
+// The cycles of each phase are attributed exactly by CycleProfile, not
+// counted here. Attach(nil)
 // detaches; a detached simulator's RunBatch allocates only the BatchResult
 // it returns.
 func (s *Sim) Attach(o *obs.Observer) {
@@ -233,8 +232,6 @@ func (s *Sim) Attach(o *obs.Observer) {
 				reg.Counter(obs.Labeled("cosmic_sim_bus_transfers_total", "bus", busName(s.prog, bus))))
 		}
 	}
-	mx.threadVectors = reg.Histogram("cosmic_sim_thread_vectors",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 
 	for t := 0; t < s.threads; t++ {
 		mx.tr.NameThread(obs.PIDAccel, t, "thread "+strconv.Itoa(t))
@@ -269,9 +266,6 @@ func (s *Sim) recordBatch(res *BatchResult, maxVecs int) {
 	// replays the schedule on its own sub-array's segments.
 	for i, bus := range mx.busKeys {
 		mx.busTransfers[i].Add(s.tm.busLoad[bus] * totalVecs)
-	}
-	for _, n := range res.ThreadVectors {
-		mx.threadVectors.Observe(float64(n))
 	}
 
 	base := s.cycleBase
@@ -365,6 +359,9 @@ type laneBlock struct {
 	// vector count (thread order among equals), so the lanes that still
 	// hold a vector at any step are a prefix.
 	threads []int
+	// step holds each live lane's vector of the step being bound. It
+	// aliases the caller's vectors and is cleared when the batch ends.
+	step [][][]float64
 	// err is the binding error of errThread, the block's lowest-indexed
 	// failing thread (−1 for the model, which is bound before any vector).
 	err       error
@@ -599,15 +596,17 @@ func (s *Sim) deal() []laneBlock {
 }
 
 // runBlock runs the block's threads through their vector sequences in
-// lockstep: step k binds every live lane's k-th vector and walks the lane
-// program once, which applies the local update discipline to the live
-// lanes — the SGD step θ ← θ − μ·g (Equation 3a) or the gradient sum.
+// lockstep: step k binds every live lane's k-th vector in one call and
+// walks the lane program once, which applies the local update discipline
+// to the live lanes — the SGD step θ ← θ − μ·g (Equation 3a) or the
+// gradient sum.
 func (s *Sim) runBlock(b *laneBlock, model [][]float64, parts [][][][]float64,
 	lr float64, agg dsl.AggregatorKind) {
 
 	w := s.width
 	if b.lanes == nil {
 		b.lanes = s.tape.NewLanes(w, s.layout)
+		b.step = make([][][]float64, w)
 	}
 	b.err, b.errThread = nil, -1
 	if err := b.lanes.BindModel(model); err != nil {
@@ -626,13 +625,21 @@ func (s *Sim) runBlock(b *laneBlock, model [][]float64, parts [][][][]float64,
 			n--
 		}
 		if n == 0 {
+			clear(b.step)
 			return
 		}
 		for l, t := range b.threads[:n] {
-			// A lane that fails keeps running on stale data; the batch is
-			// discarded, and only the lowest thread's first error is kept.
-			if err := b.lanes.BindData(l, parts[t][step]); err != nil && (b.err == nil || t < b.errThread) {
-				b.err, b.errThread = err, t
+			b.step[l] = parts[t][step]
+		}
+		if b.lanes.BindData(0, b.step[:n]) != nil {
+			// Nothing was bound. Lane by lane, the lanes that can bind do,
+			// and the lowest failing thread's first error is kept; a lane
+			// that fails keeps running on stale data, and the batch is
+			// discarded.
+			for l, t := range b.threads[:n] {
+				if err := b.lanes.BindData(l, b.step[l:l+1]); err != nil && (b.err == nil || t < b.errThread) {
+					b.err, b.errThread = err, t
+				}
 			}
 		}
 		b.lanes.Eval(n, update, lr)

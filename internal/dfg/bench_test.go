@@ -90,10 +90,12 @@ func BenchmarkTapeEval(b *testing.B) {
 				if err := la.BindModel(vecs(tape.ModelSymbols(), model)); err != nil {
 					b.Fatal(err)
 				}
-				for l := 0; l < width; l++ {
-					if err := la.BindData(l, vecs(tape.DataSymbols(), alg.PackSample(samples[l]))); err != nil {
-						b.Fatal(err)
-					}
+				lanes := make([][][]float64, width)
+				for l := range lanes {
+					lanes[l] = vecs(tape.DataSymbols(), alg.PackSample(samples[l]))
+				}
+				if err := la.BindData(0, lanes); err != nil {
+					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -108,9 +110,10 @@ func BenchmarkTapeEval(b *testing.B) {
 
 // BenchmarkLanesEval is a node's lane arena at the `deep` workload's shape
 // — mnist@0.05 in the trainer layout, 32 lanes, one SGD step per Eval —
-// timed in the three parts the simulator runs it in: eval (the lane
+// timed in the four parts the simulator runs it in: eval (the lane
 // program and its update tail, in ns per program instruction or tail row
-// over all 32 lanes), bind (BindModel's broadcast, ns per model word) and
+// over all 32 lanes), bind (BindModel's broadcast, ns per model word), data
+// (one step's BindData of all 32 lanes, ns per data word of a vector) and
 // reduce (the cross-thread sum and average Sim.reduce applies to the model
 // block, ns per model word). Each runs on the kernels in use and, where
 // those are the AVX ones, on their portable Go loops.
@@ -152,15 +155,19 @@ func BenchmarkLanesEval(b *testing.B) {
 	la := tape.NewLanes(width, layout)
 	instrs := dfg.LaneInstrs(la)
 	samples := bm.Generate(alg, width, 7)
-	for l := 0; l < width; l++ {
+	lanes := make([][][]float64, width)
+	for l := range lanes {
 		data := alg.PackSample(samples[l])
-		dv := make([][]float64, 0, len(tape.DataSymbols()))
 		for _, name := range tape.DataSymbols() {
-			dv = append(dv, data[name])
+			lanes[l] = append(lanes[l], data[name])
 		}
-		if err := la.BindData(l, dv); err != nil {
-			b.Fatal(err)
-		}
+	}
+	if err := la.BindData(0, lanes); err != nil {
+		b.Fatal(err)
+	}
+	dataWords := 0
+	for _, v := range lanes[0] {
+		dataWords += len(v)
 	}
 	partial := make([]float64, words)
 
@@ -191,6 +198,16 @@ func BenchmarkLanesEval(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+		})
+		b.Run("data/"+impl, func(b *testing.B) {
+			defer vec.SetAccelerated(impl == "avx")()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := la.BindData(0, lanes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dataWords), "ns/word")
 		})
 		b.Run("reduce/"+impl, func(b *testing.B) {
 			defer vec.SetAccelerated(impl == "avx")()

@@ -6,16 +6,16 @@ import "repro/internal/vec"
 var CheckWork = checkWork
 
 // LaneShape reports a lane arena's program: its instructions, the gradient
-// rows its update tail computes and those that fall back, its rows, and of
-// those the temporaries.
+// rows its update tail computes and those that fall back (unit rows
+// included), its rows, and of those the temporaries.
 func LaneShape(la *Lanes) (instrs, tail, fallback, rows, temps int) {
 	rows = len(la.vals) / la.width
-	return len(laneProgram(la)), len(la.tail), len(la.fallback), rows, len(laneTemps(la))
+	return len(laneProgram(la)), len(la.tail), len(la.unit) + len(la.fallback), rows, len(laneTemps(la))
 }
 
-// LaneInstrs returns how many instructions an Eval runs: the lane program's
-// and its update tail's.
-func LaneInstrs(la *Lanes) int { return len(laneProgram(la)) + len(la.tail) }
+// LaneInstrs returns how many instructions an Eval runs: the lane program's,
+// its update tail's and its unit rows'.
+func LaneInstrs(la *Lanes) int { return len(laneProgram(la)) + len(la.tail) + len(la.unit) }
 
 // laneProgram returns the lane program one instruction per tape
 // instruction (or fused product-sum), its packed runs turned back into

@@ -74,6 +74,7 @@ func FuzzTranslate(f *testing.F) {
 var laneFuzzOps = []Op{
 	OpMul, OpMul, OpMul, OpAdd, OpAdd, OpSub, OpDiv, OpNeg, OpGT, OpLE, OpEQ,
 	OpSelect, OpSigmoid, OpGaussian, OpExp, OpLog, OpSqrt, OpTanh, OpRelu, OpSign,
+	OpLT, OpGE, OpNE,
 }
 
 // laneFuzzGraph builds a random DAG from fuzz bytes: model symbols w and v

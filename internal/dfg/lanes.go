@@ -1,8 +1,10 @@
 package dfg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -26,8 +28,10 @@ import (
 // The gradient outputs run last, as the program's update tail: a gradient
 // row whose value is a product nothing else reads (and that reads no model
 // row) is computed inside the update Eval applies, so under UpdateStep it is
-// never stored at all. Every other gradient row falls back to a value row
-// of its own and a per-row update after the tail. The remaining rows —
+// never stored at all. Every other gradient row has a value row of its own:
+// one that is not a model row joins the tail as its product with a row of
+// ones, and one that is (the gradient is a model leaf) falls back to a
+// per-row update around the tail. The remaining rows —
 // leaves, constants and outputs — are stable; temporaries share rows by
 // liveness, so the arena holds about as many temporary rows as the program
 // ever has live values at once.
@@ -47,16 +51,21 @@ type Lanes struct {
 	// modelSpan the index of each one's span.
 	model     []symBinding
 	modelSpan []int
-	// data is the tape's data bindings with their loads' slots replaced by
-	// rows.
+	// data is the tape's data bindings, validated in that order; runs
+	// writes them, and cols is BindData's scratch: each symbol's vectors,
+	// lane by lane.
 	data []symBinding
+	runs []bindRun
+	cols [][]float64
 	// prog is the lane program: its arithmetic runs as packed instructions
 	// in kern, each maximal run of them behind one opKernels instruction.
-	// tail computes the fused gradient rows, and fallback names the value
-	// row of every other gradient row.
+	// tail computes the fused gradient rows, unit the gradient rows whose
+	// value row is not a model row (its product with a row of ones), and
+	// fallback names the value row of every other gradient row.
 	prog     []laneInstr
 	kern     []vec.Instr
 	tail     []vec.Product
+	unit     []vec.Product
 	fallback []rowCopy
 }
 
@@ -96,6 +105,10 @@ type ModelSpan struct {
 // rowCopy names gradient block row to's value row, from.
 type rowCopy struct{ to, from int32 }
 
+// bindRun is one run of a data symbol's loads: elements elem … elem+count−1
+// of data symbol sym land in rows row … row+count−1.
+type bindRun struct{ sym, row, elem, count int32 }
+
 // laneInstr is one lane-program instruction: a tape instruction with its
 // operands resolved to rows, a fused product-sum whose fourth operand is e,
 // or an opKernels that runs the packed instructions kern[a:b].
@@ -129,6 +142,7 @@ var packedOps = map[Op]struct {
 }{
 	OpAdd: {vec.Add, 2}, OpSub: {vec.Sub, 2}, OpMul: {vec.Mul, 2},
 	opMulAdd: {vec.MulAdd, 3}, opAddMul: {vec.AddMul, 3}, opMulMulAdd: {vec.MulMulAdd, 4},
+	OpSelect: {vec.Select, 3}, OpLT: {vec.Less, 2},
 }
 
 // ModelSymbols returns the names of the model symbols the tape reads, in
@@ -194,13 +208,28 @@ func (t *Tape) NewLanes(width int, layout LaneLayout) *Lanes {
 			vec.Broadcast(la.Row(s), t.template[s:s+1], width)
 		}
 	}
+	if len(la.unit) > 0 { // the row of ones the unit rows multiply by
+		vec.Broadcast(la.vals[la.unit[0].B:], []float64{1}, width)
+	}
 	la.data = make([]symBinding, len(t.data))
+	la.cols = make([][]float64, len(t.data)*width)
 	for i, sb := range t.data {
+		la.data[i] = symBinding{name: sb.name, minLen: sb.minLen}
 		loads := make([]leafLoad, len(sb.loads))
 		for j, ld := range sb.loads {
 			loads[j] = leafLoad{slot: la.rows[ld.slot], elem: ld.elem}
 		}
-		la.data[i] = symBinding{name: sb.name, minLen: sb.minLen, loads: loads}
+		// A run is loads into consecutive rows (held in slot) of consecutive
+		// elements.
+		slices.SortFunc(loads, func(a, b leafLoad) int { return cmp.Compare(a.slot, b.slot) })
+		for _, ld := range loads {
+			if k := len(la.runs) - 1; k >= 0 && la.runs[k].sym == int32(i) &&
+				la.runs[k].row+la.runs[k].count == ld.slot && la.runs[k].elem+la.runs[k].count == ld.elem {
+				la.runs[k].count++
+				continue
+			}
+			la.runs = append(la.runs, bindRun{sym: int32(i), row: ld.slot, elem: ld.elem, count: 1})
+		}
 	}
 	return la
 }
@@ -308,20 +337,32 @@ func (la *Lanes) lower(t *Tape, grads []int) int {
 		prog = append(prog, li)
 	}
 	next = placeTemps(prog, tail, rows, next)
-	for i := range la.fallback {
-		la.fallback[i].from = rows[la.fallback[i].from]
+	// A fallback whose value row is not a model row steps, sums or lands as
+	// the product of that row and a row of ones: a·1 is a, exactly.
+	fallback, ones := la.fallback[:0], next
+	var unit []laneProduct
+	for _, f := range la.fallback {
+		if from := rows[f.from]; from >= words {
+			unit = append(unit, laneProduct{a: from, b: ones, r: f.to})
+		} else {
+			fallback = append(fallback, rowCopy{to: f.to, from: from})
+		}
 	}
-	la.pack(prog, tail, next)
+	la.fallback = fallback
+	if len(unit) > 0 {
+		next++
+	}
+	la.pack(prog, tail, unit, next)
 	return int(next)
 }
 
-// pack puts the program's arithmetic and the update tail on the packed
-// kernels: each maximal run of arithmetic becomes one opKernels instruction
-// over its packed twins in la.kern, and each tail row a vec.Product, their
-// rows turned into offsets. The kernels index the arena unchecked, so pack
-// panics unless every row they name lies inside its rows; Eval then keeps
-// every call within the width.
-func (la *Lanes) pack(prog []laneInstr, tail []laneProduct, rows int32) {
+// pack puts the program's arithmetic, the update tail and the unit rows on
+// the packed kernels: each maximal run of arithmetic becomes one opKernels
+// instruction over its packed twins in la.kern, and each tail or unit row a
+// vec.Product, their rows turned into offsets. The kernels index the arena
+// unchecked, so pack panics unless every row they name lies inside its
+// rows; Eval then keeps every call within the width.
+func (la *Lanes) pack(prog []laneInstr, tail, unit []laneProduct, rows int32) {
 	if int64(rows)*int64(la.width) > math.MaxInt32 {
 		panic("dfg: lane arena too large for its row offsets")
 	}
@@ -350,9 +391,15 @@ func (la *Lanes) pack(prog []laneInstr, tail []laneProduct, rows int32) {
 		la.kern = append(la.kern, in)
 		la.prog[len(la.prog)-1].b = int32(len(la.kern))
 	}
-	for _, tp := range tail {
+	product := func(tp laneProduct) vec.Product {
 		off(tp.r + int32(la.words)) // the gradient block row Sum and Prod write
-		la.tail = append(la.tail, vec.Product{M: off(tp.r), A: off(tp.a), B: off(tp.b)})
+		return vec.Product{M: off(tp.r), A: off(tp.a), B: off(tp.b)}
+	}
+	for _, tp := range tail {
+		la.tail = append(la.tail, product(tp))
+	}
+	for _, tp := range unit {
+		la.unit = append(la.unit, product(tp))
 	}
 }
 
@@ -477,42 +524,69 @@ func (la *Lanes) BindModel(vecs [][]float64) error {
 	return nil
 }
 
-// BindData validates one vector's data bindings as Arena.BindData does —
-// vecs[i] is the i-th DataSymbols vector, a missing symbol a nil one — and
-// scatters them into one lane.
-func (la *Lanes) BindData(lane int, vecs [][]float64) error {
-	w, vals := la.width, la.vals
+// BindData binds lanes first … first+len(vecs)−1 to one vector each:
+// vecs[l][i] is lane first+l's i-th DataSymbols vector, a missing symbol a
+// nil one. It validates every lane as Arena.BindData does before it writes
+// any, and on an error binds nothing and returns the lowest failing lane's
+// first error. Then each run of a symbol's loads — consecutive elements into
+// consecutive rows — is one vec.Transpose over all the lanes. It panics if
+// the lanes run past the arena's width.
+func (la *Lanes) BindData(first int, vecs [][][]float64) error {
+	n := len(vecs)
+	if first < 0 || n > la.width-first {
+		panic(fmt.Sprintf("dfg: lanes [%d, %d) of a %d-lane arena", first, first+n, la.width))
+	}
+	// cols aliases the caller's vectors until the bind returns.
+	cols := la.cols[:len(la.data)*n]
+	defer clear(cols)
 	for i := range la.data {
-		sb := &la.data[i]
-		vec := vecs[i]
-		if len(vec) < sb.minLen {
-			return sb.missing("data")
+		sb, col := &la.data[i], cols[i*n:(i+1)*n]
+		for l, v := range vecs {
+			if len(v[i]) < sb.minLen {
+				return la.firstMissing(vecs)
+			}
+			col[l] = v[i]
 		}
-		for _, ld := range sb.loads {
-			vals[int(ld.slot)*w+lane] = vec[ld.elem]
+	}
+	w := la.width
+	for _, r := range la.runs {
+		vec.Transpose(la.vals[int(r.row)*w+first:], w, cols[int(r.sym)*n:][:n], int(r.elem), int(r.count))
+	}
+	return nil
+}
+
+// firstMissing returns the lowest lane's first binding error.
+func (la *Lanes) firstMissing(vecs [][][]float64) error {
+	for _, v := range vecs {
+		for i := range la.data {
+			if sb := &la.data[i]; len(v[i]) < sb.minLen {
+				return sb.missing("data")
+			}
 		}
 	}
 	return nil
 }
 
-// Eval executes the lane program on lanes [0, n), then its update tail and
-// the fallback rows under the given update. Results stay in the arena (read
-// them with Row, Model and Grads); like Arena.Eval it never allocates and
-// never fails. It panics if n is outside [0, width].
+// Eval executes the lane program on lanes [0, n), then its update tail,
+// the unit rows and the fallback rows under the given update. Results stay
+// in the arena (read them with Row, Model and Grads); like Arena.Eval it
+// never allocates and never fails. It panics if n is outside [0, width].
 //
 // Each case applies, lane by lane, the expression Arena.Eval applies to its
 // one lane; the operand rows are cut to the destination's length first so
 // the inner loops carry no bounds checks. The arithmetic — add, subtract,
-// multiply, the fused product-sums — and the tail run on package vec's
-// kernels, one call per run of instructions, and sigmoid, Gaussian and exp
-// one call per row: they compute the same expressions to the bit. Both steps write m − float64(lr·g) with g already
-// rounded, and the sum adds float64(a·b): the explicit conversions forbid
-// the compiler from contracting a product with the subtraction or add that
-// follows (the FMSUB the Go spec allows for m -= lr*g on arm64), so every
-// GOARCH updates a lane as one Arena evaluation followed by a separate step
-// or sum would. Under UpdateStep every fallback gradient is copied into its
-// gradient block row before the tail rewrites any model row, since the
-// gradient may be a model leaf.
+// multiply, the fused product-sums, select and < — the tail and the unit
+// rows run on package vec's kernels, one call per run of instructions, and
+// sigmoid, Gaussian and exp one call per row: they compute the same
+// expressions to the bit. A unit row's product a·1 is a exactly, so it
+// steps, sums or lands its gradient as a copy would. The steps write
+// m − float64(lr·g) with g already rounded, and the sums add float64(a·b):
+// the explicit conversions forbid the compiler from contracting a product
+// with the subtraction or add that follows (the FMSUB the Go spec allows
+// for m -= lr*g on arm64), so every GOARCH updates a lane as one Arena
+// evaluation followed by a separate step or sum would. Under UpdateStep
+// every fallback gradient, a model leaf, is copied into its gradient block
+// row before the tail rewrites any model row.
 func (la *Lanes) Eval(n int, up Update, lr float64) {
 	if n < 0 || n > la.width {
 		panic(fmt.Sprintf("dfg: %d lanes of a %d-lane arena", n, la.width))
@@ -541,11 +615,6 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 			for l := range d {
 				d[l] = boolVal(a[l] > b[l])
 			}
-		case OpLT:
-			b := row(in.b)
-			for l := range d {
-				d[l] = boolVal(a[l] < b[l])
-			}
 		case OpGE:
 			b := row(in.b)
 			for l := range d {
@@ -565,15 +634,6 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 			b := row(in.b)
 			for l := range d {
 				d[l] = boolVal(a[l] != b[l])
-			}
-		case OpSelect:
-			b, c := row(in.b), row(in.c)
-			for l := range d {
-				if a[l] != 0 {
-					d[l] = b[l]
-				} else {
-					d[l] = c[l]
-				}
 			}
 		case OpSigmoid:
 			vec.Sigmoid(d, a)
@@ -621,6 +681,7 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 			copy(row(g+f.to), row(f.from))
 		}
 		vec.Step(vals, la.tail, n, lr)
+		vec.Step(vals, la.unit, n, lr)
 		for _, f := range la.fallback {
 			m, d := row(f.to), row(g+f.to)
 			for l := range m {
@@ -629,6 +690,7 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 		}
 	case UpdateSum:
 		vec.Sum(vals, la.tail, int(g)*w, n)
+		vec.Sum(vals, la.unit, int(g)*w, n)
 		for _, f := range la.fallback {
 			sum, d := row(g+f.to), row(f.from)
 			for l := range sum {
@@ -637,6 +699,7 @@ func (la *Lanes) Eval(n int, up Update, lr float64) {
 		}
 	default:
 		vec.Prod(vals, la.tail, int(g)*w, n)
+		vec.Prod(vals, la.unit, int(g)*w, n)
 		for _, f := range la.fallback {
 			copy(row(g+f.to), row(f.from))
 		}

@@ -99,12 +99,14 @@ func TestLanesMatchScalarArenaAllOps(t *testing.T) {
 					if err := la.BindModel(symVecs(tape.ModelSymbols(), map[string][]float64{"w": {7}})); err != nil {
 						t.Fatal(err)
 					}
-					for l := 0; l < n; l++ {
+					vecs := make([][][]float64, n)
+					for l := range vecs {
 						c := cases[at+l]
-						if err := la.BindData(l, symVecs(tape.DataSymbols(), map[string][]float64{"x": {c[0], c[1]}})); err != nil {
-							t.Fatal(err)
-						}
+						vecs[l] = symVecs(tape.DataSymbols(), map[string][]float64{"x": {c[0], c[1]}})
 						la.Row(wSlot)[l] = c[2]
+					}
+					if err := la.BindData(0, vecs); err != nil {
+						t.Fatal(err)
 					}
 					la.Eval(n, UpdateNone, 0)
 					for l := 0; l < n; l++ {
@@ -157,16 +159,18 @@ func TestLanesMatchArenaOnBenchmarks(t *testing.T) {
 				if err := la.BindModel(symVecs(tape.ModelSymbols(), binds[0].Model)); err != nil {
 					t.Fatal(err)
 				}
+				vecs := make([][][]float64, width)
 				for l, b := range binds {
-					if err := la.BindData(l, symVecs(tape.DataSymbols(), b.Data)); err != nil {
-						t.Fatal(err)
-					}
+					vecs[l] = symVecs(tape.DataSymbols(), b.Data)
 					b.Model = binds[0].Model
 					binds[l] = b
 				}
+				if err := la.BindData(0, vecs); err != nil {
+					t.Fatal(err)
+				}
 				la.Eval(width, UpdateNone, 0)
 				idle := laneOutputs(g, la, live)
-				if err := la.BindData(live, symVecs(tape.DataSymbols(), binds[0].Data)); err != nil {
+				if err := la.BindData(live, [][][]float64{symVecs(tape.DataSymbols(), binds[0].Data)}); err != nil {
 					t.Fatal(err)
 				}
 				la.Eval(live, UpdateNone, 0)
@@ -192,7 +196,7 @@ func TestLanesBindingErrors(t *testing.T) {
 	}
 	arena, la := tape.NewArena(), tape.NewLanes(2, LaneLayout{})
 	for _, data := range []map[string][]float64{{}, {"x": {1}}, {"x": {1, 2}}} {
-		want, got := arena.BindData(data), la.BindData(1, symVecs(tape.DataSymbols(), data))
+		want, got := arena.BindData(data), la.BindData(1, [][][]float64{symVecs(tape.DataSymbols(), data)})
 		if fmt.Sprint(want) != fmt.Sprint(got) {
 			t.Errorf("BindData(%v): lanes %v, arena %v", data, got, want)
 		}
@@ -202,6 +206,131 @@ func TestLanesBindingErrors(t *testing.T) {
 		if fmt.Sprint(want) != fmt.Sprint(got) {
 			t.Errorf("BindModel(%v): lanes %v, arena %v", model, got, want)
 		}
+	}
+}
+
+// runsGraph outputs data leaves that load x[3], x[0], x[1], x[2], x[5],
+// x[1] again, y[1] and y[0], in that slot order, and returns their slots.
+func runsGraph(t *testing.T) (*Graph, *Tape, []int32) {
+	t.Helper()
+	g := &Graph{Symbols: []string{"", "x", "y"}, Outputs: map[string][]int32{}}
+	var leaves []int32
+	for _, ld := range [][2]int32{{1, 3}, {1, 0}, {1, 1}, {1, 2}, {1, 5}, {1, 1}, {2, 1}, {2, 0}} {
+		g.Nodes = append(g.Nodes, Node{Op: OpData, Sym: ld[0], Index: ld[1]})
+		leaves = append(leaves, int32(len(g.Nodes)-1))
+	}
+	g.Outputs["g"] = leaves
+	g.OutputOrder = []string{"g"}
+	g.Link()
+	tape, err := g.CompileTape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, tape, leaves
+}
+
+// TestLanesBindRuns: a bind writes every load of every symbol, whatever
+// runs the loads make. x's leaves take rows in slot order but load a run of
+// three, two of one past a gap and a repeat; y's load a falling pair. Lanes
+// 1 … 3 of five are bound in one call, lanes 0 and 4 must keep what they
+// held, and the arena must keep none of the caller's vectors.
+func TestLanesBindRuns(t *testing.T) {
+	g, tape, leaves := runsGraph(t)
+	eachKernel(t, func(t *testing.T) {
+		const width = 5
+		la := tape.NewLanes(width, LaneLayout{})
+		if len(la.runs) != 6 {
+			t.Errorf("%d runs, want 6: x[0:3], x[1], x[3], x[5], y[0], y[1]", len(la.runs))
+		}
+		for _, slot := range leaves {
+			for l := range width {
+				la.Row(int(slot))[l] = -1
+			}
+		}
+		vecs := make([][][]float64, 3)
+		for l := range vecs {
+			x := []float64{10, 11, 12, 13, 14, 15}
+			y := []float64{20, 21}
+			for i := range x {
+				x[i] += float64(100 * l)
+			}
+			for i := range y {
+				y[i] += float64(100 * l)
+			}
+			vecs[l] = symVecs(tape.DataSymbols(), map[string][]float64{"x": x, "y": y})
+		}
+		if err := la.BindData(1, vecs); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range la.cols {
+			if c != nil {
+				t.Fatal("the bind kept a caller's vector")
+			}
+		}
+		for i, slot := range leaves {
+			n := g.Nodes[slot]
+			for l := range width {
+				want := -1.0
+				if l >= 1 && l <= 3 {
+					want = 10*float64(n.Sym) + float64(n.Index) + float64(100*(l-1))
+				}
+				if got := la.Row(int(slot))[l]; got != want {
+					t.Errorf("leaf %d (%s[%d]) lane %d: %v, want %v", i, g.Symbols[n.Sym], n.Index, l, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestLanesBindErrorBindsNothing: a bind with failing lanes writes no lane
+// and returns the lowest failing lane's first error, as a scalar arena
+// binding that lane alone would — lane 1's short y, though lane 2's short x
+// comes first in symbol order.
+func TestLanesBindErrorBindsNothing(t *testing.T) {
+	_, tape, _ := runsGraph(t)
+	la := tape.NewLanes(4, LaneLayout{})
+	before := append([]float64(nil), la.vals...)
+	x, y := make([]float64, 6), make([]float64, 2)
+	lanes := []map[string][]float64{{"x": x, "y": y}, {"x": x, "y": y[:1]}, {"x": x[:5], "y": y}, {"x": x, "y": y}}
+	vecs := make([][][]float64, len(lanes))
+	for l, data := range lanes {
+		vecs[l] = symVecs(tape.DataSymbols(), data)
+	}
+	got := la.BindData(0, vecs)
+	want := tape.NewArena().BindData(lanes[1])
+	if want == nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("BindData: %v, want lane 1's %v", got, want)
+	}
+	requireRowsBitEqual(t, "arena after a failed bind", before, la.vals)
+}
+
+// TestLanesBindPanicsPastWidth: a bind whose lanes run past the arena's
+// width, or start before lane 0, panics before it writes anything.
+func TestLanesBindPanicsPastWidth(t *testing.T) {
+	tape, err := allOpsGraph().CompileTape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	la := tape.NewLanes(4, LaneLayout{})
+	data := symVecs(tape.DataSymbols(), map[string][]float64{"x": {1, 2}})
+	before := append([]float64(nil), la.vals...)
+	for _, c := range []struct{ first, n int }{{4, 1}, {-1, 1}, {3, 2}, {0, 5}} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "4-lane arena") {
+					t.Errorf("BindData(%d, %d lanes): panic %q, want one naming the width", c.first, c.n, msg)
+				}
+			}()
+			vecs := make([][][]float64, c.n)
+			for l := range vecs {
+				vecs[l] = data
+			}
+			la.BindData(c.first, vecs)
+		}()
+	}
+	requireRowsBitEqual(t, "arena after refused binds", before, la.vals)
+	if err := la.BindData(4, nil); err != nil {
+		t.Errorf("BindData(4, no lanes): %v", err)
 	}
 }
 
@@ -215,15 +344,14 @@ func TestLanesSteadyStateAllocFree(t *testing.T) {
 	}
 	la := tape.NewLanes(4, LaneLayout{})
 	data := symVecs(tape.DataSymbols(), map[string][]float64{"x": {1.5, -2.25}})
+	vecs := [][][]float64{data, data, data, data}
 	model := symVecs(tape.ModelSymbols(), map[string][]float64{"w": {0.75}})
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := la.BindModel(model); err != nil {
 			t.Fatal(err)
 		}
-		for l := 0; l < 4; l++ {
-			if err := la.BindData(l, data); err != nil {
-				t.Fatal(err)
-			}
+		if err := la.BindData(0, vecs); err != nil {
+			t.Fatal(err)
 		}
 		la.Eval(4, UpdateNone, 0)
 	})
@@ -310,7 +438,7 @@ func TestLanesFuseProductSums(t *testing.T) {
 		lanes = append(lanes, other)
 	}
 	for l, d := range lanes {
-		if err := la.BindData(l, symVecs(tape.DataSymbols(), d)); err != nil {
+		if err := la.BindData(l, [][][]float64{symVecs(tape.DataSymbols(), d)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,14 +540,13 @@ func checkLaneUpdates(t testing.TB, tape *Tape, layout LaneLayout, width int, dr
 		arena := tape.NewArena()
 		for step := 0; step < 4; step++ {
 			n := max(1, width-step)
-			for l := 0; l < n; l++ {
+			vecs := make([][][]float64, n)
+			for l := range vecs {
 				data := map[string][]float64{}
 				for _, sb := range tape.data {
 					data[sb.name] = fill(sb.minLen)
 				}
-				if err := la.BindData(l, symVecs(tape.DataSymbols(), data)); err != nil {
-					t.Fatal(err)
-				}
+				vecs[l] = symVecs(tape.DataSymbols(), data)
 				if err := arena.Bind(Bindings{Data: data, Model: bind(models[l])}); err != nil {
 					t.Fatal(err)
 				}
@@ -435,6 +562,9 @@ func checkLaneUpdates(t testing.TB, tape *Tape, layout LaneLayout, width int, dr
 						grads[l][r] += g
 					}
 				}
+			}
+			if err := la.BindData(0, vecs); err != nil {
+				t.Fatal(err)
 			}
 			la.Eval(n, up, laneStepLR)
 			for l := 0; l < width; l++ {

@@ -1,8 +1,9 @@
 // Package vec holds the packed float64 kernels of the simulated node: the
-// lane program's arithmetic, its exp-based nonlinears, its update tail, the
-// model broadcast and the cross-thread reduce, each a loop over contiguous
-// floats. On amd64 CPUs with AVX they run four lanes per instruction in
-// assembly; everywhere else they are the Go loops in this file.
+// lane program's arithmetic, compare and select, its exp-based nonlinears,
+// its update tail, the model broadcast, the data bind's transpose and the
+// cross-thread reduce, each a loop over contiguous floats. On amd64 CPUs
+// with AVX they run four lanes per instruction in assembly; everywhere else
+// they are the Go loops in this file.
 //
 // No bit moves between the two. A packed VMULPD, VADDPD, VSUBPD or VDIVPD
 // rounds each element exactly as the scalar MULSD, ADDSD, SUBSD or DIVSD
@@ -12,9 +13,9 @@
 // packed only where math.Exp takes its FMA branch and contract exactly where
 // that branch does; every kernel applies its operands in the Go
 // expression's order; and both run under the MXCSR the Go runtime keeps
-// (round to nearest, no flush to zero). Only a NaN's payload may differ,
-// where two NaNs meet, as it may between Go builds: IEEE 754 leaves that
-// choice open.
+// (round to nearest, no flush to zero). Select, Less and Transpose only
+// compare and move floats. Only a NaN's payload may differ, where two NaNs
+// meet, as it may between Go builds: IEEE 754 leaves that choice open.
 //
 // The kernels that take offsets into an arena (Run, Step, Sum and Prod)
 // trust them: every row they name must lie inside the arena for the lanes
@@ -36,6 +37,8 @@ const (
 	MulAdd              // d = a·b + c
 	AddMul              // d = a + b·c
 	MulMulAdd           // d = a·b + c·e
+	Select              // d = b if a ≠ 0 (NaN included), else c
+	Less                // d = 1 if a < b (false on NaN), else +0
 )
 
 // Instr is one packed instruction. Its operands are offsets into the arena,
@@ -104,6 +107,28 @@ func Prod(vals []float64, tail []Product, shift, n int) {
 		return
 	}
 	prodGo(vals, tail, shift, n)
+}
+
+// Transpose writes count words of every source, from src[l][off] on, down
+// column l of dst: src[l][off+j] to dst[j·w+l], for every lane l of src and
+// word j < count. Each source is one lane's vector, and each row of dst, w
+// floats apart, one word of every lane: the data bind of a lane arena. It
+// panics unless every source holds its words and the columns fit in dst
+// side by side.
+func Transpose(dst []float64, w int, src [][]float64, off, count int) {
+	if off < 0 || count < 0 || len(src) > w || count > 0 && len(src) > 0 && (count-1)*w+len(src) > len(dst) {
+		panic("vec: transpose columns outside the destination")
+	}
+	for _, s := range src {
+		if len(s)-off < count {
+			panic("vec: transpose source shorter than its words")
+		}
+	}
+	if avx {
+		transposeAVX(dst, w, src, off, count)
+		return
+	}
+	transposeGo(dst, w, src, off, count)
 }
 
 // expForm is the function an exp kernel applies to each lane.
@@ -246,6 +271,23 @@ func runGo(vals []float64, prog []Instr, n int) {
 			for l := range d {
 				d[l] = float64(a[l]*b[l]) + float64(c[l]*e[l])
 			}
+		case Select:
+			c := row(in.C)
+			for l := range d {
+				if a[l] != 0 {
+					d[l] = b[l]
+				} else {
+					d[l] = c[l]
+				}
+			}
+		case Less:
+			for l := range d {
+				v := 0.0
+				if a[l] < b[l] {
+					v = 1
+				}
+				d[l] = v
+			}
 		}
 	}
 }
@@ -303,6 +345,14 @@ func broadcastGo(dst, src []float64, w int) {
 		row := dst[e*w:][:w]
 		for l := range row {
 			row[l] = v
+		}
+	}
+}
+
+func transposeGo(dst []float64, w int, src [][]float64, off, count int) {
+	for l, s := range src {
+		for j, v := range s[off : off+count] {
+			dst[j*w+l] = v
 		}
 	}
 }

@@ -63,6 +63,9 @@ func prodAVX(vals []float64, tail []Product, shift, n int)
 func broadcastAVX(dst, src []float64, w int)
 
 //go:noescape
+func transposeAVX(dst []float64, w int, src [][]float64, off, count int)
+
+//go:noescape
 func addLanesAVX(acc, rows []float64, stride, count int)
 
 //go:noescape

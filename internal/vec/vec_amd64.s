@@ -26,10 +26,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// one is 1.0 in four lanes: the true of Less.
+DATA one<>+0(SB)/8, $1.0
+DATA one<>+8(SB)/8, $1.0
+DATA one<>+16(SB)/8, $1.0
+DATA one<>+24(SB)/8, $1.0
+GLOBL one<>(SB), RODATA|NOPTR, $32
+
 // func runAVX(vals []float64, prog []Instr, n int)
 //
 // DI vals, SI the instruction, R8 instructions left, CX n, R9 n rounded
-// down to four lanes, BX the lane; R10–R14 the rows d, a, b, c, e.
+// down to four lanes, BX the lane; R10–R14 the rows d, a, b, c, e; X15
+// zero.
 TEXT ·runAVX(SB), NOSPLIT, $0-56
 	MOVQ vals_base+0(FP), DI
 	MOVQ prog_base+24(FP), SI
@@ -37,6 +45,7 @@ TEXT ·runAVX(SB), NOSPLIT, $0-56
 	MOVQ n+48(FP), CX
 	MOVQ CX, R9
 	ANDQ $-4, R9
+	VXORPD X15, X15, X15
 	TESTQ R8, R8
 	JZ   run_done
 
@@ -66,6 +75,10 @@ run_instr:
 	JEQ     add
 	CMPL    AX, $1
 	JEQ     sub
+	CMPL    AX, $6
+	JEQ     select
+	CMPL    AX, $7
+	JEQ     less
 	JMP     run_next
 
 muladd: // d = a·b + c
@@ -205,6 +218,53 @@ sub1:
 	VMOVSD X0, (R10)(BX*8)
 	INCQ   BX
 	JMP    sub1
+
+select: // d = b if a ≠ 0, else c: predicate 4, NEQ_UQ, is Go's !=, true on NaN
+	CMPQ BX, R9
+	JGE  select1
+	PCALIGN $32
+select4:
+	VCMPPD    $4, (R11)(BX*8), Y15, Y0
+	VMOVUPD   (R13)(BX*8), Y1
+	VBLENDVPD Y0, (R12)(BX*8), Y1, Y1
+	VMOVUPD   Y1, (R10)(BX*8)
+	ADDQ      $4, BX
+	CMPQ      BX, R9
+	JLT       select4
+	PCALIGN $32
+select1:
+	CMPQ      BX, CX
+	JGE       run_next
+	VCMPSD    $4, (R11)(BX*8), X15, X0
+	VMOVSD    (R13)(BX*8), X1
+	VMOVSD    (R12)(BX*8), X2
+	VBLENDVPD X0, X2, X1, X1
+	VMOVSD    X1, (R10)(BX*8)
+	INCQ      BX
+	JMP       select1
+
+less: // d = 1 if a < b, else +0: predicate 0x11, LT_OQ, is Go's <, false on NaN
+	CMPQ BX, R9
+	JGE  less1
+	PCALIGN $32
+less4:
+	VMOVUPD (R11)(BX*8), Y0
+	VCMPPD  $0x11, (R12)(BX*8), Y0, Y0
+	VANDPD  one<>(SB), Y0, Y0
+	VMOVUPD Y0, (R10)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     less4
+	PCALIGN $32
+less1:
+	CMPQ   BX, CX
+	JGE    run_next
+	VMOVSD (R11)(BX*8), X0
+	VCMPSD $0x11, (R12)(BX*8), X0, X0
+	VANDPD one<>(SB), X0, X0
+	VMOVSD X0, (R10)(BX*8)
+	INCQ   BX
+	JMP    less1
 
 run_next:
 	ADDQ $24, SI
@@ -417,6 +477,117 @@ bc_next:
 	JNZ  bc_row
 
 bc_done:
+	VZEROUPPER
+	RET
+
+// func transposeAVX(dst []float64, w int, src [][]float64, off, count int)
+//
+// Four lanes at a time: their sources' words j … j+3, loaded as the halves
+// of four vectors and unpacked, are four rows of the four lanes, each one
+// 32-byte store. The words past a multiple of four go one row at a time,
+// and the lanes past a multiple of four one word at a time.
+//
+// DI the lanes' first row, SI their source headers, R8 lane quads (then
+// lanes) left, R14 the row stride in bytes, DX off in bytes, CX count, R9
+// count rounded down to four words, BX the word, AX its row; R10–R13 the
+// four lanes' sources.
+TEXT ·transposeAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ w+24(FP), R14
+	SHLQ $3, R14
+	MOVQ src_base+32(FP), SI
+	MOVQ src_len+40(FP), R8
+	MOVQ off+56(FP), DX
+	SHLQ $3, DX
+	MOVQ count+64(FP), CX
+	MOVQ CX, R9
+	ANDQ $-4, R9
+	SHRQ $2, R8
+	JZ   tr_lanes
+
+	PCALIGN $32
+tr_quad:
+	MOVQ 0(SI), R10
+	MOVQ 24(SI), R11
+	MOVQ 48(SI), R12
+	MOVQ 72(SI), R13
+	ADDQ DX, R10
+	ADDQ DX, R11
+	ADDQ DX, R12
+	ADDQ DX, R13
+	MOVQ DI, AX
+	XORQ BX, BX
+	CMPQ BX, R9
+	JGE  tr_quad1
+	PCALIGN $32
+tr_quad4:
+	VMOVUPD     (R10)(BX*8), X4
+	VINSERTF128 $1, (R12)(BX*8), Y4, Y4
+	VMOVUPD     (R11)(BX*8), X5
+	VINSERTF128 $1, (R13)(BX*8), Y5, Y5
+	VMOVUPD     16(R10)(BX*8), X6
+	VINSERTF128 $1, 16(R12)(BX*8), Y6, Y6
+	VMOVUPD     16(R11)(BX*8), X7
+	VINSERTF128 $1, 16(R13)(BX*8), Y7, Y7
+	VUNPCKLPD   Y5, Y4, Y0
+	VUNPCKHPD   Y5, Y4, Y1
+	VUNPCKLPD   Y7, Y6, Y2
+	VUNPCKHPD   Y7, Y6, Y3
+	VMOVUPD     Y0, (AX)
+	VMOVUPD     Y1, (AX)(R14*1)
+	LEAQ        (AX)(R14*2), AX
+	VMOVUPD     Y2, (AX)
+	VMOVUPD     Y3, (AX)(R14*1)
+	LEAQ        (AX)(R14*2), AX
+	ADDQ        $4, BX
+	CMPQ        BX, R9
+	JLT         tr_quad4
+	PCALIGN $32
+tr_quad1:
+	CMPQ        BX, CX
+	JGE         tr_quad_next
+	VMOVSD      (R10)(BX*8), X4
+	VMOVHPD     (R11)(BX*8), X4, X4
+	VMOVSD      (R12)(BX*8), X5
+	VMOVHPD     (R13)(BX*8), X5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VMOVUPD     Y4, (AX)
+	ADDQ        R14, AX
+	INCQ        BX
+	JMP         tr_quad1
+
+tr_quad_next:
+	ADDQ $96, SI
+	ADDQ $32, DI
+	DECQ R8
+	JNZ  tr_quad
+
+tr_lanes:
+	MOVQ src_len+40(FP), R8
+	ANDQ $3, R8
+	JZ   tr_done
+	PCALIGN $32
+tr_lane:
+	MOVQ 0(SI), R10
+	ADDQ DX, R10
+	MOVQ DI, AX
+	XORQ BX, BX
+tr_lane1:
+	CMPQ BX, CX
+	JGE  tr_lane_next
+	MOVQ (R10)(BX*8), R11
+	MOVQ R11, (AX)
+	ADDQ R14, AX
+	INCQ BX
+	JMP  tr_lane1
+
+tr_lane_next:
+	ADDQ $24, SI
+	ADDQ $8, DI
+	DECQ R8
+	JNZ  tr_lane
+
+tr_done:
 	VZEROUPPER
 	RET
 

@@ -13,3 +13,7 @@ func prodAVX(vals []float64, tail []Product, shift, n int)      { panic("vec: no
 func broadcastAVX(dst, src []float64, w int)                    { panic("vec: no AVX kernels") }
 func addLanesAVX(acc, rows []float64, stride, count int)        { panic("vec: no AVX kernels") }
 func expAVX(dst, src []float64, form expForm) (done, out int)   { panic("vec: no AVX kernels") }
+
+func transposeAVX(dst []float64, w int, src [][]float64, off, count int) {
+	panic("vec: no AVX kernels")
+}

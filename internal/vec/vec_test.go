@@ -68,7 +68,7 @@ func TestLaneKernelsMatchPortable(t *testing.T) {
 				requireBitEqual(t, fmt.Sprintf("%s n=%d offset=%d", what, n, off), want, got)
 			}
 
-			for op := Add; op <= MulMulAdd; op++ {
+			for op := Add; op <= Less; op++ {
 				prog := []Instr{{Op: op, D: row(0), A: row(1), B: row(2), C: row(3), E: row(4)}}
 				check(fmt.Sprintf("op %d", op), func(vals []float64, avx bool) {
 					if avx {
@@ -80,7 +80,7 @@ func TestLaneKernelsMatchPortable(t *testing.T) {
 			}
 			// A chain, each instruction reading its predecessor's row.
 			var chain []Instr
-			for i, op := range []Op{MulMulAdd, Sub, AddMul, Mul, MulAdd, Add, Sub} {
+			for i, op := range []Op{MulMulAdd, Sub, AddMul, Less, Mul, MulAdd, Select, Add, Sub} {
 				chain = append(chain, Instr{Op: op, D: row(5 + i%3), A: row(4 + i%3), B: row(1), C: row(2), E: row(3)})
 			}
 			check("chain", func(vals []float64, avx bool) {
@@ -157,6 +157,51 @@ func TestLaneKernelsMatchPortable(t *testing.T) {
 	}
 }
 
+// TestTransposeMatches pins the bind's transpose on the kernels in use and,
+// where those are the AVX ones, on the Go loop: 0 … 9 lanes (every lane
+// remainder past a quad) of 0 … 9 words (every word remainder), each source
+// a sub-slice at an odd offset read from word 0, 1 or 3, into rows as wide
+// as the lanes or wider. Every float written must be its source's bits —
+// NaN payloads included, since a move changes none — and every other float
+// of the destination must keep its bits.
+func TestTransposeMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	impls := []bool{false}
+	if haveAVX {
+		impls = append(impls, true)
+	}
+	for _, on := range impls {
+		restore := SetAccelerated(on)
+		for lanes := 0; lanes <= 9; lanes++ {
+			for count := 0; count <= 9; count++ {
+				for _, w := range []int{lanes, lanes + 3} {
+					off := []int{0, 1, 3}[(lanes+count)%3]
+					src := make([][]float64, lanes)
+					for l := range src {
+						src[l] = fill(rng, 2*l+off+count+4)[2*l+1:]
+					}
+					const start = 3
+					all := fill(rng, start+count*w+5)
+					want := append([]float64(nil), all...)
+					for l, s := range src {
+						for j := 0; j < count; j++ {
+							want[start+j*w+l] = s[off+j]
+						}
+					}
+					Transpose(all[start:], w, src, off, count)
+					for i := range want {
+						if math.Float64bits(want[i]) != math.Float64bits(all[i]) {
+							t.Fatalf("accelerated=%v %d lanes × %d words, w=%d, off=%d: float %d is %#x, want %#x",
+								Accelerated(), lanes, count, w, off, i, math.Float64bits(all[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+		restore()
+	}
+}
+
 // TestAddLanesAddsInOrder pins the reduce's order: each word adds its lanes
 // one at a time from the first, so a later lane cannot cancel an earlier
 // one's overflow.
@@ -209,6 +254,10 @@ func TestKernelsRefuseRowsOutside(t *testing.T) {
 		"broadcast":        func() { Broadcast(make([]float64, 7), make([]float64, 2), 4) },
 		"add lanes rows":   func() { AddLanes(make([]float64, 2), make([]float64, 7), 4, 4) },
 		"add lanes stride": func() { AddLanes(make([]float64, 1), make([]float64, 8), 4, 5) },
+		"transpose width":  func() { Transpose(make([]float64, 16), 2, make([][]float64, 3), 0, 0) },
+		"transpose rows":   func() { Transpose(make([]float64, 5), 4, [][]float64{{1, 2}, {3, 4}}, 0, 2) },
+		"transpose source": func() { Transpose(make([]float64, 16), 4, [][]float64{{1, 2}, {3}}, 0, 2) },
+		"transpose offset": func() { Transpose(make([]float64, 16), 4, [][]float64{{1, 2}}, -1, 1) },
 	} {
 		func() {
 			defer func() {
