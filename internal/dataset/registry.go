@@ -237,13 +237,25 @@ func seedFor(name string, seed int64) int64 {
 
 // Generate produces n learnable synthetic training samples for the
 // benchmark's algorithm alg (which must come from b.Algorithm). The same
-// (benchmark, seed, n) always yields the same data.
+// (benchmark, seed, n) always yields the same data. The samples share one
+// backing array, each one's X then Y, in generation order.
 func (b Benchmark) Generate(alg ml.Algorithm, n int, seed int64) []ml.Sample {
 	rng := rand.New(rand.NewSource(seedFor(b.Name, seed)))
 	truth := groundTruth(alg, rng)
+	nx, row := alg.FeatureSize(), alg.FeatureSize()+alg.OutputSize()
+	store := make([]float64, n*row)
+	var hidden []float64
+	if a, ok := alg.(*ml.MLP); ok {
+		hidden = make([]float64, a.Hid)
+	}
 	samples := make([]ml.Sample, n)
 	for i := range samples {
-		samples[i] = generateSample(alg, truth, rng)
+		off := i * row
+		samples[i] = ml.Sample{
+			X: store[off : off+nx : off+nx],
+			Y: store[off+nx : off+row : off+row],
+		}
+		fillSample(alg, truth, samples[i], hidden, rng)
 	}
 	return samples
 }
@@ -273,23 +285,21 @@ func groundTruth(alg ml.Algorithm, rng *rand.Rand) []float64 {
 	return truth
 }
 
-func generateSample(alg ml.Algorithm, truth []float64, rng *rand.Rand) ml.Sample {
-	s := ml.Sample{
-		X: make([]float64, alg.FeatureSize()),
-		Y: make([]float64, alg.OutputSize()),
-	}
+// fillSample draws one sample into s, whose X and Y are zero. hidden is
+// the MLP's hidden-layer scratch.
+func fillSample(alg ml.Algorithm, truth []float64, s ml.Sample, hidden []float64, rng *rand.Rand) {
 	switch a := alg.(type) {
 	case *ml.CF:
 		s.X[rng.Intn(a.NU)] = 1
 		s.X[a.NU+rng.Intn(a.NV)] = 1
-		s.Y[0] = a.Loss(truth, ml.Sample{X: s.X, Y: []float64{0}})
-		// Loss is ½(uf·vf)² at rating 0; recover the rating and add noise.
-		s.Y[0] = math.Sqrt(2*s.Y[0]) + 0.05*rng.NormFloat64()
+		// Y is still 0, so Loss is ½(uf·vf)² at rating 0; recover the
+		// rating and add noise.
+		s.Y[0] = math.Sqrt(2*a.Loss(truth, s)) + 0.05*rng.NormFloat64()
 	case *ml.MLP:
 		for i := range s.X {
 			s.X[i] = rng.NormFloat64()
 		}
-		copy(s.Y, mlpForward(a, truth, s.X))
+		mlpForward(a, truth, s.X, hidden, s.Y)
 	case *ml.SVM:
 		for i := range s.X {
 			s.X[i] = rng.NormFloat64()
@@ -313,21 +323,18 @@ func generateSample(alg ml.Algorithm, truth []float64, rng *rand.Rand) ml.Sample
 		}
 		s.Y[0] = ml.Dot(truth, s.X) + 0.01*rng.NormFloat64()
 	}
-	return s
 }
 
 // mlpForward runs the MLP forward pass via the loss-free route: reuse the
 // algorithm's gradient machinery would be circular, so compute directly.
-func mlpForward(a *ml.MLP, model, x []float64) []float64 {
+// It writes the hidden layer into h and the outputs into o.
+func mlpForward(a *ml.MLP, model, x, h, o []float64) {
 	w1 := model[:a.Hid*a.In]
 	w2 := model[a.Hid*a.In:]
-	h := make([]float64, a.Hid)
 	for j := 0; j < a.Hid; j++ {
 		h[j] = 1 / (1 + math.Exp(-ml.Dot(w1[j*a.In:(j+1)*a.In], x)))
 	}
-	o := make([]float64, a.Out)
 	for k := 0; k < a.Out; k++ {
 		o[k] = 1 / (1 + math.Exp(-ml.Dot(w2[k*a.Hid:(k+1)*a.Hid], h)))
 	}
-	return o
 }

@@ -1,9 +1,13 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dsl"
 	"repro/internal/ml"
@@ -176,3 +180,47 @@ func TestLogRegLabelsAreBinary(t *testing.T) {
 }
 
 func newRNG(name string) *rand.Rand { return rand.New(rand.NewSource(seedFor(name, 42))) }
+
+// TestGenerateBitsPinned pins every benchmark's generated data bit for bit
+// (24 samples at scale 0.01, seed 7, FNV-1a over each sample's X then Y
+// words): the generator's layout may change, the values it draws may not.
+func TestGenerateBitsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"mnist": 0xb163e5e0580e5b3c, "acoustic": 0x3026a9d5889f61b3,
+		"stock": 0x563ce5cf5fa5d7db, "texture": 0x84c63c8f92db3c7e,
+		"tumor": 0xe95881109be875f1, "cancer1": 0x5cdc4c1029d984c9,
+		"movielens": 0x75016c4cf92ae8c7, "netflix": 0x98ada64f4161713a,
+		"face": 0xe659161564089a11, "cancer2": 0x1d48146c630f2f1e,
+	}
+	for _, b := range Benchmarks {
+		h := fnv.New64a()
+		for _, s := range b.Generate(b.Algorithm(0.01), 24, 7) {
+			for _, v := range slices.Concat(s.X, s.Y) {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		if got := h.Sum64(); got != want[b.Name] {
+			t.Errorf("%s: data digest %#016x, want %#016x", b.Name, got, want[b.Name])
+		}
+	}
+}
+
+// TestGenerateLayout: the samples are consecutive rows of one backing
+// array, X then Y, each view capped at its own row.
+func TestGenerateLayout(t *testing.T) {
+	b, _ := ByName("mnist")
+	alg := b.Algorithm(0.01)
+	data := b.Generate(alg, 3, 7)
+	nx, ny := alg.FeatureSize(), alg.OutputSize()
+	next := unsafe.Pointer(&data[0].X[0])
+	for i, s := range data {
+		if len(s.X) != nx || cap(s.X) != nx || len(s.Y) != ny || cap(s.Y) != ny {
+			t.Fatalf("sample %d: len/cap X %d/%d Y %d/%d, want X %d Y %d",
+				i, len(s.X), cap(s.X), len(s.Y), cap(s.Y), nx, ny)
+		}
+		if unsafe.Pointer(&s.X[0]) != next || unsafe.Pointer(&s.Y[0]) != unsafe.Add(next, 8*nx) {
+			t.Fatalf("sample %d is not the row after sample %d", i, i-1)
+		}
+		next = unsafe.Add(next, 8*(nx+ny))
+	}
+}

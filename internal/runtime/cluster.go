@@ -18,7 +18,9 @@ type ClusterOptions struct {
 	Groups int
 	// Engines supplies each node's compute engine.
 	Engines func(nodeID int) Engine
-	// Shards supplies each node's partition of the training data.
+	// Shards supplies each node's partition of the training data. Each
+	// node trains from its own packed copy, and Launch returns only once
+	// every copy is made: the caller may then change or drop the samples.
 	Shards func(nodeID int) []ml.Sample
 	// ModelSize is the flat parameter-vector length.
 	ModelSize int
@@ -81,7 +83,7 @@ type TrainStats struct {
 }
 
 // Launch assigns roles, starts every node, and waits until the hierarchy is
-// fully connected.
+// fully connected and every node has packed its shard.
 func Launch(opts ClusterOptions) (*Cluster, error) {
 	topo, err := Assign(opts.Nodes, opts.Groups)
 	if err != nil {
@@ -167,6 +169,9 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	// Startup barrier: the master hears directly from the other group
 	// Sigmas and its own group's Deltas.
 	master.WaitMembers()
+	for _, n := range c.nodes {
+		<-n.packed
+	}
 	return c, nil
 }
 

@@ -326,7 +326,11 @@ func cpuTime() time.Duration {
 // BenchmarkRefEngine times a node's RefEngine partial at the shapes the
 // `wide` and `tiny` benchmark workloads give it: a 65 535-word linear
 // regression on one sample and one thread, and tumor@0.1's logistic
-// regression on 16 samples dealt to two threads.
+// regression on 16 samples dealt to two threads. The `tiny` shape reruns
+// the same 16 hot samples; the tiny-shard legs cycle 16-sample batches
+// through one `tiny` node's share of a shuffled 16 384-sample set, as a
+// node does: once through the node's packed copy of its shard, once over
+// the caller's samples scattered across the whole set.
 func BenchmarkRefEngine(b *testing.B) {
 	shapes := []struct {
 		name             string
@@ -361,6 +365,40 @@ func BenchmarkRefEngine(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.samples), "ns/sample")
+		})
+	}
+
+	bm, err := dataset.ByName("tumor")
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg := bm.Algorithm(0.1)
+	data := bm.Generate(alg, 16384, 7)
+	rand.New(rand.NewSource(1)).Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
+	shard := ml.Partition(data, 4)[0]
+	model := alg.InitModel(rand.New(rand.NewSource(1)))
+	for _, leg := range []struct {
+		name string
+		data []ml.Sample
+	}{
+		{"tiny-shard-packed", packShard(shard)},
+		{"tiny-shard-scattered", shard},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			const batch = 16
+			eng := &RefEngine{Alg: alg, Threads: 2, LR: bm.DefaultLR(alg), Agg: dsl.AggAverage}
+			n := &Node{cfg: NodeConfig{ShardBatch: batch}, data: leg.data}
+			if _, err := eng.PartialUpdate(model, n.nextShardBatch()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.PartialUpdate(model, n.nextShardBatch()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 		})
 	}
 }

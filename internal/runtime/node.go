@@ -143,9 +143,11 @@ type Node struct {
 	lastSeq        atomic.Uint32
 	lastRoundNanos atomic.Int64
 	roundTrace     atomic.Uint64
-	data           []ml.Sample
-	// cursor is the node's position in its data shard; batch is the reused
-	// slice the round's samples are gathered into.
+	// data is the node's own packed copy of its shard (packShard), valid
+	// once packed is closed. cursor is the node's position in it; batch is
+	// the reused slice the round's samples are gathered into.
+	data   []ml.Sample
+	packed chan struct{}
 	cursor int
 	batch  []ml.Sample
 	// zero is the partial of a node with no data, made once.
@@ -310,11 +312,21 @@ func (n *Node) lastSeenSummary() string {
 
 // StartNode launches a node over its shard. Sigma roles open a listener and
 // start the aggregation pool; Delta roles only dial upstream (from Run).
+//
+// The node trains from its own packed copy of the shard, which a goroutine
+// started here builds, so nodes started one after another pack at the same
+// time. The caller must leave the samples unchanged until the copy is done:
+// the node's first partial waits for it, and so does Launch before it
+// returns. After that the node holds no reference to them.
 func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 	if err := cfg.RoundPolicy.Resolve(); err != nil {
 		return nil, err
 	}
-	n := &Node{cfg: cfg, data: shard, stopped: make(chan struct{})}
+	n := &Node{cfg: cfg, packed: make(chan struct{}), stopped: make(chan struct{})}
+	go func() {
+		n.data = packShard(shard)
+		close(n.packed)
+	}()
 	n.transport = cfg.Transport
 	if n.transport == nil {
 		n.transport = cosmicnet.TCP
@@ -466,8 +478,29 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 	}
 }
 
+// packShard copies shard into one backing array, each sample's X then Y in
+// shard order, and returns sample views over it. A node's batches are then
+// consecutive rows of one allocation, streamed in order, instead of vectors
+// scattered over the heap. Each view is capped at its own row.
+func packShard(shard []ml.Sample) []ml.Sample {
+	words := 0
+	for _, s := range shard {
+		words += len(s.X) + len(s.Y)
+	}
+	store := make([]float64, words)
+	out := make([]ml.Sample, len(shard))
+	off := 0
+	for i, s := range shard {
+		x := off + copy(store[off:], s.X)
+		y := x + copy(store[x:], s.Y)
+		out[i] = ml.Sample{X: store[off:x:x], Y: store[x:y:y]}
+		off = y
+	}
+	return out
+}
+
 // nextShardBatch returns the node's next ShardBatch samples, cycling
-// through its shard. The slice is reused by the next call.
+// through its packed shard. The slice is reused by the next call.
 func (n *Node) nextShardBatch() []ml.Sample {
 	if len(n.data) == 0 {
 		return nil
@@ -483,6 +516,7 @@ func (n *Node) nextShardBatch() []ml.Sample {
 // computePartial runs the engine over the next shard batch. The result is
 // valid until the next call (the Engine contract).
 func (n *Node) computePartial(model []float64) ([]float64, error) {
+	<-n.packed
 	batch := n.nextShardBatch()
 	if batch == nil {
 		if n.zero == nil {
@@ -621,28 +655,33 @@ func (n *Node) preExcludeSuspects(seq uint32) bool {
 
 // quorumFold rescues a timed-out round: if a quorum of members delivered
 // full contributions, the absentees are excluded (completing the fold with
-// what arrived) and marked suspect. Reports whether the round was saved.
-func (n *Node) quorumFold(seq uint32) bool {
+// what arrived) and marked suspect. It reports whether the round is whole
+// afterwards and whether it excluded anyone to get there: when the last
+// members land between the timeout and the census, nobody is missing and
+// the round completes as it is.
+func (n *Node) quorumFold(seq uint32) (whole, excluded bool) {
 	if n.cfg.MinQuorum <= 0 {
-		return false
+		return false, false
 	}
 	present, _, missing := n.agg.QuorumStatus()
-	if len(missing) == 0 || len(present) < n.cfg.MinQuorum {
-		return false
+	if len(missing) > 0 {
+		if len(present) < n.cfg.MinQuorum {
+			return false, false
+		}
+		for _, id := range missing {
+			n.markSuspect(id, seq)
+		}
+		if n.agg.Exclude(missing) == 0 {
+			return false, false
+		}
+		n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: "member-excluded", Seq: seq})
+		n.logger.Warn("round folded on quorum", "round", seq,
+			"present", len(present), "excluded", missing)
 	}
-	for _, id := range missing {
-		n.markSuspect(id, seq)
-	}
-	if n.agg.Exclude(missing) == 0 {
-		return false
-	}
-	n.flight.Record(obs.FlightEvent{Dir: obs.FlightMark, Type: "member-excluded", Seq: seq})
-	n.logger.Warn("round folded on quorum", "round", seq,
-		"present", len(present), "excluded", missing)
 	// Exclusion completes every chunk that was only waiting on the missing
 	// members; the short re-wait covers completion callbacks in flight.
 	ok, err := n.agg.WaitComplete(n.cfg.RoundTimeout, nil)
-	return err == nil && ok
+	return err == nil && ok, len(missing) > 0
 }
 
 // connectUpstream dials the node's upstream and announces the node with a
@@ -855,9 +894,10 @@ func (n *Node) sigmaRound(f *cosmicnet.Frame, fail <-chan error, diag func(reaso
 			err, n.lastSeenSummary(), dump)
 	}
 	if !ok {
+		whole, dropped := n.quorumFold(f.Seq)
 		switch {
-		case n.quorumFold(f.Seq):
-			excluded = true
+		case whole:
+			excluded = excluded || dropped
 		case n.cfg.Role == RoleGroupSigma && n.cfg.MinQuorum > 0:
 			// Below quorum the group sits the round out: the master folds
 			// without this Sigma, which lives to serve the next round.

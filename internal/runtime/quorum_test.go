@@ -268,6 +268,31 @@ func TestQuorumStatusCensus(t *testing.T) {
 	}
 }
 
+// TestQuorumFoldAfterLateCompletion: the last member lands after the
+// round's wait timed out but before the quorum census. Nobody is missing,
+// so the round is whole as it is: no exclusion, and no failure.
+func TestQuorumFoldAfterLateCompletion(t *testing.T) {
+	const n, words = 300, 64
+	ab := newTestBuffer(t, n, words, []uint32{1, 2})
+	ab.Reset(4)
+	add := func(id uint32) {
+		for _, c := range splitIntoChunks(4, id, quorumMemberVec(id, n), 1, words) {
+			if err := ab.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(1)
+	if ok, err := ab.WaitComplete(time.Millisecond, nil); ok || err != nil {
+		t.Fatalf("WaitComplete with member 2 absent = %v, %v; want a timeout", ok, err)
+	}
+	add(2)
+	node := &Node{cfg: NodeConfig{RoundPolicy: RoundPolicy{RoundTimeout: time.Second, MinQuorum: 2}}, agg: ab}
+	if whole, excluded := node.quorumFold(4); !whole || excluded {
+		t.Fatalf("quorumFold = whole %v, excluded %v; want a whole round with no exclusion", whole, excluded)
+	}
+}
+
 // TestExcludedMemberTrafficDiscarded: chunks from an excluded member —
 // whether parked before the exclusion or arriving after it — never reach the
 // folded vector, and stale-round chunks are dropped silently once Reset arms
