@@ -113,9 +113,6 @@ func BuildProgram(source string, params map[string]int, chip arch.ChipSpec, opts
 	})
 	if reg := opts.Obs.Registry(); reg != nil {
 		reg.Counter("cosmic_compile_builds_total").Inc()
-		reg.Counter("cosmic_compile_ops_total").Add(int64(s.ComputeOps))
-		reg.Gauge("cosmic_compile_last_threads").Set(float64(point.Plan.Threads))
-		reg.Gauge("cosmic_compile_last_pes").Set(float64(point.Plan.PEsPerThread() * point.Plan.Threads))
 	}
 	return &Build{Unit: unit, Graph: graph, Point: point, Program: prog, obs: opts.Obs}, nil
 }

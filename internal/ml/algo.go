@@ -13,6 +13,8 @@ package ml
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/vec"
 )
 
 // Sample is one training example: the model_input values X and the
@@ -97,25 +99,16 @@ func Dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
 
 // AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	y = y[:len(x)]
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
+func AXPY(alpha float64, x, y []float64) { vec.ScaleRow(y, x, alpha, vec.Acc) }
 
 // Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
+func Scale(alpha float64, x []float64) { vec.ScaleRow(x, x, alpha, vec.Set) }
 
 // MeanLoss returns the average per-sample loss over samples.
 func MeanLoss(a Algorithm, model []float64, samples []Sample) float64 {

@@ -97,7 +97,7 @@ func (a *LogisticRegression) Loss(model []float64, s Sample) float64 {
 	p := sigmoid(Dot(model, s.X))
 	const eps = 1e-12
 	y := s.Y[0]
-	return -(y*math.Log(p+eps) + (1-y)*math.Log(1-p+eps))
+	return -(float64(y*math.Log(p+eps)) + float64((1-y)*math.Log(1-p+eps)))
 }
 
 // residual returns σ(w·x) − y.
@@ -159,7 +159,7 @@ func (a *SVM) OutputSize() int { return 1 }
 // Loss returns max(0, 1 − y·(w·x)).
 func (a *SVM) Loss(model []float64, s Sample) float64 {
 	checkLens(a, model, nil)
-	return math.Max(0, 1-s.Y[0]*Dot(model, s.X))
+	return math.Max(0, 1-float64(s.Y[0]*Dot(model, s.X)))
 }
 
 // residual returns −y, nonzero only inside the margin (y·(w·x) < 1).
@@ -245,7 +245,7 @@ func (a *MLP) Loss(model []float64, s Sample) float64 {
 	l := 0.0
 	for k, ok := range o {
 		d := ok - s.Y[k]
-		l += 0.5 * d * d
+		l += float64(0.5 * d * d)
 	}
 	return l
 }
@@ -266,7 +266,7 @@ func (a *MLP) Gradient(model []float64, s Sample, grad []float64) {
 	for j := 0; j < a.Hid; j++ {
 		e := 0.0
 		for k := 0; k < a.Out; k++ {
-			e += d2[k] * w2[k*a.Hid+j]
+			e += float64(d2[k] * w2[k*a.Hid+j])
 		}
 		d1 := e * h[j] * (1 - h[j])
 		for i := 0; i < a.In; i++ {
@@ -390,7 +390,7 @@ func (a *CF) Gradient(model []float64, s Sample, grad []float64) {
 func (a *CF) InitModel(rng *rand.Rand) []float64 {
 	m := make([]float64, a.ModelSize())
 	for i := range m {
-		m[i] = 0.1 + 0.1*rng.Float64()
+		m[i] = 0.1 + float64(0.1*rng.Float64())
 	}
 	return m
 }
@@ -471,7 +471,7 @@ func (a *Softmax) Loss(model []float64, s Sample) float64 {
 	l := 0.0
 	for c := 0; c < a.C; c++ {
 		if s.Y[c] != 0 {
-			l -= s.Y[c] * math.Log(p[c]+eps)
+			l -= float64(s.Y[c] * math.Log(p[c]+eps))
 		}
 	}
 	return l

@@ -330,6 +330,10 @@ func TestMeanLossEmpty(t *testing.T) {
 // AccumulateGradients bit for bit — on a fresh workspace and on one that
 // still holds another batch's vectors.
 func TestWorkspaceKernelsMatchOracleBitwise(t *testing.T) {
+	eachKernel(t, testWorkspaceKernelsMatchOracle)
+}
+
+func testWorkspaceKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	same := func(a, b []float64) bool {
 		for i := range a {

@@ -117,7 +117,7 @@ func RMSE(alg Algorithm, model []float64, data []Sample) (float64, error) {
 		out := p.Predict(model, s.X)
 		for k := range out {
 			d := out[k] - s.Y[k]
-			sum += d * d
+			sum += float64(d * d)
 			n++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dsl"
+	"repro/internal/vec"
 )
 
 // SGDConfig parameterizes a stochastic-gradient-descent run.
@@ -67,9 +68,9 @@ func accumulateInto(acc, scratch []float64, a Algorithm, model []float64, sample
 
 // The rank-1 kernels below compute what localSGDInto's and accumulateInto's
 // Gradient + AXPY passes compute, bit for bit, at one dot product and at
-// most one update pass per sample. Each product e·xⱼ that the gradient
-// vector would have stored is rounded (float64(…)) before it is added, so a
-// target that fuses a multiply-add into an FMA computes the same bits.
+// most one update pass per sample, each pass one vec row kernel. Each
+// product e·xⱼ that the gradient vector would have stored is rounded before
+// it is added, as the kernels round every product.
 
 // rank1SGD returns a's rank-1 form when sgdRank1 reproduces SGDStep: a zero
 // gradient's step adds −lr·(+0), which is −0, the identity, only for a
@@ -87,6 +88,10 @@ func rank1SGD(a Algorithm, lr float64) (rank1, bool) {
 // by the last step itself when that step has a pass.
 func sgdRank1(r rank1, local, out, model []float64, samples []Sample, lr float64, first bool) {
 	alpha, src, stepped := -lr, model, false
+	into := vec.Acc
+	if first {
+		into = vec.Init
+	}
 	for k, s := range samples {
 		e, nonzero := r.residual(src, s)
 		if !nonzero {
@@ -94,36 +99,17 @@ func sgdRank1(r rank1, local, out, model []float64, samples []Sample, lr float64
 		}
 		x := s.X[:len(src)]
 		if out == nil || k < len(samples)-1 {
-			dst := local[:len(x)]
-			for j, v := range x {
-				dst[j] = src[j] + alpha*float64(e*v)
-			}
-			src, stepped = dst, true
+			vec.StepRow(local, src, x, alpha, e, vec.Set)
+			src, stepped = local[:len(x)], true
 			continue
 		}
-		dst := out[:len(x)]
-		if first {
-			for j, v := range x {
-				dst[j] = 0 + (src[j] + alpha*float64(e*v))
-			}
-		} else {
-			for j, v := range x {
-				dst[j] += src[j] + alpha*float64(e*v)
-			}
-		}
+		vec.StepRow(out, src, x, alpha, e, into)
 		return
 	}
-	switch {
-	case out == nil:
-		if !stepped {
-			copy(local, model)
-		}
-	case first:
-		for j, v := range src {
-			out[j] = 0 + v
-		}
-	default:
-		AXPY(1, src, out)
+	if out != nil {
+		vec.ScaleRow(out, src, 1, into)
+	} else if !stepped {
+		copy(local, model)
 	}
 }
 
@@ -132,26 +118,16 @@ func sgdRank1(r rank1, local, out, model []float64, samples []Sample, lr float64
 // gradient skips its pass: acc starts at +0 and a sum is −0 only when both
 // addends are, so acc never holds −0 and adding +0 leaves it unchanged.
 func accumulateRank1(r rank1, acc, model []float64, samples []Sample) {
-	started := false
+	into := vec.Init
 	for _, s := range samples {
 		e, nonzero := r.residual(model, s)
 		if !nonzero {
 			continue
 		}
-		x := s.X[:len(acc)]
-		dst := acc[:len(x)]
-		if started {
-			for j, v := range x {
-				dst[j] += float64(e * v)
-			}
-		} else {
-			for j, v := range x {
-				dst[j] = 0 + float64(e*v)
-			}
-		}
-		started = true
+		vec.ScaleRow(acc, s.X[:len(acc)], e, into)
+		into = vec.Acc
 	}
-	if !started {
+	if into == vec.Init {
 		clear(acc)
 	}
 }

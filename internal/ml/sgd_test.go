@@ -7,18 +7,44 @@ import (
 	"testing"
 
 	"repro/internal/dsl"
+	"repro/internal/vec"
 )
 
 // The pass oracle runs SGD as separate passes over a gradient vector — copy,
-// Gradient into scratch, AXPY, fold, Scale. Every kernel, the fused rank-1
-// ones included, must produce its bits.
+// Gradient into scratch, AXPY, fold, Scale — each a scalar loop of its own,
+// not a vec kernel. Every kernel, the fused rank-1 ones included, must
+// produce its bits.
+
+func oracleAXPY(alpha float64, x, y []float64) {
+	for i, v := range x {
+		y[i] += float64(alpha * v)
+	}
+}
+
+func oracleScale(alpha float64, x []float64) {
+	for i := range x {
+		x[i] *= alpha
+	}
+}
+
+// eachKernel runs f on the vec kernels in use and, where those are the AVX
+// ones, again as subtest "portable" on their Go loops.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	f(t)
+	if vec.Accelerated() {
+		t.Run("portable", func(t *testing.T) {
+			defer vec.SetAccelerated(false)()
+			f(t)
+		})
+	}
+}
 
 func oracleLocalSGD(a Algorithm, model []float64, samples []Sample, lr float64) []float64 {
 	local := append([]float64(nil), model...)
 	scratch := make([]float64, len(model))
 	for _, s := range samples {
 		a.Gradient(local, s, scratch)
-		AXPY(-lr, scratch, local)
+		oracleAXPY(-lr, scratch, local)
 	}
 	return local
 }
@@ -28,7 +54,7 @@ func oracleAccumulate(a Algorithm, model []float64, samples []Sample) []float64 
 	scratch := make([]float64, len(model))
 	for _, s := range samples {
 		a.Gradient(model, s, scratch)
-		AXPY(1, scratch, acc)
+		oracleAXPY(1, scratch, acc)
 	}
 	return acc
 }
@@ -45,13 +71,13 @@ func oracleParallel(a Algorithm, cfg SGDConfig, model []float64, batch []Sample,
 	for _, part := range Partition(batch, workers) {
 		switch cfg.Aggregator {
 		case dsl.AggAverage:
-			AXPY(1, oracleLocalSGD(a, model, part, cfg.LearningRate), out)
+			oracleAXPY(1, oracleLocalSGD(a, model, part, cfg.LearningRate), out)
 		case dsl.AggSum:
-			AXPY(scale, oracleAccumulate(a, model, part), out)
+			oracleAXPY(scale, oracleAccumulate(a, model, part), out)
 		}
 	}
 	if cfg.Aggregator == dsl.AggAverage {
-		Scale(1/float64(workers), out)
+		oracleScale(1/float64(workers), out)
 	}
 	return out
 }
@@ -120,7 +146,9 @@ func edgeBatch(rng *rand.Rand, a Algorithm, model []float64, n, level int) []Sam
 // partitions are empty), on inputs holding ±0, denormals, ±Inf and NaN. A
 // negative learning rate pins the rank-1 path's gate: its zero-gradient skip
 // would not be exact there.
-func TestKernelsMatchPassOracleBitwise(t *testing.T) {
+func TestKernelsMatchPassOracleBitwise(t *testing.T) { eachKernel(t, testKernelsMatchPassOracle) }
+
+func testKernelsMatchPassOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	// Bits must be equal, NaN payloads aside: the compiler may put either
 	// operand of a commutative add first, and that picks which NaN survives.

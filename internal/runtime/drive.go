@@ -74,9 +74,7 @@ func (m *Node) DriveTraining(cfg DriveConfig, model []float64, rounds int) ([]fl
 		case dsl.AggAverage:
 			vec.AverageInto(out, span, weight)
 		case dsl.AggSum:
-			for j, v := range span {
-				out[j] -= scale * v
-			}
+			vec.ScaleRow(out, span, -scale, vec.Acc)
 		}
 	})
 	f := &cosmicnet.Frame{Type: cosmicnet.MsgModel, Payload: cur}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/vec"
 )
 
 // sameFloat reports whether a and b have the same bits, counting any two
@@ -45,7 +47,8 @@ func fuzzFloat(rng *rand.Rand) float64 {
 // random point. A member excluded there has folded chunk idx exactly when
 // every lower rank's chunk idx had arrived before the exclusion; its other
 // chunks, delivered or not, never fold. The second round shows any span
-// data the first one left behind.
+// data the first one left behind. Each input runs on the vec kernels in use
+// and, where those are the AVX ones, again on their Go loops.
 func FuzzAggregationFold(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint16(10))
 	f.Add(int64(2), uint8(1), uint8(0), uint16(0))   // empty vector
@@ -53,105 +56,113 @@ func FuzzAggregationFold(f *testing.F) {
 	f.Add(int64(4), uint8(0), uint8(5), uint16(100)) // one member
 	f.Add(int64(5), uint8(2), uint8(1), uint16(7))
 	f.Fuzz(func(t *testing.T, seed int64, nMembers, shift uint8, length uint16) {
-		members := 1 + int(nMembers%5)
-		words := 1 << (shift % 6)
-		n := int(length % 160)
-		ids := make([]uint32, members)
-		for r := range ids {
-			ids[r] = uint32(10 + 3*r) // sorted, so rank r is ids[r]
-		}
-		rng := rand.New(rand.NewSource(seed))
-		ab := newTestBuffer(t, n, words, ids)
-		chunks := ab.ChunkCount()
-		for round := uint32(1); round <= 2; round++ {
-			vecs := make([][]float64, members)
-			for r := range vecs {
-				vecs[r] = make([]float64, n)
-				for i := range vecs[r] {
-					vecs[r][i] = fuzzFloat(rng)
-				}
-			}
-			excluded := make([]bool, members)
-			var excludeIDs []uint32
-			if rng.Intn(3) > 0 {
-				for r := range excluded {
-					if rng.Intn(2) == 0 {
-						excluded[r] = true
-						excludeIDs = append(excludeIDs, ids[r])
-					}
-				}
-			}
-			var arrivals []Chunk
-			for r := range vecs {
-				for _, c := range splitIntoChunks(round, ids[r], vecs[r], float64(1+r), words) {
-					// An excluded member may deliver any part of its vector.
-					if !excluded[r] || rng.Intn(2) == 0 {
-						arrivals = append(arrivals, c)
-					}
-				}
-			}
-			rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
-			excludeAt := rng.Intn(len(arrivals) + 1)
-
-			ab.Reset(round)
-			spans := make([][]float64, chunks)
-			weights := make([]float64, chunks)
-			ab.SetOnComplete(func(idx int, _ uint32, span []float64, weight float64) {
-				spans[idx] = append([]float64(nil), span...)
-				weights[idx] = weight
-			})
-			arrived := make([][]bool, chunks) // before the exclusion
-			for i := range arrived {
-				arrived[i] = make([]bool, members)
-			}
-			for i, c := range arrivals {
-				if i == excludeAt && excludeIDs != nil {
-					ab.Exclude(excludeIDs)
-				}
-				if i < excludeAt || excludeIDs == nil {
-					arrived[c.Offset/words][(c.From-10)/3] = true
-				}
-				if err := ab.Add(c); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-			}
-			if excludeAt == len(arrivals) && excludeIDs != nil {
-				ab.Exclude(excludeIDs)
-			}
-			if ok, err := ab.WaitComplete(time.Second, nil); !ok || err != nil {
-				t.Fatalf("round %d did not complete: ok=%v err=%v", round, ok, err)
-			}
-			sum, _ := ab.Sum()
-			for idx := 0; idx < chunks; idx++ {
-				first := true // ranks below the first gap folded before any exclusion
-				want := make([]float64, ab.spanLen(idx))
-				wantWeight := 0.0
-				for r := 0; r < members; r++ {
-					first = first && arrived[idx][r]
-					if excluded[r] && !first {
-						continue
-					}
-					for i := range want {
-						want[i] += vecs[r][idx*words+i]
-					}
-					wantWeight += float64(1 + r)
-				}
-				if weights[idx] != wantWeight {
-					t.Fatalf("round %d chunk %d: weight %g, want %g", round, idx, weights[idx], wantWeight)
-				}
-				for i, w := range want {
-					if got := spans[idx][i]; !sameFloat(got, w) {
-						t.Fatalf("round %d chunk %d word %d: completed span holds %v (%#x), want %v (%#x)",
-							round, idx, i, got, math.Float64bits(got), w, math.Float64bits(w))
-					}
-					if got := sum[idx*words+i]; !sameFloat(got, w) {
-						t.Fatalf("round %d chunk %d word %d: sum holds %v (%#x), want %v (%#x)",
-							round, idx, i, got, math.Float64bits(got), w, math.Float64bits(w))
-					}
-				}
-			}
+		checkFold(t, seed, nMembers, shift, length)
+		if vec.Accelerated() {
+			defer vec.SetAccelerated(false)()
+			checkFold(t, seed, nMembers, shift, length)
 		}
 	})
+}
+
+func checkFold(t *testing.T, seed int64, nMembers, shift uint8, length uint16) {
+	members := 1 + int(nMembers%5)
+	words := 1 << (shift % 6)
+	n := int(length % 160)
+	ids := make([]uint32, members)
+	for r := range ids {
+		ids[r] = uint32(10 + 3*r) // sorted, so rank r is ids[r]
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ab := newTestBuffer(t, n, words, ids)
+	chunks := ab.ChunkCount()
+	for round := uint32(1); round <= 2; round++ {
+		vecs := make([][]float64, members)
+		for r := range vecs {
+			vecs[r] = make([]float64, n)
+			for i := range vecs[r] {
+				vecs[r][i] = fuzzFloat(rng)
+			}
+		}
+		excluded := make([]bool, members)
+		var excludeIDs []uint32
+		if rng.Intn(3) > 0 {
+			for r := range excluded {
+				if rng.Intn(2) == 0 {
+					excluded[r] = true
+					excludeIDs = append(excludeIDs, ids[r])
+				}
+			}
+		}
+		var arrivals []Chunk
+		for r := range vecs {
+			for _, c := range splitIntoChunks(round, ids[r], vecs[r], float64(1+r), words) {
+				// An excluded member may deliver any part of its vector.
+				if !excluded[r] || rng.Intn(2) == 0 {
+					arrivals = append(arrivals, c)
+				}
+			}
+		}
+		rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+		excludeAt := rng.Intn(len(arrivals) + 1)
+
+		ab.Reset(round)
+		spans := make([][]float64, chunks)
+		weights := make([]float64, chunks)
+		ab.SetOnComplete(func(idx int, _ uint32, span []float64, weight float64) {
+			spans[idx] = append([]float64(nil), span...)
+			weights[idx] = weight
+		})
+		arrived := make([][]bool, chunks) // before the exclusion
+		for i := range arrived {
+			arrived[i] = make([]bool, members)
+		}
+		for i, c := range arrivals {
+			if i == excludeAt && excludeIDs != nil {
+				ab.Exclude(excludeIDs)
+			}
+			if i < excludeAt || excludeIDs == nil {
+				arrived[c.Offset/words][(c.From-10)/3] = true
+			}
+			if err := ab.Add(c); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		if excludeAt == len(arrivals) && excludeIDs != nil {
+			ab.Exclude(excludeIDs)
+		}
+		if ok, err := ab.WaitComplete(time.Second, nil); !ok || err != nil {
+			t.Fatalf("round %d did not complete: ok=%v err=%v", round, ok, err)
+		}
+		sum, _ := ab.Sum()
+		for idx := 0; idx < chunks; idx++ {
+			first := true // ranks below the first gap folded before any exclusion
+			want := make([]float64, ab.spanLen(idx))
+			wantWeight := 0.0
+			for r := 0; r < members; r++ {
+				first = first && arrived[idx][r]
+				if excluded[r] && !first {
+					continue
+				}
+				for i := range want {
+					want[i] += vecs[r][idx*words+i]
+				}
+				wantWeight += float64(1 + r)
+			}
+			if weights[idx] != wantWeight {
+				t.Fatalf("round %d chunk %d: weight %g, want %g", round, idx, weights[idx], wantWeight)
+			}
+			for i, w := range want {
+				if got := spans[idx][i]; !sameFloat(got, w) {
+					t.Fatalf("round %d chunk %d word %d: completed span holds %v (%#x), want %v (%#x)",
+						round, idx, i, got, math.Float64bits(got), w, math.Float64bits(w))
+				}
+				if got := sum[idx*words+i]; !sameFloat(got, w) {
+					t.Fatalf("round %d chunk %d word %d: sum holds %v (%#x), want %v (%#x)",
+						round, idx, i, got, math.Float64bits(got), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
 }
 
 // TestStaleChunkCannotCrossReset races member 2's chunk for round k, a

@@ -431,7 +431,7 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 		switch f.Type {
 		case cosmicnet.MsgHello:
 			if n.obs != nil {
-				n.obs.recvFrame(n.obs.framesHello, len(f.Payload))
+				n.obs.recvFrame(n.obs.framesHello)
 			}
 			// A fresh hello from a suspect member is a rejoin: stop
 			// pre-excluding it from the next round.
@@ -449,7 +449,7 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 				if f.Type == cosmicnet.MsgGroupAggregate {
 					ctr, name = n.obs.framesGroupAgg, "recv-group-aggregate"
 				}
-				n.obs.recvFrame(ctr, len(f.Payload))
+				n.obs.recvFrame(ctr)
 				n.obs.endSpan(n.obs.tracer().Begin("runtime", name, n.obs.threadID()), f, obs.ArgFlowIn)
 			}
 			if !f.Chunked() {

@@ -26,9 +26,9 @@ type nodeObs struct {
 	tid int
 
 	// framesHello/Partial/GroupAgg count inbound frames on member
-	// connections by type; rxWords/txWords count payload float64s moved.
+	// connections by type; txWords counts payload float64s sent.
 	framesHello, framesPartial, framesGroupAgg *obs.Counter
-	rxWords, txWords                           *obs.Counter
+	txWords                                    *obs.Counter
 
 	// chunks and contributions measure the Sigma aggregation fan-in: ring
 	// chunks folded into the aggregation buffer, and completed partials.
@@ -65,7 +65,6 @@ func newNodeObs(o *obs.Observer, id uint32, role Role) *nodeObs {
 		framesHello:    frames("hello"),
 		framesPartial:  frames("partial"),
 		framesGroupAgg: frames("group_aggregate"),
-		rxWords:        reg.Counter(obs.Labeled("cosmic_node_rx_payload_words_total", "node", node)),
 		txWords:        reg.Counter(obs.Labeled("cosmic_node_tx_payload_words_total", "node", node)),
 		chunks:         reg.Counter(obs.Labeled("cosmic_sigma_chunks_total", "node", node)),
 		contributions:  reg.Counter(obs.Labeled("cosmic_sigma_contributions_total", "node", node)),
@@ -100,12 +99,11 @@ func (no *nodeObs) threadID() int {
 }
 
 // recvFrame records one inbound member frame.
-func (no *nodeObs) recvFrame(typ *obs.Counter, payloadLen int) {
+func (no *nodeObs) recvFrame(typ *obs.Counter) {
 	if no == nil {
 		return
 	}
 	typ.Inc()
-	no.rxWords.Add(int64(payloadLen))
 }
 
 // sent records one outbound frame's payload.

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/cosmicnet"
 	"repro/internal/obs"
+	"repro/internal/vec"
 )
 
 // Chunk is one unit of work flowing from the network readers to the
@@ -402,17 +403,11 @@ func (ab *AggregationBuffer) stale(seq uint32) bool {
 // chunk's first fold of the round writes 0 + v (so −0 lands as +0, as if
 // added to a cleared span), every later fold adds. Call with st.mu held.
 func (st *chunkAgg) fold(span, data []float64) {
-	span = span[:len(data)]
+	into := vec.Acc
 	if !st.written {
-		st.written = true
-		for i, v := range data {
-			span[i] = 0 + v
-		}
-		return
+		st.written, into = true, vec.Init
 	}
-	for i, v := range data {
-		span[i] += v
-	}
+	vec.ScaleRow(span, data, 1, into)
 }
 
 // advanceLocked advances st.next past excluded ranks (discarding any parked

@@ -1,9 +1,12 @@
-// Package vec holds the packed float64 kernels of the simulated node: the
-// lane program's arithmetic, compare and select, its exp-based nonlinears,
-// its update tail, the model broadcast, the data bind's transpose and the
-// cross-thread reduce, each a loop over contiguous floats. On amd64 CPUs
-// with AVX they run four lanes per instruction in assembly; everywhere else
-// they are the Go loops in this file.
+// Package vec holds the packed float64 kernels of the simulated node and of
+// the host trainer. For the node: the lane program's arithmetic, compare and
+// select, its exp-based nonlinears, its update tail, the model broadcast,
+// the data bind's transpose and the cross-thread reduce. For the trainer and
+// the Sigma: the row kernels, ScaleRow (AXPY, Scale, the fold, the master's
+// apply), StepRow (the rank-1 SGD step) and AverageInto. Each is a loop over
+// contiguous floats. On amd64 CPUs with AVX they run four lanes per
+// instruction in assembly; everywhere else they are the Go loops in this
+// file.
 //
 // No bit moves between the two. A packed VMULPD, VADDPD, VSUBPD or VDIVPD
 // rounds each element exactly as the scalar MULSD, ADDSD, SUBSD or DIVSD
@@ -16,6 +19,9 @@
 // (round to nearest, no flush to zero). Select, Less and Transpose only
 // compare and move floats. Only a NaN's payload may differ, where two NaNs
 // meet, as it may between Go builds: IEEE 754 leaves that choice open.
+// Within that allowance two identities let one row kernel serve several
+// ops: y + v is y + 1·v, and y − s·v is y + (−s)·v, since a rounded product
+// negates exactly.
 //
 // The kernels that take offsets into an arena (Run, Step, Sum and Prod)
 // trust them: every row they name must lie inside the arena for the lanes
@@ -214,24 +220,57 @@ func AddLanes(acc, rows []float64, stride, count int) {
 	addLanesGo(acc, rows, stride, count)
 }
 
+// Dest is how a row kernel lands its value v in dst[i].
+type Dest int
+
+// The row kernels' destinations.
+const (
+	Set  Dest = iota // dst[i] = v
+	Init             // dst[i] = 0 + v: −0 lands as +0, as if added to a cleared row
+	Acc              // dst[i] = dst[i] + v
+)
+
+// ScaleRow lands a·x[i] in dst[i] for every i < len(x), as d says: Set is
+// Scale, Acc is AXPY and, with a = 1 or −s, the fold's y + v and the apply's
+// y − s·v. dst may be x but must not otherwise overlap it.
+func ScaleRow(dst, x []float64, a float64, d Dest) {
+	dst = dst[:len(x)]
+	if avx {
+		scaleAVX(dst, x, a, d)
+		return
+	}
+	scaleGo(dst, x, a, d)
+}
+
+// StepRow lands the SGD step y[i] + a·(e·x[i]) in dst[i] for every i <
+// len(x), as d says; e·x[i] is rounded before a multiplies it. dst may be y
+// or x but must not otherwise overlap either.
+func StepRow(dst, y, x []float64, a, e float64, d Dest) {
+	dst, y = dst[:len(x)], y[:len(x)]
+	if avx {
+		stepRowAVX(dst, y, x, a, e, d)
+		return
+	}
+	stepRowGo(dst, y, x, a, e, d)
+}
+
 // AverageInto writes span / weight into out, which is span's length. A weight
 // that is a power of two in the normal range has an exact reciprocal, and v
 // times it rounds the same real number v / weight does, so that weight is
 // applied as a multiply: the same bits for every v, signed zeros,
 // denormals, infinities and NaN included. Any other weight divides.
 func AverageInto(out, span []float64, weight float64) {
-	out = out[:len(span)]
 	const expMask, fracMask = 0x7ff << 52, 1<<52 - 1
 	if b := math.Float64bits(weight); b&fracMask == 0 && b&expMask != 0 && b&expMask != expMask {
-		inv := 1 / weight
-		for j, v := range span {
-			out[j] = v * inv
-		}
+		ScaleRow(out, span, 1/weight, Set)
 		return
 	}
-	for j, v := range span {
-		out[j] = v / weight
+	out = out[:len(span)]
+	if avx {
+		divAVX(out, span, weight)
+		return
 	}
+	divGo(out, span, weight)
 }
 
 // The portable kernels. The explicit float64 conversions round each
@@ -319,6 +358,49 @@ func prodGo(vals []float64, tail []Product, shift, n int) {
 		for l := range d {
 			d[l] = a[l] * b[l]
 		}
+	}
+}
+
+func scaleGo(dst, x []float64, a float64, d Dest) {
+	dst = dst[:len(x)]
+	switch d {
+	case Set:
+		for i, v := range x {
+			dst[i] = a * v
+		}
+	case Init:
+		for i, v := range x {
+			dst[i] = 0 + float64(a*v)
+		}
+	default:
+		for i, v := range x {
+			dst[i] += float64(a * v)
+		}
+	}
+}
+
+func stepRowGo(dst, y, x []float64, a, e float64, d Dest) {
+	dst, y = dst[:len(x)], y[:len(x)]
+	switch d {
+	case Set:
+		for i, v := range x {
+			dst[i] = y[i] + float64(a*float64(e*v))
+		}
+	case Init:
+		for i, v := range x {
+			dst[i] = 0 + (y[i] + float64(a*float64(e*v)))
+		}
+	default:
+		for i, v := range x {
+			dst[i] += y[i] + float64(a*float64(e*v))
+		}
+	}
+}
+
+func divGo(dst, x []float64, w float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = v / w
 	}
 }
 

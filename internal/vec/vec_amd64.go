@@ -69,4 +69,13 @@ func transposeAVX(dst []float64, w int, src [][]float64, off, count int)
 func addLanesAVX(acc, rows []float64, stride, count int)
 
 //go:noescape
+func scaleAVX(dst, x []float64, a float64, d Dest)
+
+//go:noescape
+func stepRowAVX(dst, y, x []float64, a, e float64, d Dest)
+
+//go:noescape
+func divAVX(dst, x []float64, w float64)
+
+//go:noescape
 func expAVX(dst, src []float64, form expForm) (done, out int)

@@ -912,3 +912,231 @@ exp_done:
 	MOVQ AX, out+64(FP)
 	VZEROUPPER
 	RET
+
+// The row kernels. Each runs one of three loops by its destination d: Set
+// stores v, Init stores 0 + v (Y6 is zero, so −0 lands as +0) and Acc
+// stores dst + v.
+
+// func scaleAVX(dst, x []float64, a float64, d Dest)
+//
+// v = a·x. DI dst, SI x, CX len(x), R9 len(x) rounded down to four, BX the
+// word; Y7 holds a in every lane.
+TEXT ·scaleAVX(SB), NOSPLIT, $0-64
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	VBROADCASTSD a+48(FP), Y7
+	MOVQ         d+56(FP), AX
+	MOVQ         CX, R9
+	ANDQ         $-4, R9
+	XORQ         BX, BX
+	VXORPD       Y6, Y6, Y6
+	CMPQ         AX, $1
+	JEQ          scale_init
+	JHI          scale_acc
+
+	CMPQ BX, R9
+	JGE  scale_set1
+	PCALIGN $32
+scale_set4:
+	VMULPD  (SI)(BX*8), Y7, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     scale_set4
+	PCALIGN $32
+scale_set1:
+	CMPQ   BX, CX
+	JGE    scale_done
+	VMULSD (SI)(BX*8), X7, X0
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    scale_set1
+
+scale_init:
+	CMPQ BX, R9
+	JGE  scale_init1
+	PCALIGN $32
+scale_init4:
+	VMULPD  (SI)(BX*8), Y7, Y0
+	VADDPD  Y0, Y6, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     scale_init4
+	PCALIGN $32
+scale_init1:
+	CMPQ   BX, CX
+	JGE    scale_done
+	VMULSD (SI)(BX*8), X7, X0
+	VADDSD X0, X6, X0
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    scale_init1
+
+scale_acc:
+	CMPQ BX, R9
+	JGE  scale_acc1
+	PCALIGN $32
+scale_acc4:
+	VMULPD  (SI)(BX*8), Y7, Y0
+	VMOVUPD (DI)(BX*8), Y1
+	VADDPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     scale_acc4
+	PCALIGN $32
+scale_acc1:
+	CMPQ   BX, CX
+	JGE    scale_done
+	VMULSD (SI)(BX*8), X7, X0
+	VMOVSD (DI)(BX*8), X1
+	VADDSD X0, X1, X1
+	VMOVSD X1, (DI)(BX*8)
+	INCQ   BX
+	JMP    scale_acc1
+
+scale_done:
+	VZEROUPPER
+	RET
+
+// func stepRowAVX(dst, y, x []float64, a, e float64, d Dest)
+//
+// v = y + a·(e·x). DI dst, R10 y, SI x, CX len(x), R9 len(x) rounded down
+// to four, BX the word; Y7 holds a and Y8 e in every lane.
+TEXT ·stepRowAVX(SB), NOSPLIT, $0-96
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         y_base+24(FP), R10
+	MOVQ         x_base+48(FP), SI
+	MOVQ         x_len+56(FP), CX
+	VBROADCASTSD a+72(FP), Y7
+	VBROADCASTSD e+80(FP), Y8
+	MOVQ         d+88(FP), AX
+	MOVQ         CX, R9
+	ANDQ         $-4, R9
+	XORQ         BX, BX
+	VXORPD       Y6, Y6, Y6
+	CMPQ         AX, $1
+	JEQ          steprow_init
+	JHI          steprow_acc
+
+	CMPQ BX, R9
+	JGE  steprow_set1
+	PCALIGN $32
+steprow_set4:
+	VMULPD  (SI)(BX*8), Y8, Y0
+	VMULPD  Y0, Y7, Y0
+	VMOVUPD (R10)(BX*8), Y1
+	VADDPD  Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     steprow_set4
+	PCALIGN $32
+steprow_set1:
+	CMPQ   BX, CX
+	JGE    steprow_done
+	VMULSD (SI)(BX*8), X8, X0
+	VMULSD X0, X7, X0
+	VMOVSD (R10)(BX*8), X1
+	VADDSD X0, X1, X0
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    steprow_set1
+
+steprow_init:
+	CMPQ BX, R9
+	JGE  steprow_init1
+	PCALIGN $32
+steprow_init4:
+	VMULPD  (SI)(BX*8), Y8, Y0
+	VMULPD  Y0, Y7, Y0
+	VMOVUPD (R10)(BX*8), Y1
+	VADDPD  Y0, Y1, Y0
+	VADDPD  Y0, Y6, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     steprow_init4
+	PCALIGN $32
+steprow_init1:
+	CMPQ   BX, CX
+	JGE    steprow_done
+	VMULSD (SI)(BX*8), X8, X0
+	VMULSD X0, X7, X0
+	VMOVSD (R10)(BX*8), X1
+	VADDSD X0, X1, X0
+	VADDSD X0, X6, X0
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    steprow_init1
+
+steprow_acc:
+	CMPQ BX, R9
+	JGE  steprow_acc1
+	PCALIGN $32
+steprow_acc4:
+	VMULPD  (SI)(BX*8), Y8, Y0
+	VMULPD  Y0, Y7, Y0
+	VMOVUPD (R10)(BX*8), Y1
+	VADDPD  Y0, Y1, Y0
+	VMOVUPD (DI)(BX*8), Y1
+	VADDPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     steprow_acc4
+	PCALIGN $32
+steprow_acc1:
+	CMPQ   BX, CX
+	JGE    steprow_done
+	VMULSD (SI)(BX*8), X8, X0
+	VMULSD X0, X7, X0
+	VMOVSD (R10)(BX*8), X1
+	VADDSD X0, X1, X0
+	VMOVSD (DI)(BX*8), X1
+	VADDSD X0, X1, X1
+	VMOVSD X1, (DI)(BX*8)
+	INCQ   BX
+	JMP    steprow_acc1
+
+steprow_done:
+	VZEROUPPER
+	RET
+
+// func divAVX(dst, x []float64, w float64)
+//
+// dst = x / w. DI dst, SI x, CX len(x), R9 len(x) rounded down to four, BX
+// the word; Y7 holds w in every lane.
+TEXT ·divAVX(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	VBROADCASTSD w+48(FP), Y7
+	MOVQ         CX, R9
+	ANDQ         $-4, R9
+	XORQ         BX, BX
+	CMPQ         BX, R9
+	JGE          div1
+	PCALIGN $32
+div4:
+	VMOVUPD (SI)(BX*8), Y0
+	VDIVPD  Y7, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, R9
+	JLT     div4
+	PCALIGN $32
+div1:
+	CMPQ   BX, CX
+	JGE    div_done
+	VMOVSD (SI)(BX*8), X0
+	VDIVSD X7, X0, X0
+	VMOVSD X0, (DI)(BX*8)
+	INCQ   BX
+	JMP    div1
+
+div_done:
+	VZEROUPPER
+	RET

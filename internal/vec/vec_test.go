@@ -157,6 +157,67 @@ func TestLaneKernelsMatchPortable(t *testing.T) {
 	}
 }
 
+// TestRowKernelsMatchPortable runs every row kernel, under each
+// destination, against its Go loop: n = 0 … 37 words with the rows starting
+// at four consecutive float offsets, on values from raw bits and on the
+// specials, with scalars that are specials too, and in place, dst being y or
+// x. The whole arena must match, so a kernel that writes past its words
+// fails too.
+func TestRowKernelsMatchPortable(t *testing.T) {
+	if !haveAVX {
+		t.Skip("no AVX on this CPU")
+	}
+	rng := rand.New(rand.NewSource(46))
+	const stride = 41
+	scalars := append([]float64{0.05, -3}, specials...)
+	for n := 0; n <= 37; n++ {
+		for off := 0; off < 4; off++ {
+			row := func(arena []float64, r int) []float64 { return arena[off+r*stride:][:n] }
+			arena := fill(rng, 4*stride)
+			a, e := scalars[rng.Intn(len(scalars))], scalars[rng.Intn(len(scalars))]
+			if rng.Intn(2) == 0 {
+				a, e = draw(rng), draw(rng)
+			}
+			check := func(what string, kernel func(vals []float64, avx bool)) {
+				t.Helper()
+				want, got := append([]float64(nil), arena...), append([]float64(nil), arena...)
+				kernel(want, false)
+				kernel(got, true)
+				requireBitEqual(t, fmt.Sprintf("%s n=%d offset=%d a=%v e=%v", what, n, off, a, e), want, got)
+			}
+			// dst is row 0, or in place row 1 (y) or row 2 (x).
+			for _, dr := range []int{0, 1, 2} {
+				for d := Set; d <= Acc; d++ {
+					check(fmt.Sprintf("scale d=%d dst=row %d", d, dr), func(vals []float64, avx bool) {
+						dst, x := row(vals, dr), row(vals, 2)
+						if avx {
+							scaleAVX(dst, x, a, d)
+						} else {
+							scaleGo(dst, x, a, d)
+						}
+					})
+					check(fmt.Sprintf("step d=%d dst=row %d", d, dr), func(vals []float64, avx bool) {
+						dst, y, x := row(vals, dr), row(vals, 1), row(vals, 2)
+						if avx {
+							stepRowAVX(dst, y, x, a, e, d)
+						} else {
+							stepRowGo(dst, y, x, a, e, d)
+						}
+					})
+				}
+				check(fmt.Sprintf("div dst=row %d", dr), func(vals []float64, avx bool) {
+					dst, x := row(vals, dr), row(vals, 2)
+					if avx {
+						divAVX(dst, x, a)
+					} else {
+						divGo(dst, x, a)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestTransposeMatches pins the bind's transpose on the kernels in use and,
 // where those are the AVX ones, on the Go loop: 0 … 9 lanes (every lane
 // remainder past a quad) of 0 … 9 words (every word remainder), each source
@@ -236,14 +297,18 @@ func TestAverageIntoMatchesDivision(t *testing.T) {
 		vals = append(vals, math.Float64frombits(rng.Uint64()))
 	}
 	out := make([]float64, len(vals))
-	for _, w := range []float64{1, 2, 3, 4, 5, 8, 16, 32} {
-		AverageInto(out, vals, w)
-		for i, v := range vals {
-			if want := v / w; math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("weight %g: %v (%#x) averaged to %#x, want %#x",
-					w, v, math.Float64bits(v), math.Float64bits(out[i]), math.Float64bits(want))
+	for _, on := range []bool{false, true} {
+		restore := SetAccelerated(on)
+		for _, w := range []float64{1, 2, 3, 4, 5, 8, 16, 32} {
+			AverageInto(out, vals, w)
+			for i, v := range vals {
+				if want := v / w; math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("accelerated=%v weight %g: %v (%#x) averaged to %#x, want %#x",
+						Accelerated(), w, v, math.Float64bits(v), math.Float64bits(out[i]), math.Float64bits(want))
+				}
 			}
 		}
+		restore()
 	}
 }
 
@@ -267,5 +332,48 @@ func TestKernelsRefuseRowsOutside(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// BenchmarkRowKernels reports ns per word of the row kernels, under each
+// destination, at a `tiny` model's width (200 words), a Sigma chunk's (4 096)
+// and a `wide` model's (65 535); AVX and portable.
+func BenchmarkRowKernels(b *testing.B) {
+	kernels := []struct {
+		name string
+		run  func(dst, y, x []float64)
+	}{
+		{"scale-set", func(dst, _, x []float64) { ScaleRow(dst, x, 0.5, Set) }},
+		{"scale-init", func(dst, _, x []float64) { ScaleRow(dst, x, 0.5, Init) }},
+		{"scale-acc", func(dst, _, x []float64) { ScaleRow(dst, x, 0.5, Acc) }},
+		{"step-set", func(dst, y, x []float64) { StepRow(dst, y, x, -0.01, 0.3, Set) }},
+		{"step-init", func(dst, y, x []float64) { StepRow(dst, y, x, -0.01, 0.3, Init) }},
+		{"step-acc", func(dst, y, x []float64) { StepRow(dst, y, x, -0.01, 0.3, Acc) }},
+		{"divide", func(dst, _, x []float64) { AverageInto(dst, x, 3) }},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{200, 4096, 65535} {
+		dst, y, x := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x {
+			y[i], x[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		for _, k := range kernels {
+			for _, on := range []bool{true, false} {
+				if on && !haveAVX {
+					continue
+				}
+				name := "portable"
+				if on {
+					name = "avx"
+				}
+				b.Run(fmt.Sprintf("%s/%d/%s", k.name, n, name), func(b *testing.B) {
+					defer SetAccelerated(on)()
+					for i := 0; i < b.N; i++ {
+						k.run(dst, y, x)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/word")
+				})
+			}
+		}
 	}
 }
