@@ -266,11 +266,9 @@ func AverageInto(out, span []float64, weight float64) {
 		return
 	}
 	out = out[:len(span)]
-	if avx {
-		divAVX(out, span, weight)
-		return
+	for j, v := range span {
+		out[j] = v / weight
 	}
-	divGo(out, span, weight)
 }
 
 // The portable kernels. The explicit float64 conversions round each
@@ -394,13 +392,6 @@ func stepRowGo(dst, y, x []float64, a, e float64, d Dest) {
 		for i, v := range x {
 			dst[i] += y[i] + float64(a*float64(e*v))
 		}
-	}
-}
-
-func divGo(dst, x []float64, w float64) {
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = v / w
 	}
 }
 

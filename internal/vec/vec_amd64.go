@@ -75,7 +75,4 @@ func scaleAVX(dst, x []float64, a float64, d Dest)
 func stepRowAVX(dst, y, x []float64, a, e float64, d Dest)
 
 //go:noescape
-func divAVX(dst, x []float64, w float64)
-
-//go:noescape
 func expAVX(dst, src []float64, form expForm) (done, out int)

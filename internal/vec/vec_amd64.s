@@ -1104,39 +1104,3 @@ steprow_acc1:
 steprow_done:
 	VZEROUPPER
 	RET
-
-// func divAVX(dst, x []float64, w float64)
-//
-// dst = x / w. DI dst, SI x, CX len(x), R9 len(x) rounded down to four, BX
-// the word; Y7 holds w in every lane.
-TEXT ·divAVX(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         x_base+24(FP), SI
-	MOVQ         x_len+32(FP), CX
-	VBROADCASTSD w+48(FP), Y7
-	MOVQ         CX, R9
-	ANDQ         $-4, R9
-	XORQ         BX, BX
-	CMPQ         BX, R9
-	JGE          div1
-	PCALIGN $32
-div4:
-	VMOVUPD (SI)(BX*8), Y0
-	VDIVPD  Y7, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     div4
-	PCALIGN $32
-div1:
-	CMPQ   BX, CX
-	JGE    div_done
-	VMOVSD (SI)(BX*8), X0
-	VDIVSD X7, X0, X0
-	VMOVSD X0, (DI)(BX*8)
-	INCQ   BX
-	JMP    div1
-
-div_done:
-	VZEROUPPER
-	RET

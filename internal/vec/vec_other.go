@@ -14,7 +14,6 @@ func broadcastAVX(dst, src []float64, w int)                    { panic("vec: no
 func addLanesAVX(acc, rows []float64, stride, count int)        { panic("vec: no AVX kernels") }
 func expAVX(dst, src []float64, form expForm) (done, out int)   { panic("vec: no AVX kernels") }
 func scaleAVX(dst, x []float64, a float64, d Dest)              { panic("vec: no AVX kernels") }
-func divAVX(dst, x []float64, w float64)                        { panic("vec: no AVX kernels") }
 
 func stepRowAVX(dst, y, x []float64, a, e float64, d Dest) {
 	panic("vec: no AVX kernels")

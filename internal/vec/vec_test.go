@@ -205,14 +205,6 @@ func TestRowKernelsMatchPortable(t *testing.T) {
 						}
 					})
 				}
-				check(fmt.Sprintf("div dst=row %d", dr), func(vals []float64, avx bool) {
-					dst, x := row(vals, dr), row(vals, 2)
-					if avx {
-						divAVX(dst, x, a)
-					} else {
-						divGo(dst, x, a)
-					}
-				})
 			}
 		}
 	}
@@ -349,7 +341,6 @@ func BenchmarkRowKernels(b *testing.B) {
 		{"step-set", func(dst, y, x []float64) { StepRow(dst, y, x, -0.01, 0.3, Set) }},
 		{"step-init", func(dst, y, x []float64) { StepRow(dst, y, x, -0.01, 0.3, Init) }},
 		{"step-acc", func(dst, y, x []float64) { StepRow(dst, y, x, -0.01, 0.3, Acc) }},
-		{"divide", func(dst, _, x []float64) { AverageInto(dst, x, 3) }},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{200, 4096, 65535} {
