@@ -191,6 +191,9 @@ func TestNewModelThroughWholeStack(t *testing.T) {
 	}
 	want := ml.AccumulateGradients(alg, model, batch)
 	got := alg.UnpackGradient(res.Partial)
+	// A tolerance, not bits: the sum aggregator's partial adds the threads'
+	// gradient sums where the reference adds every sample's in one chain,
+	// and softmax's normalizing Σ of exps is a serial sum in the reference.
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 			t.Fatalf("Σg[%d] = %g simulated, %g reference", i, got[i], want[i])

@@ -92,7 +92,7 @@ func randomBatch(alg ml.Algorithm, n int, rng *rand.Rand) []ml.Sample {
 // TestSimMatchesReferenceParallelSGD is the end-to-end functional check: the
 // cycle-level simulator's partial update must equal the pure-Go parallel SGD
 // reference bit-for-bit (both use float64 and the same operation order per
-// thread).
+// thread, every Σ in the reduce tree's order).
 func TestSimMatchesReferenceParallelSGD(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	algs := []ml.Algorithm{
@@ -118,19 +118,61 @@ func TestSimMatchesReferenceParallelSGD(t *testing.T) {
 			cfg := ml.SGDConfig{LearningRate: lr, Aggregator: dsl.AggAverage}
 			want := ml.ParallelSGDBatch(alg, cfg, model, batch, threads)
 
-			got := flattenModel(alg, res.Partial)
-			if len(got) != len(want) {
-				t.Fatalf("partial length %d, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Fatalf("θ[%d] = %g (sim), %g (reference)", i, got[i], want[i])
-				}
-			}
+			requireFlatBitEqual(t, flattenModel(alg, res.Partial), want)
 			if res.Cycles <= 0 {
 				t.Errorf("cycles = %d", res.Cycles)
 			}
 		})
+	}
+}
+
+// TestSimMatchesReferenceBitwise is the same check at sizes where a Σ has
+// hundreds of terms, a non-power-of-two count among them: every Table 1
+// family, 4 threads, 32 vectors, the averaging aggregator. A reference that
+// summed its dot products in any other order than the reduce tree's would
+// differ in most words.
+func TestSimMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, alg := range []ml.Algorithm{
+		&ml.LinearRegression{M: 200},
+		&ml.LogisticRegression{M: 300},
+		&ml.SVM{M: 177},
+		&ml.MLP{In: 64, Hid: 24, Out: 10},
+		&ml.CF{NU: 40, NV: 60, K: 8},
+	} {
+		t.Run(alg.Name(), func(t *testing.T) {
+			const threads, vectors, lr = 4, 32, 0.05
+			prog := compileFor(t, alg, threads, 1, compiler.StyleCoSMIC)
+			model := alg.InitModel(rng)
+			batch := randomBatch(alg, vectors, rng)
+			res, err := New(prog).RunBatch(alg.PackModel(model), packParts(alg, batch, threads), lr, dsl.AggAverage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := ml.SGDConfig{LearningRate: lr, Aggregator: dsl.AggAverage}
+			requireFlatBitEqual(t, flattenModel(alg, res.Partial), ml.ParallelSGDBatch(alg, cfg, model, batch, threads))
+		})
+	}
+}
+
+// requireFlatBitEqual compares a simulated partial with the reference's bit
+// for bit and reports how many words differ.
+func requireFlatBitEqual(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("partial length %d, want %d", len(got), len(want))
+	}
+	first, diff := -1, 0
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			if diff++; first < 0 {
+				first = i
+			}
+		}
+	}
+	if diff > 0 {
+		t.Fatalf("%d of %d words differ; θ[%d] = %v (sim), %v (reference)",
+			diff, len(want), first, got[first], want[first])
 	}
 }
 
@@ -170,6 +212,9 @@ func TestSimSumAggregatorMatchesReference(t *testing.T) {
 	}
 	want := ml.AccumulateGradients(alg, model, batch)
 	got := alg.UnpackGradient(res.Partial)
+	// A tolerance, not bits: under the sum aggregator a thread sums its own
+	// samples' gradients and the threads' sums are then added, where
+	// AccumulateGradients adds every sample's gradient in one chain.
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 			t.Fatalf("Σg[%d] = %g (sim), %g (reference)", i, got[i], want[i])
@@ -394,6 +439,8 @@ func TestPartialIndependentOfTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := alg.UnpackGradient(res.Partial)
+		// A tolerance, not bits: the sum aggregator's partial adds the
+		// threads' gradient sums, one chain per thread shape.
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 				t.Fatalf("shape %v: Σg[%d] = %g, want %g", shape, i, got[i], want[i])

@@ -107,10 +107,11 @@ func BuildProgram(source string, params map[string]int, chip arch.ChipSpec, opts
 			return nil, fmt.Errorf("core: artifact verification found %d errors:\n%s", ds.Errors(), ds)
 		}
 	}
-	s := graph.Summary()
-	whole.EndArgs(map[string]any{
-		"ops": s.ComputeOps, "threads": point.Plan.Threads, "style": opts.Style.String(),
-	})
+	if tr != nil { // counting the ops walks the whole graph; only a recorded span reads it
+		whole.EndArgs(map[string]any{
+			"ops": graph.NumOps(), "threads": point.Plan.Threads, "style": opts.Style.String(),
+		})
+	}
 	if reg := opts.Obs.Registry(); reg != nil {
 		reg.Counter("cosmic_compile_builds_total").Inc()
 	}

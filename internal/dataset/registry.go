@@ -290,11 +290,14 @@ func groundTruth(alg ml.Algorithm, rng *rand.Rand) []float64 {
 func fillSample(alg ml.Algorithm, truth []float64, s ml.Sample, hidden []float64, rng *rand.Rand) {
 	switch a := alg.(type) {
 	case *ml.CF:
-		s.X[rng.Intn(a.NU)] = 1
-		s.X[a.NU+rng.Intn(a.NV)] = 1
-		// Y is still 0, so Loss is ½(uf·vf)² at rating 0; recover the
-		// rating and add noise.
-		s.Y[0] = math.Sqrt(2*a.Loss(truth, s)) + 0.05*rng.NormFloat64()
+		u, v := rng.Intn(a.NU), rng.Intn(a.NV)
+		s.X[u], s.X[a.NU+v] = 1, 1
+		// The rating is the factor rows' product e, plus noise, taken as
+		// √(2·½e²): the pinned sets hold that rounding.
+		uf, vf := truth[u*a.K:][:a.K], truth[(a.NU+v)*a.K:][:a.K]
+		e := serialDot(uf, vf)
+		l := 0.5 * e * e
+		s.Y[0] = math.Sqrt(2*l) + 0.05*rng.NormFloat64()
 	case *ml.MLP:
 		for i := range s.X {
 			s.X[i] = rng.NormFloat64()
@@ -304,7 +307,7 @@ func fillSample(alg ml.Algorithm, truth []float64, s ml.Sample, hidden []float64
 		for i := range s.X {
 			s.X[i] = rng.NormFloat64()
 		}
-		if ml.Dot(truth, s.X) >= 0 {
+		if serialDot(truth, s.X) >= 0 {
 			s.Y[0] = 1
 		} else {
 			s.Y[0] = -1
@@ -313,7 +316,7 @@ func fillSample(alg ml.Algorithm, truth []float64, s ml.Sample, hidden []float64
 		for i := range s.X {
 			s.X[i] = rng.NormFloat64()
 		}
-		p := 1 / (1 + math.Exp(-4*ml.Dot(truth, s.X)))
+		p := 1 / (1 + math.Exp(-4*serialDot(truth, s.X)))
 		if rng.Float64() < p {
 			s.Y[0] = 1
 		}
@@ -321,7 +324,7 @@ func fillSample(alg ml.Algorithm, truth []float64, s ml.Sample, hidden []float64
 		for i := range s.X {
 			s.X[i] = rng.NormFloat64()
 		}
-		s.Y[0] = ml.Dot(truth, s.X) + 0.01*rng.NormFloat64()
+		s.Y[0] = serialDot(truth, s.X) + 0.01*rng.NormFloat64()
 	}
 }
 
@@ -332,9 +335,23 @@ func mlpForward(a *ml.MLP, model, x, h, o []float64) {
 	w1 := model[:a.Hid*a.In]
 	w2 := model[a.Hid*a.In:]
 	for j := 0; j < a.Hid; j++ {
-		h[j] = 1 / (1 + math.Exp(-ml.Dot(w1[j*a.In:(j+1)*a.In], x)))
+		h[j] = 1 / (1 + math.Exp(-serialDot(w1[j*a.In:(j+1)*a.In], x)))
 	}
 	for k := 0; k < a.Out; k++ {
-		o[k] = 1 / (1 + math.Exp(-ml.Dot(w2[k*a.Hid:(k+1)*a.Hid], h)))
+		o[k] = 1 / (1 + math.Exp(-serialDot(w2[k*a.Hid:(k+1)*a.Hid], h)))
 	}
+}
+
+// serialDot is the generator's own inner product, added one product at a
+// time in index order. The generated sets stand in for fixed data files, so
+// their bits must not follow the reference trainer's summation order
+// (ml.Dot, the accelerator's reduce tree): this sum is frozen as the
+// generator first computed it.
+func serialDot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i, v := range a {
+		s += float64(v * b[i])
+	}
+	return s
 }

@@ -94,15 +94,9 @@ func checkLens(a Algorithm, model, grad []float64) {
 	}
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	b = b[:len(a)]
-	s := 0.0
-	for i, v := range a {
-		s += float64(v * b[i])
-	}
-	return s
-}
+// Dot returns the inner product of two equal-length vectors, summed in the
+// accelerator's reduce-tree order (vec.Dot).
+func Dot(a, b []float64) float64 { return vec.Dot(a, b) }
 
 // AXPY computes y += alpha*x in place.
 func AXPY(alpha float64, x, y []float64) { vec.ScaleRow(y, x, alpha, vec.Acc) }

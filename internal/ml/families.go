@@ -256,7 +256,7 @@ func (a *MLP) Gradient(model []float64, s Sample, grad []float64) {
 	_, w2 := a.split(model)
 	g1, g2 := grad[:a.Hid*a.In], grad[a.Hid*a.In:]
 	h, o := a.forward(model, s.X)
-	d2 := make([]float64, a.Out)
+	d2, col := make([]float64, a.Out), make([]float64, a.Out)
 	for k := 0; k < a.Out; k++ {
 		d2[k] = (o[k] - s.Y[k]) * o[k] * (1 - o[k])
 		for j := 0; j < a.Hid; j++ {
@@ -264,10 +264,10 @@ func (a *MLP) Gradient(model []float64, s Sample, grad []float64) {
 		}
 	}
 	for j := 0; j < a.Hid; j++ {
-		e := 0.0
-		for k := 0; k < a.Out; k++ {
-			e += float64(d2[k] * w2[k*a.Hid+j])
+		for k := range col {
+			col[k] = w2[k*a.Hid+j]
 		}
+		e := Dot(d2, col)
 		d1 := e * h[j] * (1 - h[j])
 		for i := 0; i < a.In; i++ {
 			g1[j*a.In+i] = d1 * s.X[i]

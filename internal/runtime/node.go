@@ -114,11 +114,10 @@ type NodeConfig struct {
 	Obs *obs.Observer
 }
 
-// aggWorkers is the Sigma's Aggregation Pool size; ringCapacity bounds the
-// circular buffer feeding it; flightSize bounds each node's flight recorder
-// (the last-N wire events kept for post-mortem dumps).
+// ringCapacity bounds the circular buffer feeding a Sigma's fold goroutine;
+// flightSize bounds each node's flight recorder (the last-N wire events kept
+// for post-mortem dumps).
 const (
-	aggWorkers   = 4
 	ringCapacity = 64
 	flightSize   = 256
 )
@@ -159,9 +158,7 @@ type Node struct {
 	// the byte counters of connections replaced by a reconnect.
 	upstream           *cosmicnet.Conn
 	sentBase, recvBase int64
-	// sendMu serializes upstream frame writes: with fold-on-arrival
-	// forwarding, per-chunk completion callbacks send from concurrent
-	// aggregation workers.
+	// sendMu serializes upstream frame writes.
 	sendMu sync.Mutex
 
 	// Sigma machinery.
@@ -311,7 +308,7 @@ func (n *Node) lastSeenSummary() string {
 }
 
 // StartNode launches a node over its shard. Sigma roles open a listener and
-// start the aggregation pool; Delta roles only dial upstream (from Run).
+// start the fold goroutine; Delta roles only dial upstream (from Run).
 //
 // The node trains from its own packed copy of the shard, which a goroutine
 // started here builds, so nodes started one after another pack at the same
@@ -361,17 +358,14 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 			n.agg.SetPipelineGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_sigma_pipeline_depth", "node", strconv.Itoa(int(cfg.ID)))))
 		}
-		for i := 0; i < aggWorkers; i++ {
-			n.wg.Add(1)
-			go n.aggWorker()
-		}
-		n.wg.Add(1)
+		n.wg.Add(2)
+		go n.aggWorker()
 		go n.acceptLoop()
 	}
 	return n, nil
 }
 
-// aggWorker is one Aggregation Pool thread: it drains the circular buffer
+// aggWorker is the Sigma's fold goroutine: it drains the circular buffer
 // into the aggregation buffer until the ring closes. Pooled wire payloads
 // are recycled once folded — the Add path never retains the chunk's slice.
 func (n *Node) aggWorker() {
@@ -459,7 +453,7 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 				continue
 			}
 			// Fold on arrival: the frame already is one ring chunk, so it
-			// goes straight to the Aggregation Pool. The payload's ownership
+			// goes straight to the fold goroutine. The payload's ownership
 			// moves to the chunk (Recycle: true makes aggWorker Put it after
 			// folding).
 			//cosmic:transfers f.Payload moves into the ring chunk
@@ -930,7 +924,7 @@ func (n *Node) sigmaRound(f *cosmicnet.Frame, fail <-chan error, diag func(reaso
 // forwarding): the moment chunk idx has every member's contribution, it
 // ships upstream, so the master starts folding this group's early chunks
 // while later ones are still crossing the group's own links. It runs on
-// aggregation workers; sendUpstream serializes the writes.
+// the fold goroutine.
 func (n *Node) forwardChunk(idx int, seq uint32, span []float64, weight float64) {
 	// Reset(seq+1) can land between a late member completing a chunk of a
 	// round the group sat out and this callback: the master has moved on, so
@@ -980,8 +974,7 @@ func (n *Node) traceSend(f *cosmicnet.Frame) {
 }
 
 // sendUpstream traces the frame and writes it upstream. Concurrent senders
-// (per-chunk completion callbacks run on aggregation workers) are
-// serialized.
+// are serialized.
 func (n *Node) sendUpstream(f *cosmicnet.Frame) error {
 	n.traceSend(f)
 	n.sendMu.Lock()

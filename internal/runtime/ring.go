@@ -5,12 +5,16 @@
 // The System Director assigns Sigma (aggregator) and Delta (worker) roles
 // and configures the cluster. Within a Sigma node, the incoming-network
 // handler's per-connection readers push each received chunk frame onto a
-// Circular Buffer; a fixed Aggregation Pool consumes chunks and folds them
-// into the Aggregation Buffer. Readers and pool form a producer-consumer
-// pair, so communication and aggregation overlap. (Goroutines are the
-// user-level threads here — the Go runtime multiplexes them over a fixed set
-// of OS threads, which is precisely the "internally managed thread pool
-// avoiding OS-level context switches" the paper builds by hand in C++.)
+// Circular Buffer; one fold goroutine, the paper's Aggregation Pool cut to
+// a single thread, consumes chunks and folds them into the Aggregation
+// Buffer. Readers and folder form a producer-consumer pair, so
+// communication and aggregation overlap. One folder suffices: the buffer
+// folds each chunk index in member-rank order whatever the pool size, and
+// one core folds at well over ten times a 10 GbE link's rate. (Goroutines
+// are the user-level threads here — the Go runtime multiplexes them over a
+// fixed set of OS threads, which is precisely the "internally managed
+// thread pool avoiding OS-level context switches" the paper builds by hand
+// in C++.)
 package runtime
 
 import (
@@ -25,8 +29,8 @@ import (
 	"repro/internal/vec"
 )
 
-// Chunk is one unit of work flowing from the network readers to the
-// Aggregation Pool: a contiguous span of a partial-update vector.
+// Chunk is one unit of work flowing from the network readers to the fold
+// goroutine: a contiguous span of a partial-update vector.
 type Chunk struct {
 	// Seq is the mini-batch sequence number the chunk belongs to.
 	Seq uint32
@@ -42,13 +46,13 @@ type Chunk struct {
 	Weight float64
 	// Last marks the final chunk of one contribution.
 	Last bool
-	// Recycle marks Data as a pooled wire payload: the aggregation worker
+	// Recycle marks Data as a pooled wire payload: the fold goroutine
 	// returns it to cosmicnet's payload pool once folded.
 	Recycle bool
 }
 
 // CircularBuffer is a bounded, blocking MPMC ring of chunks: network
-// readers produce, aggregation workers consume. Bounding the ring is what
+// readers produce, the fold goroutine consumes. Bounding the ring is what
 // "reduces the memory required for aggregating partial results from
 // multiple sources while enabling overlap between communication and
 // computation".
@@ -138,16 +142,16 @@ func (cb *CircularBuffer) Len() int {
 	return cb.count
 }
 
-// AggregationBuffer accumulates partial updates. Aggregation-pool workers
-// call Add concurrently; chunks of different regions never serialize
-// against each other.
+// AggregationBuffer accumulates partial updates. Add is safe for
+// concurrent use; chunks of different regions never serialize against
+// each other.
 //
 // Each fixed-boundary chunk index folds in member-rank order: an in-order
 // arrival folds immediately, an out-of-order one is parked (as a pooled
 // copy) until its rank comes up. Per-element fold order is then a pure
 // function of the member set — independent of chunk size, arrival order,
-// and aggregation-worker count — which is what keeps training bit-identical
-// across those knobs. The buffer also knows when chunk index i has every
+// and how many goroutines call Add — which is what keeps training
+// bit-identical across those knobs. The buffer also knows when chunk index i has every
 // member's contribution and fires the OnComplete callback right then, which
 // is what lets a Sigma forward chunk i upstream with no whole-vector
 // barrier.
@@ -265,10 +269,10 @@ func NewAggregationBuffer(n, chunkWords int, members []uint32) (*AggregationBuff
 	return ab, nil
 }
 
-// SetOnComplete installs the per-chunk completion callback. It runs on an
-// aggregation worker with no buffer locks held, so Reset may already have
-// armed the next round when it runs: seq is the round the chunk completed
-// in, not necessarily the one armed now. span aliases the buffer's sum and
+// SetOnComplete installs the per-chunk completion callback. It runs on the
+// goroutine whose Add completed the chunk, with no buffer locks held, so
+// Reset may already have armed the next round when it runs: seq is the
+// round the chunk completed in, not necessarily the one armed now. span aliases the buffer's sum and
 // must not be retained past the round. Call before the round's first Add.
 func (ab *AggregationBuffer) SetOnComplete(fn func(idx int, seq uint32, span []float64, weight float64)) {
 	ab.onComplete = fn

@@ -3,10 +3,16 @@
 // select, its exp-based nonlinears, its update tail, the model broadcast,
 // the data bind's transpose and the cross-thread reduce. For the trainer and
 // the Sigma: the row kernels, ScaleRow (AXPY, Scale, the fold, the master's
-// apply), StepRow (the rank-1 SGD step) and AverageInto. Each is a loop over
-// contiguous floats. On amd64 CPUs with AVX they run four lanes per
-// instruction in assembly; everywhere else they are the Go loops in this
-// file.
+// apply), StepRow (the rank-1 SGD step) and AverageInto, and Dot, the
+// reference trainer's one Σ of products. Each is a loop over contiguous
+// floats. On amd64 CPUs with AVX they run four lanes per instruction in
+// assembly; everywhere else they are the Go loops in this file.
+//
+// Dot adds in the order of the accelerator's reduce tree, which the DFG
+// translator builds for every Σ: the power-of-two prefix of the terms folds
+// by halving (term i with term i+h, for h = k/2 down to 1) and the rest,
+// reduced the same way, is added at the root. So the reference trainer's
+// sums are the simulated accelerator's, bit for bit.
 //
 // No bit moves between the two. A packed VMULPD, VADDPD, VSUBPD or VDIVPD
 // rounds each element exactly as the scalar MULSD, ADDSD, SUBSD or DIVSD
@@ -29,7 +35,11 @@
 // every call that n stays within the rows' width.
 package vec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // Op is a packed instruction's arithmetic.
 type Op int32
@@ -271,6 +281,99 @@ func AverageInto(out, span []float64, weight float64) {
 	}
 }
 
+// Dot returns the sum of the rounded products a[i]·b[i], i < len(a), in the
+// order the accelerator's reduce tree adds them (the DFG translator's
+// reduceTree). With k the largest power of two ≤ n, the first k products
+// are folded by halving, for h = k/2, k/4, …, 1 setting t[i] = t[i] + t[i+h]
+// for every i < h; the rest, p[k:n], is summed the same way, right-nested,
+// and added at the root: Dot(p[0:n]) = T(p[0:k]) + Dot(p[k:n]). An empty
+// sum is +0 and a single product is returned as it is, −0 included. b must
+// hold at least len(a) floats.
+func Dot(a, b []float64) float64 {
+	n := len(a)
+	b = b[:n]
+	if n == 0 {
+		return 0
+	}
+	// A block of k products folds its first three levels into k/8 partial
+	// sums. The kernels keep up to frameSums of them on their own stack; the
+	// first block, the largest, may need more.
+	var spill []float64
+	if m := (1 << (bits.Len(uint(n)) - 1)) / 8; m > frameSums {
+		spill = getScratch(m)
+	}
+	// Blocks are the set bits of n, largest first; sum them from the last.
+	s := 0.0
+	for end := n; end > 0; end &= end - 1 {
+		k := end & -end
+		v := tree(spill, a[end-k:end], b[end-k:end])
+		if end == n {
+			s = v
+		} else {
+			s = v + s
+		}
+	}
+	if spill != nil {
+		putScratch(spill)
+	}
+	return s
+}
+
+// frameSums is how many partial sums treeAVX and treeGo hold on their own
+// stack (treeAVX's 512-byte frame); past that they work in the t they are
+// given.
+const frameSums = 64
+
+// tree returns T(p[0:k]) of the products of a and b, k = len(a) a power of
+// two, with t as its work space when k/8 > frameSums.
+func tree(t, a, b []float64) float64 {
+	switch k := len(a); {
+	case k == 1:
+		return float64(a[0] * b[0])
+	case k == 2:
+		return float64(a[0]*b[0]) + float64(a[1]*b[1])
+	case k == 4:
+		return (float64(a[0]*b[0]) + float64(a[2]*b[2])) + (float64(a[1]*b[1]) + float64(a[3]*b[3]))
+	case avx:
+		return treeAVX(t, a, b)
+	default:
+		return treeGo(t, a, b)
+	}
+}
+
+// scratch is a free list of work spaces for the Dots whose partial sums
+// outgrow the kernels' own stack: a mutex-guarded stack, not a sync.Pool,
+// so a warm caller allocates nothing under the race detector too, which
+// drops pool entries.
+var scratch struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// getScratch returns a work space of at least m floats.
+func getScratch(m int) []float64 {
+	scratch.mu.Lock()
+	var t []float64
+	if k := len(scratch.free); k > 0 {
+		t, scratch.free = scratch.free[k-1], scratch.free[:k-1]
+	}
+	scratch.mu.Unlock()
+	if len(t) < m {
+		t = make([]float64, m)
+	}
+	return t
+}
+
+// putScratch returns a work space to the free list, which keeps at most
+// 64 of them.
+func putScratch(t []float64) {
+	scratch.mu.Lock()
+	if len(scratch.free) < 64 {
+		scratch.free = append(scratch.free, t)
+	}
+	scratch.mu.Unlock()
+}
+
 // The portable kernels. The explicit float64 conversions round each
 // product before the add or subtract that reads it, and forbid the
 // compiler from contracting the pair into an FMA on any GOARCH.
@@ -438,4 +541,32 @@ func addLanesGo(acc, rows []float64, stride, count int) {
 		}
 		acc[e] = s
 	}
+}
+
+// treeGo is treeAVX's twin: T of the k = len(a) products, k a power of
+// two of at least eight. One pass runs the tree's first three levels over
+// eight streams m = k/8 apart (stream j pairs with j+4, then j+2, then
+// j+1) into m partial sums, held locally while m ≤ frameSums, else in t;
+// then they halve down to t[0].
+func treeGo(t, a, b []float64) float64 {
+	m := len(a) / 8
+	var local [frameSums]float64
+	if m <= frameSums {
+		t = local[:m]
+	}
+	t = t[:m]
+	a, b = a[:8*m], b[:8*m]
+	for i := range t {
+		var p [8]float64
+		for j := range p {
+			p[j] = float64(a[i+j*m] * b[i+j*m])
+		}
+		t[i] = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
+	}
+	for h := m / 2; h > 0; h /= 2 {
+		for i := range t[:h] {
+			t[i] += t[i+h]
+		}
+	}
+	return t[0]
 }

@@ -76,3 +76,6 @@ func stepRowAVX(dst, y, x []float64, a, e float64, d Dest)
 
 //go:noescape
 func expAVX(dst, src []float64, form expForm) (done, out int)
+
+//go:noescape
+func treeAVX(t, a, b []float64) float64

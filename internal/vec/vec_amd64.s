@@ -1104,3 +1104,134 @@ steprow_acc1:
 steprow_done:
 	VZEROUPPER
 	RET
+
+// TREE8 sums four words of the eight streams from off bytes past SI, R12
+// (a) and DI, R13 (b) in the tree's order, stream j paired with j+4, then
+// j+2, then j+1, and stores the four sums off bytes past DX. S0–S3 hold the
+// sums and P0–P3 the products paired with them.
+#define TREE8(off, S0, S1, S2, S3, P0, P1, P2, P3) \
+	VMOVUPD off(SI), S0; \
+	VMULPD  off(DI), S0, S0; \
+	VMOVUPD off(R12), P0; \
+	VMULPD  off(R13), P0, P0; \
+	VADDPD  P0, S0, S0; \
+	VMOVUPD off(SI)(R8*2), S2; \
+	VMULPD  off(DI)(R8*2), S2, S2; \
+	VMOVUPD off(R12)(R8*2), P2; \
+	VMULPD  off(R13)(R8*2), P2, P2; \
+	VADDPD  P2, S2, S2; \
+	VADDPD  S2, S0, S0; \
+	VMOVUPD off(SI)(R8*1), S1; \
+	VMULPD  off(DI)(R8*1), S1, S1; \
+	VMOVUPD off(R12)(R8*1), P1; \
+	VMULPD  off(R13)(R8*1), P1, P1; \
+	VADDPD  P1, S1, S1; \
+	VMOVUPD off(SI)(R10*1), S3; \
+	VMULPD  off(DI)(R10*1), S3, S3; \
+	VMOVUPD off(R12)(R10*1), P3; \
+	VMULPD  off(R13)(R10*1), P3, P3; \
+	VADDPD  P3, S3, S3; \
+	VADDPD  S3, S1, S1; \
+	VADDPD  S1, S0, S0; \
+	VMOVUPD S0, off(DX)
+
+// func treeAVX(t, a, b []float64) float64
+//
+// T of the k = len(a) products a[i]·b[i], k a power of two of at least
+// eight. Up to 16 products fit in two or four vectors, folded in registers.
+// From 32 on, a first pass runs the tree's top three levels over eight
+// streams m = k/8 floats apart and writes m partial sums: eight words a
+// time, a whole cache line of each stream, while eight are left, then four.
+// The sums go to the frame while m ≤ 64, else to t. They halve in place,
+// t[i] += t[i+h] for h = m/2 down to 4, and the last four fold as
+// (t0+t2) + (t1+t3). SI walks a and R12 a's upper half, DI and R13 b's, DX
+// the sums; R8 is the stream stride in bytes (k) and R10 three strides; CX
+// counts the words left.
+TEXT ·treeAVX(SB), NOSPLIT, $512-80
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ b_base+48(FP), DI
+	CMPQ CX, $16
+	JGT  tree_streams
+	VMOVUPD (SI), Y0
+	VMULPD  (DI), Y0, Y0
+	VMOVUPD 32(SI), Y1
+	VMULPD  32(DI), Y1, Y1
+	CMPQ    CX, $8
+	JEQ     tree_8
+	VMOVUPD 64(SI), Y2
+	VMULPD  64(DI), Y2, Y2
+	VMOVUPD 96(SI), Y3
+	VMULPD  96(DI), Y3, Y3
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y1, Y1
+
+tree_8:
+	VADDPD Y1, Y0, Y0
+	JMP    tree_last
+
+tree_streams:
+	MOVQ CX, R8
+	SHRQ $3, CX
+	MOVQ CX, R11
+	LEAQ (R8)(R8*2), R10
+	LEAQ (SI)(R8*4), R12
+	LEAQ (DI)(R8*4), R13
+	LEAQ 0(SP), DX
+	CMPQ CX, $64
+	JLE  tree_pass
+	MOVQ t_base+0(FP), DX
+
+tree_pass:
+	CMPQ CX, $8
+	JLT  tree_pass4
+
+	PCALIGN $32
+tree_pass8:
+	TREE8(0, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	TREE8(32, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $64, DX
+	SUBQ $8, CX
+	JNZ  tree_pass8
+	SUBQ R8, DX
+	JMP  tree_halved
+
+tree_pass4:
+	TREE8(0, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+
+tree_halved:
+	// Halve the sums: AX is h, BX the word.
+	MOVQ R11, AX
+
+tree_level:
+	SHRQ $1, AX
+	CMPQ AX, $4
+	JLT  tree_load
+	LEAQ (DX)(AX*8), R9
+	XORQ BX, BX
+
+	PCALIGN $32
+tree_halve:
+	VMOVUPD (DX)(BX*8), Y0
+	VADDPD  (R9)(BX*8), Y0, Y0
+	VMOVUPD Y0, (DX)(BX*8)
+	ADDQ    $4, BX
+	CMPQ    BX, AX
+	JLT     tree_halve
+	JMP     tree_level
+
+tree_load:
+	VMOVUPD (DX), Y0
+
+tree_last:
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0
+	VMOVSD       X0, ret+72(FP)
+	VZEROUPPER
+	RET
