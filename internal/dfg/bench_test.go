@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/dataset"
 	"repro/internal/dfg"
@@ -108,6 +109,13 @@ func BenchmarkTapeEval(b *testing.B) {
 	}
 }
 
+// vecZMM is vec's switch for its 8-lane loops, which the CPU alone sets:
+// vec exports no setter. BenchmarkLanesEval turns it off for its avx leg,
+// to time the 4-lane loops on a CPU that has AVX-512F too.
+//
+//go:linkname vecZMM repro/internal/vec.zmm
+var vecZMM bool
+
 // BenchmarkLanesEval is a node's lane arena at the `deep` workload's shape
 // — mnist@0.05 in the trainer layout, 32 lanes, one SGD step per Eval —
 // timed in the four parts the simulator runs it in: eval (the lane
@@ -116,7 +124,9 @@ func BenchmarkTapeEval(b *testing.B) {
 // (one step's BindData of all 32 lanes, ns per data word of a vector) and
 // reduce (the cross-thread sum and average Sim.reduce applies to the model
 // block, ns per model word). Each runs on the kernels in use and, where
-// those are the AVX ones, on their portable Go loops.
+// those are the AVX ones, on their portable Go loops (leg portable); on a
+// CPU with AVX-512F, at eight lanes per instruction (avx512) and at four
+// (avx).
 func BenchmarkLanesEval(b *testing.B) {
 	const width = 32
 	bm, err := dataset.ByName("mnist")
@@ -172,12 +182,20 @@ func BenchmarkLanesEval(b *testing.B) {
 	partial := make([]float64, words)
 
 	impls := []string{"portable"}
-	if vec.Accelerated() {
+	switch {
+	case vecZMM:
+		impls = []string{"avx512", "avx", "portable"}
+	case vec.Accelerated():
 		impls = []string{"avx", "portable"}
+	}
+	use := func(impl string) (restore func()) {
+		restoreAVX, zmm := vec.SetAccelerated(impl != "portable"), vecZMM
+		vecZMM = zmm && impl == "avx512"
+		return func() { vecZMM = zmm; restoreAVX() }
 	}
 	for _, impl := range impls {
 		b.Run("eval/"+impl, func(b *testing.B) {
-			defer vec.SetAccelerated(impl == "avx")()
+			defer use(impl)()
 			if err := la.BindModel(vecs); err != nil {
 				b.Fatal(err)
 			}
@@ -190,7 +208,7 @@ func BenchmarkLanesEval(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/sample")
 		})
 		b.Run("bind/"+impl, func(b *testing.B) {
-			defer vec.SetAccelerated(impl == "avx")()
+			defer use(impl)()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := la.BindModel(vecs); err != nil {
@@ -200,7 +218,7 @@ func BenchmarkLanesEval(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
 		})
 		b.Run("data/"+impl, func(b *testing.B) {
-			defer vec.SetAccelerated(impl == "avx")()
+			defer use(impl)()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := la.BindData(0, lanes); err != nil {
@@ -210,7 +228,7 @@ func BenchmarkLanesEval(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dataWords), "ns/word")
 		})
 		b.Run("reduce/"+impl, func(b *testing.B) {
-			defer vec.SetAccelerated(impl == "avx")()
+			defer use(impl)()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				clear(partial)

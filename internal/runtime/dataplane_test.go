@@ -290,7 +290,9 @@ func splitSimPartial(t *testing.T, eng *AccelEngine, model []float64, shard []ml
 // vectors each — with one engine kept across calls. Besides wall time per
 // sample it reports the process CPU time per sample (a split across host
 // goroutines can cut the one and raise the other) and the size of its
-// simulator's lane arena.
+// simulator's lane arena. The lane kernels run at the CPU's widest: eight
+// lanes per instruction with AVX-512F, else four with AVX, else the Go
+// loops (dfg's BenchmarkLanesEval times each width).
 func BenchmarkAccelEngine(b *testing.B) {
 	bm, alg, prog := deepProgram(b)
 	const samples = 64

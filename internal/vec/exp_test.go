@@ -50,8 +50,8 @@ var kernelForms = []struct {
 }
 
 // TestExpMatchesMath runs every exp kernel — the Go loop and, where
-// math.Exp takes the FMA branch it ports, the AVX kernel — on rows of
-// 0 … 37 lanes cut from expInputs. Every lane must be the scalar
+// math.Exp takes the FMA branch it ports, the AVX kernel at each width the
+// CPU has — on rows of 0 … 37 lanes cut from expInputs. Every lane must be the scalar
 // expression's bits over math.Exp, and lanes past the row stay untouched.
 func TestExpMatchesMath(t *testing.T) {
 	if haveExp {
@@ -65,13 +65,13 @@ func TestExpMatchesMath(t *testing.T) {
 		}
 	}
 	xs := expInputs()
-	for _, on := range []bool{false, true} {
-		if on && !haveExp {
+	for _, im := range impls() {
+		if im.lanes > 1 && !haveExp {
 			continue
 		}
-		restore := SetAccelerated(on)
+		restore := im.use()
 		for _, f := range kernelForms {
-			name := fmt.Sprintf("%s accelerated=%v", f.name, on)
+			name := fmt.Sprintf("%s %s", f.name, im.name)
 			dst := make([]float64, 40)
 			for start := 0; start < len(xs); {
 				for n := 0; n <= 37 && start < len(xs); n++ {
@@ -133,24 +133,21 @@ func TestExpFollowsMathBranch(t *testing.T) {
 }
 
 // BenchmarkExp reports ns per lane of the exp kernels at a node's row
-// width, 32 lanes, on arguments a sigmoid layer sees.
+// width, 32 lanes, on arguments a sigmoid layer sees; at each width the CPU
+// has and portable.
 func BenchmarkExp(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src, dst := make([]float64, 32), make([]float64, 32)
 	for i := range src {
 		src[i] = rng.NormFloat64() * 4
 	}
-	for _, on := range []bool{true, false} {
-		if on && !haveExp {
+	for _, im := range impls() {
+		if im.lanes > 1 && !haveExp {
 			continue
 		}
-		name := "portable"
-		if on {
-			name = "avx"
-		}
 		for _, f := range kernelForms[:2] {
-			b.Run(fmt.Sprintf("%s/%s", f.name, name), func(b *testing.B) {
-				defer SetAccelerated(on)()
+			b.Run(fmt.Sprintf("%s/%s", f.name, im.name), func(b *testing.B) {
+				defer im.use()()
 				for i := 0; i < b.N; i++ {
 					f.kernel(dst, src)
 				}

@@ -5,8 +5,10 @@
 // the Sigma: the row kernels, ScaleRow (AXPY, Scale, the fold, the master's
 // apply), StepRow (the rank-1 SGD step) and AverageInto, and Dot, the
 // reference trainer's one Σ of products. Each is a loop over contiguous
-// floats. On amd64 CPUs with AVX they run four lanes per instruction in
-// assembly; everywhere else they are the Go loops in this file.
+// floats. On amd64 CPUs with AVX they run in assembly, four lanes per
+// instruction, and Run, Step, Sum, Prod, Broadcast and the exp kernels
+// eight with AVX-512F; everywhere else they are the Go loops in this file.
+// The CPU alone picks the width, once, at init.
 //
 // Dot adds in the order of the accelerator's reduce tree, which the DFG
 // translator builds for every Σ: the power-of-two prefix of the terms folds
@@ -14,20 +16,20 @@
 // reduced the same way, is added at the root. So the reference trainer's
 // sums are the simulated accelerator's, bit for bit.
 //
-// No bit moves between the two. A packed VMULPD, VADDPD, VSUBPD or VDIVPD
-// rounds each element exactly as the scalar MULSD, ADDSD, SUBSD or DIVSD
-// the Go compiler emits for the same expression; no product is ever
-// contracted with the add or subtract that follows it (no FMA, in either
-// implementation), except inside Exp, Sigmoid and NegSquareExp, which run
-// packed only where math.Exp takes its FMA branch and contract exactly where
-// that branch does; every kernel applies its operands in the Go
-// expression's order; and both run under the MXCSR the Go runtime keeps
-// (round to nearest, no flush to zero). Select, Less and Transpose only
-// compare and move floats. Only a NaN's payload may differ, where two NaNs
-// meet, as it may between Go builds: IEEE 754 leaves that choice open.
-// Within that allowance two identities let one row kernel serve several
-// ops: y + v is y + 1·v, and y − s·v is y + (−s)·v, since a rounded product
-// negates exactly.
+// No bit moves between the implementations. A packed VMULPD, VADDPD,
+// VSUBPD or VDIVPD, on YMM or ZMM registers, rounds each element exactly as
+// the scalar MULSD, ADDSD, SUBSD or DIVSD the Go compiler emits for the
+// same expression; no product is ever contracted with the add or subtract
+// that follows it (no FMA, in any implementation), except inside Exp,
+// Sigmoid and NegSquareExp, which run packed only where math.Exp takes its
+// FMA branch and contract exactly where that branch does; every kernel
+// applies its operands in the Go expression's order; and all run under the
+// MXCSR the Go runtime keeps (round to nearest, no flush to zero). Select,
+// Less and Transpose only compare and move floats. Only a NaN's payload may
+// differ, where two NaNs meet, as it may between Go builds: IEEE 754 leaves
+// that choice open. Within that allowance two identities let one row
+// kernel serve several ops: y + v is y + 1·v, and y − s·v is y + (−s)·v,
+// since a rounded product negates exactly.
 //
 // The kernels that take offsets into an arena (Run, Step, Sum and Prod)
 // trust them: every row they name must lie inside the arena for the lanes
@@ -72,6 +74,11 @@ type Product struct{ M, A, B int32 }
 // avx selects the assembly kernels; it is false on a CPU or OS without AVX
 // and on every other GOARCH.
 var avx = haveAVX
+
+// zmm turns on the lane kernels' 8-lane loops, on a CPU and OS with
+// AVX-512F: the CPU alone sets it. The 4-lane and scalar loops take the
+// lanes past the last multiple of eight, and all of them without it.
+var zmm = haveAVX512
 
 // Accelerated reports whether the AVX kernels are in use.
 func Accelerated() bool { return avx }
@@ -176,25 +183,35 @@ func expRow(dst, src []float64, form expForm) {
 		expGo(dst, src, form)
 		return
 	}
-	n := len(src) &^ 3
-	expGroups(dst[:n], src[:n], form)
+	g := expGroup()
+	n := len(src) &^ (g - 1)
+	expGroups(dst[:n], src[:n], form, g)
 	if n < len(src) {
-		// The last one to three lanes run as one group, padded with zeros.
-		var in, out [4]float64
+		// The last lanes run as one group, padded with zeros.
+		var in, out [8]float64
 		copy(in[:], src[n:])
-		expGroups(out[:], in[:], form)
+		expGroups(out[:g], in[:g], form, g)
 		copy(dst[n:], out[:])
 	}
 }
 
-// expGroups runs the packed kernel over lanes in groups of four. Each lane
+// expGroup is the lanes of the exp kernel's group: 8 where the 8-lane loops
+// run, else 4.
+func expGroup() int {
+	if zmm {
+		return 8
+	}
+	return 4
+}
+
+// expGroups runs the packed kernel over lanes in groups of g. Each lane
 // the kernel leaves unwritten, outside its domain, gets the Go loop's
 // scalar math.Exp, so its bits are math.Exp's by definition.
-func expGroups(dst, src []float64, form expForm) {
+func expGroups(dst, src []float64, form expForm, g int) {
 	for i := 0; i < len(src); {
 		done, out := expAVX(dst[i:], src[i:], form)
 		i += done
-		for l := i - 4; out != 0; l, out = l+1, out>>1 {
+		for l := i - g; out != 0; l, out = l+1, out>>1 {
 			if out&1 != 0 {
 				expGo(dst[l:l+1], src[l:l+1], form)
 			}
@@ -295,11 +312,15 @@ func Dot(a, b []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	// A block of k products folds its first three levels into k/8 partial
-	// sums. The kernels keep up to frameSums of them on their own stack; the
-	// first block, the largest, may need more.
+	// A block of k products folds its first levels into k/8 partial sums
+	// (treeAVX) or k/4 (treeGo). The kernels keep up to frameSums of them
+	// on their own stack; the first block, the largest, may need more.
+	m := (1 << (bits.Len(uint(n)) - 1)) / 8
+	if !avx {
+		m *= 2
+	}
 	var spill []float64
-	if m := (1 << (bits.Len(uint(n)) - 1)) / 8; m > frameSums {
+	if m > frameSums {
 		spill = getScratch(m)
 	}
 	// Blocks are the set bits of n, largest first; sum them from the last.
@@ -544,28 +565,27 @@ func addLanesGo(acc, rows []float64, stride, count int) {
 }
 
 // treeGo is treeAVX's twin: T of the k = len(a) products, k a power of
-// two of at least eight. One pass runs the tree's first three levels over
-// eight streams m = k/8 apart (stream j pairs with j+4, then j+2, then
-// j+1) into m partial sums, held locally while m ≤ frameSums, else in t;
-// then they halve down to t[0].
+// two of at least eight. One pass runs the tree's first two levels over
+// four streams q = k/4 apart (stream j pairs with j+2, then j+1) into q
+// partial sums, held locally while q ≤ frameSums, else in t; then they
+// halve down to t[0]. Each stream is a slice of its own, as long as the
+// sums, so the loops index without bounds checks.
 func treeGo(t, a, b []float64) float64 {
-	m := len(a) / 8
+	q := len(a) / 4
 	var local [frameSums]float64
-	if m <= frameSums {
-		t = local[:m]
+	if q <= frameSums {
+		t = local[:q]
 	}
-	t = t[:m]
-	a, b = a[:8*m], b[:8*m]
+	t = t[:q]
+	a0, a1, a2, a3 := a[:q], a[q:][:q], a[2*q:][:q], a[3*q:][:q]
+	b0, b1, b2, b3 := b[:q], b[q:][:q], b[2*q:][:q], b[3*q:][:q]
 	for i := range t {
-		var p [8]float64
-		for j := range p {
-			p[j] = float64(a[i+j*m] * b[i+j*m])
-		}
-		t[i] = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]))
+		t[i] = (float64(a0[i]*b0[i]) + float64(a2[i]*b2[i])) + (float64(a1[i]*b1[i]) + float64(a3[i]*b3[i]))
 	}
-	for h := m / 2; h > 0; h /= 2 {
-		for i := range t[:h] {
-			t[i] += t[i+h]
+	for h := q / 2; h > 0; h /= 2 {
+		lo, hi := t[:h], t[h:][:h]
+		for i := range lo {
+			lo[i] += hi[i]
 		}
 	}
 	return t[0]

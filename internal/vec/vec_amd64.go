@@ -2,21 +2,47 @@ package vec
 
 import "math"
 
-// haveAVX reports whether the CPU has AVX and the OS saves the YMM
-// registers across context switches: CPUID.1:ECX.OSXSAVE and .AVX, and
-// XCR0's SSE and AVX state bits.
-var haveAVX = func() bool {
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 1 {
-		return false
+// cpuWidth is the lanes per instruction of the widest kernels the CPU and
+// the OS allow, 8, 4, or 0 for the Go loops, from CPUID's largest standard
+// leaf, leaf 1's ECX, leaf 7's EBX (subleaf 0) and XCR0. AVX needs OSXSAVE
+// and AVX in leaf 1 and XCR0's SSE and AVX state bits (1, 2); AVX-512F
+// needs leaf 7's bit 16 besides, and XCR0's opmask, ZMM_Hi256 and
+// Hi16_ZMM state bits (5–7), without which the OS does not save those
+// registers across a context switch.
+func cpuWidth(maxLeaf, ecx1, ebx7, xcr0 uint32) int {
+	const osxsave, avx, avx512f = 1 << 27, 1 << 28, 1 << 16
+	const sseAVX, zmmState = 0x6, 0xe0
+	switch {
+	case maxLeaf < 1 || ecx1&osxsave == 0 || ecx1&avx == 0 || xcr0&sseAVX != sseAVX:
+		return 0
+	case maxLeaf < 7 || ebx7&avx512f == 0 || xcr0&zmmState != zmmState:
+		return 4
 	}
-	_, _, ecx, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+	return 8
+}
+
+// width is cpuWidth of this CPU. XGETBV faults unless OSXSAVE is set, and
+// a leaf past the largest reads another leaf's words, so each word is read
+// only where the ones before it allow.
+var width = func() int {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	var ecx1, ebx7, xcr0 uint32
+	if maxLeaf >= 1 {
+		_, _, ecx1, _ = cpuid(1, 0)
 	}
-	xcr0, _ := xgetbv()
-	return xcr0&6 == 6
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	if ecx1&(1<<27) != 0 {
+		xcr0, _ = xgetbv()
+	}
+	return cpuWidth(maxLeaf, ecx1, ebx7, xcr0)
 }()
+
+// haveAVX reports whether the CPU has AVX and the OS saves the YMM
+// registers; haveAVX512 whether it has AVX-512F and the OS saves the ZMM
+// and opmask registers too.
+var haveAVX, haveAVX512 = width >= 4, width == 8
 
 // haveFMA reports whether the CPU has FMA besides AVX (CPUID.1:ECX.FMA),
 // which the exp kernel needs.
@@ -31,12 +57,13 @@ var haveFMA = func() bool {
 // is read from math.Exp itself: on each probe input its two branches differ
 // in the last bit, and the kernel must give math.Exp's bits on all four.
 var haveExp = haveFMA && func() bool {
-	probe := [4]float64{0.375, 2.375, -2.375, 3.625}
-	var got [4]float64
-	if done, out := expAVX(got[:], probe[:], formExp); done != 4 || out != 0 {
+	probe := [8]float64{0.375, 2.375, -2.375, 3.625, 0.375, 2.375, -2.375, 3.625}
+	var got [8]float64
+	g := expGroup()
+	if done, out := expAVX(got[:g], probe[:g], formExp); done != g || out != 0 {
 		return false
 	}
-	for l, x := range probe {
+	for l, x := range probe[:g] {
 		if math.Float64bits(got[l]) != math.Float64bits(math.Exp(x)) {
 			return false
 		}

@@ -1,11 +1,14 @@
 #include "textflag.h"
 
-// The AVX kernels. Each packed loop runs four lanes per instruction and a
-// scalar loop runs the lanes left over, with the same operations in the
-// same operand order: Go's VSUBPD src2, src1, dst computes src1 − src2.
+// The AVX kernels. The packed loops of the lane program, its tail, the
+// broadcast and exp run eight lanes per instruction with AVX-512F, else
+// four, and the other kernels' four; the 4-lane and scalar loops run the
+// lanes left over, with the same operations in the same operand order:
+// Go's VSUBPD src2, src1, dst computes src1 − src2.
 // Every loop head is aligned to 32 bytes, so where the linker places a
-// kernel cannot change how its loops run. Each kernel clears the upper YMM
-// halves before it returns, so the SSE code Go emits pays no transition.
+// kernel cannot change how its loops run. Each kernel clears the YMM and
+// ZMM registers' upper bits before it returns (it uses none past Z15), so
+// the SSE code Go emits pays no transition.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -26,18 +29,133 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// one is 1.0 in four lanes: the true of Less.
+// one is 1.0 in eight lanes: the true of Less.
 DATA one<>+0(SB)/8, $1.0
 DATA one<>+8(SB)/8, $1.0
 DATA one<>+16(SB)/8, $1.0
 DATA one<>+24(SB)/8, $1.0
-GLOBL one<>(SB), RODATA|NOPTR, $32
+DATA one<>+32(SB)/8, $1.0
+DATA one<>+40(SB)/8, $1.0
+DATA one<>+48(SB)/8, $1.0
+DATA one<>+56(SB)/8, $1.0
+GLOBL one<>(SB), RODATA|NOPTR, $64
+
+// END8 sets r to n rounded down to eight lanes, where the 8-lane loops end,
+// if zmm is set, and else to zero, so that they run no lane. tmp is
+// scratch.
+#define END8(n, r, tmp) \
+	MOVQ    n, r; \
+	ANDQ    $-8, r; \
+	MOVBQZX ·zmm(SB), tmp; \
+	NEGQ    tmp; \
+	ANDQ    tmp, r
+
+// LOOP runs BODY(V0, V1, V7) W lanes at a time, from lane BX up to END,
+// from a loop head aligned to 32 bytes, and then goes on at exit. No label
+// may stand right before a PCALIGN: Go's assembler resolved a jump to such
+// a label to the padding ahead of the loop it was to skip.
+#define LOOP(BODY, V0, V1, V7, W, END, top, exit) \
+	CMPQ BX, END; \
+	JGE  exit; \
+	PCALIGN $32; \
+top: \
+	BODY(V0, V1, V7); \
+	ADDQ $W, BX; \
+	CMPQ BX, END; \
+	JLT  top
+
+// PACKED runs a packed body at both widths, on ZMM registers up to lane
+// END, eight lanes at a time, then on YMM registers up to lane R9, four at
+// a time, and goes on at exit; top8, top4 and mid are its own labels. So
+// each body is written once, over its registers V0, V1 and V7.
+#define PACKED(BODY, END, top8, mid, top4, exit) \
+	LOOP(BODY, Z0, Z1, Z7, 8, END, top8, mid); \
+mid: \
+	LOOP(BODY, Y0, Y1, Y7, 4, R9, top4, exit)
+
+// The packed bodies of the lane program: R10–R14 hold the rows d, a, b, c
+// and e, and BX the lane. The tail kernels use OPMUL too, with the row at
+// M in R10.
+
+// d = a + b
+#define OPADD(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VADDPD  (R12)(BX*8), V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
+
+// d = a − b
+#define OPSUB(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VSUBPD  (R12)(BX*8), V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
+
+// d = a·b
+#define OPMUL(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VMULPD  (R12)(BX*8), V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
+
+// d = a·b + c
+#define OPMULADD(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VMULPD  (R12)(BX*8), V0, V0; \
+	VADDPD  (R13)(BX*8), V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
+
+// d = a + b·c
+#define OPADDMUL(V0, V1, V7) \
+	VMOVUPD (R12)(BX*8), V1; \
+	VMULPD  (R13)(BX*8), V1, V1; \
+	VMOVUPD (R11)(BX*8), V0; \
+	VADDPD  V1, V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
+
+// d = a·b + c·e
+#define OPMULMULADD(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VMULPD  (R12)(BX*8), V0, V0; \
+	VMOVUPD (R13)(BX*8), V1; \
+	VMULPD  (R14)(BX*8), V1, V1; \
+	VADDPD  V1, V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
+
+// Select and Less compare into a mask: a K register on ZMM, a vector of
+// all-ones or zero lanes on YMM, so each has a body per width. Predicate
+// 4, NEQ_UQ, is Go's !=, true on NaN; 0x11, LT_OQ, is Go's <, false on
+// NaN. X15 (so Y15 and Z15) is zero.
+
+// d = b if a ≠ 0, else c: c, then b merged in where the mask is set.
+#define OPSELECT8(V0, V1, V7) \
+	VCMPPD  $4, (R11)(BX*8), Z15, K1; \
+	VMOVUPD (R13)(BX*8), V1; \
+	VMOVUPD (R12)(BX*8), K1, V1; \
+	VMOVUPD V1, (R10)(BX*8)
+
+#define OPSELECT4(V0, V1, V7) \
+	VCMPPD    $4, (R11)(BX*8), Y15, V0; \
+	VMOVUPD   (R13)(BX*8), V1; \
+	VBLENDVPD V0, (R12)(BX*8), V1, V1; \
+	VMOVUPD   V1, (R10)(BX*8)
+
+// d = 1 if a < b, else +0: 1.0 loaded where the mask is set, zero
+// elsewhere.
+#define OPLESS8(V0, V1, V7) \
+	VMOVUPD   (R11)(BX*8), V0; \
+	VCMPPD    $0x11, (R12)(BX*8), V0, K1; \
+	VMOVUPD.Z one<>(SB), K1, V0; \
+	VMOVUPD   V0, (R10)(BX*8)
+
+#define OPLESS4(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VCMPPD  $0x11, (R12)(BX*8), V0, V0; \
+	VANDPD  one<>(SB), V0, V0; \
+	VMOVUPD V0, (R10)(BX*8)
 
 // func runAVX(vals []float64, prog []Instr, n int)
 //
-// DI vals, SI the instruction, R8 instructions left, CX n, R9 n rounded
-// down to four lanes, BX the lane; R10–R14 the rows d, a, b, c, e; X15
-// zero.
+// DI vals, SI the instruction, R8 instructions left, CX n, DX and R9 the
+// ends of the 8- and 4-lane loops, BX the lane; R10–R14 the rows d, a, b,
+// c, e; X15 zero.
 TEXT ·runAVX(SB), NOSPLIT, $0-56
 	MOVQ vals_base+0(FP), DI
 	MOVQ prog_base+24(FP), SI
@@ -45,6 +163,7 @@ TEXT ·runAVX(SB), NOSPLIT, $0-56
 	MOVQ n+48(FP), CX
 	MOVQ CX, R9
 	ANDQ $-4, R9
+	END8(CX, DX, AX)
 	VXORPD X15, X15, X15
 	TESTQ R8, R8
 	JZ   run_done
@@ -81,18 +200,8 @@ run_instr:
 	JEQ     less
 	JMP     run_next
 
-muladd: // d = a·b + c
-	CMPQ BX, R9
-	JGE  muladd1
-	PCALIGN $32
-muladd4:
-	VMOVUPD (R11)(BX*8), Y0
-	VMULPD  (R12)(BX*8), Y0, Y0
-	VADDPD  (R13)(BX*8), Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     muladd4
+muladd:
+	PACKED(OPMULADD, DX, muladd8, muladd_mid, muladd4, muladd1)
 	PCALIGN $32
 muladd1:
 	CMPQ   BX, CX
@@ -104,20 +213,8 @@ muladd1:
 	INCQ   BX
 	JMP    muladd1
 
-mulmuladd: // d = a·b + c·e
-	CMPQ BX, R9
-	JGE  mulmuladd1
-	PCALIGN $32
-mulmuladd4:
-	VMOVUPD (R11)(BX*8), Y0
-	VMULPD  (R12)(BX*8), Y0, Y0
-	VMOVUPD (R13)(BX*8), Y1
-	VMULPD  (R14)(BX*8), Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     mulmuladd4
+mulmuladd:
+	PACKED(OPMULMULADD, DX, mulmuladd8, mulmuladd_mid, mulmuladd4, mulmuladd1)
 	PCALIGN $32
 mulmuladd1:
 	CMPQ   BX, CX
@@ -131,19 +228,8 @@ mulmuladd1:
 	INCQ   BX
 	JMP    mulmuladd1
 
-addmul: // d = a + b·c
-	CMPQ BX, R9
-	JGE  addmul1
-	PCALIGN $32
-addmul4:
-	VMOVUPD (R12)(BX*8), Y1
-	VMULPD  (R13)(BX*8), Y1, Y1
-	VMOVUPD (R11)(BX*8), Y0
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     addmul4
+addmul:
+	PACKED(OPADDMUL, DX, addmul8, addmul_mid, addmul4, addmul1)
 	PCALIGN $32
 addmul1:
 	CMPQ   BX, CX
@@ -156,17 +242,8 @@ addmul1:
 	INCQ   BX
 	JMP    addmul1
 
-mul: // d = a·b
-	CMPQ BX, R9
-	JGE  mul1
-	PCALIGN $32
-mul4:
-	VMOVUPD (R11)(BX*8), Y0
-	VMULPD  (R12)(BX*8), Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     mul4
+mul:
+	PACKED(OPMUL, DX, mul8, mul_mid, mul4, mul1)
 	PCALIGN $32
 mul1:
 	CMPQ   BX, CX
@@ -177,17 +254,8 @@ mul1:
 	INCQ   BX
 	JMP    mul1
 
-add: // d = a + b
-	CMPQ BX, R9
-	JGE  add1
-	PCALIGN $32
-add4:
-	VMOVUPD (R11)(BX*8), Y0
-	VADDPD  (R12)(BX*8), Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     add4
+add:
+	PACKED(OPADD, DX, add8, add_mid, add4, add1)
 	PCALIGN $32
 add1:
 	CMPQ   BX, CX
@@ -198,17 +266,8 @@ add1:
 	INCQ   BX
 	JMP    add1
 
-sub: // d = a − b
-	CMPQ BX, R9
-	JGE  sub1
-	PCALIGN $32
-sub4:
-	VMOVUPD (R11)(BX*8), Y0
-	VSUBPD  (R12)(BX*8), Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     sub4
+sub:
+	PACKED(OPSUB, DX, sub8, sub_mid, sub4, sub1)
 	PCALIGN $32
 sub1:
 	CMPQ   BX, CX
@@ -219,18 +278,10 @@ sub1:
 	INCQ   BX
 	JMP    sub1
 
-select: // d = b if a ≠ 0, else c: predicate 4, NEQ_UQ, is Go's !=, true on NaN
-	CMPQ BX, R9
-	JGE  select1
-	PCALIGN $32
-select4:
-	VCMPPD    $4, (R11)(BX*8), Y15, Y0
-	VMOVUPD   (R13)(BX*8), Y1
-	VBLENDVPD Y0, (R12)(BX*8), Y1, Y1
-	VMOVUPD   Y1, (R10)(BX*8)
-	ADDQ      $4, BX
-	CMPQ      BX, R9
-	JLT       select4
+select:
+	LOOP(OPSELECT8, Z0, Z1, Z7, 8, DX, select8, select_mid)
+select_mid:
+	LOOP(OPSELECT4, Y0, Y1, Y7, 4, R9, select4, select1)
 	PCALIGN $32
 select1:
 	CMPQ      BX, CX
@@ -243,18 +294,10 @@ select1:
 	INCQ      BX
 	JMP       select1
 
-less: // d = 1 if a < b, else +0: predicate 0x11, LT_OQ, is Go's <, false on NaN
-	CMPQ BX, R9
-	JGE  less1
-	PCALIGN $32
-less4:
-	VMOVUPD (R11)(BX*8), Y0
-	VCMPPD  $0x11, (R12)(BX*8), Y0, Y0
-	VANDPD  one<>(SB), Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     less4
+less:
+	LOOP(OPLESS8, Z0, Z1, Z7, 8, DX, less8, less_mid)
+less_mid:
+	LOOP(OPLESS4, Y0, Y1, Y7, 4, R9, less4, less1)
 	PCALIGN $32
 less1:
 	CMPQ   BX, CX
@@ -287,9 +330,27 @@ run_done:
 	LEAQ    (DI)(R12*8), R12; \
 	XORQ    BX, BX
 
+// m ← m − lr·(a·b), lr in V7
+#define OPSTEP(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VMULPD  (R12)(BX*8), V0, V0; \
+	VMULPD  V0, V7, V0; \
+	VMOVUPD (R10)(BX*8), V1; \
+	VSUBPD  V0, V1, V1; \
+	VMOVUPD V1, (R10)(BX*8)
+
+// s ← s + a·b
+#define OPSUM(V0, V1, V7) \
+	VMOVUPD (R11)(BX*8), V0; \
+	VMULPD  (R12)(BX*8), V0, V0; \
+	VMOVUPD (R10)(BX*8), V1; \
+	VADDPD  V0, V1, V1; \
+	VMOVUPD V1, (R10)(BX*8)
+
 // func stepAVX(vals []float64, tail []Product, n int, lr float64)
 //
-// m ← m − lr·(a·b); Y7 holds lr in every lane.
+// m ← m − lr·(a·b); Y7, or Z7 where the 8-lane loop runs, holds lr in
+// every lane. R13 and R9 are the ends of the 8- and 4-lane loops.
 TEXT ·stepAVX(SB), NOSPLIT, $0-64
 	MOVQ vals_base+0(FP), DI
 	MOVQ tail_base+24(FP), SI
@@ -299,25 +360,19 @@ TEXT ·stepAVX(SB), NOSPLIT, $0-64
 	XORQ DX, DX
 	MOVQ CX, R9
 	ANDQ $-4, R9
+	END8(CX, R13, AX)
+	TESTQ R13, R13
+	JZ    step_rows
+	VBROADCASTSD lr+56(FP), Z7
+
+step_rows:
 	TESTQ R8, R8
 	JZ   step_done
 
 	PCALIGN $32
 step_row:
 	TAIL
-	CMPQ BX, R9
-	JGE  step1
-	PCALIGN $32
-step4:
-	VMOVUPD (R11)(BX*8), Y0
-	VMULPD  (R12)(BX*8), Y0, Y0
-	VMULPD  Y0, Y7, Y0
-	VMOVUPD (R10)(BX*8), Y1
-	VSUBPD  Y0, Y1, Y1
-	VMOVUPD Y1, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     step4
+	PACKED(OPSTEP, R13, step8, step_mid, step4, step1)
 	PCALIGN $32
 step1:
 	CMPQ   BX, CX
@@ -342,7 +397,8 @@ step_done:
 
 // func sumAVX(vals []float64, tail []Product, shift, n int)
 //
-// s ← s + a·b, s at M + shift.
+// s ← s + a·b, s at M + shift. R13 and R9 are the ends of the 8- and
+// 4-lane loops.
 TEXT ·sumAVX(SB), NOSPLIT, $0-64
 	MOVQ vals_base+0(FP), DI
 	MOVQ tail_base+24(FP), SI
@@ -351,24 +407,14 @@ TEXT ·sumAVX(SB), NOSPLIT, $0-64
 	MOVQ n+56(FP), CX
 	MOVQ CX, R9
 	ANDQ $-4, R9
+	END8(CX, R13, AX)
 	TESTQ R8, R8
 	JZ   sum_done
 
 	PCALIGN $32
 sum_row:
 	TAIL
-	CMPQ BX, R9
-	JGE  sum1
-	PCALIGN $32
-sum4:
-	VMOVUPD (R11)(BX*8), Y0
-	VMULPD  (R12)(BX*8), Y0, Y0
-	VMOVUPD (R10)(BX*8), Y1
-	VADDPD  Y0, Y1, Y1
-	VMOVUPD Y1, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     sum4
+	PACKED(OPSUM, R13, sum8, sum_mid, sum4, sum1)
 	PCALIGN $32
 sum1:
 	CMPQ   BX, CX
@@ -392,7 +438,8 @@ sum_done:
 
 // func prodAVX(vals []float64, tail []Product, shift, n int)
 //
-// d ← a·b, d at M + shift.
+// d ← a·b, d at M + shift. R13 and R9 are the ends of the 8- and 4-lane
+// loops.
 TEXT ·prodAVX(SB), NOSPLIT, $0-64
 	MOVQ vals_base+0(FP), DI
 	MOVQ tail_base+24(FP), SI
@@ -401,22 +448,14 @@ TEXT ·prodAVX(SB), NOSPLIT, $0-64
 	MOVQ n+56(FP), CX
 	MOVQ CX, R9
 	ANDQ $-4, R9
+	END8(CX, R13, AX)
 	TESTQ R8, R8
 	JZ   prod_done
 
 	PCALIGN $32
 prod_row:
 	TAIL
-	CMPQ BX, R9
-	JGE  prod1
-	PCALIGN $32
-prod4:
-	VMOVUPD (R11)(BX*8), Y0
-	VMULPD  (R12)(BX*8), Y0, Y0
-	VMOVUPD Y0, (R10)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     prod4
+	PACKED(OPMUL, R13, prod8, prod_mid, prod4, prod1)
 	PCALIGN $32
 prod1:
 	CMPQ   BX, CX
@@ -436,10 +475,15 @@ prod_done:
 	VZEROUPPER
 	RET
 
+// row ← v in every lane
+#define OPBCAST(V0, V1, V7) \
+	VMOVUPD V0, (DI)(BX*8)
+
 // func broadcastAVX(dst, src []float64, w int)
 //
-// DI the row, SI the element, R8 elements left, CX w, R9 w rounded down to
-// four lanes, BX the lane.
+// DI the row, SI the element, R8 elements left, CX w, DX and R9 the ends of
+// the 8- and 4-lane loops, BX the lane. The element goes to every lane of
+// Z0 where the 8-lane loop runs, else of Y0.
 TEXT ·broadcastAVX(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
@@ -447,21 +491,21 @@ TEXT ·broadcastAVX(SB), NOSPLIT, $0-56
 	MOVQ w+48(FP), CX
 	MOVQ CX, R9
 	ANDQ $-4, R9
+	END8(CX, DX, AX)
 	TESTQ R8, R8
 	JZ   bc_done
 
 	PCALIGN $32
 bc_row:
+	TESTQ DX, DX
+	JZ    bc_ymm
+	VBROADCASTSD (SI), Z0
+	JMP   bc_lanes
+bc_ymm:
 	VBROADCASTSD (SI), Y0
+bc_lanes:
 	XORQ BX, BX
-	CMPQ BX, R9
-	JGE  bc1
-	PCALIGN $32
-bc4:
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, R9
-	JLT     bc4
+	PACKED(OPBCAST, DX, bc8, bc_mid, bc4, bc1)
 	PCALIGN $32
 bc1:
 	CMPQ   BX, CX
@@ -759,18 +803,19 @@ add_done:
 
 // The exp kernels port the FMA branch of math.Exp's amd64 assembly
 // (archExp, after Shibata's SLEEF method), the branch math.Exp takes on a
-// CPU with AVX and FMA, to four lanes per instruction, each scalar
-// operation to its packed twin with the same operand order and rounding:
-// k = round(x·log2e) by the MXCSR, r = (x − k·ln2U − k·ln2L) / 16, the
-// degree-8 Taylor polynomial, four squarings (2 + r)·r, and the exponent
-// insert 2^k, contracting exactly the products archExp contracts. A lane
-// whose biased exponent k + 1023 leaves (0, 0x7ff) — a non-finite input
-// converts to the integer indefinite, a negative k — is outside the packed
-// domain: archExp takes its overflow or denormal branch there, and the
-// caller recomputes the lane with math.Exp.
+// CPU with AVX and FMA, to four lanes per instruction, or eight with
+// AVX-512F, each scalar operation to its packed twin with the same operand
+// order and rounding: k = round(x·log2e) by the MXCSR, r = (x − k·ln2U −
+// k·ln2L) / 16, the degree-8 Taylor polynomial, four squarings (2 + r)·r,
+// and the exponent insert 2^k, contracting exactly the products archExp
+// contracts. A lane whose biased exponent k + 1023 leaves (0, 0x7ff) — a
+// non-finite input converts to the integer indefinite, a negative k — is
+// outside the packed domain: archExp takes its overflow or denormal branch
+// there, and the caller recomputes the lane with math.Exp.
 
 // expc holds each constant four times, one 32-byte vector apiece, so the
-// kernels read them as memory operands.
+// 4-lane kernel reads them as memory operands; the 8-lane one broadcasts
+// the first.
 #define EXPC(off, v) \
 	DATA expc<>+(off)(SB)/8, v; \
 	DATA expc<>+(off+8)(SB)/8, v; \
@@ -793,6 +838,8 @@ add_done:
 #define SIGN 416
 #define BIAS 448 // 1023 in four int32 lanes
 #define EMAX 464 // 0x7fe in four int32 lanes
+#define BIAS64 480 // 1023 in one int64 lane, for a broadcast
+#define EMAX64 488 // 0x7fe in one int64 lane
 
 EXPC(LOG2E, $1.4426950408889634073599246810018920)
 EXPC(LN2U, $0.69314718055966295651160180568695068359375)
@@ -812,19 +859,23 @@ DATA expc<>+(BIAS)(SB)/8, $0x000003ff000003ff
 DATA expc<>+(BIAS+8)(SB)/8, $0x000003ff000003ff
 DATA expc<>+(EMAX)(SB)/8, $0x000007fe000007fe
 DATA expc<>+(EMAX+8)(SB)/8, $0x000007fe000007fe
-GLOBL expc<>(SB), RODATA|NOPTR, $480
+DATA expc<>+(BIAS64)(SB)/8, $1023
+DATA expc<>+(EMAX64)(SB)/8, $0x7fe
+GLOBL expc<>(SB), RODATA|NOPTR, $496
 
 // func expAVX(dst, src []float64, form expForm) (done, out int)
 //
-// Runs the lanes of src, a multiple of four, in groups of four: each group
-// reads src and writes dst, so the two may be the same row. It returns
-// after the last group, or after the first group with lanes outside the
-// packed domain: done is the lanes run, and out has bit l set for each lane
-// l of the last group that the kernel left unwritten.
+// Runs the lanes of src, a multiple of the group, in groups of eight lanes
+// where zmm is set, else four: each group reads src and writes dst, so the
+// two may be the same row. It returns after the last group, or after the
+// first group with lanes outside the packed domain: done is the lanes run,
+// and out has bit l set for each lane l of the last group that the kernel
+// left unwritten.
 //
 // DI dst, SI src, CX the lanes, BX the lane, DX the form;
 // Y0 the argument and then the result, Y1 k, X3 k + 1023, X6 the lanes in
-// the domain (AX its bits), X15 zero.
+// the domain (AX its bits), X15 zero. The 8-lane groups hold the same in
+// Z0, Z1, Z3 (k + 1023 in int64 lanes) and K1.
 TEXT ·expAVX(SB), NOSPLIT, $0-72
 	MOVQ    dst_base+0(FP), DI
 	MOVQ    src_base+24(FP), SI
@@ -835,6 +886,8 @@ TEXT ·expAVX(SB), NOSPLIT, $0-72
 	VXORPD  X15, X15, X15
 	TESTQ   CX, CX
 	JZ      exp_done
+	CMPB    ·zmm(SB), $0
+	JNE     exp8_group
 
 	PCALIGN $32
 exp_group:
@@ -906,6 +959,73 @@ exp_partial:
 	VMASKMOVPD  Y0, Y4, (DI)(BX*8)
 	ADDQ        $4, BX
 	XORQ        $15, AX
+	JMP         exp_done
+
+	// The same, eight lanes at a time. The constants are broadcast from
+	// their first lane (.BCST), and 2^k is k + 1023 shifted into each
+	// int64 lane's exponent field.
+	PCALIGN $32
+exp8_group:
+	VMOVUPD (SI)(BX*8), Z0
+	CMPQ    DX, $1
+	JLT     exp8_arg
+	JEQ     exp8_neg
+	VMULPD  Z0, Z0, Z0 // Gaussian: −(x·x)
+exp8_neg:
+	VPXORQ.BCST expc<>+SIGN(SB), Z0, Z0
+
+exp8_arg:
+	VMULPD.BCST       expc<>+LOG2E(SB), Z0, Z1
+	VCVTPD2DQ         Z1, Y2
+	VCVTDQ2PD         Y2, Z1
+	VPMOVSXDQ         Y2, Z3
+	VPADDQ.BCST       expc<>+BIAS64(SB), Z3, Z3
+	VPCMPQ            $6, Z15, Z3, K1                    // k + 1023 > 0
+	VPCMPQ.BCST       $2, expc<>+EMAX64(SB), Z3, K2      // k + 1023 ≤ 0x7fe
+	KANDW             K2, K1, K1
+	KMOVW             K1, AX
+	VFNMADD231PD.BCST expc<>+LN2U(SB), Z1, Z0
+	VFNMADD231PD.BCST expc<>+LN2L(SB), Z1, Z0
+	VMULPD.BCST       expc<>+SIXTEENTH(SB), Z0, Z0
+	VBROADCASTSD      expc<>+C8(SB), Z2
+	VFMADD213PD.BCST  expc<>+C7(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+C6(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+C5(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+C4(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+C3(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+HALF(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+ONE(SB), Z0, Z2
+	VMULPD            Z2, Z0, Z0
+	VADDPD.BCST       expc<>+TWO(SB), Z0, Z2
+	VMULPD            Z2, Z0, Z0
+	VADDPD.BCST       expc<>+TWO(SB), Z0, Z2
+	VMULPD            Z2, Z0, Z0
+	VADDPD.BCST       expc<>+TWO(SB), Z0, Z2
+	VMULPD            Z2, Z0, Z0
+	VADDPD.BCST       expc<>+TWO(SB), Z0, Z2
+	VFMADD213PD.BCST  expc<>+ONE(SB), Z2, Z0
+	VPSLLQ            $52, Z3, Z4
+	VMULPD            Z4, Z0, Z0
+	CMPQ              DX, $1
+	JNE               exp8_store
+	VADDPD.BCST       expc<>+ONE(SB), Z0, Z0 // sigmoid: 1 / (1 + e)
+	VBROADCASTSD      expc<>+ONE(SB), Z2
+	VDIVPD            Z0, Z2, Z0
+
+exp8_store:
+	CMPQ    AX, $0xff
+	JNE     exp8_partial
+	VMOVUPD Z0, (DI)(BX*8)
+	ADDQ    $8, BX
+	CMPQ    BX, CX
+	JLT     exp8_group
+	XORQ    AX, AX
+	JMP     exp_done
+
+exp8_partial:
+	VMOVUPD Z0, K1, (DI)(BX*8)
+	ADDQ    $8, BX
+	XORQ    $0xff, AX
 
 exp_done:
 	MOVQ BX, done+56(FP)

@@ -2,9 +2,9 @@
 
 package vec
 
-// haveAVX, haveFMA and haveExp are false: the AVX kernels exist on amd64
-// only, and avx never selects the stubs below.
-const haveAVX, haveFMA, haveExp = false, false, false
+// haveAVX, haveAVX512, haveFMA and haveExp are false: the AVX kernels
+// exist on amd64 only, and avx never selects the stubs below.
+const haveAVX, haveAVX512, haveFMA, haveExp = false, false, false, false
 
 func runAVX(vals []float64, prog []Instr, n int)                { panic("vec: no AVX kernels") }
 func stepAVX(vals []float64, tail []Product, n int, lr float64) { panic("vec: no AVX kernels") }

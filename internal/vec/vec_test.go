@@ -44,28 +44,37 @@ func requireBitEqual(t *testing.T, what string, want, got []float64) {
 	}
 }
 
-// TestLaneKernelsMatchPortable runs every AVX kernel against its Go loop on
-// the same arena, for n = 0 … 37 lanes (every remainder of the packed
-// loops) with rows starting at four consecutive float offsets (every
-// alignment of a 32-byte vector), on values from raw bits and on the
-// specials. The whole arena must match, so a kernel that writes past its
-// lanes fails too.
+// TestLaneKernelsMatchPortable runs every AVX lane kernel, at each width
+// the CPU has (8 and 4 lanes per instruction with AVX-512F, 4 with AVX),
+// against its Go loop on the same arena: n = 0 … 37 lanes (every remainder
+// of the 8- and 4-lane loops) with rows starting at eight consecutive float
+// offsets (every alignment of a 64-byte vector), on values from raw bits and
+// on the specials. The whole arena must match, so a kernel that writes past
+// its lanes fails too.
 func TestLaneKernelsMatchPortable(t *testing.T) {
 	if !haveAVX {
 		t.Skip("no AVX on this CPU")
 	}
 	rng := rand.New(rand.NewSource(40))
-	const stride = 41 // every row holds 37 lanes from any of the offsets
+	const stride = 45 // every row holds 37 lanes from any of the offsets
 	for n := 0; n <= 37; n++ {
-		for off := 0; off < 4; off++ {
+		for off := 0; off < 8; off++ {
 			row := func(r int) int32 { return int32(off + r*stride) }
 			arena := fill(rng, 16*stride)
 			check := func(what string, kernel func(vals []float64, avx bool)) {
 				t.Helper()
-				want, got := append([]float64(nil), arena...), append([]float64(nil), arena...)
+				want := append([]float64(nil), arena...)
 				kernel(want, false)
-				kernel(got, true)
-				requireBitEqual(t, fmt.Sprintf("%s n=%d offset=%d", what, n, off), want, got)
+				for _, im := range impls() {
+					if im.lanes == 1 {
+						continue
+					}
+					got := append([]float64(nil), arena...)
+					restore := im.use()
+					kernel(got, true)
+					restore()
+					requireBitEqual(t, fmt.Sprintf("%s %s n=%d offset=%d", what, im.name, n, off), want, got)
+				}
 			}
 
 			for op := Add; op <= Less; op++ {
