@@ -133,7 +133,7 @@ func checkFold(t *testing.T, seed int64, nMembers, shift uint8, length uint16) {
 		if ok, err := ab.WaitComplete(time.Second, nil); !ok || err != nil {
 			t.Fatalf("round %d did not complete: ok=%v err=%v", round, ok, err)
 		}
-		sum, _ := ab.Sum()
+		sum := ab.Sum()
 		for idx := 0; idx < chunks; idx++ {
 			first := true // ranks below the first gap folded before any exclusion
 			want := make([]float64, ab.spanLen(idx))
@@ -188,6 +188,7 @@ func TestStaleChunkCannotCrossReset(t *testing.T) {
 		stale[i] = 1e6
 	}
 	ab := newTestBuffer(t, n, n, members)
+	weights := recordWeights(ab)
 
 	// The racer spins until round k is posted, then adds the stale chunk
 	// while the test goroutine runs Reset(k+1).
@@ -234,17 +235,50 @@ func TestStaleChunkCannotCrossReset(t *testing.T) {
 		if ok, err := ab.WaitComplete(time.Second, nil); !ok || err != nil {
 			t.Fatalf("round %d did not complete: ok=%v err=%v", k+1, ok, err)
 		}
-		sum, w := ab.Sum()
+		sum := ab.Sum()
 		for i := range want {
 			if sum[i] != want[i] {
 				t.Fatalf("round %d: sum[%d] = %g, want %g (the stale chunk folded in)", k+1, i, sum[i], want[i])
 			}
 		}
-		if w != 3 {
-			t.Fatalf("round %d: weight %g, want 3", k+1, w)
-		}
+		checkWeights(t, weights, 3)
 		if present, excluded, missing := ab.QuorumStatus(); len(present) != 3 || excluded != nil || missing != nil {
 			t.Fatalf("round %d: census present=%v excluded=%v missing=%v", k+1, present, excluded, missing)
 		}
+	}
+}
+
+// TestCompletionCallbackMayReset: the completion callback runs with no lock
+// held, so it may arm round k+1 itself. Round k's completion must then not
+// count toward round k+1: that round starts with a clean census and a wait
+// that is not yet satisfied, and completes once its own members fold.
+func TestCompletionCallbackMayReset(t *testing.T) {
+	const n, k = 8, 5
+	members := []uint32{1, 2}
+	ab := newTestBuffer(t, n, n, members)
+	ab.SetOnComplete(func(_ int, seq uint32, _ []float64, _ float64) {
+		if seq == k {
+			ab.Reset(k + 1)
+		}
+	})
+	add := func(seq uint32) {
+		t.Helper()
+		for _, id := range members {
+			if err := ab.Add(Chunk{Seq: seq, From: id, Data: make([]float64, n), Weight: 1, Last: true}); err != nil {
+				t.Fatalf("round %d, member %d: %v", seq, id, err)
+			}
+		}
+	}
+	ab.Reset(k)
+	add(k)
+	if present, excluded, missing := ab.QuorumStatus(); present != nil || excluded != nil || !equalIDs(missing, members) {
+		t.Fatalf("round %d census present=%v excluded=%v missing=%v; want every member missing", k+1, present, excluded, missing)
+	}
+	if ok, err := ab.WaitComplete(time.Millisecond, nil); ok || err != nil {
+		t.Fatalf("round %d: WaitComplete = %v, %v before any member folded; want a timeout", k+1, ok, err)
+	}
+	add(k + 1)
+	if ok, err := ab.WaitComplete(time.Second, nil); !ok || err != nil {
+		t.Fatalf("round %d did not complete: ok=%v err=%v", k+1, ok, err)
 	}
 }

@@ -114,7 +114,7 @@ type NodeConfig struct {
 	Obs *obs.Observer
 }
 
-// ringCapacity bounds the circular buffer feeding a Sigma's fold goroutine;
+// ringCapacity bounds the channel feeding a Sigma's fold goroutine;
 // flightSize bounds each node's flight recorder (the last-N wire events kept
 // for post-mortem dumps).
 const (
@@ -161,9 +161,11 @@ type Node struct {
 	// sendMu serializes upstream frame writes.
 	sendMu sync.Mutex
 
-	// Sigma machinery.
-	ring *CircularBuffer
-	agg  *AggregationBuffer
+	// Sigma machinery: ring is the paper's Circular Buffer from the readers
+	// to the fold goroutine, and ringDepth mirrors its occupancy.
+	ring      chan Chunk
+	ringDepth *obs.Gauge
+	agg       *AggregationBuffer
 	// downstream are the member connections a Sigma forwards models to.
 	// The slice is copy-on-write: acceptLoop and pruneDownstream publish a
 	// new one, so a reader may keep the one it read under the lock. Dead
@@ -247,9 +249,7 @@ func (n *Node) Health() NodeHealth {
 		FlightDepth:      n.flight.Len(),
 		LastRoundSeconds: time.Duration(n.lastRoundNanos.Load()).Seconds(),
 	}
-	if n.ring != nil {
-		h.RingDepth = n.ring.Len()
-	}
+	h.RingDepth = len(n.ring)
 	return h
 }
 
@@ -348,13 +348,13 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 			return nil, err
 		}
 		n.ln = ln
-		n.ring = NewCircularBuffer(ringCapacity)
+		n.ring = make(chan Chunk, ringCapacity)
 		if cfg.Role == RoleGroupSigma {
 			n.agg.SetOnComplete(n.forwardChunk)
 		}
 		if cfg.Obs != nil {
-			n.ring.SetDepthGauge(cfg.Obs.Registry().Gauge(
-				obs.Labeled("cosmic_node_ring_depth", "node", strconv.Itoa(int(cfg.ID)))))
+			n.ringDepth = cfg.Obs.Registry().Gauge(
+				obs.Labeled("cosmic_node_ring_depth", "node", strconv.Itoa(int(cfg.ID))))
 			n.agg.SetPipelineGauge(cfg.Obs.Registry().Gauge(
 				obs.Labeled("cosmic_sigma_pipeline_depth", "node", strconv.Itoa(int(cfg.ID)))))
 		}
@@ -365,16 +365,32 @@ func StartNode(cfg NodeConfig, shard []ml.Sample) (*Node, error) {
 	return n, nil
 }
 
-// aggWorker is the Sigma's fold goroutine: it drains the circular buffer
-// into the aggregation buffer until the ring closes. Pooled wire payloads
-// are recycled once folded — the Add path never retains the chunk's slice.
+// push hands a chunk to the fold goroutine, blocking while the ring is
+// full. It reports false if the node closed first.
+func (n *Node) push(c Chunk) bool {
+	select {
+	case n.ring <- c:
+		n.ringDepth.Set(float64(len(n.ring)))
+		return true
+	case <-n.closeCh:
+		return false
+	}
+}
+
+// aggWorker is the Sigma's fold goroutine: it drains the ring into the
+// aggregation buffer until the node closes, leaving any chunks still queued
+// to the garbage collector. Pooled wire payloads are recycled once folded —
+// the Add path never retains the chunk's slice.
 func (n *Node) aggWorker() {
 	defer n.wg.Done()
 	for {
-		c, ok := n.ring.Pop()
-		if !ok {
+		var c Chunk
+		select {
+		case c = <-n.ring:
+		case <-n.closeCh:
 			return
 		}
+		n.ringDepth.Set(float64(len(n.ring)))
 		// Counted before the fold: the fold can complete the round, and
 		// whoever sees the round complete must find the counters moved.
 		n.obs.chunkFolded(c.Last)
@@ -463,7 +479,7 @@ func (n *Node) readLoop(conn *cosmicnet.Conn) {
 				Last: f.ChunkIndex == f.ChunkCount-1, Recycle: true,
 			}
 			f.Payload = nil // the next decode draws a recycled buffer of its size
-			if !n.ring.Push(c) {
+			if !n.push(c) {
 				return
 			}
 		default:
@@ -542,7 +558,7 @@ func (n *Node) eachChunk(vec []float64, emit func(idx, off int, chunk []float64)
 // fast path).
 func (n *Node) pushLocalChunks(seq uint32, vec []float64) error {
 	return n.eachChunk(vec, func(_, off int, chunk []float64) error {
-		if !n.ring.Push(Chunk{
+		if !n.push(Chunk{
 			Seq: seq, From: n.cfg.ID, Offset: off,
 			Data: chunk, Weight: 1, Last: off+len(chunk) == len(vec),
 		}) {
@@ -1065,9 +1081,6 @@ func (n *Node) Close() {
 	n.upMu.Unlock()
 	if n.ln != nil {
 		n.ln.Close()
-	}
-	if n.ring != nil {
-		n.ring.Close()
 	}
 	n.downstreamMu.Lock()
 	for _, c := range n.downstream {

@@ -103,6 +103,7 @@ func TestWaitCompleteTimeoutSatisfied(t *testing.T) {
 	for i := range vec {
 		vec[i] = 1
 	}
+	weights := recordWeights(ab)
 	go func() {
 		for _, c := range splitIntoChunks(0, 1, vec, 1, words) {
 			ab.Add(c)
@@ -111,9 +112,9 @@ func TestWaitCompleteTimeoutSatisfied(t *testing.T) {
 	if !waitCompleteGuarded(t, ab, 10*time.Second) {
 		t.Fatal("timed out waiting for chunks that were delivered")
 	}
-	sum, w := ab.Sum()
-	if w != 1 || sum[0] != 1 {
-		t.Fatalf("folded state: weight %g sum[0] %g", w, sum[0])
+	checkWeights(t, weights, 1)
+	if sum := ab.Sum(); sum[0] != 1 {
+		t.Fatalf("folded state: sum[0] %g", sum[0])
 	}
 }
 
@@ -131,10 +132,11 @@ func quorumMemberVec(id uint32, n int) []float64 {
 // foldQuorum runs one quorum fold: five members, contributions from
 // {1, 3, 5} only, arrival order shuffled by seed, members {2, 4} excluded —
 // before the adds when excludeFirst, after them otherwise. Returns the
-// folded sum and weight.
-func foldQuorum(t *testing.T, n, words int, seed int64, excludeFirst bool) ([]float64, float64) {
+// folded sum and the weight each chunk index completed with.
+func foldQuorum(t *testing.T, n, words int, seed int64, excludeFirst bool) ([]float64, []float64) {
 	t.Helper()
 	ab := newTestBuffer(t, n, words, []uint32{1, 2, 3, 4, 5})
+	weights := recordWeights(ab)
 	ab.Reset(7)
 	if excludeFirst {
 		ab.Exclude([]uint32{2, 4})
@@ -157,8 +159,7 @@ func foldQuorum(t *testing.T, n, words int, seed int64, excludeFirst bool) ([]fl
 	if err != nil || !ok {
 		t.Fatalf("quorum fold did not complete: ok=%v err=%v", ok, err)
 	}
-	sum, w := ab.Sum()
-	return sum, w
+	return ab.Sum(), weights
 }
 
 // TestQuorumFoldDeterministic: the folded vector of a quorum round is a pure
@@ -168,14 +169,10 @@ func foldQuorum(t *testing.T, n, words int, seed int64, excludeFirst bool) ([]fl
 func TestQuorumFoldDeterministic(t *testing.T) {
 	const n, words = 300, 64
 	ref, refW := foldQuorum(t, n, words, 1, false)
-	if refW != 3 {
-		t.Fatalf("weight %g, want 3", refW)
-	}
+	checkWeights(t, refW, 3)
 	for seed := int64(2); seed <= 9; seed++ {
 		sum, w := foldQuorum(t, n, words, seed, seed%2 == 0)
-		if w != refW {
-			t.Fatalf("seed %d: weight %g, want %g", seed, w, refW)
-		}
+		checkWeights(t, w, 3)
 		for i := range sum {
 			if sum[i] != ref[i] {
 				t.Fatalf("seed %d: sum[%d] = %b, want %b (fold order leaked into the result)", seed, i, sum[i], ref[i])
@@ -224,7 +221,7 @@ func TestQuorumFoldDeterministicConcurrent(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("run %d: fold did not complete: ok=%v err=%v", run, ok, err)
 		}
-		sum, _ := ab.Sum()
+		sum := ab.Sum()
 		for i := range sum {
 			if sum[i] != ref[i] {
 				t.Fatalf("run %d: sum[%d] = %b, want %b", run, i, sum[i], ref[i])
@@ -300,6 +297,7 @@ func TestQuorumFoldAfterLateCompletion(t *testing.T) {
 func TestExcludedMemberTrafficDiscarded(t *testing.T) {
 	const n, words = 300, 64
 	ab := newTestBuffer(t, n, words, []uint32{1, 2, 3})
+	weights := recordWeights(ab)
 	ab.Reset(9)
 	// Member 2's chunks park (rank 1 waits on rank 0), then the exclusion
 	// sweep must discard them.
@@ -331,10 +329,8 @@ func TestExcludedMemberTrafficDiscarded(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("fold did not complete: ok=%v err=%v", ok, err)
 	}
-	sum, w := ab.Sum()
-	if w != 2 {
-		t.Fatalf("weight %g, want 2 (excluded member credited)", w)
-	}
+	checkWeights(t, weights, 2) // the excluded member is not credited
+	sum := ab.Sum()
 	want := make([]float64, n)
 	for _, id := range []uint32{1, 3} {
 		v := quorumMemberVec(id, n)

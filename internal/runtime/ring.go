@@ -4,24 +4,23 @@
 //
 // The System Director assigns Sigma (aggregator) and Delta (worker) roles
 // and configures the cluster. Within a Sigma node, the incoming-network
-// handler's per-connection readers push each received chunk frame onto a
-// Circular Buffer; one fold goroutine, the paper's Aggregation Pool cut to
-// a single thread, consumes chunks and folds them into the Aggregation
-// Buffer. Readers and folder form a producer-consumer pair, so
-// communication and aggregation overlap. One folder suffices: the buffer
-// folds each chunk index in member-rank order whatever the pool size, and
-// one core folds at well over ten times a 10 GbE link's rate. (Goroutines
-// are the user-level threads here — the Go runtime multiplexes them over a
-// fixed set of OS threads, which is precisely the "internally managed
-// thread pool avoiding OS-level context switches" the paper builds by hand
-// in C++.)
+// handler's per-connection readers send each received chunk frame on the
+// paper's Circular Buffer, here a buffered Go channel; one fold goroutine,
+// the paper's Aggregation Pool cut to a single thread, receives chunks and
+// folds them into the Aggregation Buffer under its one lock. Readers and
+// folder form a producer-consumer pair, so communication and aggregation
+// overlap. One folder suffices: the buffer folds each chunk index in
+// member-rank order whatever the arrival order, and one core folds at well
+// over ten times a 10 GbE link's rate. (Goroutines are the user-level
+// threads here — the Go runtime multiplexes them over a fixed set of OS
+// threads, which is precisely the "internally managed thread pool avoiding
+// OS-level context switches" the paper builds by hand in C++.)
 package runtime
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cosmicnet"
@@ -51,100 +50,9 @@ type Chunk struct {
 	Recycle bool
 }
 
-// CircularBuffer is a bounded, blocking MPMC ring of chunks: network
-// readers produce, the fold goroutine consumes. Bounding the ring is what
-// "reduces the memory required for aggregating partial results from
-// multiple sources while enabling overlap between communication and
-// computation".
-type CircularBuffer struct {
-	mu       sync.Mutex
-	notEmpty *sync.Cond
-	notFull  *sync.Cond
-	buf      []Chunk
-	head     int // next pop
-	count    int
-	closed   bool
-	// depth, when set, mirrors count so /metrics shows queue pressure live.
-	depth *obs.Gauge
-}
-
-// SetDepthGauge publishes the ring's occupancy to the given gauge on every
-// push and pop. Call before the ring is shared; a nil gauge is a no-op.
-func (cb *CircularBuffer) SetDepthGauge(g *obs.Gauge) {
-	cb.mu.Lock()
-	cb.depth = g
-	cb.mu.Unlock()
-}
-
-// NewCircularBuffer creates a ring with the given capacity.
-func NewCircularBuffer(capacity int) *CircularBuffer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("runtime: ring capacity %d", capacity))
-	}
-	cb := &CircularBuffer{buf: make([]Chunk, capacity)}
-	cb.notEmpty = sync.NewCond(&cb.mu)
-	cb.notFull = sync.NewCond(&cb.mu)
-	return cb
-}
-
-// Push blocks until space is available, then enqueues the chunk. It reports
-// false if the ring was closed.
-func (cb *CircularBuffer) Push(c Chunk) bool {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	for cb.count == len(cb.buf) && !cb.closed {
-		cb.notFull.Wait()
-	}
-	if cb.closed {
-		return false
-	}
-	cb.buf[(cb.head+cb.count)%len(cb.buf)] = c
-	cb.count++
-	cb.depth.Set(float64(cb.count))
-	cb.notEmpty.Signal()
-	return true
-}
-
-// Pop blocks until a chunk is available and dequeues it. It reports false
-// if the ring is closed and drained.
-func (cb *CircularBuffer) Pop() (Chunk, bool) {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	for cb.count == 0 && !cb.closed {
-		cb.notEmpty.Wait()
-	}
-	if cb.count == 0 {
-		return Chunk{}, false
-	}
-	c := cb.buf[cb.head]
-	cb.buf[cb.head] = Chunk{}
-	cb.head = (cb.head + 1) % len(cb.buf)
-	cb.count--
-	cb.depth.Set(float64(cb.count))
-	cb.notFull.Signal()
-	return c, true
-}
-
-// Close wakes all blocked producers and consumers; pending chunks remain
-// poppable.
-func (cb *CircularBuffer) Close() {
-	cb.mu.Lock()
-	cb.closed = true
-	cb.mu.Unlock()
-	cb.notEmpty.Broadcast()
-	cb.notFull.Broadcast()
-}
-
-// Len returns the number of buffered chunks.
-func (cb *CircularBuffer) Len() int {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	return cb.count
-}
-
 // AggregationBuffer accumulates partial updates. Add is safe for
-// concurrent use; chunks of different regions never serialize against
-// each other.
+// concurrent use: one mutex guards the round's state, and the fold runs
+// under it.
 //
 // Each fixed-boundary chunk index folds in member-rank order: an in-order
 // arrival folds immediately, an out-of-order one is parked (as a pooled
@@ -162,25 +70,13 @@ func (cb *CircularBuffer) Len() int {
 // is therefore defined only once its chunk has completed.
 type AggregationBuffer struct {
 	sum []float64
-	// chunkWords is the fixed chunk boundary; states has one entry per
-	// chunk index.
+	// chunkWords is the fixed chunk boundary.
 	chunkWords int
-	states     []chunkAgg
 	// rank maps a member's node ID to its fold position. members =
 	// len(rank); ids is the sorted member list (ids[rank[id]] == id).
 	rank    map[uint32]int
 	members int
 	ids     []uint32
-	// seqWord gates adds to the current round: once Reset has armed it, a
-	// chunk whose Seq differs is stale traffic from an earlier round (an
-	// excluded member catching up late) and is dropped silently. Add checks
-	// it again under the chunk lock and under wmu, because Reset can arm the
-	// next round between an Add's first check and its fold.
-	seqWord atomic.Uint64
-	// excluded flags member ranks dropped from the current round's fold
-	// (quorum mode). An excluded rank's chunks are discarded, so the folded
-	// vector is a pure function of the included member set.
-	excluded []atomic.Bool
 	// onComplete, when set, runs when a chunk index has every member's
 	// contribution folded, before WaitComplete can observe the completion.
 	// seq is the round the chunk completed in; span aliases the buffer's
@@ -188,30 +84,36 @@ type AggregationBuffer struct {
 	onComplete func(idx int, seq uint32, span []float64, weight float64)
 	// pipeline, when set, tracks chunk indexes started but not complete.
 	pipeline *obs.Gauge
-
-	weight float64
-	wmu    sync.Mutex
-	// complete counts finished chunk indexes; inflight the
-	// started-but-incomplete ones.
-	complete int
-	inflight int
 	// allDone holds a token from the moment complete reaches every chunk
 	// index until WaitComplete takes it or Reset drains it; timer bounds a
 	// timed wait. Both live as long as the buffer, so a wait allocates
 	// nothing and starts no goroutine.
 	allDone chan struct{}
 	timer   *time.Timer
-	// got counts accepted chunks per member rank this round; a member is
-	// present once it has contributed every chunk index.
-	got []int
-}
 
-// seqArmed marks seqWord as holding a live round sequence.
-const seqArmed = 1 << 32
+	// mu guards the round's state: everything below, and the sum.
+	mu sync.Mutex
+	// states has one entry per chunk index.
+	states []chunkAgg
+	// seq is the round Reset armed; once armed, a chunk whose Seq differs
+	// is stale traffic from an earlier round (an excluded member catching
+	// up late) and is dropped silently.
+	seq   uint32
+	armed bool
+	// excluded flags member ranks dropped from the current round's fold
+	// (quorum mode). An excluded rank's chunks are discarded, so the folded
+	// vector is a pure function of the included member set.
+	excluded []bool
+	// got counts accepted chunks per member rank this round; a member is
+	// present once it has contributed every chunk index. complete counts
+	// finished chunk indexes; inflight the started-but-incomplete ones.
+	got      []int
+	complete int
+	inflight int
+}
 
 // chunkAgg is the per-chunk-index fold state.
 type chunkAgg struct {
-	mu sync.Mutex
 	// next is the member rank whose contribution folds next.
 	next    int
 	weight  float64
@@ -230,7 +132,6 @@ type chunkAgg struct {
 type parkedChunk struct {
 	rank   int
 	weight float64
-	last   bool
 	data   []float64
 }
 
@@ -260,7 +161,7 @@ func NewAggregationBuffer(n, chunkWords int, members []uint32) (*AggregationBuff
 		rank:       rank,
 		members:    len(rank),
 		ids:        sorted,
-		excluded:   make([]atomic.Bool, len(sorted)),
+		excluded:   make([]bool, len(sorted)),
 		got:        make([]int, len(sorted)),
 		allDone:    make(chan struct{}, 1),
 		timer:      time.NewTimer(time.Hour),
@@ -270,10 +171,11 @@ func NewAggregationBuffer(n, chunkWords int, members []uint32) (*AggregationBuff
 }
 
 // SetOnComplete installs the per-chunk completion callback. It runs on the
-// goroutine whose Add completed the chunk, with no buffer locks held, so
-// Reset may already have armed the next round when it runs: seq is the
-// round the chunk completed in, not necessarily the one armed now. span aliases the buffer's sum and
-// must not be retained past the round. Call before the round's first Add.
+// goroutine whose Add (or Exclude) completed the chunk, with no lock held,
+// so it may call the buffer, and Reset may already have armed the next
+// round when it runs: seq is the round the chunk completed in, not
+// necessarily the one armed now. span aliases the buffer's sum and must not
+// be retained past the round. Call before the round's first Add.
 func (ab *AggregationBuffer) SetOnComplete(fn func(idx int, seq uint32, span []float64, weight float64)) {
 	ab.onComplete = fn
 }
@@ -296,6 +198,12 @@ func (ab *AggregationBuffer) spanLen(idx int) int {
 	return ab.chunkWords
 }
 
+// span is chunk idx's slice of the sum.
+func (ab *AggregationBuffer) span(idx int) []float64 {
+	off := idx * ab.chunkWords
+	return ab.sum[off : off+ab.spanLen(idx)]
+}
+
 // Add folds a chunk of one index in member-rank order, parking early
 // arrivals, and fires onComplete when the index has every included member.
 // The chunk must sit exactly on a fixed boundary and come from a known
@@ -305,9 +213,6 @@ func (ab *AggregationBuffer) spanLen(idx int) int {
 func (ab *AggregationBuffer) Add(c Chunk) error {
 	if c.Offset < 0 || c.Offset+len(c.Data) > len(ab.sum) {
 		return fmt.Errorf("runtime: chunk [%d,%d) outside buffer of %d", c.Offset, c.Offset+len(c.Data), len(ab.sum))
-	}
-	if ab.stale(c.Seq) {
-		return nil
 	}
 	idx := 0
 	if len(ab.sum) > 0 {
@@ -324,27 +229,18 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 		return fmt.Errorf("runtime: chunk from unknown member %d", c.From)
 	}
 	st := &ab.states[idx]
-	span := ab.sum[c.Offset : c.Offset+ab.spanLen(idx)]
+	span := ab.span(idx)
 
-	lastWeight := 0.0
-	startedNow, completeNow := false, false
-	chunkWeight := 0.0
-
-	st.mu.Lock()
-	if ab.excluded[r].Load() || ab.stale(c.Seq) {
-		// Checked under the chunk lock: an exclusion sweep or a Reset that
-		// already passed this state must not see this chunk fold afterward.
-		st.mu.Unlock()
+	ab.mu.Lock()
+	defer ab.mu.Unlock()
+	if ab.excluded[r] || ab.staleLocked(c.Seq) {
 		return nil
 	}
-	if !st.started {
-		st.started, startedNow = true, true
-	}
+	inOrder := r == st.next
 	switch {
 	case r < st.next:
-		st.mu.Unlock()
 		return fmt.Errorf("runtime: duplicate chunk %d from member %d", idx, c.From)
-	case r > st.next:
+	case !inOrder:
 		// Early arrival: park a pooled copy until its rank comes up. The
 		// buffer never retains the caller's slice, so pooled wire payloads
 		// can be recycled unconditionally after Add. Ownership of the copy
@@ -353,59 +249,40 @@ func (ab *AggregationBuffer) Add(c Chunk) error {
 		data := cosmicnet.GetPayload(len(c.Data))
 		copy(data, c.Data)
 		//cosmic:transfers parked copy owned by st.pending until drained
-		st.pending = append(st.pending, parkedChunk{rank: r, weight: c.Weight, last: c.Last, data: data})
-		st.mu.Unlock()
+		st.pending = append(st.pending, parkedChunk{rank: r, weight: c.Weight, data: data})
 	default: // in order: fold, then advance past parked and excluded ranks
 		st.fold(span, c.Data)
 		st.next++
 		st.weight += c.Weight
-		if c.Last {
-			lastWeight += c.Weight
-		}
-		var lw2 float64
-		lw2, completeNow, chunkWeight = ab.advanceLocked(st, span)
-		lastWeight += lw2
-		st.mu.Unlock()
 	}
-
-	// The callback fires before the completion counter moves, so a
-	// WaitComplete return implies every per-chunk callback has finished.
-	if completeNow && ab.onComplete != nil {
-		ab.onComplete(idx, c.Seq, span, chunkWeight)
-	}
-
-	ab.wmu.Lock()
-	if ab.stale(c.Seq) {
-		// Reset armed the next round after this chunk folded and has zeroed
-		// the counters this chunk would have moved.
-		ab.wmu.Unlock()
-		return nil
-	}
-	ab.weight += lastWeight
 	ab.got[r]++
-	if startedNow {
+	if !st.started {
+		st.started = true
 		ab.inflight++
 	}
-	if completeNow {
-		ab.complete++
-		ab.inflight--
-		ab.signalLocked(1)
+	if inOrder && ab.advanceLocked(st, span) {
+		ab.finishLocked(idx, c.Seq, span, st.weight)
 	}
-	depth := ab.inflight
-	ab.wmu.Unlock()
-	ab.pipeline.Set(float64(depth))
+	ab.pipeline.Set(float64(ab.inflight))
 	return nil
+}
+
+// staleLocked reports whether Reset has armed a round other than seq. The
+// caller holds mu.
+func (ab *AggregationBuffer) staleLocked(seq uint32) bool {
+	return ab.armed && ab.seq != seq
 }
 
 // stale reports whether Reset has armed a round other than seq.
 func (ab *AggregationBuffer) stale(seq uint32) bool {
-	w := ab.seqWord.Load()
-	return w&seqArmed != 0 && uint32(w) != seq
+	ab.mu.Lock()
+	defer ab.mu.Unlock()
+	return ab.staleLocked(seq)
 }
 
 // fold folds one contribution into span, which is data's length: the
 // chunk's first fold of the round writes 0 + v (so −0 lands as +0, as if
-// added to a cleared span), every later fold adds. Call with st.mu held.
+// added to a cleared span), every later fold adds. Call with ab.mu held.
 func (st *chunkAgg) fold(span, data []float64) {
 	into := vec.Acc
 	if !st.written {
@@ -416,55 +293,69 @@ func (st *chunkAgg) fold(span, data []float64) {
 
 // advanceLocked advances st.next past excluded ranks (discarding any parked
 // chunks they delivered) and folds parked chunks as their ranks come up,
-// reporting the weight of the contributions that finished and whether the
-// chunk index just completed. A chunk that completes with nothing folded
-// has its span cleared. Call with st.mu held.
-func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWeight float64, completeNow bool, chunkWeight float64) {
+// reporting whether the chunk index just completed. A chunk that completes
+// with nothing folded has its span cleared. Call with ab.mu held.
+func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) bool {
 	for st.next < ab.members {
-		if ab.excluded[st.next].Load() {
-			for i := 0; i < len(st.pending); {
-				if st.pending[i].rank == st.next {
-					cosmicnet.PutPayload(st.pending[i].data)
-					st.pending[i] = st.pending[len(st.pending)-1]
-					st.pending = st.pending[:len(st.pending)-1]
-					continue
-				}
-				i++
-			}
-			st.next++
-			continue
+		// Rank st.next's parked chunk, if it sent one, folds unless the
+		// rank is excluded; an excluded rank is passed either way.
+		excluded := ab.excluded[st.next]
+		i := 0
+		for i < len(st.pending) && st.pending[i].rank != st.next {
+			i++
 		}
-		found := false
-		for i := range st.pending {
-			if st.pending[i].rank != st.next {
-				continue
-			}
+		if i < len(st.pending) {
 			p := st.pending[i]
-			st.fold(span, p.data)
-			cosmicnet.PutPayload(p.data)
-			st.next++
-			st.weight += p.weight
-			if p.last {
-				lastWeight += p.weight
+			if !excluded {
+				st.fold(span, p.data)
+				st.weight += p.weight
 			}
+			cosmicnet.PutPayload(p.data)
 			st.pending[i] = st.pending[len(st.pending)-1]
 			st.pending = st.pending[:len(st.pending)-1]
-			found = true
+		} else if !excluded {
 			break
 		}
-		if !found {
-			break
+		st.next++
+	}
+	if st.next < ab.members || st.completed {
+		return false
+	}
+	if !st.written {
+		clear(span)
+	}
+	st.completed = true
+	return true
+}
+
+// finishLocked fires chunk idx's completion callback with mu released,
+// then counts the completion unless Reset armed another round meanwhile.
+// The callback returns before the count moves, so a WaitComplete return
+// implies every per-chunk callback has finished. The caller holds mu; it
+// is held again on return.
+func (ab *AggregationBuffer) finishLocked(idx int, seq uint32, span []float64, weight float64) {
+	if ab.onComplete != nil {
+		ab.callUnlocked(idx, seq, span, weight)
+		if ab.staleLocked(seq) {
+			return
 		}
 	}
-	if st.next >= ab.members && !st.completed {
-		if !st.written {
-			clear(span)
+	ab.complete++
+	ab.inflight--
+	if ab.complete == len(ab.states) {
+		select {
+		case ab.allDone <- struct{}{}:
+		default: // a token is already waiting
 		}
-		st.completed = true
-		completeNow = true
-		chunkWeight = st.weight
 	}
-	return lastWeight, completeNow, chunkWeight
+}
+
+// callUnlocked runs the completion callback with mu released, taking it
+// back even if the callback panics.
+func (ab *AggregationBuffer) callUnlocked(idx int, seq uint32, span []float64, weight float64) {
+	ab.mu.Unlock()
+	defer ab.mu.Lock()
+	ab.onComplete(idx, seq, span, weight)
 }
 
 // Exclude drops members from the current round's fold: their chunks stop
@@ -475,49 +366,34 @@ func (ab *AggregationBuffer) advanceLocked(st *chunkAgg, span []float64) (lastWe
 // is the exclude-and-continue primitive: a Sigma that times out a round
 // folds with the quorum that arrived instead of wedging on the absent.
 func (ab *AggregationBuffer) Exclude(ids []uint32) int {
+	ab.mu.Lock()
+	defer ab.mu.Unlock()
 	newly := 0
 	for _, id := range ids {
-		r, ok := ab.rank[id]
-		if !ok {
-			continue
-		}
-		if !ab.excluded[r].Swap(true) {
+		if r, ok := ab.rank[id]; ok && !ab.excluded[r] {
+			ab.excluded[r] = true
 			newly++
 		}
 	}
 	if newly == 0 {
 		return 0
 	}
-	seq := uint32(ab.seqWord.Load()) // Exclude runs inside the armed round
-	lastWeight := 0.0
-	startedNow, completed := 0, 0
+	seq := ab.seq // Exclude runs inside the armed round
 	for idx := range ab.states {
-		st := &ab.states[idx]
-		span := ab.sum[idx*ab.chunkWords : idx*ab.chunkWords+ab.spanLen(idx)]
-		st.mu.Lock()
-		lw2, completeNow, chunkWeight := ab.advanceLocked(st, span)
-		if completeNow && !st.started {
-			st.started = true
-			startedNow++
+		st, span := &ab.states[idx], ab.span(idx)
+		if !ab.advanceLocked(st, span) {
+			continue
 		}
-		st.mu.Unlock()
-		lastWeight += lw2
-		if completeNow {
-			completed++
-			if ab.onComplete != nil {
-				ab.onComplete(idx, seq, span, chunkWeight)
-			}
+		if !st.started {
+			st.started = true
+			ab.inflight++
+		}
+		ab.finishLocked(idx, seq, span, st.weight)
+		if ab.staleLocked(seq) {
+			return newly // a callback armed the next round
 		}
 	}
-	ab.wmu.Lock()
-	ab.weight += lastWeight
-	ab.inflight += startedNow
-	ab.complete += completed
-	ab.inflight -= completed
-	ab.signalLocked(completed)
-	depth := ab.inflight
-	ab.wmu.Unlock()
-	ab.pipeline.Set(float64(depth))
+	ab.pipeline.Set(float64(ab.inflight))
 	return newly
 }
 
@@ -525,32 +401,19 @@ func (ab *AggregationBuffer) Exclude(ids []uint32) int {
 // chunk index accepted), excluded members, and missing members (absent or
 // partial). Each list is sorted by node ID.
 func (ab *AggregationBuffer) QuorumStatus() (present, excluded, missing []uint32) {
-	target := len(ab.states)
-	ab.wmu.Lock()
-	defer ab.wmu.Unlock()
+	ab.mu.Lock()
+	defer ab.mu.Unlock()
 	for r, id := range ab.ids {
 		switch {
-		case ab.excluded[r].Load():
+		case ab.excluded[r]:
 			excluded = append(excluded, id)
-		case ab.got[r] >= target:
+		case ab.got[r] >= len(ab.states):
 			present = append(present, id)
 		default:
 			missing = append(missing, id)
 		}
 	}
 	return present, excluded, missing
-}
-
-// signalLocked leaves the completion token for WaitComplete when the
-// latest n completions were the ones that finished the round. The caller
-// holds wmu.
-func (ab *AggregationBuffer) signalLocked(n int) {
-	if target := len(ab.states); n > 0 && ab.complete >= target && ab.complete-n < target {
-		select {
-		case ab.allDone <- struct{}{}:
-		default: // a token is already waiting
-		}
-	}
 }
 
 // WaitComplete blocks until every chunk index has all members folded (and
@@ -587,8 +450,8 @@ func (ab *AggregationBuffer) WaitComplete(timeout time.Duration, fail <-chan err
 
 // completed reports whether every chunk index has completed this round.
 func (ab *AggregationBuffer) completed() bool {
-	ab.wmu.Lock()
-	defer ab.wmu.Unlock()
+	ab.mu.Lock()
+	defer ab.mu.Unlock()
 	return ab.complete >= len(ab.states)
 }
 
@@ -619,31 +482,22 @@ func ChunksFor(n, words int) int {
 // number — a timed-out member's late traffic — are dropped instead of
 // folded.
 func (ab *AggregationBuffer) Reset(seq uint32) {
-	ab.seqWord.Store(seqArmed | uint64(seq))
-	ab.wmu.Lock()
-	ab.weight = 0
-	ab.complete = 0
-	ab.inflight = 0
+	ab.mu.Lock()
+	defer ab.mu.Unlock()
+	ab.seq, ab.armed = seq, true
+	ab.complete, ab.inflight = 0, 0
+	clear(ab.got)
+	clear(ab.excluded)
 	select {
 	case <-ab.allDone: // the last round's token, if its wait never took it
 	default:
 	}
-	for r := range ab.got {
-		ab.got[r] = 0
-	}
-	ab.wmu.Unlock()
-	for i := range ab.excluded {
-		ab.excluded[i].Store(false)
-	}
 	for i := range ab.states {
 		st := &ab.states[i]
-		st.mu.Lock()
-		st.next, st.weight, st.started, st.completed, st.written = 0, 0, false, false, false
 		for _, p := range st.pending {
 			cosmicnet.PutPayload(p.data)
 		}
-		st.pending = st.pending[:0]
-		st.mu.Unlock()
+		*st = chunkAgg{pending: st.pending[:0]}
 	}
 	ab.pipeline.Set(0)
 }

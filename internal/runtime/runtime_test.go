@@ -13,79 +13,54 @@ import (
 	"repro/internal/ml"
 )
 
-func TestCircularBufferFIFO(t *testing.T) {
-	cb := NewCircularBuffer(4)
-	for i := 0; i < 4; i++ {
-		if !cb.Push(Chunk{Offset: i}) {
-			t.Fatal("push failed")
+// TestRingPushBlocksAndCloses: with the ring full, a push blocked when the
+// node closes reports false, and the fold goroutine exits on close with
+// chunks still queued, so Close returns.
+func TestRingPushBlocksAndCloses(t *testing.T) {
+	const words = 8
+	g, err := StartNode(NodeConfig{
+		ID: 1, Role: RoleMasterSigma, MemberIDs: []uint32{1, 2}, ModelSize: words,
+		RoundPolicy: RoundPolicy{ChunkWords: words},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Park the fold goroutine in a completion callback, then fill the ring
+	// behind it with round 1's (stale) chunks.
+	entered, release := make(chan struct{}), make(chan struct{})
+	g.agg.SetOnComplete(func(int, uint32, []float64, float64) {
+		close(entered)
+		<-release
+	})
+	g.agg.Reset(0)
+	data := make([]float64, words)
+	for _, from := range []uint32{1, 2} {
+		if !g.push(Chunk{From: from, Data: data, Weight: 1, Last: true}) {
+			t.Fatal("push to an open node failed")
 		}
 	}
-	for i := 0; i < 4; i++ {
-		c, ok := cb.Pop()
-		if !ok || c.Offset != i {
-			t.Fatalf("pop %d: got %v %v", i, c.Offset, ok)
-		}
+	<-entered
+	for len(g.ring) < cap(g.ring) {
+		g.push(Chunk{Seq: 1, From: 1, Data: data, Weight: 1, Last: true})
 	}
-}
-
-func TestCircularBufferBlocksAndCloses(t *testing.T) {
-	cb := NewCircularBuffer(1)
-	cb.Push(Chunk{})
-	done := make(chan bool)
+	pushed := make(chan bool)
+	go func() { pushed <- g.push(Chunk{Seq: 1, From: 2, Data: data, Weight: 1, Last: true}) }()
+	closed := make(chan struct{})
 	go func() {
-		done <- cb.Push(Chunk{}) // blocks until close
+		g.Close()
+		close(closed)
 	}()
-	cb.Close()
-	if ok := <-done; ok {
-		t.Error("push after close should report false")
+	if <-pushed {
+		t.Error("a push blocked on a full ring reported success after close")
 	}
-	if _, ok := cb.Pop(); !ok {
-		t.Error("pending chunk should remain poppable after close")
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the fold goroutine kept draining the ring")
 	}
-	if _, ok := cb.Pop(); ok {
-		t.Error("drained closed ring should report false")
-	}
-}
-
-// TestCircularBufferConcurrent delivers every chunk exactly once under
-// concurrent producers and consumers.
-func TestCircularBufferConcurrent(t *testing.T) {
-	const producers, perProducer = 8, 200
-	cb := NewCircularBuffer(16)
-	var got sync.Map
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ch, ok := cb.Pop()
-				if !ok {
-					return
-				}
-				if _, dup := got.LoadOrStore(ch.Offset, true); dup {
-					t.Errorf("chunk %d delivered twice", ch.Offset)
-				}
-			}
-		}()
-	}
-	var pwg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		pwg.Add(1)
-		go func(p int) {
-			defer pwg.Done()
-			for i := 0; i < perProducer; i++ {
-				cb.Push(Chunk{Offset: p*perProducer + i})
-			}
-		}(p)
-	}
-	pwg.Wait()
-	cb.Close()
-	wg.Wait()
-	count := 0
-	got.Range(func(any, any) bool { count++; return true })
-	if count != producers*perProducer {
-		t.Errorf("delivered %d chunks, want %d", count, producers*perProducer)
+	if len(g.ring) == 0 {
+		t.Error("the fold goroutine drained the ring after close")
 	}
 }
 
@@ -123,7 +98,8 @@ func newTestBuffer(t testing.TB, n, words int, members []uint32) *AggregationBuf
 
 // TestAggregationBufferConcurrentSum: ten members add their chunks from
 // concurrent goroutines; the ordered fold must equal the serial rank-order
-// sum bitwise, with every member's weight credited.
+// sum bitwise, with every member's weight credited to every chunk — in the
+// round after a Reset too.
 func TestAggregationBufferConcurrentSum(t *testing.T) {
 	const n, contributors = 5000, 10
 	members := make([]uint32, contributors)
@@ -137,34 +113,51 @@ func TestAggregationBufferConcurrentSum(t *testing.T) {
 		}
 	}
 	ab := newTestBuffer(t, n, 512, members)
-	var wg sync.WaitGroup
-	for id := range members {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for _, ch := range splitIntoChunks(0, uint32(id), vecs[id], 1, 512) {
-				if err := ab.Add(ch); err != nil {
-					t.Error(err)
+	weights := recordWeights(ab)
+	for round := uint32(0); round < 2; round++ {
+		ab.Reset(round)
+		var wg sync.WaitGroup
+		for id := range members {
+			wg.Add(1)
+			go func(round uint32, id int) {
+				defer wg.Done()
+				for _, ch := range splitIntoChunks(round, uint32(id), vecs[id], 1, 512) {
+					if err := ab.Add(ch); err != nil {
+						t.Error(err)
+					}
 				}
+			}(round, id)
+		}
+		wg.Wait()
+		if ok, err := ab.WaitComplete(5*time.Second, nil); err != nil || !ok {
+			t.Fatalf("round %d: fold did not complete: ok=%v err=%v", round, ok, err)
+		}
+		checkWeights(t, weights, contributors)
+		sum := ab.Sum()
+		for i := range want {
+			if sum[i] != want[i] {
+				t.Fatalf("round %d: sum[%d] = %b, want the serial rank-order sum %b", round, i, sum[i], want[i])
 			}
-		}(id)
-	}
-	wg.Wait()
-	if ok, err := ab.WaitComplete(5*time.Second, nil); err != nil || !ok {
-		t.Fatalf("fold did not complete: ok=%v err=%v", ok, err)
-	}
-	sum, w := ab.Sum()
-	if w != contributors {
-		t.Fatalf("weight %g, want %d", w, contributors)
-	}
-	for i := range want {
-		if sum[i] != want[i] {
-			t.Fatalf("sum[%d] = %b, want the serial rank-order sum %b", i, sum[i], want[i])
 		}
 	}
-	ab.Reset(0)
-	if _, w := ab.Sum(); w != 0 {
-		t.Error("reset left weight")
+}
+
+// recordWeights installs an OnComplete callback that records the weight each
+// chunk index completes with: the value the master's apply reads.
+func recordWeights(ab *AggregationBuffer) []float64 {
+	weights := make([]float64, ab.ChunkCount())
+	ab.SetOnComplete(func(idx int, _ uint32, _ []float64, weight float64) { weights[idx] = weight })
+	return weights
+}
+
+// checkWeights fails the test unless every chunk index completed with
+// weight want.
+func checkWeights(t *testing.T, weights []float64, want float64) {
+	t.Helper()
+	for idx, w := range weights {
+		if w != want {
+			t.Fatalf("chunk %d completed with weight %g, want %g", idx, w, want)
+		}
 	}
 }
 

@@ -64,11 +64,7 @@ func TestOrderedFoldArrivalOrderInvariant(t *testing.T) {
 				t.Fatalf("chunk %d completed with weight %g", idx, w)
 			}
 		}
-		sum, w := ab.Sum()
-		if w != float64(len(members)) {
-			t.Fatalf("total weight %g", w)
-		}
-		return sum
+		return ab.Sum()
 	}
 
 	want := run(0)
